@@ -5,9 +5,9 @@ rotation axis, norm is the angle in radians.  The pose convention is
 camera-from-world (``x_cam = R x_world + t``), translations in millimeters,
 image y growing downward.
 
-Scalar-level routines (`exp_map`, `project_point`) are written against the
-realmath backend protocol so they run identically in floating point and fixed
-point.  Bulk float paths for the rasterizer and harness use numpy directly.
+Scalar-level routines (`exp_map`, `mat_vec`, `project_cam`, `project_point`)
+are written against the realmath backend protocol so they run identically in
+floating point and fixed point.  Bulk float paths use numpy directly.
 """
 
 from __future__ import annotations
@@ -103,8 +103,12 @@ class PoseSE3:
     t: np.ndarray
 
     def __post_init__(self):
-        self.omega = _canonical_omega(np.asarray(self.omega, dtype=np.float64).reshape(3))
-        self.t = np.asarray(self.t, dtype=np.float64).reshape(3).copy()
+        omega = np.asarray(self.omega, dtype=np.float64).reshape(3)
+        t = np.asarray(self.t, dtype=np.float64).reshape(3)
+        if not (np.isfinite(omega).all() and np.isfinite(t).all()):
+            raise ValueError(f"pose is not finite: omega={omega.tolist()}, t={t.tolist()}")
+        self.omega = _canonical_omega(omega)
+        self.t = t.copy()
 
     def rotation(self) -> np.ndarray:
         return exp_map_np(self.omega)
@@ -216,21 +220,37 @@ def look_at_pose(camera_pos, target=(0.0, 0.0, 0.0), down=(0.0, 1.0, 0.0)) -> Po
 # ---------------------------------------------------------------------------
 # Projection.
 
+def mat_vec(R: Sequence, v: Sequence) -> tuple:
+    """3x3 matrix times 3-vector on nested sequences of any scalar type."""
+    return (
+        R[0][0] * v[0] + R[0][1] * v[1] + R[0][2] * v[2],
+        R[1][0] * v[0] + R[1][1] * v[1] + R[1][2] * v[2],
+        R[2][0] * v[0] + R[2][1] * v[1] + R[2][2] * v[2],
+    )
+
+
+def project_cam(c: Sequence, K) -> tuple:
+    """Pinhole image point (u, v) of camera-space point c; no depth check.
+
+    K is CameraIntrinsics or BackendIntrinsics: plain operators let the same
+    expression run on floats, numpy arrays and backend scalars.
+    """
+    return K.fx * c[0] / c[2] + K.cx, K.fy * c[1] / c[2] + K.cy
+
+
 def project_point(X: Sequence, R: Sequence, t: Sequence, K: BackendIntrinsics, backend):
-    """Project one world point; returns (u, v, depth) in backend scalars.
+    """Project one world point; returns ((u, v), R X, R X + t) in backend scalars.
 
     R and t are camera-from-world in backend scalars (R a 3x3 nested list).
-    Raises BehindCameraError when camera-space z <= 0.
+    The rotated-only point and the camera-space point come back too: the
+    pose Jacobian needs both.  Raises BehindCameraError when camera-space
+    z <= 0.
     """
-    x, y, z = X
-    xc = R[0][0] * x + R[0][1] * y + R[0][2] * z + t[0]
-    yc = R[1][0] * x + R[1][1] * y + R[1][2] * z + t[1]
-    zc = R[2][0] * x + R[2][1] * y + R[2][2] * z + t[2]
-    if not zc > backend.zero:
-        raise BehindCameraError(f"point depth {backend.to_float(zc)} mm is not positive")
-    u = K.fx * xc / zc + K.cx
-    v = K.fy * yc / zc + K.cy
-    return u, v, zc
+    v = mat_vec(R, X)
+    c = (v[0] + t[0], v[1] + t[1], v[2] + t[2])
+    if not c[2] > backend.zero:
+        raise BehindCameraError(f"point depth {backend.to_float(c[2])} mm is not positive")
+    return project_cam(c, K), v, c
 
 
 def project_np(points: np.ndarray, R: np.ndarray, t: np.ndarray, K: CameraIntrinsics):
@@ -238,13 +258,12 @@ def project_np(points: np.ndarray, R: np.ndarray, t: np.ndarray, K: CameraIntrin
 
     Depths may be non-positive; callers clip.  Rows with z <= 0 get NaN uv.
     """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    cam = pts @ np.asarray(R, dtype=np.float64).T + np.asarray(t, dtype=np.float64)
+    cam = transform_np(points, R, t)
     z = cam[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(z > 0.0, K.fx * cam[:, 0] / z + K.cx, np.nan)
-        v = np.where(z > 0.0, K.fy * cam[:, 1] / z + K.cy, np.nan)
-    return np.stack([u, v], axis=1), z
+        uv = np.stack(project_cam(cam.T, K), axis=1)
+    uv[~(z > 0.0)] = np.nan
+    return uv, z
 
 
 def transform_np(points: np.ndarray, R: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -309,10 +328,6 @@ def load_model(path) -> WireframeModel:
             for a, b in ((f[0], f[1]), (f[1], f[2]), (f[0], f[2])):
                 pair_set.add((min(a, b), max(a, b)))
         edge_rows = sorted(pair_set)
-    if len(edge_rows) > MAX_EDGES:
-        raise ModelFormatError(
-            f"{len(edge_rows)} edges exceed the {MAX_EDGES} edge-ID capacity"
-        )
     return WireframeModel(
         vertices=np.array(vertices, dtype=np.float64).reshape(n, 3),
         faces=np.array([f for _, f in faces], dtype=np.int32).reshape(-1, 3),

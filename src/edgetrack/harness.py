@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -21,13 +21,13 @@ from .geometry import (
     CameraIntrinsics,
     PoseSE3,
     WireframeModel,
-    exp_map_np,
-    log_rotation_np,
     look_at_pose,
+    transform_np,
 )
 from .imaging import ColorImage, GrayImage, frame_filename, load_image, save_image
 from .pose_estimation import DegenerateGeometryError, LMSettings, track_frame
 from .rasterizer import (
+    _edge_pixels,
     decode_id_array,
     depth_buffer_to_image,
     id_buffer_to_image,
@@ -94,34 +94,6 @@ class OrbitTrajectory:
         return look_at_pose(camera, aim, down=np.array([0.0, 1.0, 0.0]))
 
 
-@dataclass
-class KeyPoseTrajectory:
-    """Linear interpolation between key poses (translation lerp, rotation
-    geodesic) sampled at evenly spaced frames."""
-
-    frames: int
-    keys: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.frames < 0:
-            raise ValueError("frame count must be >= 0")
-        if self.frames > 0 and len(self.keys) < 2:
-            raise ValueError("need at least two key poses")
-
-    def pose(self, index: int) -> PoseSE3:
-        if self.frames == 1:
-            return self.keys[0].copy()
-        u = index / (self.frames - 1) * (len(self.keys) - 1)
-        seg = min(int(u), len(self.keys) - 2)
-        tau = u - seg
-        a, b = self.keys[seg], self.keys[seg + 1]
-        Ra, Rb = exp_map_np(a.omega), exp_map_np(b.omega)
-        delta = log_rotation_np(Rb @ Ra.T)
-        R = exp_map_np(tau * delta) @ Ra
-        t = (1.0 - tau) * np.asarray(a.t) + tau * np.asarray(b.t)
-        return PoseSE3(log_rotation_np(R), t)
-
-
 def standard_trajectory(frames: int = STANDARD_FRAMES) -> OrbitTrajectory:
     """The desk-scale orbit every headline number refers to.
 
@@ -143,42 +115,23 @@ def _visible_runs(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics):
     """
     id_buf, _ = render_id_buffer(model, pose, K)
     ids = decode_id_array(id_buf.rgb)
-    R = exp_map_np(pose.omega)
-    cam = (R @ np.asarray(model.vertices, dtype=float).T).T + pose.t
+    cam = transform_np(model.vertices, pose.rotation(), pose.t)
     runs = []
     for i, e in enumerate(model.edges):
-        a, b = cam[e[0]], cam[e[1]]
-        if a[2] <= 0 and b[2] <= 0:
+        trace = _edge_pixels(cam[e[0]], cam[e[1]], K)
+        if trace is None:
             continue
-        # near clip at 1 mm, same plane as the rasterizer
-        if a[2] < 1.0 or b[2] < 1.0:
-            s = (1.0 - a[2]) / (b[2] - a[2])
-            if a[2] < 1.0:
-                a = a + s * (b - a)
-            else:
-                b = a + s * (b - a)
-        pa = np.array([K.fx * a[0] / a[2] + K.cx, K.fy * a[1] / a[2] + K.cy])
-        pb = np.array([K.fx * b[0] / b[2] + K.cx, K.fy * b[1] / b[2] + K.cy])
-        steps = int(max(1, math.ceil(max(abs(pb[0] - pa[0]), abs(pb[1] - pa[1])))))
-        taus = np.arange(steps + 1) / steps
-        px = pa[0] + taus * (pb[0] - pa[0])
-        py = pa[1] + taus * (pb[1] - pa[1])
-        xi = np.floor(px + 0.5).astype(int)
-        yi = np.floor(py + 0.5).astype(int)
+        _, uv, xi, yi, taus = trace
+        pa, pb = np.array(uv)
         inside = (xi >= 0) & (xi < K.width) & (yi >= 0) & (yi < K.height)
-        owned = np.zeros(steps + 1, dtype=bool)
-        owned[inside] = ids[yi[inside], xi[inside]] == i
-        start = None
-        pad = 0.5 / steps
-        for k in range(steps + 2):
-            on = k <= steps and owned[k]
-            if on and start is None:
-                start = k
-            elif not on and start is not None:
-                t0 = max(0.0, taus[start] - pad)
-                t1 = min(1.0, taus[k - 1] + pad)
-                runs.append((pa + t0 * (pb - pa), pa + t1 * (pb - pa)))
-                start = None
+        owned = np.zeros(len(taus) + 2, dtype=np.int8)  # zero-padded both ends
+        owned[1:-1][inside] = ids[yi[inside], xi[inside]] == i
+        flips = np.diff(owned)
+        pad = 0.5 / (len(taus) - 1)  # half a step
+        for k0, k1 in zip(np.flatnonzero(flips == 1), np.flatnonzero(flips == -1) - 1):
+            t0 = max(0.0, taus[k0] - pad)
+            t1 = min(1.0, taus[k1] + pad)
+            runs.append((pa + t0 * (pb - pa), pa + t1 * (pb - pa)))
     return runs
 
 

@@ -25,6 +25,7 @@ from .geometry import (
     WireframeModel,
     exp_map,
     log_rotation_np,
+    project_point,
 )
 from .imaging import GrayImage
 from .rasterizer import render_id_buffer
@@ -62,9 +63,9 @@ class LMSettings:
             raise ValueError("lambda_max must be >= lambda0")
 
     def resolved_tolerances(self, backend) -> tuple[float, float]:
-        is_float = backend.resolution < 1e-15
-        rel = self.tol_relative if self.tol_relative is not None else (1e-6 if is_float else 1e-4)
-        step = self.tol_step if self.tol_step is not None else (1e-8 if is_float else 1e-5)
+        fixed = backend.is_fixed
+        rel = self.tol_relative if self.tol_relative is not None else (1e-4 if fixed else 1e-6)
+        step = self.tol_step if self.tol_step is not None else (1e-5 if fixed else 1e-8)
         return rel, step
 
 
@@ -92,25 +93,6 @@ def residual(p, q, n):
     return (q[0] - p[0]) * n[0] + (q[1] - p[1]) * n[1]
 
 
-def _rotate(R, v):
-    return (
-        R[0][0] * v[0] + R[0][1] * v[1] + R[0][2] * v[2],
-        R[1][0] * v[0] + R[1][1] * v[1] + R[1][2] * v[2],
-        R[2][0] * v[0] + R[2][1] * v[1] + R[2][2] * v[2],
-    )
-
-
-def _project_with_cam(X, R, t, Kb, backend):
-    """Projected 2D point plus the rotated-only and camera-space 3D points."""
-    v = _rotate(R, X)
-    c = (v[0] + t[0], v[1] + t[1], v[2] + t[2])
-    if not c[2] > backend.zero:
-        raise BehindCameraError("point behind camera")
-    u = Kb.fx * c[0] / c[2] + Kb.cx
-    w = Kb.fy * c[1] / c[2] + Kb.cy
-    return (u, w), v, c
-
-
 def _jacobian_row(v, c, n, Kb):
     """Jacobian row from the rotated point v and camera point c.
 
@@ -134,7 +116,7 @@ def _jacobian_row(v, c, n, Kb):
 
 def residual_jacobian(X, R, t, Kb, n, backend):
     """Row of ∂r/∂(rotation increment, translation) at the current pose."""
-    _, v, c = _project_with_cam(X, R, t, Kb, backend)
+    _, v, c = project_point(X, R, t, Kb, backend)
     return _jacobian_row(v, c, n, Kb)
 
 
@@ -143,7 +125,7 @@ def _build_system(measurements, R, t, Kb, backend):
     rs = []
     rows = []
     for m in measurements:
-        p, v, c = _project_with_cam(m.X, R, t, Kb, backend)
+        p, v, c = project_point(m.X, R, t, Kb, backend)
         rs.append(residual(p, m.match, m.n))
         rows.append(_jacobian_row(v, c, m.n, Kb))
     return rs, rows
@@ -309,7 +291,6 @@ class FrameStats:
     t_visible: float  # render + visibility bookkeeping, seconds
     t_me: float  # measurement collection incl. the 1D search
     t_pose: float  # LM refinement
-    t_gray: float = 0.0  # gray conversion, filled by the caller when it converts
 
 
 def track_frame(prev_pose: PoseSE3, gray: GrayImage, model: WireframeModel,

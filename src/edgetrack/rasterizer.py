@@ -21,14 +21,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, PoseSE3, WireframeModel, transform_np
+from .geometry import (
+    MAX_EDGES,
+    CameraIntrinsics,
+    PoseSE3,
+    WireframeModel,
+    project_cam,
+    transform_np,
+)
 from .imaging import ColorImage, GrayImage, RGB888
 
 NEAR_PLANE_MM = 1.0
 DEPTH_BIAS = 1e-3  # relative; edges sit on their faces, avoid self-occlusion
 BACKGROUND = -1  # decoded-ID sentinel for black pixels
 
-MAX_EDGE_ID = 32766  # (32767 + 1) * 8 would encode to black = background
+MAX_EDGE_ID = MAX_EDGES - 1  # (MAX_EDGES + 1) * 8 would encode to black = background
 
 
 class CapacityError(ValueError):
@@ -131,10 +138,6 @@ def _clip_segment_near(a: np.ndarray, b: np.ndarray):
     return (cross, b) if not a_in else (a, cross)
 
 
-def _project_cam(p: np.ndarray, K: CameraIntrinsics) -> tuple[float, float]:
-    return (K.fx * p[0] / p[2] + K.cx, K.fy * p[1] / p[2] + K.cy)
-
-
 def _fill_triangle(depth: np.ndarray, owner: np.ndarray, face_index: int,
                    pts: list, K: CameraIntrinsics):
     """Depth fill of one camera-space triangle, pixel centers at ints.
@@ -142,7 +145,7 @@ def _fill_triangle(depth: np.ndarray, owner: np.ndarray, face_index: int,
     ``owner`` records which face currently holds each pixel's nearest depth;
     the edge pass uses it for hidden-line adjacency tests.
     """
-    uv = [_project_cam(p, K) for p in pts]
+    uv = [project_cam(p, K) for p in pts]
     inv_z = [1.0 / p[2] for p in pts]
     (x0, y0), (x1, y1), (x2, y2) = uv
     area = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
@@ -176,23 +179,25 @@ def _fill_triangle(depth: np.ndarray, owner: np.ndarray, face_index: int,
     owner_region[write] = face_index
 
 
-def _edge_pixels(a: np.ndarray, b: np.ndarray, K: CameraIntrinsics, w: int, h: int):
-    """Integer line-stepping of a camera-space segment; yields (x, y, z)."""
-    ua, va = _project_cam(a, K)
-    ub, vb = _project_cam(b, K)
-    inv_za, inv_zb = 1.0 / a[2], 1.0 / b[2]
+def _edge_pixels(a: np.ndarray, b: np.ndarray, K: CameraIntrinsics):
+    """Line-step a camera-space segment clipped against the near plane.
+
+    Returns None when the segment lies wholly behind the near plane, else
+    ``(ends, uv, x, y, s)``: the clipped camera-space ends, their projections,
+    and for each step k of ``steps + 1`` the pixel column and row (rounded
+    with floor(. + 0.5)) and the parameter s = k / steps from uv[0] to uv[1].
+    Pixels are neither de-duplicated nor bounds-checked.
+    """
+    ends = _clip_segment_near(a, b)
+    if ends is None:
+        return None
+    uv = project_cam(ends[0], K), project_cam(ends[1], K)
+    (ua, va), (ub, vb) = uv
     steps = max(1, math.ceil(max(abs(ub - ua), abs(vb - va))))
-    last = None
-    for k in range(steps + 1):
-        s = k / steps
-        x = math.floor(ua + s * (ub - ua) + 0.5)
-        y = math.floor(va + s * (vb - va) + 0.5)
-        if (x, y) == last:
-            continue
-        last = (x, y)
-        if 0 <= x < w and 0 <= y < h:
-            inv_z = inv_za + s * (inv_zb - inv_za)
-            yield x, y, 1.0 / inv_z
+    s = np.arange(steps + 1) / steps
+    x = np.floor(ua + s * (ub - ua) + 0.5).astype(np.int64)
+    y = np.floor(va + s * (vb - va) + 0.5).astype(np.int64)
+    return ends, uv, x, y, s
 
 
 def _edge_face_adjacency(model: WireframeModel) -> list[set]:
@@ -235,16 +240,27 @@ def render_id_buffer(
     # Among edges crossing one pixel the nearest wins, independent of order.
     edge_depth = np.full((K.height, K.width), np.inf, dtype=np.float64)
     for i, e in enumerate(model.edges):
-        seg = _clip_segment_near(cam[e[0]], cam[e[1]])
-        if seg is None:
+        trace = _edge_pixels(cam[e[0]], cam[e[1]], K)
+        if trace is None:
             continue
-        color = encode_edge_id(i)
-        own_faces = adjacency[i]
-        for x, y, z in _edge_pixels(seg[0], seg[1], K, K.width, K.height):
-            passes = owner[y, x] in own_faces or z <= depth[y, x] * (1.0 + DEPTH_BIAS)
-            if passes and z < edge_depth[y, x]:
-                edge_depth[y, x] = z
-                id_buf.rgb[y, x] = color
+        (a, b), _, x, y, s = trace
+        # Drop consecutive repeats, then pixels off the image.
+        keep = np.ones(len(s), dtype=bool)
+        keep[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+        keep &= (x >= 0) & (x < K.width) & (y >= 0) & (y < K.height)
+        x, y, s = x[keep], y[keep], s[keep]
+        inv_za, inv_zb = 1.0 / a[2], 1.0 / b[2]
+        z = 1.0 / (inv_za + s * (inv_zb - inv_za))
+        passes = z <= depth[y, x] * (1.0 + DEPTH_BIAS)
+        front = owner[y, x]
+        for f in adjacency[i]:
+            passes |= front == f
+        # The stepped pixels are monotone in x and y, so after de-duplication
+        # each appears once and the writes below cannot collide.
+        write = passes & (z < edge_depth[y, x])
+        x, y = x[write], y[write]
+        edge_depth[y, x] = z[write]
+        id_buf.rgb[y, x] = encode_edge_id(i)
     return id_buf, depth_buf
 
 
@@ -255,20 +271,17 @@ def _round_px(v: float) -> int:
     return math.floor(v + 0.5) if v >= 0.0 else math.ceil(v - 0.5)
 
 
-def is_point_visible(p, edge_index: int, id_buffer: IdBuffer, strict: bool = False) -> bool:
+def is_point_visible(p, edge_index: int, id_buffer: IdBuffer) -> bool:
     """True when the ID buffer credits pixel round(p) (or a 3x3 neighbor) to edge_index.
 
     The neighborhood absorbs the quantization gap between sub-pixel control
-    points and the integer-rasterized buffer; ``strict`` restricts the test
-    to the exact pixel.
+    points and the integer-rasterized buffer.
     """
     x, y = _round_px(float(p[0])), _round_px(float(p[1]))
     if not (0 <= x < id_buffer.width and 0 <= y < id_buffer.height):
         return False
     if id_buffer.decode_at(x, y) == edge_index:
         return True
-    if strict:
-        return False
     for ny in range(max(0, y - 1), min(id_buffer.height, y + 2)):
         for nx in range(max(0, x - 1), min(id_buffer.width, x + 2)):
             if id_buffer.decode_at(nx, ny) == edge_index:

@@ -10,8 +10,7 @@ Rounding rules, fixed so runs are bit-reproducible:
 
 * float -> fixed conversion rounds to nearest, ties away from zero;
 * add/sub are exact on the raw representation;
-* mul/div go through a double-width intermediate and truncate toward zero;
-* ``round_to_int`` rounds to nearest, ties away from zero.
+* mul/div go through a double-width intermediate and truncate toward zero.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import isqrt
-from typing import ClassVar, Union
+from typing import ClassVar
 
 
 class MathOverflowError(OverflowError):
@@ -99,18 +98,7 @@ def _round_div(a: int, b: int) -> int:
 
 _G = 30
 _ONE_G = 1 << _G
-_PI_G = int(round(math.pi * _ONE_G))
 _HALF_PI_G = int(round(0.5 * math.pi * _ONE_G))
-_QUARTER_PI_G = int(round(0.25 * math.pi * _ONE_G))
-_TAN_PI_8_G = int(round(math.tan(0.125 * math.pi) * _ONE_G))
-
-_C3 = int(round(_ONE_G / 3))
-_C5 = int(round(_ONE_G / 5))
-_C7 = int(round(_ONE_G / 7))
-_C9 = int(round(_ONE_G / 9))
-_C11 = int(round(_ONE_G / 11))
-_C13 = int(round(_ONE_G / 13))
-_C15 = int(round(_ONE_G / 15))
 
 
 def _mul_g(a: int, b: int) -> int:
@@ -164,51 +152,12 @@ def _cos_core(x: int) -> int:
     return _sin_poly(r)
 
 
-def _atan_poly(t: int) -> int:
-    # atan(t) = t(1 - u(1/3 - u(1/5 - ... - u/15))), u = t^2, |t| <= tan(pi/8)
-    u = _mul_g(t, t)
-    w = _C15
-    for c in (_C13, _C11, _C9, _C7, _C5, _C3):
-        w = c - _mul_g(u, w)
-    return _mul_g(t, _ONE_G - _mul_g(u, w))
-
-
-def _atan_unit(t: int) -> int:
-    """atan of t in [0, 1] (G-scaled)."""
-    if t > _TAN_PI_8_G:
-        # atan(t) = pi/4 + atan((t - 1) / (t + 1)), folds into [-tan(pi/8), 0]
-        return _QUARTER_PI_G + _atan_poly(_trunc_div((t - _ONE_G) << _G, t + _ONE_G))
-    return _atan_poly(t)
-
-
-def _atan2_core(y: int, x: int) -> int:
-    if x == 0 and y == 0:
-        raise MathDomainError("atan2(0, 0) is undefined")
-    if x == 0:
-        return _HALF_PI_G if y > 0 else -_HALF_PI_G
-    if y == 0:
-        return 0 if x > 0 else _PI_G
-    ax, ay = abs(x), abs(y)
-    if ay <= ax:
-        base = _atan_unit(_trunc_div(ay << _G, ax))
-    else:
-        base = _HALF_PI_G - _atan_unit(_trunc_div(ax << _G, ay))
-    if x < 0:
-        base = _PI_G - base
-    return base if y > 0 else -base
-
-
 def _sin_raw(raw: int, frac_bits: int) -> int:
     return _round_half_away(_sin_core(raw << (_G - frac_bits)), _G - frac_bits)
 
 
 def _cos_raw(raw: int, frac_bits: int) -> int:
     return _round_half_away(_cos_core(raw << (_G - frac_bits)), _G - frac_bits)
-
-
-def _atan2_raw(y_raw: int, x_raw: int, frac_bits: int) -> int:
-    shift = _G - frac_bits
-    return _round_half_away(_atan2_core(y_raw << shift, x_raw << shift), shift)
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +209,6 @@ class FixedPoint:
 
     def to_float(self) -> float:
         return self.raw / (1 << self.FRAC_BITS)
-
-    def round_to_int(self) -> int:
-        """Nearest integer, ties away from zero."""
-        return _round_half_away(self.raw, self.FRAC_BITS)
 
     def floor_to_int(self) -> int:
         return self.raw >> self.FRAC_BITS
@@ -368,13 +313,6 @@ class FixedPoint:
         o = self._cmp_raw(other)
         return NotImplemented if o is None else self.raw >= o
 
-    def __hash__(self):
-        if self.raw & ((1 << self.FRAC_BITS) - 1) == 0:
-            return hash(self.raw >> self.FRAC_BITS)
-        from fractions import Fraction
-
-        return hash(Fraction(self.raw, 1 << self.FRAC_BITS))
-
     def __bool__(self):
         return self.raw != 0
 
@@ -419,9 +357,6 @@ def fixed_type(fmt: QFormat) -> type[FixedPoint]:
         raise ValueError(f"unsupported fixed-point format {fmt}") from None
 
 
-Scalar = Union[float, FixedPoint]
-
-
 # ---------------------------------------------------------------------------
 # Backends.
 
@@ -430,12 +365,6 @@ class FloatBackend:
 
     name = "float"
     is_fixed = False
-    resolution = 2.0 ** -52
-
-    pi = math.pi
-    two_pi = 2.0 * math.pi
-    half_pi = 0.5 * math.pi
-    quarter_pi = 0.25 * math.pi
     zero = 0.0
     one = 1.0
 
@@ -466,20 +395,6 @@ class FloatBackend:
         return math.cos(value)
 
     @staticmethod
-    def atan2(y: float, x: float) -> float:
-        if x == 0.0 and y == 0.0:
-            raise MathDomainError("atan2(0, 0) is undefined")
-        return math.atan2(y, x)
-
-    @staticmethod
-    def round_to_int(value: float) -> int:
-        if abs(value) >= 2.0 ** 52:
-            return int(value)
-        if value >= 0.0:
-            return math.floor(value + 0.5)
-        return math.ceil(value - 0.5)
-
-    @staticmethod
     def floor_to_int(value: float) -> int:
         return math.floor(value)
 
@@ -496,14 +411,8 @@ class FixedBackend:
         self.format = fmt
         self.scalar_type = fixed_type(fmt)
         self.name = f"q{fmt.integer_bits}_{fmt.fraction_bits}"
-        self.resolution = fmt.resolution
-        cls = self.scalar_type
-        self.pi = cls.from_float(math.pi)
-        self.two_pi = cls.from_float(2.0 * math.pi)
-        self.half_pi = cls.from_float(0.5 * math.pi)
-        self.quarter_pi = cls.from_float(0.25 * math.pi)
-        self.zero = cls(0)
-        self.one = cls.from_int(1)
+        self.zero = self.scalar_type(0)
+        self.one = self.scalar_type.from_int(1)
 
     def from_float(self, value: float) -> FixedPoint:
         return self.scalar_type.from_float(value)
@@ -524,13 +433,6 @@ class FixedBackend:
 
     def cos(self, value: FixedPoint) -> FixedPoint:
         return self.scalar_type(_cos_raw(value.raw, value.FRAC_BITS))
-
-    def atan2(self, y: FixedPoint, x: FixedPoint) -> FixedPoint:
-        return self.scalar_type(_atan2_raw(y.raw, x.raw, y.FRAC_BITS))
-
-    @staticmethod
-    def round_to_int(value: FixedPoint) -> int:
-        return value.round_to_int()
 
     @staticmethod
     def floor_to_int(value: FixedPoint) -> int:

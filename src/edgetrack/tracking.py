@@ -17,7 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .geometry import BackendIntrinsics, CameraIntrinsics, PoseSE3, WireframeModel, exp_map
+from .geometry import (
+    BackendIntrinsics,
+    CameraIntrinsics,
+    PoseSE3,
+    WireframeModel,
+    exp_map,
+    mat_vec,
+    project_cam,
+)
 from .imaging import GrayImage
 from .pose_estimation import LMSettings
 from .rasterizer import NEAR_PLANE_MM, IdBuffer, is_point_visible
@@ -166,14 +174,6 @@ def search_correspondence(gray: GrayImage, cp: ControlPoint, cfg: TrackerConfig,
 # ---------------------------------------------------------------------------
 # Full measurement collection.
 
-def _mat_vec(R, v):
-    return (
-        R[0][0] * v[0] + R[0][1] * v[1] + R[0][2] * v[2],
-        R[1][0] * v[0] + R[1][1] * v[1] + R[1][2] * v[2],
-        R[2][0] * v[0] + R[2][1] * v[1] + R[2][2] * v[2],
-    )
-
-
 def _clip_unit_interval(constraints, backend, t_lo, t_hi):
     """Liang-Barsky style clip: keep t where fa + t*fd >= 0 for all pairs."""
     for fa, fd in constraints:
@@ -222,8 +222,8 @@ def collect_measurements(
     for i, e in enumerate(model.edges):
         wa = tuple(be.from_float(c) for c in model.vertices[e[0]])
         wb = tuple(be.from_float(c) for c in model.vertices[e[1]])
-        ca = _mat_vec(R, wa)
-        cb = _mat_vec(R, wb)
+        ca = mat_vec(R, wa)
+        cb = mat_vec(R, wb)
         ca = (ca[0] + t[0], ca[1] + t[1], ca[2] + t[2])
         cb = (cb[0] + t[0], cb[1] + t[1], cb[2] + t[2])
         za, zb = ca[2], cb[2]
@@ -238,10 +238,8 @@ def collect_measurements(
         ca2 = tuple(ca[j] + s0 * (cb[j] - ca[j]) for j in range(3))
         cb2 = tuple(ca[j] + s1 * (cb[j] - ca[j]) for j in range(3))
         za2, zb2 = ca2[2], cb2[2]
-        ua = Kb.fx * ca2[0] / za2 + Kb.cx
-        va = Kb.fy * ca2[1] / za2 + Kb.cy
-        ub = Kb.fx * cb2[0] / zb2 + Kb.cx
-        vb = Kb.fy * cb2[1] / zb2 + Kb.cy
+        ua, va = project_cam(ca2, Kb)
+        ub, vb = project_cam(cb2, Kb)
         du, dv = ub - ua, vb - va
         span = _clip_unit_interval(
             [(ua, du), (u_max - ua, -du), (va, dv), (v_max - va, -dv)],

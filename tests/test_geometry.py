@@ -146,15 +146,21 @@ def test_log_rotation_near_pi():
 def test_project_principal_point(qvga_camera):
     K = qvga_camera.to_backend(FLOAT)
     R = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    u, v, z = project_point((0.0, 0.0, 150.0), R, [0.0, 0.0, 0.0], K, FLOAT)
+    (u, v), _, (_, _, z) = project_point((0.0, 0.0, 150.0), R, [0.0, 0.0, 0.0], K, FLOAT)
     assert (u, v, z) == (160.0, 120.0, 150.0)
 
 
 def test_project_hand_computed(qvga_camera):
     K = qvga_camera.to_backend(FLOAT)
     R = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    u, v, z = project_point((30.0, 0.0, 150.0), R, [0.0, 0.0, 0.0], K, FLOAT)
+    (u, v), _, (_, _, z) = project_point((30.0, 0.0, 150.0), R, [0.0, 0.0, 0.0], K, FLOAT)
     assert (u, v) == (260.0, 120.0)
+    # A quarter turn about z, then a shift: the rotated-only and the
+    # camera-space point come back beside the image point.
+    Rz = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    uv, rotated, cam = project_point((30.0, 0.0, 140.0), Rz, [0.0, 0.0, 10.0], K, FLOAT)
+    assert rotated == (0.0, 30.0, 140.0) and cam == (0.0, 30.0, 150.0)
+    assert uv == (160.0, 220.0)
 
 
 def test_project_behind_camera(qvga_camera):
@@ -177,11 +183,11 @@ def test_project_fixed_backend_close_to_float(qvga_camera):
             X = rng.uniform(-30.0, 30.0, size=3)
             t = [0.0, 0.0, 150.0]
             Rf = exp_map_np(w)
-            uf, vf, _ = project_point(tuple(X), Rf.tolist(), t, Kf, FLOAT)
+            (uf, vf), _, _ = project_point(tuple(X), Rf.tolist(), t, Kf, FLOAT)
             Rb = [[be.from_float(x) for x in row] for row in Rf]
             tb = [be.from_float(x) for x in t]
             Xb = tuple(be.from_float(x) for x in X)
-            ub, vb, _ = project_point(Xb, Rb, tb, K, be)
+            (ub, vb), _, _ = project_point(Xb, Rb, tb, K, be)
             assert abs(be.to_float(ub) - uf) < 0.05
             assert abs(be.to_float(vb) - vf) < 0.05
 
@@ -197,7 +203,7 @@ def test_project_unproject_round_trip(qvga_camera):
         z_cam = (R @ X + t)[2]
         if z_cam <= 1.0:
             continue
-        u, v, z = project_point(tuple(X), R.tolist(), t.tolist(), K, FLOAT)
+        (u, v), _, (_, _, z) = project_point(tuple(X), R.tolist(), t.tolist(), K, FLOAT)
         cam = np.array([(u - 160.0) * z / 500.0, (v - 120.0) * z / 500.0, z])
         back = R.T @ (cam - t)
         assert np.max(np.abs(back - X)) < 1e-6
@@ -215,7 +221,7 @@ def test_project_np_matches_scalar(qvga_camera):
         if z[i] <= 0:
             assert np.isnan(uv[i]).all()
             continue
-        u, v, d = project_point(tuple(X), R.tolist(), t.tolist(), K, FLOAT)
+        (u, v), _, (_, _, d) = project_point(tuple(X), R.tolist(), t.tolist(), K, FLOAT)
         assert abs(u - uv[i, 0]) < 1e-9 and abs(v - uv[i, 1]) < 1e-9 and abs(d - z[i]) < 1e-9
 
 
@@ -236,6 +242,14 @@ def test_pose_canonicalizes_omega():
         pose = PoseSE3(omega=axis * theta, t=np.zeros(3))
         assert np.linalg.norm(pose.omega) <= math.pi + 1e-9
         assert np.max(np.abs(pose.rotation() - exp_map_np(axis * theta))) < 1e-9
+
+
+def test_pose_rejects_non_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            PoseSE3(omega=np.array([bad, 0.0, 0.0]), t=np.array([0.0, 0.0, 150.0]))
+        with pytest.raises(ValueError, match="not finite"):
+            PoseSE3(omega=np.zeros(3), t=np.array([0.0, bad, 150.0]))
 
 
 def test_pose_camera_center():

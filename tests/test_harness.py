@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from edgetrack.geometry import PoseSE3, exp_map_np
+from edgetrack.geometry import PoseSE3, WireframeModel
 from edgetrack.harness import (
     GROUND_TRUTH_NAME,
     POSES_NAME,
     STATS_NAME,
     EvaluationReport,
-    KeyPoseTrajectory,
     OrbitTrajectory,
     evaluate,
     generate_sequence,
@@ -23,9 +22,10 @@ from edgetrack.harness import (
     standard_camera,
     standard_trajectory,
 )
+from edgetrack.rasterizer import BACKGROUND, decode_id_array, render_id_buffer
 from edgetrack.tracking import TrackerConfig
 
-from conftest import pose_errors
+from conftest import CUBE_EDGES, CUBE_FACES, CUBE_VERTICES, pose_errors
 
 
 # ---------------------------------------------------------------------------
@@ -50,23 +50,6 @@ def test_orbit_rejects_bad_parameters():
         OrbitTrajectory(frames=5, radius_mm=0.0)
 
 
-def test_key_pose_trajectory_hits_endpoints():
-    a = PoseSE3(np.array([0.1, -0.2, 0.05]), np.array([1.0, 2.0, 150.0]))
-    b = PoseSE3(np.array([-0.3, 0.4, 0.2]), np.array([-5.0, 1.0, 180.0]))
-    traj = KeyPoseTrajectory(frames=7, keys=[a, b])
-    ang0, d0 = pose_errors(traj.pose(0), a)
-    ang1, d1 = pose_errors(traj.pose(6), b)
-    assert ang0 < 1e-12 and d0 < 1e-12
-    assert ang1 < 1e-10 and d1 < 1e-12
-    mid = traj.pose(3)
-    assert mid.t == pytest.approx((a.t + b.t) / 2.0)
-
-
-def test_key_pose_trajectory_validation():
-    with pytest.raises(ValueError):
-        KeyPoseTrajectory(frames=5, keys=[])
-
-
 # ---------------------------------------------------------------------------
 # Rendering and occlusion.
 
@@ -76,6 +59,42 @@ def test_render_draws_dark_edges_on_white(cube_model, qvga_camera):
     dark = np.count_nonzero(img < 128)
     assert 200 < dark < 20000
     assert img.max() == 255
+
+
+def test_frame_follows_id_buffer(cube_model, qvga_camera):
+    # Noiseless frames vs. ID buffers: every edge pixel is dark, and every
+    # dark pixel lies within 2 px (a 5x5 window) of an edge pixel.  The
+    # triangle is the one of test_near_plane_crossing_edge_clipped: two
+    # edges run from 50 mm in front of the camera to 50 mm behind it, off
+    # the image.  Inside the corridor the four long edges cross the near
+    # plane and stay in view.
+    traj = standard_trajectory()
+    scenes = [(cube_model, traj.pose(k)) for k in range(0, traj.frames, 6)]
+    triangle = WireframeModel(
+        vertices=np.array([[-20.0, 0.0, 50.0], [20.0, 0.0, 50.0], [0.0, 10.0, -50.0]]),
+        faces=np.array([[0, 1, 2]]),
+        edges=np.array([[0, 1], [0, 2], [1, 2]]),
+    )
+    corridor = WireframeModel(
+        vertices=np.array(CUBE_VERTICES, dtype=float) * (20.0, 15.0, 200.0) + (0.0, 0.0, 100.0),
+        faces=np.array(CUBE_FACES) - 1,
+        edges=np.array(CUBE_EDGES) - 1,
+    )
+    scenes.append((triangle, PoseSE3(omega=np.zeros(3), t=np.zeros(3))))
+    scenes.append((corridor, PoseSE3(omega=np.array([0.05, 0.1, 0.0]), t=np.array([3.0, -2.0, 0.0]))))
+    K = qvga_camera
+    for model, pose in scenes:
+        dark = render_frame_gray(model, pose, K, sigma=0.0).pixels < 128
+        id_buf, _ = render_id_buffer(model, pose, K)
+        edge = decode_id_array(id_buf.rgb) != BACKGROUND
+        assert edge.any()
+        assert dark[edge].all()
+        padded = np.pad(edge, 2)
+        near_edge = np.zeros_like(edge)
+        for dy in range(5):
+            for dx in range(5):
+                near_edge |= padded[dy:dy + K.height, dx:dx + K.width]
+        assert near_edge[dark].all()
 
 
 def test_render_noise_changes_with_rng(cube_model, qvga_camera):
@@ -332,6 +351,22 @@ def test_cli_reports_errors_as_exit_code(tmp_path, capsys):
                "--out", str(tmp_path / "run")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_finite_init(tmp_path, cube_model_path, capsys):
+    from edgetrack.cli import main
+
+    seq = tmp_path / "seq"
+    assert main(["synth", "--model", str(cube_model_path), "--frames", "1",
+                 "--out", str(seq), "--noise", "0"]) == 0
+    for backend in ("float", "q40_23"):
+        rc = main(["track", "--model", str(cube_model_path), "--sequence", str(seq),
+                   "--init", "nan,0,0,0,0,150", "--backend", backend,
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not finite" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_init_literal(tmp_path, cube_model_path, capsys):

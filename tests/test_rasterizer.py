@@ -1,12 +1,15 @@
 """Tests for the edge-ID codec, the software renderer, and visibility."""
 
+import math
+
 import numpy as np
 import pytest
 
-from edgetrack.geometry import PoseSE3, WireframeModel, look_at_pose, project_np
+from edgetrack.geometry import PoseSE3, WireframeModel, look_at_pose, project_np, transform_np
 from edgetrack.imaging import ColorImage, GrayImage
 from edgetrack.rasterizer import (
     BACKGROUND,
+    DEPTH_BIAS,
     CapacityError,
     IdBuffer,
     decode_edge_id,
@@ -17,6 +20,10 @@ from edgetrack.rasterizer import (
     is_point_visible,
     render_id_buffer,
     visibility_oracle,
+    _clip_polygon_near,
+    _clip_segment_near,
+    _edge_face_adjacency,
+    _fill_triangle,
 )
 
 from conftest import random_convex_model, random_orbit_pose, silhouette_edge_ids
@@ -137,6 +144,66 @@ def test_near_plane_crossing_edge_clipped(qvga_camera):
     assert 0 in present_ids(id_buf)
 
 
+def reference_render(model, pose, K):
+    """render_id_buffer with the edge pass written as a per-pixel loop."""
+    cam = transform_np(model.vertices, pose.rotation(), pose.t)
+    depth = np.full((K.height, K.width), np.inf)
+    owner = np.full((K.height, K.width), -1, dtype=np.int32)
+    for fi, f in enumerate(model.faces):
+        poly = _clip_polygon_near([cam[f[0]], cam[f[1]], cam[f[2]]])
+        for j in range(1, len(poly) - 1):
+            _fill_triangle(depth, owner, fi, [poly[0], poly[j], poly[j + 1]], K)
+    rgb = np.zeros((K.height, K.width, 3), dtype=np.uint8)
+    edge_depth = np.full((K.height, K.width), np.inf)
+    for i, own_faces in enumerate(_edge_face_adjacency(model)):
+        seg = _clip_segment_near(cam[model.edges[i][0]], cam[model.edges[i][1]])
+        if seg is None:
+            continue
+        a, b = seg
+        ua, va = K.fx * a[0] / a[2] + K.cx, K.fy * a[1] / a[2] + K.cy
+        ub, vb = K.fx * b[0] / b[2] + K.cx, K.fy * b[1] / b[2] + K.cy
+        steps = max(1, math.ceil(max(abs(ub - ua), abs(vb - va))))
+        last = None
+        for k in range(steps + 1):
+            s = k / steps
+            x = math.floor(ua + s * (ub - ua) + 0.5)
+            y = math.floor(va + s * (vb - va) + 0.5)
+            if (x, y) == last:
+                continue
+            last = (x, y)
+            if not (0 <= x < K.width and 0 <= y < K.height):
+                continue
+            z = 1.0 / (1.0 / a[2] + s * (1.0 / b[2] - 1.0 / a[2]))
+            passes = owner[y, x] in own_faces or z <= depth[y, x] * (1.0 + DEPTH_BIAS)
+            if passes and z < edge_depth[y, x]:
+                edge_depth[y, x] = z
+                rgb[y, x] = encode_edge_id(i)
+    return rgb, depth
+
+
+def test_render_matches_per_pixel_reference(cube_model, qvga_camera):
+    rng = np.random.default_rng(56)
+    near_triangle = WireframeModel(
+        vertices=np.array([[-20.0, 0.0, 50.0], [20.0, 0.0, 50.0], [0.0, 10.0, -50.0]]),
+        faces=np.array([[0, 1, 2]]),
+        edges=np.array([[0, 1], [0, 2], [1, 2]]),
+    )
+    scenes = [(near_triangle, PoseSE3(omega=np.zeros(3), t=np.zeros(3)))]
+    scenes += [(cube_model, random_orbit_pose(rng)) for _ in range(3)]
+    # Cameras 5-40 mm from the center: inside or beside the model, so
+    # edges cross the near plane.
+    for _ in range(6):
+        model = random_convex_model(rng)
+        center = rng.normal(size=3)
+        center *= rng.uniform(5.0, 40.0) / np.linalg.norm(center)
+        scenes.append((model, look_at_pose(center, rng.normal(size=3), down=rng.normal(size=3))))
+    for model, pose in scenes:
+        id_buf, depth_buf = render_id_buffer(model, pose, qvga_camera)
+        rgb, depth = reference_render(model, pose, qvga_camera)
+        assert np.array_equal(id_buf.rgb, rgb)
+        assert np.array_equal(depth_buf.depth, depth)
+
+
 # ---------------------------------------------------------------------------
 # Point visibility against the buffer.
 
@@ -196,17 +263,6 @@ def test_occluding_plane_blocks_edge(qvga_camera):
     uv, _ = project_np(mid[None, :], pose.rotation(), pose.t, qvga_camera)
     assert not is_point_visible(uv[0], 0, id_buf)
     assert not visibility_oracle(model, pose, qvga_camera, mid)
-
-
-def test_strict_mode_requires_exact_pixel(cube_model, qvga_camera):
-    pose = face_on_pose()
-    id_buf, _ = render_id_buffer(cube_model, pose, qvga_camera)
-    uv, _, _ = edge_midpoint_px(cube_model, 0, pose, qvga_camera)
-    # Edge 0 is horizontal here: 1.4 px off the line rounds to a neighbor row.
-    off = (uv[0], uv[1] + 1.4)
-    assert is_point_visible(off, 0, id_buf)
-    assert not is_point_visible(off, 0, id_buf, strict=True)
-    assert is_point_visible(uv, 0, id_buf, strict=True)
 
 
 def test_neighborhood_tolerance_absorbs_quantization(cube_model, qvga_camera):

@@ -83,18 +83,11 @@ def test_round_trip_exactly_representable():
             assert cls.from_float(v).to_float() == v
 
 
-def test_round_to_int_examples():
-    assert FixedQ40_23.from_float(1.5).round_to_int() == 2
-    assert FixedQ40_23.from_float(-1.5).round_to_int() == -2
-    assert FixedQ40_23.from_float(2.25).round_to_int() == 2
-    assert FixedQ47_16.from_float(0.5).round_to_int() == 1
-    assert FixedQ47_16.from_float(-0.5).round_to_int() == -1
-
-
 def test_floor_to_int():
     assert FixedQ40_23.from_float(1.75).floor_to_int() == 1
     assert FixedQ40_23.from_float(-1.25).floor_to_int() == -2
     assert FixedQ40_23.from_float(3.0).floor_to_int() == 3
+    assert get_backend("float").floor_to_int(-1.25) == -2
 
 
 # ---------------------------------------------------------------------------
@@ -262,26 +255,8 @@ def test_trig_examples():
         be = get_backend(name)
         assert be.sin(be.zero).raw == 0
         assert be.cos(be.zero).to_float() == 1.0
-        assert abs(be.sin(be.half_pi).to_float() - 1.0) <= 2.0 ** -16
-        assert abs(be.cos(be.pi).to_float() + 1.0) <= 2.0 ** -16
-
-
-def test_atan2_zero_zero_raises():
-    for name in ("float", "q40_23", "q47_16"):
-        be = get_backend(name)
-        with pytest.raises(MathDomainError):
-            be.atan2(be.zero, be.zero)
-
-
-def test_atan2_axes():
-    for name in ("q40_23", "q47_16"):
-        be = get_backend(name)
-        one = be.one
-        tol = 2.0 ** -16
-        assert abs(be.atan2(one, be.zero).to_float() - math.pi / 2) <= tol
-        assert abs(be.atan2(-one, be.zero).to_float() + math.pi / 2) <= tol
-        assert be.atan2(be.zero, one).raw == 0
-        assert abs(be.atan2(be.zero, -one).to_float() - math.pi) <= tol
+        assert abs(be.sin(be.from_float(math.pi / 2)).to_float() - 1.0) <= 2.0 ** -16
+        assert abs(be.cos(be.from_float(math.pi)).to_float() + 1.0) <= 2.0 ** -16
 
 
 def test_sin_cos_accuracy_random():
@@ -295,21 +270,6 @@ def test_sin_cos_accuracy_random():
             xa = a.to_float()
             assert abs(be.sin(a).to_float() - math.sin(xa)) <= 2.0 ** -16
             assert abs(be.cos(a).to_float() - math.cos(xa)) <= 2.0 ** -16
-
-
-def test_atan2_accuracy_random():
-    rng = np.random.default_rng(17)
-    for name in ("q40_23", "q47_16"):
-        be = get_backend(name)
-        for _ in range(100_000 // 2):
-            y = float(rng.uniform(-100.0, 100.0))
-            x = float(rng.uniform(-100.0, 100.0))
-            fy, fx = be.from_float(y), be.from_float(x)
-            if fy.raw == 0 and fx.raw == 0:
-                continue
-            got = be.atan2(fy, fx).to_float()
-            ref = math.atan2(fy.to_float(), fx.to_float())
-            assert abs(got - ref) <= 2.0 ** -16
 
 
 def test_trig_bit_determinism():
@@ -332,14 +292,6 @@ def test_get_backend_names():
         get_backend("q32_31")
 
 
-def test_float_backend_round_ties_away():
-    be = get_backend("float")
-    assert be.round_to_int(1.5) == 2
-    assert be.round_to_int(-1.5) == -2
-    assert be.round_to_int(2.25) == 2
-    assert be.floor_to_int(-1.25) == -2
-
-
 def test_float_backend_sqrt_domain():
     with pytest.raises(MathDomainError):
         get_backend("float").sqrt(-1.0)
@@ -348,8 +300,5 @@ def test_float_backend_sqrt_domain():
 def test_backend_constants_consistent():
     for name in ("float", "q40_23", "q47_16"):
         be = get_backend(name)
-        assert abs(be.to_float(be.pi) - math.pi) <= be.resolution
-        assert abs(be.to_float(be.two_pi) - 2 * math.pi) <= be.resolution
-        assert abs(be.to_float(be.half_pi) - math.pi / 2) <= be.resolution
         assert be.to_float(be.one) == 1.0
         assert be.to_float(be.zero) == 0.0
