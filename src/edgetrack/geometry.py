@@ -7,13 +7,15 @@ image y growing downward.
 
 Scalar-level routines (`exp_map`, `mat_vec`, `project_cam`, `project_point`)
 are written against the realmath backend protocol so they run identically in
-floating point and fixed point.  Bulk float paths use numpy directly.
+floating point and fixed point; all but `exp_map` also take backend arrays.
+Bulk float paths use numpy directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -57,6 +59,16 @@ class WireframeModel:
             raise ModelFormatError(
                 f"{len(self.edges)} edges exceed the {MAX_EDGES} edge-ID capacity"
             )
+
+    @cached_property
+    def edge_faces(self) -> list[set]:
+        """For each edge, the indices of faces containing both its endpoints."""
+        by_pair: dict[tuple[int, int], set] = {}
+        for fi, f in enumerate(self.faces.tolist()):
+            a, b, c = f
+            for p in ((a, b), (b, c), (a, c)):
+                by_pair.setdefault((min(p), max(p)), set()).add(fi)
+        return [by_pair.get((min(a, b), max(a, b)), set()) for a, b in self.edges.tolist()]
 
 
 @dataclass(frozen=True)
@@ -239,17 +251,19 @@ def project_cam(c: Sequence, K) -> tuple:
 
 
 def project_point(X: Sequence, R: Sequence, t: Sequence, K: BackendIntrinsics, backend):
-    """Project one world point; returns ((u, v), R X, R X + t) in backend scalars.
+    """Project world points; returns ((u, v), R X, R X + t) in backend values.
 
-    R and t are camera-from-world in backend scalars (R a 3x3 nested list).
-    The rotated-only point and the camera-space point come back too: the
-    pose Jacobian needs both.  Raises BehindCameraError when camera-space
-    z <= 0.
+    R and t are camera-from-world in backend scalars (R a 3x3 nested list);
+    the coordinates of X are backend scalars for one point or backend
+    arrays for many.  The rotated-only point and the camera-space point come
+    back too: the pose Jacobian needs both.  Raises BehindCameraError when
+    any camera-space z <= 0.
     """
     v = mat_vec(R, X)
     c = (v[0] + t[0], v[1] + t[1], v[2] + t[2])
-    if not c[2] > backend.zero:
-        raise BehindCameraError(f"point depth {backend.to_float(c[2])} mm is not positive")
+    if not np.all(c[2] > backend.zero):
+        depth = np.min(backend.to_float(c[2]))
+        raise BehindCameraError(f"point depth {depth} mm is not positive")
     return project_cam(c, K), v, c
 
 

@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (
+    BehindCameraError,
     CameraIntrinsics,
     PoseSE3,
     WireframeModel,
@@ -33,6 +34,7 @@ from .rasterizer import (
     id_buffer_to_image,
     render_id_buffer,
 )
+from .realmath import MathDomainError, MathOverflowError
 from .tracking import InsufficientMeasurementsError, TrackerConfig
 
 GROUND_TRUTH_NAME = "ground_truth.csv"
@@ -42,7 +44,7 @@ STATS_NAME = "stats.csv"
 POSE_COLUMNS = "frame,wx,wy,wz,tx,ty,tz"
 STATS_COLUMNS = (
     "frame,sampled,matched,err,iters,t_total_ms,t_visible_ms,"
-    "t_gray_ms,t_me_ms,t_pose_ms,status"
+    "t_gray_ms,t_me_ms,t_pose_ms,status,projected,attempts"
 )
 
 # Desk-scale defaults: every headline accuracy number refers to this setup.
@@ -121,13 +123,13 @@ def _visible_runs(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics):
         trace = _edge_pixels(cam[e[0]], cam[e[1]], K)
         if trace is None:
             continue
-        _, uv, xi, yi, taus = trace
+        _, uv, xi, yi, taus, steps = trace
         pa, pb = np.array(uv)
         inside = (xi >= 0) & (xi < K.width) & (yi >= 0) & (yi < K.height)
         owned = np.zeros(len(taus) + 2, dtype=np.int8)  # zero-padded both ends
         owned[1:-1][inside] = ids[yi[inside], xi[inside]] == i
         flips = np.diff(owned)
-        pad = 0.5 / (len(taus) - 1)  # half a step
+        pad = 0.5 / steps  # half a step
         for k0, k1 in zip(np.flatnonzero(flips == 1), np.flatnonzero(flips == -1) - 1):
             t0 = max(0.0, taus[k0] - pad)
             t1 = min(1.0, taus[k1] + pad)
@@ -249,6 +251,7 @@ def generate_sequence(model: WireframeModel, K: CameraIntrinsics, traj,
 class FrameRecord:
     frame: int
     pose: PoseSE3
+    projected: int
     sampled: int
     matched: int
     err: float
@@ -276,7 +279,9 @@ def run_tracking(sequence_dir, model: WireframeModel, K: CameraIntrinsics,
     """Track every frame of a sequence; returns the per-frame records.
 
     Failed frames coast on the previous pose for up to coast_frames in a
-    row, then report status "lost"; the run always covers every file.
+    row, then report status "lost"; the run always covers every file.  A
+    frame fails on too few matches, degenerate geometry, a fixed-point
+    overflow or domain error, or a point projected behind the camera.
     When out_dir is set, writes the pose and stats CSVs (and optionally the
     ID/depth buffers per frame).
     """
@@ -298,19 +303,20 @@ def run_tracking(sequence_dir, model: WireframeModel, K: CameraIntrinsics,
             pose, stats = track_frame(pose, gray, model, K, cfg)
             coasted = 0
             status = "ok"
-            sampled, matched = stats.sampled, stats.matched
+            projected, sampled, matched = stats.projected, stats.sampled, stats.matched
             err, iters, attempts = stats.err, stats.iterations, stats.attempts
             t_visible, t_me, t_pose = stats.t_visible, stats.t_me, stats.t_pose
-        except (InsufficientMeasurementsError, DegenerateGeometryError):
+        except (InsufficientMeasurementsError, DegenerateGeometryError, MathOverflowError,
+                MathDomainError, BehindCameraError):
             coasted += 1
             status = "coast" if coasted <= coast_frames else "lost"
-            sampled = matched = iters = attempts = 0
+            projected = sampled = matched = iters = attempts = 0
             err = float("nan")
             t_visible = t_me = t_pose = 0.0
         t_total = time.perf_counter() - t_start
         records.append(
             FrameRecord(
-                frame=idx, pose=pose.copy(), sampled=sampled, matched=matched,
+                frame=idx, pose=pose.copy(), projected=projected, sampled=sampled, matched=matched,
                 err=err, iters=iters, attempts=attempts, t_total=t_total,
                 t_visible=t_visible, t_gray=t_gray, t_me=t_me, t_pose=t_pose,
                 status=status,
@@ -336,7 +342,7 @@ def write_run_outputs(out_dir, records):
         lines.append(
             f"{r.frame},{r.sampled},{r.matched},{r.err:.6f},{r.iters},"
             f"{r.t_total * 1e3:.3f},{r.t_visible * 1e3:.3f},{r.t_gray * 1e3:.3f},"
-            f"{r.t_me * 1e3:.3f},{r.t_pose * 1e3:.3f},{r.status}"
+            f"{r.t_me * 1e3:.3f},{r.t_pose * 1e3:.3f},{r.status},{r.projected},{r.attempts}"
         )
     (out / STATS_NAME).write_text("\n".join(lines) + "\n")
 

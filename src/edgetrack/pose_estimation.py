@@ -6,8 +6,10 @@ Marquardt loop minimizes the sum of squared residuals over the 6 pose
 parameters, with the rotation updated incrementally on the left so the
 Jacobian never differentiates through the exponential map at large angles.
 
-Everything runs on the realmath backend scalars, so the same code path
-produces float results or bit-reproducible fixed-point results.
+Everything runs on the realmath backend, so the same code path produces
+float results or bit-reproducible fixed-point results.  Residuals, Jacobian
+rows and the normal equations are computed once per trial over all points
+on the backend's arrays; the 6x6 solve and the damping loop run on scalars.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .geometry import (
 )
 from .imaging import GrayImage
 from .rasterizer import render_id_buffer
-from .realmath import FixedPoint, get_backend
+from .realmath import FixedArray, FixedPoint, FloatBackend, get_backend
 
 # Relative pivot size below which the damped normal system counts as singular.
 _PIVOT_RTOL = 1e-12
@@ -69,9 +71,9 @@ class LMSettings:
         return rel, step
 
 
-def _scalar_float(x) -> float:
-    """Exact float view of a backend scalar, for control-flow tests only."""
-    return x.to_float() if isinstance(x, FixedPoint) else float(x)
+def _to_float(x):
+    """Exact float view of a backend scalar or array, for control-flow tests only."""
+    return x.to_float() if isinstance(x, (FixedPoint, FixedArray)) else x
 
 
 # ---------------------------------------------------------------------------
@@ -80,15 +82,16 @@ def _scalar_float(x) -> float:
 def residual(p, q, n):
     """Signed distance of the match q from the projected point p along n.
 
-    The unit-normal check allows a few ulps of slack for fixed-point
-    scalars: storing a unit vector at Q47.16 resolution already perturbs
-    the squared norm by more than the float tolerance.
+    Takes backend scalars for one point or backend arrays for many.  The
+    unit-normal check allows a few ulps of slack for fixed-point values:
+    storing a unit vector at Q47.16 resolution already perturbs the squared
+    norm by more than the float tolerance.
     """
     nn = n[0] * n[0] + n[1] * n[1]
     tol = 1e-6
-    if isinstance(nn, FixedPoint):
+    if isinstance(nn, (FixedPoint, FixedArray)):
         tol = max(tol, 16.0 * nn.FORMAT.resolution)
-    if abs(_scalar_float(nn) - 1.0) > tol:
+    if np.any(abs(_to_float(nn) - 1.0) > tol):
         raise ValueError("edge normal must be unit length")
     return (q[0] - p[0]) * n[0] + (q[1] - p[1]) * n[1]
 
@@ -120,26 +123,52 @@ def residual_jacobian(X, R, t, Kb, n, backend):
     return _jacobian_row(v, c, n, Kb)
 
 
-def _build_system(measurements, R, t, Kb, backend):
-    """All residuals and Jacobian rows at the pose (R, t)."""
-    rs = []
-    rows = []
-    for m in measurements:
-        p, v, c = project_point(m.X, R, t, Kb, backend)
-        rs.append(residual(p, m.match, m.n))
-        rows.append(_jacobian_row(v, c, m.n, Kb))
-    return rs, rows
+def _columns(measurements, backend):
+    """World points, normals and matches of ControlPoints as backend arrays."""
+    return tuple(
+        tuple(backend.stack([getattr(m, name)[j] for m in measurements]) for j in range(dim))
+        for name, dim in (("X", 3), ("n", 2), ("match", 2))
+    )
+
+
+def _build_system(columns, R, t, Kb, backend):
+    """Residuals and the six Jacobian columns at the pose (R, t), as
+    backend arrays over all points."""
+    X, n, q = columns
+    p, v, c = project_point(X, R, t, Kb, backend)
+    return residual(p, q, n), _jacobian_row(v, c, n, Kb)
+
+
+_UPPER = np.triu_indices(6)
+
+
+def _normal_equations(rs, rows, backend):
+    """JᵀJ and Jᵀr as nested lists of backend scalars.
+
+    Each entry is its own sum over the points, left to right from zero, as
+    an accumulation loop over the points would form it.
+    """
+    J = backend.stack(rows)
+    upper = backend.row_sums(J[_UPPER[0]] * J[_UPPER[1]])
+    A = [[None] * 6 for _ in range(6)]
+    for i, j, value in zip(*(ix.tolist() for ix in _UPPER), upper):
+        A[i][j] = A[j][i] = value
+    return A, backend.row_sums(J * rs[None])
+
+
+def _sum_squares(rs, backend):
+    return backend.row_sums((rs * rs)[None])[0]
 
 
 def _solve_linear6(A, b, backend):
     """Gaussian elimination with partial pivoting; None when singular."""
     aug = [list(A[i]) + [b[i]] for i in range(6)]
-    ref = max(abs(_scalar_float(A[i][j])) for i in range(6) for j in range(6))
+    ref = max(abs(_to_float(A[i][j])) for i in range(6) for j in range(6))
     if ref == 0.0:
         return None
     for col in range(6):
-        piv = max(range(col, 6), key=lambda r: abs(_scalar_float(aug[r][col])))
-        if abs(_scalar_float(aug[piv][col])) <= _PIVOT_RTOL * ref:
+        piv = max(range(col, 6), key=lambda r: abs(_to_float(aug[r][col])))
+        if abs(_to_float(aug[piv][col])) <= _PIVOT_RTOL * ref:
             return None
         if piv != col:
             aug[col], aug[piv] = aug[piv], aug[col]
@@ -176,18 +205,21 @@ def _pose_from_backend(R, t, backend) -> PoseSE3:
 def solve_lm(measurements, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSettings, backend):
     """Minimize the squared edge-normal residuals over the 6 pose parameters.
 
+    ``measurements`` are matched ControlPoints holding backend scalars.
     Returns (refined pose, sum of absolute residuals, accepted steps).
     Rejected trial steps escalate the damping; a normal system that stays
     singular through the whole escalation raises DegenerateGeometryError.
     """
-    pose, err, iterations, _ = _solve_lm_full(measurements, pose0, K, settings, backend)
+    columns = _columns(measurements, backend)
+    pose, err, iterations, _ = _solve_lm_full(columns, pose0, K, settings, backend)
     return pose, err, iterations
 
 
-def _solve_lm_full(measurements, pose0: PoseSE3, K: CameraIntrinsics,
+def _solve_lm_full(columns, pose0: PoseSE3, K: CameraIntrinsics,
                    settings: LMSettings, backend):
-    """solve_lm plus the total trial-step count (accepted and rejected):
-    the honest measure of how hard the minimization worked."""
+    """solve_lm on the measurement columns (X, n, match), each a tuple of
+    backend arrays, plus the total trial-step count (accepted and
+    rejected): the honest measure of how hard the minimization worked."""
     be = backend
     tol_rel, tol_step = settings.resolved_tolerances(be)
     tol_rel_b = be.from_float(tol_rel)
@@ -196,10 +228,8 @@ def _solve_lm_full(measurements, pose0: PoseSE3, K: CameraIntrinsics,
     R = exp_map(tuple(be.from_float(w) for w in pose0.omega), be)
     t = [be.from_float(v) for v in pose0.t]
 
-    rs, rows = _build_system(measurements, R, t, Kb, be)
-    cost = be.zero
-    for r in rs:
-        cost = cost + r * r
+    rs, rows = _build_system(columns, R, t, Kb, be)
+    cost = _sum_squares(rs, be)
     iterations = 0
     attempts = 0
     lam = be.from_float(settings.lambda0)
@@ -207,16 +237,7 @@ def _solve_lm_full(measurements, pose0: PoseSE3, K: CameraIntrinsics,
         return _pose_from_backend(R, t, be), 0.0, 0, 0
 
     for _ in range(settings.max_iterations):
-        A = [[be.zero] * 6 for _ in range(6)]
-        g = [be.zero] * 6
-        for r, row in zip(rs, rows):
-            for i in range(6):
-                g[i] = g[i] + row[i] * r
-                for j in range(i, 6):
-                    A[i][j] = A[i][j] + row[i] * row[j]
-        for i in range(6):
-            for j in range(i):
-                A[i][j] = A[j][i]
+        A, g = _normal_equations(rs, rows, be)
 
         rejections = 0
         accepted = False
@@ -232,13 +253,11 @@ def _solve_lm_full(measurements, pose0: PoseSE3, K: CameraIntrinsics,
                 R_new = _mat_mul3(exp_map((delta[0], delta[1], delta[2]), be), R)
                 t_new = [t[i] + delta[3 + i] for i in range(3)]
                 try:
-                    rs_new, rows_new = _build_system(measurements, R_new, t_new, Kb, be)
+                    rs_new, rows_new = _build_system(columns, R_new, t_new, Kb, be)
                 except BehindCameraError:
                     rs_new = None
                 if rs_new is not None:
-                    cost_new = be.zero
-                    for r in rs_new:
-                        cost_new = cost_new + r * r
+                    cost_new = _sum_squares(rs_new, be)
                     if cost_new < cost:
                         accepted = True
                         break
@@ -270,9 +289,7 @@ def _solve_lm_full(measurements, pose0: PoseSE3, K: CameraIntrinsics,
         if rel_small or step_small or not cost > be.zero:
             break
 
-    err = 0.0
-    for r in rs:
-        err += abs(_scalar_float(r))
+    err = FloatBackend.row_sums(abs(_to_float(rs))[None])[0]
     return _pose_from_backend(R, t, be), err, iterations, attempts
 
 
@@ -283,6 +300,7 @@ def _solve_lm_full(measurements, pose0: PoseSE3, K: CameraIntrinsics,
 class FrameStats:
     """Counters and stage timings for one tracked frame."""
 
+    projected: int
     sampled: int
     matched: int
     err: float
@@ -312,9 +330,12 @@ def track_frame(prev_pose: PoseSE3, gray: GrayImage, model: WireframeModel,
     t1 = time.perf_counter()
     ms = collect_measurements(model, prev_pose, K, gray, id_buf, cfg, be)
     t2 = time.perf_counter()
-    pose, err, iterations, attempts = _solve_lm_full(ms.points, prev_pose, K, cfg.lm, be)
+    pose, err, iterations, attempts = _solve_lm_full(
+        (ms.X, ms.n, ms.match), prev_pose, K, cfg.lm, be
+    )
     t3 = time.perf_counter()
     stats = FrameStats(
+        projected=ms.n_projected,
         sampled=ms.n_sampled,
         matched=ms.n_matched,
         err=err,

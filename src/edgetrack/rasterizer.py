@@ -182,11 +182,15 @@ def _fill_triangle(depth: np.ndarray, owner: np.ndarray, face_index: int,
 def _edge_pixels(a: np.ndarray, b: np.ndarray, K: CameraIntrinsics):
     """Line-step a camera-space segment clipped against the near plane.
 
-    Returns None when the segment lies wholly behind the near plane, else
-    ``(ends, uv, x, y, s)``: the clipped camera-space ends, their projections,
-    and for each step k of ``steps + 1`` the pixel column and row (rounded
-    with floor(. + 0.5)) and the parameter s = k / steps from uv[0] to uv[1].
-    Pixels are neither de-duplicated nor bounds-checked.
+    Returns None when the segment lies wholly behind the near plane or off
+    the image, else ``(ends, uv, x, y, s, steps)``: the clipped camera-space
+    ends, their projections, and for each traced step k the pixel column and
+    row (rounded with floor(. + 0.5)) and the parameter s = k / steps from
+    uv[0] to uv[1].  ``steps`` and s always refer to the whole segment, but
+    only the steps that can land on the image are traced, plus at least one
+    off-image step at each cut end; the first traced step therefore never
+    hides an on-image repeat of its predecessor.  Pixels are neither
+    de-duplicated nor bounds-checked.
     """
     ends = _clip_segment_near(a, b)
     if ends is None:
@@ -194,24 +198,39 @@ def _edge_pixels(a: np.ndarray, b: np.ndarray, K: CameraIntrinsics):
     uv = project_cam(ends[0], K), project_cam(ends[1], K)
     (ua, va), (ub, vb) = uv
     steps = max(1, math.ceil(max(abs(ub - ua), abs(vb - va))))
-    s = np.arange(steps + 1) / steps
+    span = _margin_span(uv, K)
+    if span is None:
+        return None
+    k = np.arange(max(0, math.floor(span[0] * steps)), min(steps, math.ceil(span[1] * steps)) + 1)
+    s = k / steps
     x = np.floor(ua + s * (ub - ua) + 0.5).astype(np.int64)
     y = np.floor(va + s * (vb - va) + 0.5).astype(np.int64)
-    return ends, uv, x, y, s
+    return ends, uv, x, y, s, steps
 
 
-def _edge_face_adjacency(model: WireframeModel) -> list[set]:
-    """For each edge, the indices of faces containing both its endpoints."""
-    by_pair: dict[tuple[int, int], set] = {}
-    for fi, f in enumerate(model.faces):
-        a, b, c = int(f[0]), int(f[1]), int(f[2])
-        for p in ((a, b), (b, c), (a, c)):
-            by_pair.setdefault((min(p), max(p)), set()).add(fi)
-    out = []
-    for e in model.edges:
-        a, b = int(e[0]), int(e[1])
-        out.append(by_pair.get((min(a, b), max(a, b)), set()))
-    return out
+# A traced point rounds onto the image when it lies in [-0.5, size - 0.5)
+# on both axes.  The margin box adds one pixel on every side.  A step moves
+# at most one pixel per axis, so the neighbours of every on-image step lie
+# inside the box, and a step on the box border is off the image by a pixel,
+# far beyond float rounding.
+_MARGIN_LO = -1.5
+
+
+def _margin_span(uv, K: CameraIntrinsics):
+    """Parameter interval [s0, s1] of the projected segment inside the
+    margin box (Liang-Barsky); None when it misses the box."""
+    (ua, va), (ub, vb) = uv
+    s0, s1 = 0.0, 1.0
+    for a, b, size in ((ua, ub, K.width), (va, vb, K.height)):
+        d = b - a
+        lo, hi = _MARGIN_LO - a, size + 0.5 - a
+        if d == 0.0:
+            if lo > 0.0 or hi < 0.0:
+                return None
+            continue
+        lo, hi = (lo / d, hi / d) if d > 0.0 else (hi / d, lo / d)
+        s0, s1 = max(s0, lo), min(s1, hi)
+    return (s0, s1) if s0 <= s1 else None
 
 
 def render_id_buffer(
@@ -234,7 +253,7 @@ def render_id_buffer(
     # within the relative bias of the stored depth.  The adjacency clause
     # covers steep faces whose pixel-center depth sits well in front of the
     # exact edge depth, where any fixed bias would misjudge.
-    adjacency = _edge_face_adjacency(model)
+    adjacency = model.edge_faces
     depth = depth_buf.depth
 
     # Among edges crossing one pixel the nearest wins, independent of order.
@@ -243,7 +262,7 @@ def render_id_buffer(
         trace = _edge_pixels(cam[e[0]], cam[e[1]], K)
         if trace is None:
             continue
-        (a, b), _, x, y, s = trace
+        (a, b), _, x, y, s, _ = trace
         # Drop consecutive repeats, then pixels off the image.
         keep = np.ones(len(s), dtype=bool)
         keep[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
@@ -267,26 +286,35 @@ def render_id_buffer(
 # ---------------------------------------------------------------------------
 # Visibility tests.
 
-def _round_px(v: float) -> int:
-    return math.floor(v + 0.5) if v >= 0.0 else math.ceil(v - 0.5)
+# Offsets (dy, dx) of a pixel's 3x3 neighbourhood.
+_NEIGHBOURS = np.array([(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
+
+
+def points_visible(px, py, edges, id_buffer: IdBuffer) -> np.ndarray:
+    """Per point, whether the ID buffer credits pixel round(p) (or a 3x3
+    neighbour) to the point's edge.
+
+    Rounding is to the nearest pixel, ties away from zero; a point whose
+    pixel is off the image is not visible.  The neighbourhood absorbs the
+    quantization gap between sub-pixel control points and the
+    integer-rasterized buffer.  Only the gathered pixels are decoded.
+    """
+    w, h = id_buffer.width, id_buffer.height
+    px, py = np.asarray(px, dtype=np.float64), np.asarray(py, dtype=np.float64)
+    x = np.where(px >= 0.0, np.floor(px + 0.5), np.ceil(px - 0.5))
+    y = np.where(py >= 0.0, np.floor(py + 0.5), np.ceil(py - 0.5))
+    inside = (x >= 0) & (x < w) & (y >= 0) & (y < h)
+    nx = np.where(inside, x, 0).astype(np.int64)[:, None] + _NEIGHBOURS[:, 1]
+    ny = np.where(inside, y, 0).astype(np.int64)[:, None] + _NEIGHBOURS[:, 0]
+    on_image = (nx >= 0) & (nx < w) & (ny >= 0) & (ny < h)
+    ids = decode_id_array(id_buffer.rgb[np.clip(ny, 0, h - 1), np.clip(nx, 0, w - 1)])
+    own = on_image & (ids == np.asarray(edges)[:, None])
+    return inside & own.any(axis=1)
 
 
 def is_point_visible(p, edge_index: int, id_buffer: IdBuffer) -> bool:
-    """True when the ID buffer credits pixel round(p) (or a 3x3 neighbor) to edge_index.
-
-    The neighborhood absorbs the quantization gap between sub-pixel control
-    points and the integer-rasterized buffer.
-    """
-    x, y = _round_px(float(p[0])), _round_px(float(p[1]))
-    if not (0 <= x < id_buffer.width and 0 <= y < id_buffer.height):
-        return False
-    if id_buffer.decode_at(x, y) == edge_index:
-        return True
-    for ny in range(max(0, y - 1), min(id_buffer.height, y + 2)):
-        for nx in range(max(0, x - 1), min(id_buffer.width, x + 2)):
-            if id_buffer.decode_at(nx, ny) == edge_index:
-                return True
-    return False
+    """True when the ID buffer credits pixel round(p) (or a 3x3 neighbor) to edge_index."""
+    return bool(points_visible([p[0]], [p[1]], [edge_index], id_buffer)[0])
 
 
 def visibility_oracle(

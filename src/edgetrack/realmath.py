@@ -6,6 +6,10 @@ deterministic Q-format fixed point.  Two Q formats are supported: Q40.23
 (default) and Q47.16.  Fixed-point values are immutable and every operation
 detects overflow instead of wrapping.
 
+The protocol has a scalar half (``FixedPoint`` values) and an array half
+(``FixedArray``, float64 ndarrays on the float backend) with the same
+per-element results, so per-point stages run once over all points.
+
 Rounding rules, fixed so runs are bit-reproducible:
 
 * float -> fixed conversion rounds to nearest, ties away from zero;
@@ -16,9 +20,13 @@ Rounding rules, fixed so runs are bit-reproducible:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import partialmethod
 from math import isqrt
 from typing import ClassVar
+
+import numpy as np
 
 
 class MathOverflowError(OverflowError):
@@ -358,6 +366,214 @@ def fixed_type(fmt: QFormat) -> type[FixedPoint]:
 
 
 # ---------------------------------------------------------------------------
+# Fixed-point arrays.
+
+_WORD_LIMIT = 1 << 63  # a magnitude below this fits a signed 64-bit word
+
+
+def _max_abs(raw) -> int:
+    """Largest magnitude in an integer array, as a Python int (0 when empty)."""
+    if raw.size == 0:
+        return 0
+    return max(-int(raw.min()), int(raw.max()))
+
+
+def _exact_operands(bound: int, *operands):
+    """The operands as given when every result is below 2**63 in magnitude
+    (bound), else as Python ints (object dtype) so nothing can wrap."""
+    if bound < _WORD_LIMIT:
+        return operands
+    return tuple(o.astype(object) if isinstance(o, np.ndarray) else o for o in operands)
+
+
+def _trunc_shift_array(p, shift: int):
+    """Elementwise p >> shift truncated toward zero; numpy's >> floors."""
+    return np.where(p < 0, -((-p) >> shift), p >> shift)
+
+
+def _trunc_div_array(a, b):
+    """Elementwise a / b truncated toward zero; numpy's // floors."""
+    q = abs(a) // abs(b)
+    return np.where((a < 0) != (b < 0), -q, q)
+
+
+class FixedArray:
+    """Array of fixed-point numbers with the per-element semantics of FixedPoint.
+
+    ``raw`` is an int64 ndarray of raw words in ``scalar_type``'s format.
+    Every operation gives, element by element, the raw word the FixedPoint
+    operation gives, and raises MathOverflowError exactly when one of those
+    would.  It computes in int64 only where the operands' magnitudes prove
+    the result exact, and in Python ints otherwise, so nothing ever wraps.
+    Operands are arrays or scalars of the same format, ints and integer
+    ndarrays (scaled by 2**F as plain ints are); floats are rejected.
+    Integer indices return FixedPoint scalars, other indices FixedArrays.
+    """
+
+    __slots__ = ("raw", "scalar_type", "_bound")
+
+    # ndarray OP FixedArray returns NotImplemented, so the reflected method
+    # here runs instead of numpy building an object array of FixedPoints.
+    __array_ufunc__ = None
+
+    def __init__(self, raw: np.ndarray, scalar_type: type[FixedPoint]):
+        self.raw = raw
+        self.scalar_type = scalar_type
+        self._bound = None
+
+    @property
+    def FORMAT(self) -> QFormat:
+        return self.scalar_type.FORMAT
+
+    @property
+    def bound(self) -> int:
+        """Largest raw magnitude, computed once."""
+        if self._bound is None:
+            self._bound = _max_abs(self.raw)
+        return self._bound
+
+    def _new(self, raw) -> "FixedArray":
+        """Wrap an exact raw result; Python-int results are range-checked."""
+        if raw.dtype == object:
+            st = self.scalar_type
+            if raw.size and (raw.min() < st._RAW_MIN or raw.max() > st._RAW_MAX):
+                raise MathOverflowError(f"raw value outside {st.FORMAT} range")
+            raw = raw.astype(np.int64)
+        return FixedArray(raw, self.scalar_type)
+
+    def _operand(self, other):
+        """(raw, magnitude bound) of a compatible operand, range-checked; None if unsupported."""
+        st = self.scalar_type
+        if isinstance(other, FixedArray):
+            return (other.raw, other.bound) if other.scalar_type is st else None
+        if type(other) is st:
+            return other.raw, abs(other.raw)
+        if isinstance(other, (int, np.integer)):
+            raw = int(other) << st.FRAC_BITS
+            if not st._RAW_MIN <= raw <= st._RAW_MAX:
+                raise MathOverflowError(f"int operand {other} outside {st.FORMAT} range")
+            return raw, abs(raw)
+        if isinstance(other, np.ndarray) and other.dtype.kind in "iu":
+            lo, hi = (int(other.min()), int(other.max())) if other.size else (0, 0)
+            if lo << st.FRAC_BITS < st._RAW_MIN or hi << st.FRAC_BITS > st._RAW_MAX:
+                raise MathOverflowError(f"int operand outside {st.FORMAT} range")
+            return other.astype(np.int64) << st.FRAC_BITS, max(-lo, hi) << st.FRAC_BITS
+        return None
+
+    # -- conversion ---------------------------------------------------------
+
+    def to_float(self) -> np.ndarray:
+        return self.raw / (1 << self.scalar_type.FRAC_BITS)
+
+    def floor_to_int(self) -> np.ndarray:
+        return self.raw >> self.scalar_type.FRAC_BITS
+
+    def __getitem__(self, key):
+        raw = self.raw[key]
+        if isinstance(raw, np.ndarray):
+            return FixedArray(raw, self.scalar_type)
+        return self.scalar_type(int(raw))
+
+    def __bool__(self):
+        raise TypeError("the truth value of a FixedArray is ambiguous")
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def __add__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        a, b = _exact_operands(self.bound + o[1], self.raw, o[0])
+        return self._new(a + b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        a, b = _exact_operands(self.bound + o[1], self.raw, o[0])
+        return self._new(a - b)
+
+    def __rsub__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        a, b = _exact_operands(self.bound + o[1], self.raw, o[0])
+        return self._new(b - a)
+
+    def __mul__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        a, b = _exact_operands(self.bound * o[1], self.raw, o[0])
+        return self._new(_trunc_shift_array(a * b, self.scalar_type.FRAC_BITS))
+
+    __rmul__ = __mul__
+
+    def _quotient(self, a, a_bound, b, b_bound):
+        """(a << F) / b truncated toward zero, as FixedPoint.__truediv__."""
+        if np.any(b == 0):
+            raise ZeroDivisionError("fixed-point division by zero")
+        shift = self.scalar_type.FRAC_BITS
+        a, b = _exact_operands(max(a_bound << shift, b_bound), a, b)
+        return self._new(_trunc_div_array(a << shift, b))
+
+    def __truediv__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        return self._quotient(self.raw, self.bound, *o)
+
+    def __rtruediv__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        return self._quotient(*o, self.raw, self.bound)
+
+    def __neg__(self):
+        (a,) = _exact_operands(self.bound, self.raw)
+        return self._new(-a)
+
+    def __abs__(self):
+        (a,) = _exact_operands(self.bound, self.raw)
+        return self._new(abs(a))
+
+    # -- comparisons --------------------------------------------------------
+
+    def _compare(self, other, op):
+        """Elementwise comparison; ints compare exactly, with no range limit."""
+        st = self.scalar_type
+        if type(other) is st or (isinstance(other, FixedArray) and other.scalar_type is st):
+            return op(self.raw, other.raw)
+        if isinstance(other, (int, np.integer)):
+            return op(self.raw, int(other) << st.FRAC_BITS)
+        return NotImplemented
+
+    __eq__ = partialmethod(_compare, op=operator.eq)
+    __ne__ = partialmethod(_compare, op=operator.ne)
+    __lt__ = partialmethod(_compare, op=operator.lt)
+    __le__ = partialmethod(_compare, op=operator.le)
+    __gt__ = partialmethod(_compare, op=operator.gt)
+    __ge__ = partialmethod(_compare, op=operator.ge)
+    __hash__ = None
+
+    # -- reductions ---------------------------------------------------------
+
+    def row_sums(self) -> list:
+        """Sum along the last axis, left to right from zero, one FixedPoint
+        per row; every partial sum is range-checked, as FixedPoint's + does."""
+        st = self.scalar_type
+        *rows, count = self.raw.shape
+        if count == 0:
+            return [st(0) for _ in range(math.prod(rows))]
+        raw = self.raw.reshape(-1, count)
+        (raw,) = _exact_operands(count * self.bound, raw)
+        partial = self._new(np.cumsum(raw, axis=1)).raw
+        return [st(int(v)) for v in partial[:, -1]]
+
+
+# ---------------------------------------------------------------------------
 # Backends.
 
 class FloatBackend:
@@ -398,6 +614,29 @@ class FloatBackend:
     def floor_to_int(value: float) -> int:
         return math.floor(value)
 
+    # -- array half: float64 ndarrays -----------------------------------------
+
+    @staticmethod
+    def stack(items) -> np.ndarray:
+        """Array of backend scalars, or of equal-shape arrays one axis up."""
+        return np.array(items, dtype=np.float64)
+
+    @staticmethod
+    def floor_array(values: np.ndarray) -> np.ndarray:
+        return np.floor(values).astype(np.int64)
+
+    @staticmethod
+    def row_sums(values: np.ndarray) -> list:
+        """Sum along the last axis, left to right from 0.0, one float per row.
+
+        np.sum sums pairwise, which rounds differently from a scalar loop;
+        an accumulation runs in order.
+        """
+        *rows, count = values.shape
+        if count == 0:
+            return [0.0] * math.prod(rows)
+        return (0.0 + np.cumsum(values.reshape(-1, count), axis=1)[:, -1]).tolist()
+
     def __repr__(self):
         return "FloatBackend()"
 
@@ -437,6 +676,20 @@ class FixedBackend:
     @staticmethod
     def floor_to_int(value: FixedPoint) -> int:
         return value.floor_to_int()
+
+    # -- array half: FixedArray -----------------------------------------------
+
+    def stack(self, items) -> FixedArray:
+        """Array of backend scalars, or of equal-shape arrays one axis up."""
+        return FixedArray(np.array([x.raw for x in items], dtype=np.int64), self.scalar_type)
+
+    @staticmethod
+    def floor_array(values: FixedArray) -> np.ndarray:
+        return values.floor_to_int()
+
+    @staticmethod
+    def row_sums(values: FixedArray) -> list:
+        return values.row_sums()
 
     def __repr__(self):
         return f"FixedBackend({self.format})"

@@ -8,14 +8,17 @@ surviving (point, match) pairs are the measurements the pose refiner
 consumes.
 
 All per-point arithmetic goes through the realmath backend so fixed-point
-runs are bit-deterministic; only the ID-buffer lookup converts to float (an
-exact conversion) to address pixels.
+runs are bit-deterministic, and runs once per frame over all points on the
+backend's arrays; only the ID-buffer lookup converts to float (an exact
+conversion) to address pixels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from .geometry import (
     BackendIntrinsics,
@@ -28,8 +31,10 @@ from .geometry import (
 )
 from .imaging import GrayImage
 from .pose_estimation import LMSettings
-from .rasterizer import NEAR_PLANE_MM, IdBuffer, is_point_visible
-from .realmath import BACKEND_NAMES
+# Nothing here calls is_point_visible; benchmarks/run.py wraps the name
+# tracking.is_point_visible in its traced run.
+from .rasterizer import NEAR_PLANE_MM, IdBuffer, is_point_visible, points_visible  # noqa: F401
+from .realmath import BACKEND_NAMES, FixedArray
 
 
 class InsufficientMeasurementsError(ValueError):
@@ -74,24 +79,47 @@ class ControlPoint:
 
 @dataclass
 class MeasurementSet:
-    """Matched control points plus the per-stage counters the stats report."""
+    """Matched control points as backend column arrays, plus the per-stage
+    counters the stats report.  Entry k of every column is the k-th match."""
 
-    points: list  # matched ControlPoints
+    edge_index: np.ndarray  # model edge of each point
+    p: tuple  # (x, y) control points
+    n: tuple  # (nx, ny) unit edge normals
+    X: tuple  # (x, y, z) world points that project to p
+    match: tuple  # (x, y) matched image points
+    likelihood: object  # gradient strength at each match
     n_projected: int  # control points sampled on projected segments
     n_sampled: int  # of those, points passing the visibility test
-    n_matched: int
+
+    @property
+    def n_matched(self) -> int:
+        return len(self.edge_index)
+
+    @property
+    def points(self) -> list:
+        """The matches as ControlPoints holding backend scalars."""
+        return [
+            ControlPoint(
+                edge_index=int(e),
+                p=(self.p[0][k], self.p[1][k]),
+                n=(self.n[0][k], self.n[1][k]),
+                X=tuple(c[k] for c in self.X),
+                match=(self.match[0][k], self.match[1][k]),
+                likelihood=self.likelihood[k],
+            )
+            for k, e in enumerate(self.edge_index.tolist())
+        ]
 
 
 # ---------------------------------------------------------------------------
 # Sampling.
 
-def sample_control_points(segment, edge_index: int, cfg: TrackerConfig, backend) -> list:
-    """Evenly spaced control points along a projected 2D segment.
+def _sample_layout(segment, cfg: TrackerConfig, backend):
+    """Point count, direction (dx, dy) and unit normal of a projected segment.
 
     ``segment`` is a pair of 2D points in backend scalars.  Point count is
     floor(length / step); a segment shorter than one step but at least half a
-    step still yields one point.  Points sit at t = (k + 0.5) / n, keeping
-    them off the segment ends.
+    step still yields one point.  A count of 0 comes with no direction.
     """
     (ax, ay), (bx, by) = segment
     dx, dy = bx - ax, by - ay
@@ -101,73 +129,115 @@ def sample_control_points(segment, edge_index: int, cfg: TrackerConfig, backend)
     if n == 0:
         # length >= step/2, compared without dividing the step
         if not (length + length >= step):
-            return []
+            return 0, None, None
         n = 1
     # Divide components directly: multiplying by a reciprocal doubles the
     # quantization error in fixed point and breaks the unit-normal contract.
-    nx, ny = -(dy / length), dx / length
-    points = []
-    for k in range(n):
-        t = backend.from_float(k + 0.5) / backend.from_int(n)
-        points.append(
-            ControlPoint(
-                edge_index=edge_index,
-                p=(ax + t * dx, ay + t * dy),
-                n=(nx, ny),
-                t=t,
-            )
-        )
-    return points
+    return n, (dx, dy), (-(dy / length), dx / length)
+
+
+def _sample_params(counts, backend):
+    """For points laid out segment by segment, counts[i] on segment i: each
+    point's segment slot and its parameter t = (k + 0.5) / counts[i], which
+    keeps the points off the segment ends.
+
+    t is formed as (2k + 1) / (2 counts[i]) from integers, which on every
+    backend gives the bits of from_float(k + 0.5) / from_int(counts[i]).
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    slot = np.repeat(np.arange(len(counts)), counts)
+    k = np.arange(len(slot)) - np.repeat(np.cumsum(counts) - counts, counts)
+    twice_n = backend.stack([backend.from_int(2 * int(c)) for c in counts])
+    return slot, (2 * k + 1) / twice_n[slot]
+
+
+def sample_control_points(segment, edge_index: int, cfg: TrackerConfig, backend) -> list:
+    """Evenly spaced control points along a projected 2D segment.
+
+    ``segment`` is a pair of 2D points in backend scalars; counts and
+    positions follow _sample_layout and _sample_params.
+    """
+    n, d, normal = _sample_layout(segment, cfg, backend)
+    if n == 0:
+        return []
+    _, t = _sample_params([n], backend)
+    (ax, ay), _ = segment
+    px, py = ax + t * d[0], ay + t * d[1]
+    return [
+        ControlPoint(edge_index=edge_index, p=(px[k], py[k]), n=normal, t=t[k])
+        for k in range(n)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Moving-edges correspondence search.
 
-def bilinear_sample(gray: GrayImage, x, y, backend):
-    """Bilinear gray intensity at a sub-pixel position; None off the image."""
-    x0 = backend.floor_to_int(x)
-    y0 = backend.floor_to_int(y)
-    if x0 < 0 or y0 < 0 or x0 + 1 >= gray.width or y0 + 1 >= gray.height:
-        return None
+def _bilinear(gray: GrayImage, x, y, backend):
+    """Bilinear gray intensities at sub-pixel positions given as backend
+    arrays, and a mask of the positions whose 2x2 neighbourhood lies on the
+    image; masked-out entries hold meaningless values."""
+    x0 = backend.floor_array(x)
+    y0 = backend.floor_array(y)
+    ok = (x0 >= 0) & (y0 >= 0) & (x0 + 1 < gray.width) & (y0 + 1 < gray.height)
     fx = x - x0
     fy = y - y0
+    x0 = np.where(ok, x0, 0)
+    y0 = np.where(ok, y0, 0)
     px = gray.pixels
-    i00 = int(px[y0, x0])
-    i10 = int(px[y0, x0 + 1])
-    i01 = int(px[y0 + 1, x0])
-    i11 = int(px[y0 + 1, x0 + 1])
+    i00 = px[y0, x0].astype(np.int64)
+    i10 = px[y0, x0 + 1].astype(np.int64)
+    i01 = px[y0 + 1, x0].astype(np.int64)
+    i11 = px[y0 + 1, x0 + 1].astype(np.int64)
     top = i00 + fx * (i10 - i00)
     bottom = i01 + fx * (i11 - i01)
-    return top + fy * (bottom - top)
+    return top + fy * (bottom - top), ok
+
+
+def bilinear_sample(gray: GrayImage, x, y, backend):
+    """Bilinear gray intensity at a sub-pixel position; None off the image."""
+    value, ok = _bilinear(gray, backend.stack([x]), backend.stack([y]), backend)
+    return value[0] if ok[0] else None
+
+
+def _search(gray: GrayImage, px, py, nx, ny, cfg: TrackerConfig, backend):
+    """Scan integer offsets along each point's normal for the strongest gradient.
+
+    Positions and normals are backend arrays.  Likelihood at offset s is
+    |I(s+1) - I(s-1)| / 2, defined where both samples are on the image.  The
+    best site wins; ties prefer the smallest |s| (and the negative side at
+    equal distance), favoring the prediction.  Returns a mask of the points
+    whose best likelihood clears the threshold, and for those points only
+    the matched x, y and the likelihood.
+    """
+    r = cfg.search_range
+    offsets = np.arange(-r - 1, r + 2)
+    xs = px[:, None] + offsets * nx[:, None]
+    ys = py[:, None] + offsets * ny[:, None]
+    intensity, ok = _bilinear(gray, xs, ys, backend)
+    likelihood = abs(intensity[:, 2:] - intensity[:, :-2]) / 2  # column c is s = c - r
+    valid = ok[:, 2:] & ok[:, :-2]
+    # Likelihoods are >= 0, so -1 marks a site that cannot win; argmax takes
+    # the first maximum in tie order.
+    order = np.array(sorted(range(2 * r + 1), key=lambda c: (abs(c - r), c - r)))
+    key = likelihood.raw if isinstance(likelihood, FixedArray) else likelihood
+    best = order[np.argmax(np.where(valid, key, -1)[:, order], axis=1)]
+    rows = np.arange(len(best))
+    best_l = likelihood[rows, best]
+    hit = valid[rows, best] & (best_l >= backend.from_float(cfg.gradient_threshold))
+    return hit, xs[rows, best + 1][hit], ys[rows, best + 1][hit], best_l[hit]
 
 
 def search_correspondence(gray: GrayImage, cp: ControlPoint, cfg: TrackerConfig, backend):
-    """Scan integer offsets along the normal for the strongest gradient.
+    """Moving-edges scan for one control point (see _search).
 
-    Likelihood at offset s is |I(s+1) - I(s-1)| / 2.  The best site wins;
-    ties prefer the smallest |s| (and the negative side at equal distance),
-    favoring the prediction.  Below-threshold maxima leave match unset.
+    Sets cp.match and cp.likelihood when the best gradient clears the
+    threshold; below-threshold maxima leave match unset.
     """
-    r = cfg.search_range
-    px, py = cp.p
-    nx, ny = cp.n
-    intensities = {}
-    for s in range(-r - 1, r + 2):
-        intensities[s] = bilinear_sample(gray, px + s * nx, py + s * ny, backend)
-    threshold = backend.from_float(cfg.gradient_threshold)
-    best_s = None
-    best_l = None
-    for s in sorted(range(-r, r + 1), key=lambda v: (abs(v), v)):
-        before, after = intensities[s - 1], intensities[s + 1]
-        if before is None or after is None:
-            continue
-        likelihood = abs(after - before) / 2
-        if best_l is None or likelihood > best_l:
-            best_l = likelihood
-            best_s = s
-    if best_l is not None and best_l >= threshold:
-        cp.match = (px + best_s * nx, py + best_s * ny)
-        cp.likelihood = best_l
+    columns = (backend.stack([v]) for v in (*cp.p, *cp.n))
+    hit, qx, qy, likelihood = _search(gray, *columns, cfg, backend)
+    if hit[0]:
+        cp.match = (qx[0], qy[0])
+        cp.likelihood = likelihood[0]
     return cp
 
 
@@ -204,8 +274,10 @@ def collect_measurements(
 ) -> MeasurementSet:
     """Sample, visibility-filter, and match control points on every edge.
 
-    Raises InsufficientMeasurementsError when fewer than 6 points match:
-    the pose has 6 degrees of freedom.
+    Edge geometry runs per edge on backend scalars; every per-point step
+    runs once over all points on backend arrays.  Raises
+    InsufficientMeasurementsError when fewer than 6 points match: the pose
+    has 6 degrees of freedom.
     """
     be = backend
     R = exp_map(tuple(be.from_float(w) for w in pose.omega), be)
@@ -216,9 +288,7 @@ def collect_measurements(
     u_max = be.from_int(K.width - 1)
     v_max = be.from_int(K.height - 1)
 
-    matched: list = []
-    n_projected = 0
-    n_sampled = 0
+    segments = []  # one row of per-edge scalars for each sampled segment
     for i, e in enumerate(model.edges):
         wa = tuple(be.from_float(c) for c in model.vertices[e[0]])
         wb = tuple(be.from_float(c) for c in model.vertices[e[1]])
@@ -237,7 +307,6 @@ def collect_measurements(
         wb2 = tuple(wa[j] + s1 * (wb[j] - wa[j]) for j in range(3))
         ca2 = tuple(ca[j] + s0 * (cb[j] - ca[j]) for j in range(3))
         cb2 = tuple(ca[j] + s1 * (cb[j] - ca[j]) for j in range(3))
-        za2, zb2 = ca2[2], cb2[2]
         ua, va = project_cam(ca2, Kb)
         ub, vb = project_cam(cb2, Kb)
         du, dv = ub - ua, vb - va
@@ -252,28 +321,37 @@ def collect_measurements(
         t_lo, t_hi = span
         a2 = (ua + t_lo * du, va + t_lo * dv)
         b2 = (ua + t_hi * du, va + t_hi * dv)
-        points = sample_control_points((a2, b2), i, cfg, be)
-        n_projected += len(points)
-        for cp in points:
-            p_float = (be.to_float(cp.p[0]), be.to_float(cp.p[1]))
-            if not is_point_visible(p_float, i, id_buffer):
-                continue
-            n_sampled += 1
-            # Parameter on the near-clipped projected segment, then the
-            # perspective-correct parameter along the 3D segment.
-            t2 = t_lo + cp.t * (t_hi - t_lo)
-            t3 = t2 * za2 / (zb2 + t2 * (za2 - zb2))
-            cp.X = tuple(wa2[j] + t3 * (wb2[j] - wa2[j]) for j in range(3))
-            search_correspondence(gray, cp, cfg, be)
-            if cp.match is not None:
-                matched.append(cp)
-    if len(matched) < 6:
+        count, d, normal = _sample_layout((a2, b2), cfg, be)
+        if count:
+            segments.append((i, count, *a2, *d, *normal, t_lo, t_hi, ca2[2], cb2[2], *wa2, *wb2))
+    if not segments:
+        raise InsufficientMeasurementsError("only 0 matched control points; pose needs 6")
+
+    edge_ids, counts, *columns = zip(*segments)
+    slot, tk = _sample_params(counts, be)
+    ax, ay, dx, dy = (be.stack(c)[slot] for c in columns[:4])
+    px, py = ax + tk * dx, ay + tk * dy
+    edge_ids = np.array(edge_ids)[slot]
+    visible = points_visible(be.to_float(px), be.to_float(py), edge_ids, id_buffer)
+    slot, tk, px, py, edge_ids = slot[visible], tk[visible], px[visible], py[visible], edge_ids[visible]
+    nx, ny, t_lo, t_hi, za2, zb2, *ends = (be.stack(c)[slot] for c in columns[4:])
+    # Parameter on the near-clipped projected segment, then the
+    # perspective-correct parameter along the 3D segment.
+    t2 = t_lo + tk * (t_hi - t_lo)
+    t3 = t2 * za2 / (zb2 + t2 * (za2 - zb2))
+    X = tuple(wa + t3 * (wb - wa) for wa, wb in zip(ends[:3], ends[3:]))
+    hit, qx, qy, likelihood = _search(gray, px, py, nx, ny, cfg, be)
+    if np.count_nonzero(hit) < 6:
         raise InsufficientMeasurementsError(
-            f"only {len(matched)} matched control points; pose needs 6"
+            f"only {np.count_nonzero(hit)} matched control points; pose needs 6"
         )
     return MeasurementSet(
-        points=matched,
-        n_projected=n_projected,
-        n_sampled=n_sampled,
-        n_matched=len(matched),
+        edge_index=edge_ids[hit],
+        p=(px[hit], py[hit]),
+        n=(nx[hit], ny[hit]),
+        X=tuple(c[hit] for c in X),
+        match=(qx, qy),
+        likelihood=likelihood,
+        n_projected=len(visible),
+        n_sampled=int(np.count_nonzero(visible)),
     )

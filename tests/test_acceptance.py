@@ -328,3 +328,25 @@ def test_criterion_10_determinism(standard_seq, cube60, camera, work_dir,
     assert worst <= 1e-12
     print(f"PASS criterion 10: Q40.23 pose CSV bit-identical across runs; "
           f"float runs agree within {worst:.1e} (<= 1e-12)")
+
+
+# ---------------------------------------------------------------------------
+# Golden pose digests.
+
+# sha256 of poses.csv of the fixed-point runs above.  Fixed-point arithmetic
+# is exact, so any change to these bytes is a change of behaviour.  Each
+# frame's pose still passes through float code (the exp-map vector via
+# log_rotation_np); the digests were recorded on x86-64 Linux.  Float runs
+# depend on the platform's libm throughout and have no digest.
+GOLDEN_POSE_SHA256 = {
+    "q40_23": "b0016f553083dabdb58eee8092e16fa642a31a15335a54284f2917ddf33c4616",
+    "q47_16": "d849d304064a9e8df95531efb6dc300358c26703398b96c8968191225115f5f3",
+}
+
+
+def test_fixed_point_poses_match_golden_digests(q40_run, q47_run):
+    import hashlib
+
+    for name, run in (("q40_23", q40_run), ("q47_16", q47_run)):
+        digest = hashlib.sha256((run["out"] / POSES_NAME).read_bytes()).hexdigest()
+        assert digest == GOLDEN_POSE_SHA256[name], name

@@ -1,9 +1,11 @@
 """Sequence generation, tracked runs, evaluation, and the CLI."""
 
+import math
+
 import numpy as np
 import pytest
 
-from edgetrack.geometry import PoseSE3, WireframeModel
+from edgetrack.geometry import PoseSE3, WireframeModel, look_at_pose
 from edgetrack.harness import (
     GROUND_TRUTH_NAME,
     POSES_NAME,
@@ -25,7 +27,7 @@ from edgetrack.harness import (
 from edgetrack.rasterizer import BACKGROUND, decode_id_array, render_id_buffer
 from edgetrack.tracking import TrackerConfig
 
-from conftest import CUBE_EDGES, CUBE_FACES, CUBE_VERTICES, pose_errors
+from conftest import CUBE_EDGES, CUBE_FACES, CUBE_VERTICES, pose_errors, random_convex_model
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +63,17 @@ def test_render_draws_dark_edges_on_white(cube_model, qvga_camera):
     assert img.max() == 255
 
 
+def corridor_scene():
+    """A box 400 mm deep around the camera: its four long edges cross the
+    near plane in view and project to lines far longer than the image."""
+    corridor = WireframeModel(
+        vertices=np.array(CUBE_VERTICES, dtype=float) * (20.0, 15.0, 200.0) + (0.0, 0.0, 100.0),
+        faces=np.array(CUBE_FACES) - 1,
+        edges=np.array(CUBE_EDGES) - 1,
+    )
+    return corridor, PoseSE3(omega=np.array([0.05, 0.1, 0.0]), t=np.array([3.0, -2.0, 0.0]))
+
+
 def test_frame_follows_id_buffer(cube_model, qvga_camera):
     # Noiseless frames vs. ID buffers: every edge pixel is dark, and every
     # dark pixel lies within 2 px (a 5x5 window) of an edge pixel.  The
@@ -75,13 +88,8 @@ def test_frame_follows_id_buffer(cube_model, qvga_camera):
         faces=np.array([[0, 1, 2]]),
         edges=np.array([[0, 1], [0, 2], [1, 2]]),
     )
-    corridor = WireframeModel(
-        vertices=np.array(CUBE_VERTICES, dtype=float) * (20.0, 15.0, 200.0) + (0.0, 0.0, 100.0),
-        faces=np.array(CUBE_FACES) - 1,
-        edges=np.array(CUBE_EDGES) - 1,
-    )
     scenes.append((triangle, PoseSE3(omega=np.zeros(3), t=np.zeros(3))))
-    scenes.append((corridor, PoseSE3(omega=np.array([0.05, 0.1, 0.0]), t=np.array([3.0, -2.0, 0.0]))))
+    scenes.append(corridor_scene())
     K = qvga_camera
     for model, pose in scenes:
         dark = render_frame_gray(model, pose, K, sigma=0.0).pixels < 128
@@ -95,6 +103,69 @@ def test_frame_follows_id_buffer(cube_model, qvga_camera):
             for dx in range(5):
                 near_edge |= padded[dy:dy + K.height, dx:dx + K.width]
         assert near_edge[dark].all()
+
+
+def full_trace(a, b, K):
+    """rasterizer._edge_pixels stepping every step of the projected
+    segment, on the image or not: the reference for the cut trace."""
+    from edgetrack.geometry import project_cam
+    from edgetrack.rasterizer import _clip_segment_near
+
+    ends = _clip_segment_near(a, b)
+    if ends is None:
+        return None
+    uv = project_cam(ends[0], K), project_cam(ends[1], K)
+    (ua, va), (ub, vb) = uv
+    steps = max(1, math.ceil(max(abs(ub - ua), abs(vb - va))))
+    s = np.arange(steps + 1) / steps
+    x = np.floor(ua + s * (ub - ua) + 0.5).astype(np.int64)
+    y = np.floor(va + s * (vb - va) + 0.5).astype(np.int64)
+    return ends, uv, x, y, s, steps
+
+
+def test_trace_steps_only_near_the_image(cube_model, qvga_camera, monkeypatch):
+    import edgetrack.harness as harness
+    import edgetrack.rasterizer as rasterizer
+    from edgetrack.geometry import transform_np
+    from edgetrack.rasterizer import _edge_pixels
+
+    K = qvga_camera
+    corridor, pose = corridor_scene()
+    cam = transform_np(corridor.vertices, pose.rotation(), pose.t)
+    full_steps = cut_steps = 0
+    for a, b in corridor.edges:
+        full, cut = full_trace(cam[a], cam[b], K), _edge_pixels(cam[a], cam[b], K)
+        if full is None:
+            continue
+        full_steps += len(full[4])
+        if cut is None:
+            continue
+        cut_steps += len(cut[4])
+        assert len(cut[4]) <= max(K.width, K.height) + 8
+        assert cut[5] == full[5]  # s and steps still refer to the whole segment
+        k = np.rint(cut[4] * cut[5]).astype(int)
+        assert np.array_equal(cut[4], full[4][k]) and np.array_equal(cut[2], full[2][k])
+    assert full_steps > 40000 and cut_steps < 2000
+
+    rng = np.random.default_rng(71)
+    traj = standard_trajectory()
+    scenes = [corridor_scene(), (cube_model, traj.pose(0)), (cube_model, traj.pose(30))]
+    for _ in range(4):  # cameras inside or beside a random model
+        model = random_convex_model(rng)
+        center = rng.normal(size=3)
+        center *= rng.uniform(5.0, 40.0) / np.linalg.norm(center)
+        scenes.append((model, look_at_pose(center, rng.normal(size=3), down=rng.normal(size=3))))
+    for model, scene_pose in scenes:
+        id_buf, depth_buf = render_id_buffer(model, scene_pose, K)
+        frame = render_frame_gray(model, scene_pose, K, sigma=0.0).pixels
+        with monkeypatch.context() as m:
+            m.setattr(rasterizer, "_edge_pixels", full_trace)
+            m.setattr(harness, "_edge_pixels", full_trace)
+            ref_id, ref_depth = render_id_buffer(model, scene_pose, K)
+            ref_frame = render_frame_gray(model, scene_pose, K, sigma=0.0).pixels
+        assert np.array_equal(id_buf.rgb, ref_id.rgb)
+        assert np.array_equal(depth_buf.depth, ref_depth.depth)
+        assert np.array_equal(frame, ref_frame)
 
 
 def test_render_noise_changes_with_rng(cube_model, qvga_camera):
@@ -202,6 +273,46 @@ def test_run_tracking_coasts_then_loses(tmp_path, cube_model, qvga_camera):
         assert ang == 0.0 and dist == 0.0  # carries the last good pose
 
 
+def test_run_tracking_survives_numeric_faults(tmp_path, cube_model, qvga_camera, monkeypatch):
+    # A fixed-point overflow or domain error, or a point projected behind
+    # the camera, fails its frame as too few matches do: the frame coasts,
+    # then is lost, and the run still writes one record per frame.
+    import edgetrack.harness as harness
+    from edgetrack.geometry import BehindCameraError
+    from edgetrack.realmath import MathDomainError, MathOverflowError
+
+    traj = standard_trajectory(7)
+    generate_sequence(cube_model, qvga_camera, traj, sigma=0.0,
+                      out_dir=tmp_path / "s", seed=0)
+    faults = {1: MathOverflowError, 2: MathDomainError, 3: BehindCameraError, 4: MathOverflowError}
+    calls = iter(range(7))
+    track_frame = harness.track_frame
+
+    def faulty_track_frame(*args):
+        k = next(calls)
+        if k in faults:
+            raise faults[k](f"injected into frame {k}")
+        return track_frame(*args)
+
+    monkeypatch.setattr(harness, "track_frame", faulty_track_frame)
+    records = run_tracking(tmp_path / "s", cube_model, qvga_camera, TrackerConfig(),
+                           traj.pose(0), coast_frames=3, out_dir=tmp_path / "run")
+    statuses = ["ok", "coast", "coast", "coast", "lost", "ok", "ok"]
+    assert [r.status for r in records] == statuses
+    stats = [line.split(",") for line in (tmp_path / "run" / STATS_NAME).read_text().splitlines()]
+    header = stats[0]
+    assert header[-3:] == ["status", "projected", "attempts"]
+    assert [row[header.index("status")] for row in stats[1:]] == statuses
+    for row, r in zip(stats[1:], records):
+        projected, sampled, matched = (int(row[header.index(k)]) for k in ("projected", "sampled", "matched"))
+        assert projected == r.projected and int(row[header.index("attempts")]) == r.attempts
+        if r.status == "ok":
+            assert projected >= sampled >= matched >= 6 and r.attempts >= r.iters
+        else:
+            assert projected == sampled == matched == r.attempts == 0
+    assert len(load_pose_csv(tmp_path / "run" / POSES_NAME)) == 7
+
+
 def test_run_tracking_missing_frames_raises(tmp_path, cube_model, qvga_camera):
     (tmp_path / "empty").mkdir()
     with pytest.raises(FileNotFoundError):
@@ -252,7 +363,7 @@ def test_profile_share_accounting():
 
     records = [
         FrameRecord(frame=k, pose=PoseSE3(np.zeros(3), np.zeros(3)),
-                    sampled=50, matched=40, err=1.0, iters=3, attempts=4,
+                    projected=60, sampled=50, matched=40, err=1.0, iters=3, attempts=4,
                     t_total=0.010, t_visible=0.004, t_gray=0.001,
                     t_me=0.003, t_pose=0.001, status="ok")
         for k in range(5)

@@ -370,3 +370,80 @@ def test_track_frame_blank_image_raises_insufficient(cube_model, qvga_camera):
     gray = GrayImage(pixels=np.full((240, 320), 200, dtype=np.uint8))
     with pytest.raises(InsufficientMeasurementsError):
         track_frame(cube_pose(), gray, cube_model, qvga_camera, TrackerConfig())
+
+
+# ---------------------------------------------------------------------------
+# The array system build against the per-point scalar loop it replaced.
+
+def ref_normal_system(measurements, R, t, Kb, be):
+    """(cost, JᵀJ, Jᵀr) accumulated point by point, left to right."""
+    from edgetrack.geometry import project_point
+    from edgetrack.pose_estimation import _jacobian_row
+
+    rs, rows = [], []
+    for m in measurements:
+        p, v, c = project_point(m.X, R, t, Kb, be)
+        rs.append(residual(p, m.match, m.n))
+        rows.append(_jacobian_row(v, c, m.n, Kb))
+    cost = be.zero
+    for r in rs:
+        cost = cost + r * r
+    A = [[be.zero] * 6 for _ in range(6)]
+    g = [be.zero] * 6
+    for r, row in zip(rs, rows):
+        for i in range(6):
+            g[i] = g[i] + row[i] * r
+            for j in range(i, 6):
+                A[i][j] = A[i][j] + row[i] * row[j]
+    for i in range(6):
+        for j in range(i):
+            A[i][j] = A[j][i]
+    return cost, A, g
+
+
+def scalar_bits(v):
+    return ("raw", v.raw) if hasattr(v, "raw") else ("float", float(v))
+
+
+@pytest.mark.parametrize("be", [FLOAT, Q40, Q47], ids=["float", "q40_23", "q47_16"])
+def test_normal_system_matches_scalar_reference(be, cube_model, qvga_camera):
+    from edgetrack.geometry import exp_map
+    from edgetrack.pose_estimation import _build_system, _columns, _normal_equations, _sum_squares
+
+    pose = cube_pose()
+    ms = synthetic_measurements(cube_model, pose, qvga_camera)
+    rng = np.random.default_rng(505)
+    Kb = qvga_camera.to_backend(be)
+    for _ in range(4):
+        start = perturbed_pose(pose, np.radians(2.0), 3.0, rng)
+        noisy = [ControlPoint(edge_index=m.edge_index, p=m.p, n=m.n, X=m.X,
+                              match=tuple(float(v) for v in np.add(m.match, rng.normal(0, 1, 2))))
+                 for m in ms]
+        bms = noisy if be is FLOAT else measurements_to_backend(noisy, be)
+        R = exp_map(tuple(be.from_float(w) for w in start.omega), be)
+        t = [be.from_float(v) for v in start.t]
+        cost, A, g = ref_normal_system(bms, R, t, Kb, be)
+        rs, rows = _build_system(_columns(bms, be), R, t, Kb, be)
+        A2, g2 = _normal_equations(rs, rows, be)
+        assert scalar_bits(_sum_squares(rs, be)) == scalar_bits(cost)
+        assert [[scalar_bits(v) for v in row] for row in A2] == [[scalar_bits(v) for v in row] for row in A]
+        assert [scalar_bits(v) for v in g2] == [scalar_bits(v) for v in g]
+
+
+def test_normal_system_overflow_raises_like_scalar(qvga_camera):
+    # A point 2 um in front of the camera drives its Jacobian row, and the
+    # JᵀJ products, past the Q40.23 range: both forms raise, never wrap.
+    from edgetrack.pose_estimation import _build_system, _columns, _normal_equations
+    from edgetrack.realmath import MathOverflowError
+
+    K = qvga_camera
+    Kb = K.to_backend(Q40)
+    pts = [ControlPoint(edge_index=0, p=(0.0, 0.0), n=(0.6, 0.8), X=(x, 1.0, z), match=(100.0, 90.0))
+           for x, z in ((10.0, 150.0), (-20.0, 140.0), (30.0, 0.002))]
+    bms = measurements_to_backend(pts, Q40)
+    R = [[Q40.one, Q40.zero, Q40.zero], [Q40.zero, Q40.one, Q40.zero], [Q40.zero, Q40.zero, Q40.one]]
+    t = [Q40.zero, Q40.zero, Q40.zero]
+    with pytest.raises(MathOverflowError):
+        ref_normal_system(bms, R, t, Kb, Q40)
+    with pytest.raises(MathOverflowError):
+        _normal_equations(*_build_system(_columns(bms, Q40), R, t, Kb, Q40), Q40)

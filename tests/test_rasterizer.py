@@ -22,7 +22,6 @@ from edgetrack.rasterizer import (
     visibility_oracle,
     _clip_polygon_near,
     _clip_segment_near,
-    _edge_face_adjacency,
     _fill_triangle,
 )
 
@@ -155,7 +154,7 @@ def reference_render(model, pose, K):
             _fill_triangle(depth, owner, fi, [poly[0], poly[j], poly[j + 1]], K)
     rgb = np.zeros((K.height, K.width, 3), dtype=np.uint8)
     edge_depth = np.full((K.height, K.width), np.inf)
-    for i, own_faces in enumerate(_edge_face_adjacency(model)):
+    for i, own_faces in enumerate(model.edge_faces):
         seg = _clip_segment_near(cam[model.edges[i][0]], cam[model.edges[i][1]])
         if seg is None:
             continue

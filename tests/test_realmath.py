@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from edgetrack.realmath import (
+    FixedArray,
     FixedBackend,
     FixedQ40_23,
     FixedQ47_16,
@@ -302,3 +303,163 @@ def test_backend_constants_consistent():
         be = get_backend(name)
         assert be.to_float(be.one) == 1.0
         assert be.to_float(be.zero) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# FixedArray: the array half must match FixedPoint operation by operation.
+
+def random_raw_values(rng, count):
+    """Raw words over every magnitude, both signs, and the range ends."""
+    ends = [-(1 << 63), -(1 << 63) + 1, (1 << 63) - 1, (1 << 63) - 2, 0, 1, -1]
+    out = []
+    for _ in range(count):
+        if rng.random() < 0.1:
+            out.append(int(rng.choice(ends)))
+        else:
+            bits = int(rng.integers(0, 64))
+            out.append(int(rng.integers(-(1 << bits), 1 << bits, endpoint=True)) if bits < 63
+                       else int(rng.integers(-(1 << 63), (1 << 63) - 1, endpoint=True)))
+    return out
+
+
+def scalar_outcome(fn):
+    """Raw result of a scalar operation, or the class of what it raised."""
+    try:
+        out = fn()
+    except (MathOverflowError, ZeroDivisionError) as exc:
+        return type(exc)
+    return out.raw
+
+
+BINARY_OPS = [
+    ("add", lambda a, b: a + b),
+    ("sub", lambda a, b: a - b),
+    ("mul", lambda a, b: a * b),
+    ("div", lambda a, b: a / b),
+]
+
+
+@pytest.mark.parametrize("cls", FIXED_CLASSES)
+def test_fixed_array_matches_scalar_per_element(cls):
+    rng = np.random.default_rng(606)
+    a_raw = random_raw_values(rng, 1500)
+    b_raw = random_raw_values(rng, 1500)
+    ints = [int(v) for v in rng.integers(-(1 << 45), 1 << 45, 1500)]
+    raised = 0
+    for a, b, k in zip(a_raw, b_raw, ints):
+        fa = FixedArray(np.array([a], dtype=np.int64), cls)
+        fb = FixedArray(np.array([b], dtype=np.int64), cls)
+        ka = np.array([k], dtype=np.int64)
+        cases = [(name, lambda op=op: op(cls(a), cls(b)), lambda op=op: op(fa, fb))
+                 for name, op in BINARY_OPS]
+        cases += [(name + " int", lambda op=op: op(cls(a), k), lambda op=op: op(fa, ka))
+                  for name, op in BINARY_OPS]
+        cases += [(name + " rint", lambda op=op: op(k, cls(a)), lambda op=op: op(ka, fa))
+                  for name, op in BINARY_OPS]
+        cases += [(name + " scalar", lambda op=op: op(cls(a), cls(b)), lambda op=op: op(fa, cls(b)))
+                  for name, op in BINARY_OPS]
+        cases += [("neg", lambda: -cls(a), lambda: -fa), ("abs", lambda: abs(cls(a)), lambda: abs(fa))]
+        for name, scalar, array in cases:
+            want = scalar_outcome(scalar)
+            try:
+                got = array().raw.tolist()[0]
+            except (MathOverflowError, ZeroDivisionError) as exc:
+                got = type(exc)
+            assert got == want, (name, a, b, k)
+            raised += isinstance(want, type)
+        for op in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__ne__"):
+            assert getattr(fa, op)(fb).tolist() == [getattr(cls(a), op)(cls(b))]
+            assert getattr(fa, op)(k).tolist() == [getattr(cls(a), op)(k)]
+    assert raised > 1000  # the range ends were exercised
+
+
+@pytest.mark.parametrize("cls", FIXED_CLASSES)
+def test_fixed_array_raises_where_any_element_does(cls):
+    # Whole arrays: equal to the scalar results when no element fails, and
+    # raising MathOverflowError when some element would overflow.
+    rng = np.random.default_rng(607)
+    for _ in range(400):
+        size = int(rng.integers(1, 12))
+        a = random_raw_values(rng, size)
+        b = [v if v != 0 else 1 for v in random_raw_values(rng, size)]
+        fa = FixedArray(np.array(a, dtype=np.int64), cls)
+        fb = FixedArray(np.array(b, dtype=np.int64), cls)
+        for _, op in BINARY_OPS:
+            want = [scalar_outcome(lambda x=x, y=y: op(cls(x), cls(y))) for x, y in zip(a, b)]
+            if MathOverflowError in want:
+                with pytest.raises(MathOverflowError):
+                    op(fa, fb)
+            else:
+                assert op(fa, fb).raw.tolist() == want
+
+
+def test_fixed_array_truncates_negative_products_and_quotients():
+    cls = FixedQ40_23
+    a = FixedArray(np.array([-3, -1, 3, -(5 << 23)], dtype=np.int64), cls)
+    half = cls.from_float(0.5)
+    assert (a * half).raw.tolist() == [-1, 0, 1, -(5 << 22)]
+    assert (a / 2).raw.tolist() == [-1, 0, 1, -(5 << 22)]
+    assert (a / cls.from_int(-3)).raw.tolist() == [1, 0, -1, (5 << 23) // 3]
+    with pytest.raises(ZeroDivisionError):
+        a / cls(0)
+
+
+def test_fixed_array_conversions_match_scalar():
+    rng = np.random.default_rng(608)
+    values = np.concatenate([rng.normal(0.0, 1e3, 500), rng.integers(-64, 64, 100) * 2.0 ** -24])
+    for cls in FIXED_CLASSES:
+        be = FixedBackend(cls.FORMAT)
+        scalars = [cls.from_float(float(v)) for v in values]
+        arr = be.stack(scalars)
+        assert arr.raw.tolist() == [x.raw for x in scalars]
+        assert arr.to_float().tolist() == [x.to_float() for x in scalars]
+        assert be.floor_array(arr).tolist() == [x.floor_to_int() for x in scalars]
+        assert isinstance(arr[3], cls) and arr[3].raw == arr.raw[3]
+        assert arr[2:5].raw.tolist() == arr.raw[2:5].tolist()
+        assert be.stack([arr, arr]).raw.tolist() == [arr.raw.tolist()] * 2
+
+
+def test_fixed_array_rejects_floats_and_other_formats():
+    a = FixedArray(np.array([1, 2], dtype=np.int64), FixedQ40_23)
+    b = FixedArray(np.array([1, 2], dtype=np.int64), FixedQ47_16)
+    with pytest.raises(TypeError):
+        a + b
+    with pytest.raises(TypeError):
+        a * 0.5
+    with pytest.raises(TypeError):
+        a + np.array([0.5, 0.5])
+    with pytest.raises(TypeError):
+        bool(a)
+
+
+@pytest.mark.parametrize("cls", FIXED_CLASSES)
+def test_row_sums_match_scalar_accumulation(cls):
+    rng = np.random.default_rng(609)
+    for size in (0, 1, 7, 80):
+        rows = [random_raw_values(rng, size) for _ in range(4)]
+        rows.append([(1 << 62)] * size)  # partial sums leave the range from the 2nd term
+        got = FixedArray(np.array(rows, dtype=np.int64).reshape(len(rows), size), cls)
+        for row in rows:
+            acc = cls(0)
+            try:
+                for v in row:
+                    acc = acc + cls(v)
+                want = acc.raw
+            except MathOverflowError:
+                want = MathOverflowError
+            single = FixedArray(np.array(row, dtype=np.int64), cls)
+            try:
+                assert single.row_sums()[0].raw == want
+            except MathOverflowError:
+                assert want is MathOverflowError
+    # Float rows add left to right from 0.0, as a loop does.
+    values = rng.normal(0.0, 1.0, (3, 1000)) * 10.0 ** rng.integers(-8, 8, (3, 1000))
+    loop = []
+    for row in values:
+        acc = 0.0
+        for v in row.tolist():
+            acc += v
+        loop.append(acc)
+    assert FloatBackend.row_sums(values) == loop
+    assert FloatBackend.row_sums(np.array([[-0.0, -0.0]])) == [0.0]
+    assert math.copysign(1.0, FloatBackend.row_sums(np.array([[-0.0, -0.0]]))[0]) == 1.0

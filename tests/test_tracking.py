@@ -1,5 +1,7 @@
 """Control-point sampling and the 1D gradient search."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -346,3 +348,258 @@ def test_collect_fixed_backend_matches_float_counts(cube_model, qvga_camera):
     for cf, cq in zip(ms_f.points, ms_q.points):
         assert Q40.to_float(cq.p[0]) == pytest.approx(cf.p[0], abs=1e-3)
         assert Q40.to_float(cq.p[1]) == pytest.approx(cf.p[1], abs=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# The array stage against per-point scalar references.  These are the
+# per-point loops the stage ran before it worked on arrays; every backend
+# must give the same bits.
+
+def ref_bilinear_sample(gray, x, y, backend):
+    x0 = backend.floor_to_int(x)
+    y0 = backend.floor_to_int(y)
+    if x0 < 0 or y0 < 0 or x0 + 1 >= gray.width or y0 + 1 >= gray.height:
+        return None
+    fx = x - x0
+    fy = y - y0
+    px = gray.pixels
+    i00 = int(px[y0, x0])
+    i10 = int(px[y0, x0 + 1])
+    i01 = int(px[y0 + 1, x0])
+    i11 = int(px[y0 + 1, x0 + 1])
+    top = i00 + fx * (i10 - i00)
+    bottom = i01 + fx * (i11 - i01)
+    return top + fy * (bottom - top)
+
+
+def ref_search(gray, p, n, cfg, backend):
+    """(match, likelihood) of one control point; (None, None) without one."""
+    r = cfg.search_range
+    (px, py), (nx, ny) = p, n
+    intensities = {s: ref_bilinear_sample(gray, px + s * nx, py + s * ny, backend)
+                   for s in range(-r - 1, r + 2)}
+    best_s = best_l = None
+    for s in sorted(range(-r, r + 1), key=lambda v: (abs(v), v)):
+        before, after = intensities[s - 1], intensities[s + 1]
+        if before is None or after is None:
+            continue
+        likelihood = abs(after - before) / 2
+        if best_l is None or likelihood > best_l:
+            best_l, best_s = likelihood, s
+    if best_l is not None and best_l >= backend.from_float(cfg.gradient_threshold):
+        return (px + best_s * nx, py + best_s * ny), best_l
+    return None, None
+
+
+def ref_is_point_visible(p, edge_index, id_buffer):
+    def round_px(v):
+        return math.floor(v + 0.5) if v >= 0.0 else math.ceil(v - 0.5)
+
+    x, y = round_px(float(p[0])), round_px(float(p[1]))
+    if not (0 <= x < id_buffer.width and 0 <= y < id_buffer.height):
+        return False
+    for ny in range(max(0, y - 1), min(id_buffer.height, y + 2)):
+        for nx in range(max(0, x - 1), min(id_buffer.width, x + 2)):
+            if id_buffer.decode_at(nx, ny) == edge_index:
+                return True
+    return False
+
+
+def ref_sample_control_points(segment, cfg, backend):
+    """[(t, p)] of one segment, and its normal."""
+    (ax, ay), (bx, by) = segment
+    dx, dy = bx - ax, by - ay
+    length = backend.sqrt(dx * dx + dy * dy)
+    step = backend.from_float(cfg.sampling_step)
+    n = backend.floor_to_int(length / step)
+    if n == 0:
+        if not (length + length >= step):
+            return [], None
+        n = 1
+    out = []
+    for k in range(n):
+        t = backend.from_float(k + 0.5) / backend.from_int(n)
+        out.append((t, (ax + t * dx, ay + t * dy)))
+    return out, (-(dy / length), dx / length)
+
+
+def ref_collect_measurements(model, pose, K, gray, id_buffer, cfg, be):
+    """(matched ControlPoints, n_projected, n_sampled) from the per-point loop."""
+    from edgetrack.geometry import exp_map, mat_vec, project_cam
+    from edgetrack.rasterizer import NEAR_PLANE_MM
+    from edgetrack.tracking import _clip_unit_interval
+
+    R = exp_map(tuple(be.from_float(w) for w in pose.omega), be)
+    t = tuple(be.from_float(v) for v in pose.t)
+    Kb = K.to_backend(be)
+    near = be.from_float(NEAR_PLANE_MM)
+    u_max, v_max = be.from_int(K.width - 1), be.from_int(K.height - 1)
+    matched, n_projected, n_sampled = [], 0, 0
+    for i, e in enumerate(model.edges):
+        wa = tuple(be.from_float(c) for c in model.vertices[e[0]])
+        wb = tuple(be.from_float(c) for c in model.vertices[e[1]])
+        ca, cb = mat_vec(R, wa), mat_vec(R, wb)
+        ca = (ca[0] + t[0], ca[1] + t[1], ca[2] + t[2])
+        cb = (cb[0] + t[0], cb[1] + t[1], cb[2] + t[2])
+        za, zb = ca[2], cb[2]
+        if za < near and zb < near:
+            continue
+        s0 = be.zero if za >= near else (near - za) / (zb - za)
+        s1 = be.one if zb >= near else (near - za) / (zb - za)
+        wa2 = tuple(wa[j] + s0 * (wb[j] - wa[j]) for j in range(3))
+        wb2 = tuple(wa[j] + s1 * (wb[j] - wa[j]) for j in range(3))
+        ca2 = tuple(ca[j] + s0 * (cb[j] - ca[j]) for j in range(3))
+        cb2 = tuple(ca[j] + s1 * (cb[j] - ca[j]) for j in range(3))
+        za2, zb2 = ca2[2], cb2[2]
+        ua, va = project_cam(ca2, Kb)
+        ub, vb = project_cam(cb2, Kb)
+        du, dv = ub - ua, vb - va
+        span = _clip_unit_interval(
+            [(ua, du), (u_max - ua, -du), (va, dv), (v_max - va, -dv)], be, be.zero, be.one)
+        if span is None:
+            continue
+        t_lo, t_hi = span
+        a2 = (ua + t_lo * du, va + t_lo * dv)
+        b2 = (ua + t_hi * du, va + t_hi * dv)
+        samples, normal = ref_sample_control_points((a2, b2), cfg, be)
+        n_projected += len(samples)
+        for tk, p in samples:
+            if not ref_is_point_visible((be.to_float(p[0]), be.to_float(p[1])), i, id_buffer):
+                continue
+            n_sampled += 1
+            t2 = t_lo + tk * (t_hi - t_lo)
+            t3 = t2 * za2 / (zb2 + t2 * (za2 - zb2))
+            X = tuple(wa2[j] + t3 * (wb2[j] - wa2[j]) for j in range(3))
+            match, likelihood = ref_search(gray, p, normal, cfg, be)
+            if match is not None:
+                matched.append(ControlPoint(edge_index=i, p=p, n=normal, X=X, match=match,
+                                            likelihood=likelihood))
+    return matched, n_projected, n_sampled
+
+
+def bits(v):
+    """Exact identity of a backend scalar: the raw word or the float."""
+    return ("raw", v.raw) if hasattr(v, "raw") else ("float", float(v))
+
+
+def random_gray(rng, h=60, w=70):
+    # Smooth-ish content so a fair share of searches clear the threshold.
+    base = rng.integers(0, 256, (h // 6 + 2, w // 6 + 2)).astype(float)
+    img = np.kron(base, np.ones((6, 6)))[:h, :w] + rng.normal(0.0, 8.0, (h, w))
+    return GrayImage(pixels=np.clip(img, 0, 255).astype(np.uint8))
+
+
+@pytest.mark.parametrize("be", [FLOAT, Q40, Q47], ids=["float", "q40_23", "q47_16"])
+def test_bilinear_and_search_match_scalar_reference(be):
+    rng = np.random.default_rng(401)
+    gray = random_gray(rng)
+    cfg = default_cfg()
+    hits = misses = off = 0
+    for _ in range(150):
+        # Positions reach past the image so some samples fall off it.
+        x, y = (be.from_float(float(v)) for v in rng.uniform(-4.0, 74.0, 2))
+        want = ref_bilinear_sample(gray, x, y, be)
+        got = bilinear_sample(gray, x, y, be)
+        assert (got is None) == (want is None)
+        off += got is None
+        if got is not None:
+            assert bits(got) == bits(want)
+        ang = rng.uniform(0.0, 2 * np.pi)
+        n = (be.from_float(float(np.cos(ang))), be.from_float(float(np.sin(ang))))
+        match, likelihood = ref_search(gray, (x, y), n, cfg, be)
+        cp = search_correspondence(gray, ControlPoint(edge_index=0, p=(x, y), n=n), cfg, be)
+        if match is None:
+            assert cp.match is None and cp.likelihood is None
+            misses += 1
+        else:
+            assert [bits(v) for v in cp.match] == [bits(v) for v in match]
+            assert bits(cp.likelihood) == bits(likelihood)
+            hits += 1
+    assert hits > 20 and misses > 5 and off > 5
+
+
+@pytest.mark.parametrize("be", [FLOAT, Q40, Q47], ids=["float", "q40_23", "q47_16"])
+def test_search_ties_prefer_nearest_then_negative_offset(be):
+    # Intensity symmetric about x = 30: the likelihoods at s and -s are
+    # equal, so only the tie order decides the side of the match.
+    for profile in ((0, 0, 0, 200, 200, 0, 0, 0), (0, 90, 90, 90, 0, 0, 0, 0)):
+        row = np.full(61, 255, dtype=np.uint8)
+        row[22:30] = profile
+        row[31:39] = profile[::-1]
+        gray = GrayImage(pixels=np.tile(row, (40, 1)))
+        p, n = (be.from_float(30.0), be.from_float(20.0)), (be.from_float(1.0), be.from_float(0.0))
+        match, likelihood = ref_search(gray, p, n, default_cfg(), be)
+        cp = search_correspondence(gray, ControlPoint(edge_index=0, p=p, n=n), default_cfg(), be)
+        assert be.to_float(match[0]) < 30.0
+        assert [bits(v) for v in cp.match] == [bits(v) for v in match]
+        assert bits(cp.likelihood) == bits(likelihood)
+
+
+def test_visibility_matches_scalar_reference(cube_model, qvga_camera):
+    from edgetrack.rasterizer import is_point_visible, points_visible
+
+    rng = np.random.default_rng(402)
+    pose = look_at_pose(np.array([40.0, -35.0, -130.0]), np.zeros(3), np.array([0.0, 1.0, 0.0]))
+    id_buf, _ = render_id_buffer(cube_model, pose, qvga_camera)
+    uv, _ = project_np(cube_model.vertices, exp_map_np(pose.omega), pose.t, qvga_camera)
+    pts, edges = [], []
+    for i, (a, b) in enumerate(cube_model.edges):
+        for s in rng.uniform(-0.1, 1.1, 40):
+            pts.append(uv[a] + s * (uv[b] - uv[a]) + rng.uniform(-2.0, 2.0, 2))
+            edges.append(i)
+    # Ties at half pixels, both signs, and the image border.
+    pts += [(-0.5, 10.0), (0.5, 10.0), (-1.5, 3.0), (319.5, 20.0), (318.5, 239.5), (-0.49, -0.49)]
+    edges += [0] * 6
+    pts = np.array(pts)
+    want = [ref_is_point_visible(p, e, id_buf) for p, e in zip(pts, edges)]
+    got = points_visible(pts[:, 0], pts[:, 1], np.array(edges), id_buf)
+    assert got.tolist() == want
+    assert [is_point_visible(p, e, id_buf) for p, e in zip(pts, edges)] == want
+    assert 100 < sum(want) < len(want) - 100
+
+    # Random small buffers, points on the half-pixel grid: rounding ties of
+    # both signs and every border neighbourhood.
+    from edgetrack.rasterizer import IdBuffer, encode_edge_id
+
+    for _ in range(20):
+        buf = IdBuffer(7, 5)
+        ids = rng.integers(-1, 3, (5, 7))
+        for (y, x), i in np.ndenumerate(ids):
+            if i >= 0:
+                buf.rgb[y, x] = encode_edge_id(int(i))
+        pts = rng.integers(-5, 17, (60, 2)) * 0.5
+        edges = rng.integers(0, 3, 60)
+        want = [ref_is_point_visible(p, e, buf) for p, e in zip(pts, edges)]
+        assert points_visible(pts[:, 0], pts[:, 1], edges, buf).tolist() == want
+
+
+@pytest.mark.parametrize("be", [FLOAT, Q40, Q47], ids=["float", "q40_23", "q47_16"])
+def test_collect_measurements_matches_scalar_reference(be, cube_model, qvga_camera):
+    from conftest import random_convex_model, random_orbit_pose
+    from edgetrack.harness import render_frame_gray
+
+    rng = np.random.default_rng(403)
+    scenes = [(cube_model, look_at_pose(np.array([40.0, -35.0, -130.0]), np.zeros(3),
+                                        np.array([0.0, 1.0, 0.0])))]
+    scenes += [(random_convex_model(rng), random_orbit_pose(rng, (90.0, 160.0))) for _ in range(2)]
+    cfg = default_cfg()
+    for model, pose in scenes:
+        gray = render_frame_gray(model, pose, qvga_camera, sigma=3.0, rng=rng)
+        # Track from a pose off the truth, as a tracker does.
+        start = perturbed_start(pose, rng)
+        id_buf, _ = render_id_buffer(model, start, qvga_camera)
+        want, n_projected, n_sampled = ref_collect_measurements(
+            model, start, qvga_camera, gray, id_buf, cfg, be)
+        ms = collect_measurements(model, start, qvga_camera, gray, id_buf, cfg, be)
+        assert (ms.n_projected, ms.n_sampled, ms.n_matched) == (n_projected, n_sampled, len(want))
+        for got, ref in zip(ms.points, want):
+            assert got.edge_index == ref.edge_index
+            for field in ("p", "n", "X", "match"):
+                assert [bits(v) for v in getattr(got, field)] == [bits(v) for v in getattr(ref, field)]
+            assert bits(got.likelihood) == bits(ref.likelihood)
+
+
+def perturbed_start(pose, rng):
+    from conftest import perturbed_pose
+
+    return perturbed_pose(pose, np.radians(1.0), 1.5, rng)
