@@ -12,12 +12,19 @@ from .geometry import (
 from .imaging import ColorImage, GrayImage, ImageFormatError, load_image, save_image, to_gray
 from .pose_estimation import (
     DegenerateGeometryError,
+    FrameSizeError,
     FrameStats,
     LMSettings,
     solve_lm,
     track_frame,
 )
-from .rasterizer import CapacityError, is_point_visible, render_id_buffer, visibility_oracle
+from .rasterizer import (
+    CapacityError,
+    is_point_visible,
+    render_depth_buffer,
+    render_id_buffer,
+    visibility_oracle,
+)
 from .realmath import (
     BACKEND_NAMES,
     FixedPoint,
@@ -45,6 +52,7 @@ __all__ = [
     "ControlPoint",
     "DegenerateGeometryError",
     "FixedPoint",
+    "FrameSizeError",
     "FrameStats",
     "GrayImage",
     "ImageFormatError",
@@ -64,6 +72,7 @@ __all__ = [
     "load_image",
     "load_model",
     "look_at_pose",
+    "render_depth_buffer",
     "render_id_buffer",
     "save_image",
     "solve_lm",

@@ -61,14 +61,19 @@ class WireframeModel:
             )
 
     @cached_property
-    def edge_faces(self) -> list[set]:
-        """For each edge, the indices of faces containing both its endpoints."""
-        by_pair: dict[tuple[int, int], set] = {}
+    def edge_faces(self) -> np.ndarray:
+        """For each edge, the indices of faces containing both its endpoints:
+        an (E, m) int array, rows padded with -2, which is no face index."""
+        by_pair: dict[tuple[int, int], list] = {}
         for fi, f in enumerate(self.faces.tolist()):
             a, b, c = f
             for p in ((a, b), (b, c), (a, c)):
-                by_pair.setdefault((min(p), max(p)), set()).add(fi)
-        return [by_pair.get((min(a, b), max(a, b)), set()) for a, b in self.edges.tolist()]
+                by_pair.setdefault((min(p), max(p)), []).append(fi)
+        rows = [by_pair.get((min(a, b), max(a, b)), []) for a, b in self.edges.tolist()]
+        table = np.full((len(rows), max([1, *map(len, rows)])), -2, dtype=np.int64)
+        for row, fs in zip(table, rows):
+            row[:len(fs)] = fs
+        return table
 
 
 @dataclass(frozen=True)

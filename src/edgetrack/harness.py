@@ -23,15 +23,22 @@ from .geometry import (
     PoseSE3,
     WireframeModel,
     look_at_pose,
-    transform_np,
 )
-from .imaging import ColorImage, GrayImage, frame_filename, load_image, save_image
-from .pose_estimation import DegenerateGeometryError, LMSettings, track_frame
+from .imaging import (
+    ColorImage,
+    GrayImage,
+    ImageFormatError,
+    frame_filename,
+    load_image,
+    save_image,
+    to_gray,
+)
+from .pose_estimation import DegenerateGeometryError, FrameSizeError, LMSettings, track_frame
 from .rasterizer import (
-    _edge_pixels,
     decode_id_array,
     depth_buffer_to_image,
     id_buffer_to_image,
+    render_depth_buffer,
     render_id_buffer,
 )
 from .realmath import MathDomainError, MathOverflowError
@@ -111,30 +118,26 @@ def standard_trajectory(frames: int = STANDARD_FRAMES) -> OrbitTrajectory:
 def _visible_runs(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics):
     """Visible parts of each edge as 2D sub-segments.
 
-    Walks the ID buffer along each edge's pixel trace and keeps maximal runs
-    the edge owns, so the drawn lines inherit the rasterizer's hidden-line
-    decisions.
+    Walks the ID buffer along the edge trace it was rendered from and keeps
+    maximal runs of steps the edge owns, so the drawn lines inherit the
+    rasterizer's hidden-line decisions.  Only the traced pixels are decoded.
     """
-    id_buf, _ = render_id_buffer(model, pose, K)
-    ids = decode_id_array(id_buf.rgb)
-    cam = transform_np(model.vertices, pose.rotation(), pose.t)
-    runs = []
-    for i, e in enumerate(model.edges):
-        trace = _edge_pixels(cam[e[0]], cam[e[1]], K)
-        if trace is None:
-            continue
-        _, uv, xi, yi, taus, steps = trace
-        pa, pb = np.array(uv)
-        inside = (xi >= 0) & (xi < K.width) & (yi >= 0) & (yi < K.height)
-        owned = np.zeros(len(taus) + 2, dtype=np.int8)  # zero-padded both ends
-        owned[1:-1][inside] = ids[yi[inside], xi[inside]] == i
-        flips = np.diff(owned)
-        pad = 0.5 / steps  # half a step
-        for k0, k1 in zip(np.flatnonzero(flips == 1), np.flatnonzero(flips == -1) - 1):
-            t0 = max(0.0, taus[k0] - pad)
-            t1 = min(1.0, taus[k1] + pad)
-            runs.append((pa + t0 * (pb - pa), pa + t1 * (pb - pa)))
-    return runs
+    id_buf = render_id_buffer(model, pose, K)
+    tr = id_buf.trace
+    inside = (tr.x >= 0) & (tr.x < K.width) & (tr.y >= 0) & (tr.y < K.height)
+    owned = np.zeros(len(tr.s), dtype=bool)
+    owned[inside] = decode_id_array(id_buf.rgb[tr.y[inside], tr.x[inside]]) == tr.edge[inside]
+    # A run starts at an owned step whose predecessor in the same edge is
+    # not owned, and ends at one whose successor is not.
+    chained = owned[1:] & owned[:-1] & (tr.edge[1:] == tr.edge[:-1])
+    first = np.flatnonzero(owned & ~np.append(False, chained))
+    last = np.flatnonzero(owned & ~np.append(chained, False))
+    e = tr.edge[first]
+    pad = 0.5 / tr.steps[e]  # half a step
+    t0 = np.maximum(0.0, tr.s[first] - pad)[:, None]
+    t1 = np.minimum(1.0, tr.s[last] + pad)[:, None]
+    pa, pb = tr.uv[e, 0], tr.uv[e, 1]
+    return list(zip(pa + t0 * (pb - pa), pa + t1 * (pb - pa)))
 
 
 def _draw_aa_segment(img: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -280,8 +283,9 @@ def run_tracking(sequence_dir, model: WireframeModel, K: CameraIntrinsics,
 
     Failed frames coast on the previous pose for up to coast_frames in a
     row, then report status "lost"; the run always covers every file.  A
-    frame fails on too few matches, degenerate geometry, a fixed-point
-    overflow or domain error, or a point projected behind the camera.
+    frame fails on an unreadable image file, a frame of the wrong size, too
+    few matches, degenerate geometry, a fixed-point overflow or domain
+    error, or a point projected behind the camera.
     When out_dir is set, writes the pose and stats CSVs (and optionally the
     ID/depth buffers per frame).
     """
@@ -290,24 +294,20 @@ def run_tracking(sequence_dir, model: WireframeModel, K: CameraIntrinsics,
     coasted = 0
     for idx, path in enumerate(_sequence_frames(sequence_dir)):
         t_start = time.perf_counter()
-        image = load_image(path)
-        t_loaded = time.perf_counter()
-        if isinstance(image, ColorImage):
-            from .imaging import to_gray
-
-            gray = to_gray(image)
-        else:
-            gray = image
-        t_gray = time.perf_counter() - t_loaded
+        t_gray = 0.0
         try:
+            image = load_image(path)
+            t_loaded = time.perf_counter()
+            gray = to_gray(image) if isinstance(image, ColorImage) else image
+            t_gray = time.perf_counter() - t_loaded
             pose, stats = track_frame(pose, gray, model, K, cfg)
             coasted = 0
             status = "ok"
             projected, sampled, matched = stats.projected, stats.sampled, stats.matched
             err, iters, attempts = stats.err, stats.iterations, stats.attempts
             t_visible, t_me, t_pose = stats.t_visible, stats.t_me, stats.t_pose
-        except (InsufficientMeasurementsError, DegenerateGeometryError, MathOverflowError,
-                MathDomainError, BehindCameraError):
+        except (ImageFormatError, FrameSizeError, InsufficientMeasurementsError,
+                DegenerateGeometryError, MathOverflowError, MathDomainError, BehindCameraError):
             coasted += 1
             status = "coast" if coasted <= coast_frames else "lost"
             projected = sampled = matched = iters = attempts = 0
@@ -325,7 +325,8 @@ def run_tracking(sequence_dir, model: WireframeModel, K: CameraIntrinsics,
         if dump_buffers and out_dir is not None:
             bdir = Path(out_dir) / "buffers"
             bdir.mkdir(parents=True, exist_ok=True)
-            id_buf, depth_buf = render_id_buffer(model, pose, K)
+            id_buf = render_id_buffer(model, pose, K)
+            depth_buf = render_depth_buffer(model, pose, K)
             save_image(id_buffer_to_image(id_buf), bdir / f"frame_{idx:06d}_id.ppm")
             save_image(depth_buffer_to_image(depth_buf), bdir / f"frame_{idx:06d}_depth.pgm")
     if out_dir is not None:

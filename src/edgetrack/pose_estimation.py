@@ -41,6 +41,10 @@ class DegenerateGeometryError(ValueError):
     """Measurement geometry leaves pose directions unobservable."""
 
 
+class FrameSizeError(ValueError):
+    """A frame's size differs from the camera's image size."""
+
+
 @dataclass
 class LMSettings:
     """Damping schedule and stopping rules for the pose solver.
@@ -317,16 +321,19 @@ def track_frame(prev_pose: PoseSE3, gray: GrayImage, model: WireframeModel,
 
     Renders the ID buffer at the prediction, collects matched control
     points, and runs the LM solver from the prediction.  Insufficient
-    measurements or degenerate geometry propagate to the caller, which
-    owns the coast-or-abort policy.
+    measurements, degenerate geometry or a frame of the wrong size
+    (FrameSizeError) propagate to the caller, which owns the coast-or-abort
+    policy.
     """
     from .tracking import collect_measurements
 
     if (gray.width, gray.height) != (K.width, K.height):
-        raise ValueError("image dimensions do not match the camera")
+        raise FrameSizeError(
+            f"frame is {gray.width}x{gray.height}, the camera {K.width}x{K.height}"
+        )
     be = get_backend(cfg.backend)
     t0 = time.perf_counter()
-    id_buf, _ = render_id_buffer(model, prev_pose, K)
+    id_buf = render_id_buffer(model, prev_pose, K)
     t1 = time.perf_counter()
     ms = collect_measurements(model, prev_pose, K, gray, id_buf, cfg, be)
     t2 = time.perf_counter()

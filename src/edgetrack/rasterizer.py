@@ -1,13 +1,19 @@
-"""Software rendering of edge-ID and depth buffers, and visibility testing.
+"""Software rendering of edge-ID buffers, and visibility testing.
 
-Hidden-line removal works in two passes: all triangular faces are filled into
-a depth buffer (nearest camera-space z wins, depth perspective-correct via
-linear 1/z interpolation), then each contour edge is line-stepped and its
-encoded ID color written wherever it survives the hidden-line test: the
-frontmost face at the pixel is one of the edge's own faces, or nothing was
-drawn there, or the line depth is within a small relative bias of the stored
-depth.  Edge IDs are packed into RGB with a spacing of 8 between channel
-levels; black is reserved for background.
+Hidden-line removal needs the nearest model face only where an edge is
+drawn, so face depth is evaluated only at traced edge pixels.  All contour
+edges are line-stepped in one array pass.  At each distinct on-image pixel
+of that trace, every triangle of the near-clipped, fan-triangulated faces is
+tested (bounding box and three edge functions, depth perspective-correct
+via linear 1/z interpolation) and the nearest face wins, on a tie the lower
+face index.  Each edge's encoded ID color is then written wherever it
+survives the hidden-line test: the frontmost face at the pixel is one of
+the edge's own faces, or no face covers it, or the line depth is within a
+small relative bias of the face depth; among surviving edges the nearest
+wins.  The buffer is the one a full-image z-fill of every face would give.
+`render_depth_buffer` runs the same per-pixel face query over every pixel,
+for debug dumps.  Edge IDs are packed into RGB with a spacing of 8 between
+channel levels; black is reserved for background.
 
 A pixel's edge ID answers "is this control point visible" without GPU
 occlusion queries.  An independent ray-casting oracle (`visibility_oracle`)
@@ -16,8 +22,8 @@ exists purely to cross-check the buffer-based test.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -64,6 +70,17 @@ def decode_edge_id(r: int, g: int, b: int) -> int:
     return rgb // 8 - 1
 
 
+def encode_id_array(ids) -> np.ndarray:
+    """Vectorized encode_edge_id of an int array to (..., 3) uint8 colors."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() > MAX_EDGE_ID):
+        raise CapacityError(f"edge index outside [0, {MAX_EDGE_ID}]")
+    b_code = (ids + 1) * 8
+    g_code = (b_code // 256) * 8
+    r_code = (g_code // 256) * 8
+    return (np.stack([r_code, g_code, b_code], axis=-1) % 256).astype(np.uint8)
+
+
 def decode_id_array(rgb: np.ndarray) -> np.ndarray:
     """Vectorized decode of an (h, w, 3) uint8 buffer to int32 IDs."""
     r = rgb[..., 0].astype(np.int32)
@@ -93,11 +110,16 @@ class DepthBuffer:
 
 @dataclass
 class IdBuffer:
-    """Per-pixel encoded edge-ID color; black (0,0,0) is background."""
+    """Per-pixel encoded edge-ID color; black (0,0,0) is background.
+
+    ``trace`` holds the edge steps the buffer was drawn from, when
+    render_id_buffer made it.
+    """
 
     width: int
     height: int
     rgb: np.ndarray = field(default=None)
+    trace: Optional["EdgeTrace"] = None
 
     def __post_init__(self):
         if self.rgb is None:
@@ -109,7 +131,29 @@ class IdBuffer:
 
 
 # ---------------------------------------------------------------------------
-# Rendering.
+# Edge trace.
+
+@dataclass
+class EdgeTrace:
+    """The line-stepped edges of one view, all edges in one set of arrays.
+
+    Per edge: ``uv`` (E, 2, 2) holds the projections of the near-clipped
+    ends, ``inv_z`` (E, 2) their reciprocal camera-space depths and
+    ``steps`` (E,) the step count of the whole projected segment; edges with
+    no traced step hold NaN and 0.  Per traced step, grouped by edge in edge
+    order and ascending k: ``edge``, the pixel column ``x`` and row ``y``
+    (rounded with floor(. + 0.5)) and the parameter ``s = k / steps`` from
+    uv[e, 0] to uv[e, 1].
+    """
+
+    uv: np.ndarray
+    inv_z: np.ndarray
+    steps: np.ndarray
+    edge: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    s: np.ndarray
+
 
 def _clip_polygon_near(points_cam: list[np.ndarray]) -> list[np.ndarray]:
     """Sutherland-Hodgman clip of a camera-space polygon against z >= near."""
@@ -126,86 +170,49 @@ def _clip_polygon_near(points_cam: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def _clip_segment_near(a: np.ndarray, b: np.ndarray):
-    """Clip a camera-space segment against z >= near; None when fully behind."""
-    a_in, b_in = a[2] >= NEAR_PLANE_MM, b[2] >= NEAR_PLANE_MM
-    if not a_in and not b_in:
-        return None
-    if a_in and b_in:
-        return a, b
-    s = (NEAR_PLANE_MM - a[2]) / (b[2] - a[2])
-    cross = a + s * (b - a)
-    return (cross, b) if not a_in else (a, cross)
+def _edge_pixels(a: np.ndarray, b: np.ndarray, K: CameraIntrinsics) -> EdgeTrace:
+    """Line-step camera-space segments a[i]-b[i], each clipped against the
+    near plane; a and b are (E, 3).
 
-
-def _fill_triangle(depth: np.ndarray, owner: np.ndarray, face_index: int,
-                   pts: list, K: CameraIntrinsics):
-    """Depth fill of one camera-space triangle, pixel centers at ints.
-
-    ``owner`` records which face currently holds each pixel's nearest depth;
-    the edge pass uses it for hidden-line adjacency tests.
+    Each segment steps ``steps = max(1, ceil(max(|du|, |dv|)))`` times over
+    its whole projection, but only the steps that can land on the image are
+    traced, plus at least one off-image step at each cut end; the first
+    traced step of an edge therefore never hides an on-image repeat of its
+    predecessor.  A segment wholly behind the near plane or off the image
+    has no traced step.  Pixels are neither de-duplicated nor bounds-checked.
     """
-    uv = [project_cam(p, K) for p in pts]
-    inv_z = [1.0 / p[2] for p in pts]
-    (x0, y0), (x1, y1), (x2, y2) = uv
-    area = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-    if area == 0.0:
-        return
-    h, w = depth.shape
-    xs_min = max(0, math.ceil(min(x0, x1, x2)))
-    xs_max = min(w - 1, math.floor(max(x0, x1, x2)))
-    ys_min = max(0, math.ceil(min(y0, y1, y2)))
-    ys_max = min(h - 1, math.floor(max(y0, y1, y2)))
-    if xs_min > xs_max or ys_min > ys_max:
-        return
-    xs = np.arange(xs_min, xs_max + 1, dtype=np.float64)
-    ys = np.arange(ys_min, ys_max + 1, dtype=np.float64)[:, None]
-    e12 = (x2 - x1) * (ys - y1) - (y2 - y1) * (xs - x1)  # barycentric of v0
-    e20 = (x0 - x2) * (ys - y2) - (y0 - y2) * (xs - x2)  # barycentric of v1
-    e01 = (x1 - x0) * (ys - y0) - (y1 - y0) * (xs - x0)  # barycentric of v2
-    if area > 0.0:
-        mask = (e12 >= 0.0) & (e20 >= 0.0) & (e01 >= 0.0)
-    else:
-        mask = (e12 <= 0.0) & (e20 <= 0.0) & (e01 <= 0.0)
-    if not mask.any():
-        return
-    inv_z_px = (e12 * inv_z[0] + e20 * inv_z[1] + e01 * inv_z[2]) / area
-    with np.errstate(divide="ignore"):
-        z = 1.0 / inv_z_px
-    region = depth[ys_min:ys_max + 1, xs_min:xs_max + 1]
-    owner_region = owner[ys_min:ys_max + 1, xs_min:xs_max + 1]
-    write = mask & (z < region)
-    region[write] = z[write]
-    owner_region[write] = face_index
+    n_edges = len(a)
+    a_in, b_in = a[:, 2] >= NEAR_PLANE_MM, b[:, 2] >= NEAR_PLANE_MM
+    ends = np.stack([a, b], axis=1)
+    cross = np.flatnonzero(a_in != b_in)
+    ca, cb = a[cross], b[cross]
+    s = (NEAR_PLANE_MM - ca[:, 2]) / (cb[:, 2] - ca[:, 2])
+    ends[cross, a_in[cross].astype(np.intp)] = ca + s[:, None] * (cb - ca)
 
+    live = np.flatnonzero(a_in | b_in)
+    ends = ends[live]
+    u, v = project_cam(np.moveaxis(ends, -1, 0), K)
+    ua, va, du, dv = u[:, 0], v[:, 0], u[:, 1] - u[:, 0], v[:, 1] - v[:, 0]
+    steps = np.maximum(1.0, np.ceil(np.maximum(np.abs(du), np.abs(dv)))).astype(np.int64)
+    s0, s1, hit = _margin_span(ua, va, du, dv, K)
+    k0 = np.maximum(0.0, np.floor(s0 * steps)).astype(np.int64)
+    k1 = np.minimum(steps, np.ceil(s1 * steps).astype(np.int64))
+    counts = np.where(hit, k1 - k0 + 1, 0)
 
-def _edge_pixels(a: np.ndarray, b: np.ndarray, K: CameraIntrinsics):
-    """Line-step a camera-space segment clipped against the near plane.
+    edge = np.repeat(live, counts)
+    first = np.repeat(np.cumsum(counts) - counts - k0, counts)  # row of step 0
+    at = np.repeat(np.arange(len(live)), counts)
+    s = (np.arange(len(edge)) - first) / steps[at]
+    x = np.floor(ua[at] + s * du[at] + 0.5).astype(np.int64)
+    y = np.floor(va[at] + s * dv[at] + 0.5).astype(np.int64)
 
-    Returns None when the segment lies wholly behind the near plane or off
-    the image, else ``(ends, uv, x, y, s, steps)``: the clipped camera-space
-    ends, their projections, and for each traced step k the pixel column and
-    row (rounded with floor(. + 0.5)) and the parameter s = k / steps from
-    uv[0] to uv[1].  ``steps`` and s always refer to the whole segment, but
-    only the steps that can land on the image are traced, plus at least one
-    off-image step at each cut end; the first traced step therefore never
-    hides an on-image repeat of its predecessor.  Pixels are neither
-    de-duplicated nor bounds-checked.
-    """
-    ends = _clip_segment_near(a, b)
-    if ends is None:
-        return None
-    uv = project_cam(ends[0], K), project_cam(ends[1], K)
-    (ua, va), (ub, vb) = uv
-    steps = max(1, math.ceil(max(abs(ub - ua), abs(vb - va))))
-    span = _margin_span(uv, K)
-    if span is None:
-        return None
-    k = np.arange(max(0, math.floor(span[0] * steps)), min(steps, math.ceil(span[1] * steps)) + 1)
-    s = k / steps
-    x = np.floor(ua + s * (ub - ua) + 0.5).astype(np.int64)
-    y = np.floor(va + s * (vb - va) + 0.5).astype(np.int64)
-    return ends, uv, x, y, s, steps
+    uv = np.full((n_edges, 2, 2), np.nan)
+    uv[live] = np.stack([u, v], axis=-1)
+    inv_z = np.full((n_edges, 2), np.nan)
+    inv_z[live] = 1.0 / ends[..., 2]
+    all_steps = np.zeros(n_edges, dtype=np.int64)
+    all_steps[live] = steps
+    return EdgeTrace(uv, inv_z, all_steps, edge, x, y, s)
 
 
 # A traced point rounds onto the image when it lies in [-0.5, size - 0.5)
@@ -216,71 +223,166 @@ def _edge_pixels(a: np.ndarray, b: np.ndarray, K: CameraIntrinsics):
 _MARGIN_LO = -1.5
 
 
-def _margin_span(uv, K: CameraIntrinsics):
-    """Parameter interval [s0, s1] of the projected segment inside the
-    margin box (Liang-Barsky); None when it misses the box."""
-    (ua, va), (ub, vb) = uv
-    s0, s1 = 0.0, 1.0
-    for a, b, size in ((ua, ub, K.width), (va, vb, K.height)):
-        d = b - a
-        lo, hi = _MARGIN_LO - a, size + 0.5 - a
-        if d == 0.0:
-            if lo > 0.0 or hi < 0.0:
-                return None
-            continue
-        lo, hi = (lo / d, hi / d) if d > 0.0 else (hi / d, lo / d)
-        s0, s1 = max(s0, lo), min(s1, hi)
-    return (s0, s1) if s0 <= s1 else None
+def _margin_span(ua, va, du, dv, K: CameraIntrinsics):
+    """Parameter interval [s0, s1] of each projected segment (start, delta)
+    inside the margin box (Liang-Barsky), and whether it meets the box."""
+    s0, s1 = np.zeros(len(ua)), np.ones(len(ua))
+    hit = np.ones(len(ua), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a, d, size in ((ua, du, K.width), (va, dv, K.height)):
+            lo, hi = _MARGIN_LO - a, size + 0.5 - a
+            flat = d == 0.0
+            hit &= ~(flat & ((lo > 0.0) | (hi < 0.0)))
+            lo, hi = lo / d, hi / d
+            lo, hi = np.where(d > 0.0, lo, hi), np.where(d > 0.0, hi, lo)
+            s0 = np.where(flat, s0, np.maximum(s0, lo))
+            s1 = np.where(flat, s1, np.minimum(s1, hi))
+    return s0, s1, hit & (s0 <= s1)
 
 
-def render_id_buffer(
-    model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics
-) -> tuple[IdBuffer, DepthBuffer]:
-    """Render the model's faces to depth and its edges to ID colors."""
-    depth_buf = DepthBuffer(K.width, K.height)
-    id_buf = IdBuffer(K.width, K.height)
+# ---------------------------------------------------------------------------
+# Face depth at chosen pixels.
+
+# A query tests at most this many pixel-triangle pairs at once, which
+# bounds its temporaries.
+_PAIR_CHUNK = 1 << 12
+
+
+def _triangles(model: WireframeModel, cam: np.ndarray):
+    """Camera-space triangles (T, 3, 3) of the faces clipped against the
+    near plane and fan-triangulated, with each triangle's face index."""
+    pts = cam[model.faces]
+    front = pts[:, :, 2] >= NEAR_PLANE_MM
+    whole = front.all(axis=1)
+    tris, faces = [pts[whole]], [np.flatnonzero(whole)]
+    for fi in np.flatnonzero(front.any(axis=1) & ~whole):
+        poly = _clip_polygon_near(list(pts[fi]))
+        for j in range(1, len(poly) - 1):
+            tris.append(np.array([[poly[0], poly[j], poly[j + 1]]]))
+            faces.append(np.array([fi]))
+    return np.concatenate(tris), np.concatenate(faces)
+
+
+def _face_depth(model: WireframeModel, cam: np.ndarray, K: CameraIntrinsics, pixels):
+    """Nearest face depth and its face index at each of ``pixels``, sorted
+    distinct flat indices y * width + x of pixel centers.
+
+    A pixel belongs to a triangle when it lies in the triangle's bounding
+    box and all three edge functions share the sign of its area, zero
+    included.  The depth there is perspective-correct: 1/z is interpolated
+    linearly with the barycentric weights of the edge functions.  Among the
+    triangles holding a pixel the nearest wins, on equal depth the lowest
+    face index, so the result is that of filling the faces into a depth
+    buffer in order with a strict less-than test.  Pixels no face holds get
+    depth +inf and face -1.
+    """
+    tris, faces = _triangles(model, cam)
+    u, v = project_cam(np.moveaxis(tris, -1, 0), K)
+    (x0, x1, x2), (y0, y1, y2) = u.T, v.T
+    area = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+    keep = area != 0.0
+    coef = np.stack([x0, y0, x1, y1, x2, y2, *(1.0 / tris[..., 2]).T, area], axis=1)[keep]
+    u, v, faces = u[keep], v[keep], faces[keep]
+    x_lo = np.maximum(0.0, np.ceil(u.min(axis=1)))
+    x_hi = np.minimum(K.width - 1.0, np.floor(u.max(axis=1)))
+    y_lo = np.maximum(0.0, np.ceil(v.min(axis=1)))
+    y_hi = np.minimum(K.height - 1.0, np.floor(v.max(axis=1)))
+    # The pixels are sorted by row, then column, so the pixels of one row of
+    # a bounding box are one slice [lo, hi) of them.
+    height = np.maximum(y_hi - y_lo + 1.0, 0.0).astype(np.int64)
+    tri = np.repeat(np.arange(len(faces)), height)
+    row = y_lo[tri] + (np.arange(len(tri)) - np.repeat(np.cumsum(height) - height, height))
+    lo = np.searchsorted(pixels, row * K.width + x_lo[tri])
+    n = np.maximum(np.searchsorted(pixels, row * K.width + x_hi[tri], side="right") - lo, 0)
+    ends = np.cumsum(n)
+    xs, ys = (pixels % K.width).astype(np.float64), (pixels // K.width).astype(np.float64)
+
+    hits_p, hits_z, hits_f = [], [], []
+    r0 = 0
+    while r0 < len(tri):
+        r1 = max(r0 + 1, int(np.searchsorted(ends, ends[r0] - n[r0] + _PAIR_CHUNK, side="right")))
+        c = n[r0:r1]
+        t = np.repeat(tri[r0:r1], c)
+        p = np.arange(len(t)) + np.repeat(lo[r0:r1] - (np.cumsum(c) - c), c)
+        r0 = r1
+        x, y = xs[p], ys[p]
+        x0, y0, x1, y1, x2, y2, iz0, iz1, iz2, area = coef[t].T
+        e12 = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)  # barycentric of v0
+        e20 = (x0 - x2) * (y - y2) - (y0 - y2) * (x - x2)  # barycentric of v1
+        e01 = (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)  # barycentric of v2
+        sign = np.sign(area)  # flipping a sign is exact, so the tests are too
+        inside = (e12 * sign >= 0.0) & (e20 * sign >= 0.0) & (e01 * sign >= 0.0)
+        with np.errstate(divide="ignore"):
+            z = 1.0 / ((e12 * iz0 + e20 * iz1 + e01 * iz2) / area)
+        inside &= z < np.inf
+        hits_p.append(p[inside])
+        hits_z.append(z[inside])
+        hits_f.append(faces[t[inside]])
+
+    if not hits_p:
+        return np.full(len(pixels), np.inf), np.full(len(pixels), -1)
+    return _nearest(np.concatenate(hits_p), np.concatenate(hits_z),
+                    np.concatenate(hits_f), len(pixels))
+
+
+def _nearest(group, z, rank, n: int):
+    """For each group 0..n-1 the least z of its entries and, among the
+    entries at that z, the lowest rank; +inf and -1 for an empty group."""
+    z_min = np.full(n, np.inf)
+    np.minimum.at(z_min, group, z)
+    at_min = z == z_min[group]
+    none = np.iinfo(np.int64).max
+    best = np.full(n, none)
+    np.minimum.at(best, group[at_min], rank[at_min])
+    best[best == none] = -1
+    return z_min, best
+
+
+# ---------------------------------------------------------------------------
+# Rendering.
+
+def render_id_buffer(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics) -> IdBuffer:
+    """Render the model's edges to ID colors with hidden-line removal.
+
+    Face depth is evaluated only at the on-image pixels the edges step on.
+    """
     cam = transform_np(model.vertices, pose.rotation(), pose.t)
-
-    owner = np.full((K.height, K.width), -1, dtype=np.int32)
-    for fi, f in enumerate(model.faces):
-        poly = _clip_polygon_near([cam[f[0]], cam[f[1]], cam[f[2]]])
-        for j in range(1, len(poly) - 1):  # fan-triangulate the clipped polygon
-            _fill_triangle(depth_buf.depth, owner, fi, [poly[0], poly[j], poly[j + 1]], K)
+    trace = _edge_pixels(cam[model.edges[:, 0]], cam[model.edges[:, 1]], K)
+    id_buf = IdBuffer(K.width, K.height, trace=trace)
+    e, x, y, s = trace.edge, trace.x, trace.y, trace.s
+    # Drop consecutive repeats within an edge, then pixels off the image.
+    # The stepped pixels of an edge are monotone in x and y, so afterwards
+    # each appears once per edge.
+    keep = np.ones(len(s), dtype=bool)
+    keep[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1]) | (e[1:] != e[:-1])
+    keep &= (x >= 0) & (x < K.width) & (y >= 0) & (y < K.height)
+    e, s = e[keep], s[keep]
+    pixels, at = np.unique(y[keep] * K.width + x[keep], return_inverse=True)
+    depth, owner = _face_depth(model, cam, K, pixels)
 
     # An edge pixel survives hidden-line removal when the frontmost surface
     # there is one of the edge's own faces (the edge bounds the visible
     # surface), when nothing was drawn there, or when the line depth is
-    # within the relative bias of the stored depth.  The adjacency clause
+    # within the relative bias of the face depth.  The adjacency clause
     # covers steep faces whose pixel-center depth sits well in front of the
     # exact edge depth, where any fixed bias would misjudge.
-    adjacency = model.edge_faces
-    depth = depth_buf.depth
+    inv_za, inv_zb = trace.inv_z[e, 0], trace.inv_z[e, 1]
+    z = 1.0 / (inv_za + s * (inv_zb - inv_za))
+    passes = z <= depth[at] * (1.0 + DEPTH_BIAS)
+    passes |= (model.edge_faces[e] == owner[at][:, None]).any(axis=1)
+    # Among edges crossing one pixel the nearest wins, ties to the lower ID.
+    _, edge = _nearest(at[passes], z[passes], e[passes], len(pixels))
+    drawn = edge >= 0
+    id_buf.rgb.reshape(-1, 3)[pixels[drawn]] = encode_id_array(edge[drawn])
+    return id_buf
 
-    # Among edges crossing one pixel the nearest wins, independent of order.
-    edge_depth = np.full((K.height, K.width), np.inf, dtype=np.float64)
-    for i, e in enumerate(model.edges):
-        trace = _edge_pixels(cam[e[0]], cam[e[1]], K)
-        if trace is None:
-            continue
-        (a, b), _, x, y, s, _ = trace
-        # Drop consecutive repeats, then pixels off the image.
-        keep = np.ones(len(s), dtype=bool)
-        keep[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
-        keep &= (x >= 0) & (x < K.width) & (y >= 0) & (y < K.height)
-        x, y, s = x[keep], y[keep], s[keep]
-        inv_za, inv_zb = 1.0 / a[2], 1.0 / b[2]
-        z = 1.0 / (inv_za + s * (inv_zb - inv_za))
-        passes = z <= depth[y, x] * (1.0 + DEPTH_BIAS)
-        front = owner[y, x]
-        for f in adjacency[i]:
-            passes |= front == f
-        # The stepped pixels are monotone in x and y, so after de-duplication
-        # each appears once and the writes below cannot collide.
-        write = passes & (z < edge_depth[y, x])
-        x, y = x[write], y[write]
-        edge_depth[y, x] = z[write]
-        id_buf.rgb[y, x] = encode_edge_id(i)
-    return id_buf, depth_buf
+
+def render_depth_buffer(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics) -> DepthBuffer:
+    """Nearest face depth at every pixel, by the per-pixel face query of
+    render_id_buffer; for debug dumps."""
+    cam = transform_np(model.vertices, pose.rotation(), pose.t)
+    depth, _ = _face_depth(model, cam, K, np.arange(K.width * K.height))
+    return DepthBuffer(K.width, K.height, depth.reshape(K.height, K.width))
 
 
 # ---------------------------------------------------------------------------

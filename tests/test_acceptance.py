@@ -134,7 +134,7 @@ def test_criterion_02_visibility_oracle_agreement(camera):
         model = random_convex_model(rng)
         for _ in range(20):
             pose = random_orbit_pose(rng)
-            id_buf, _ = render_id_buffer(model, pose, camera)
+            id_buf = render_id_buffer(model, pose, camera)
             R, t = pose.rotation(), pose.t
             for i, e in enumerate(model.edges):
                 a, b = model.vertices[e[0]], model.vertices[e[1]]

@@ -93,7 +93,7 @@ def test_frame_follows_id_buffer(cube_model, qvga_camera):
     K = qvga_camera
     for model, pose in scenes:
         dark = render_frame_gray(model, pose, K, sigma=0.0).pixels < 128
-        id_buf, _ = render_id_buffer(model, pose, K)
+        id_buf = render_id_buffer(model, pose, K)
         edge = decode_id_array(id_buf.rgb) != BACKGROUND
         assert edge.any()
         assert dark[edge].all()
@@ -106,25 +106,31 @@ def test_frame_follows_id_buffer(cube_model, qvga_camera):
 
 
 def full_trace(a, b, K):
-    """rasterizer._edge_pixels stepping every step of the projected
+    """rasterizer._edge_pixels stepping every step of each projected
     segment, on the image or not: the reference for the cut trace."""
     from edgetrack.geometry import project_cam
-    from edgetrack.rasterizer import _clip_segment_near
+    from edgetrack.rasterizer import EdgeTrace
+    from test_rasterizer import clip_segment_near
 
-    ends = _clip_segment_near(a, b)
-    if ends is None:
-        return None
-    uv = project_cam(ends[0], K), project_cam(ends[1], K)
-    (ua, va), (ub, vb) = uv
-    steps = max(1, math.ceil(max(abs(ub - ua), abs(vb - va))))
-    s = np.arange(steps + 1) / steps
-    x = np.floor(ua + s * (ub - ua) + 0.5).astype(np.int64)
-    y = np.floor(va + s * (vb - va) + 0.5).astype(np.int64)
-    return ends, uv, x, y, s, steps
+    uv, inv_z = np.full((len(a), 2, 2), np.nan), np.full((len(a), 2), np.nan)
+    steps = np.zeros(len(a), dtype=np.int64)
+    columns = [[np.zeros(0, dtype=np.int64)] * 3 + [np.zeros(0)]]  # edge, x, y, s
+    for i in range(len(a)):
+        ends = clip_segment_near(a[i], b[i])
+        if ends is None:
+            continue
+        uv[i] = project_cam(ends[0], K), project_cam(ends[1], K)
+        inv_z[i] = 1.0 / ends[0][2], 1.0 / ends[1][2]
+        (ua, va), (ub, vb) = uv[i]
+        steps[i] = max(1, math.ceil(max(abs(ub - ua), abs(vb - va))))
+        s = np.arange(steps[i] + 1) / steps[i]
+        x = np.floor(ua + s * (ub - ua) + 0.5).astype(np.int64)
+        y = np.floor(va + s * (vb - va) + 0.5).astype(np.int64)
+        columns.append([np.full(len(s), i), x, y, s])
+    return EdgeTrace(uv, inv_z, steps, *(np.concatenate(c) for c in zip(*columns)))
 
 
 def test_trace_steps_only_near_the_image(cube_model, qvga_camera, monkeypatch):
-    import edgetrack.harness as harness
     import edgetrack.rasterizer as rasterizer
     from edgetrack.geometry import transform_np
     from edgetrack.rasterizer import _edge_pixels
@@ -132,20 +138,19 @@ def test_trace_steps_only_near_the_image(cube_model, qvga_camera, monkeypatch):
     K = qvga_camera
     corridor, pose = corridor_scene()
     cam = transform_np(corridor.vertices, pose.rotation(), pose.t)
-    full_steps = cut_steps = 0
-    for a, b in corridor.edges:
-        full, cut = full_trace(cam[a], cam[b], K), _edge_pixels(cam[a], cam[b], K)
-        if full is None:
+    a, b = cam[corridor.edges[:, 0]], cam[corridor.edges[:, 1]]
+    full, cut = full_trace(a, b, K), _edge_pixels(a, b, K)
+    assert len(full.s) > 40000 and len(cut.s) < 2000
+    for i in range(len(corridor.edges)):
+        f, c = full.edge == i, cut.edge == i
+        if not c.any():
             continue
-        full_steps += len(full[4])
-        if cut is None:
-            continue
-        cut_steps += len(cut[4])
-        assert len(cut[4]) <= max(K.width, K.height) + 8
-        assert cut[5] == full[5]  # s and steps still refer to the whole segment
-        k = np.rint(cut[4] * cut[5]).astype(int)
-        assert np.array_equal(cut[4], full[4][k]) and np.array_equal(cut[2], full[2][k])
-    assert full_steps > 40000 and cut_steps < 2000
+        assert c.sum() <= max(K.width, K.height) + 8
+        assert cut.steps[i] == full.steps[i]  # s and steps still refer to the whole segment
+        assert np.array_equal(cut.uv[i], full.uv[i]) and np.array_equal(cut.inv_z[i], full.inv_z[i])
+        k = np.rint(cut.s[c] * cut.steps[i]).astype(int)
+        assert np.array_equal(cut.s[c], full.s[f][k]) and np.array_equal(cut.x[c], full.x[f][k])
+        assert np.array_equal(cut.y[c], full.y[f][k])
 
     rng = np.random.default_rng(71)
     traj = standard_trajectory()
@@ -156,15 +161,13 @@ def test_trace_steps_only_near_the_image(cube_model, qvga_camera, monkeypatch):
         center *= rng.uniform(5.0, 40.0) / np.linalg.norm(center)
         scenes.append((model, look_at_pose(center, rng.normal(size=3), down=rng.normal(size=3))))
     for model, scene_pose in scenes:
-        id_buf, depth_buf = render_id_buffer(model, scene_pose, K)
+        id_buf = render_id_buffer(model, scene_pose, K)
         frame = render_frame_gray(model, scene_pose, K, sigma=0.0).pixels
         with monkeypatch.context() as m:
             m.setattr(rasterizer, "_edge_pixels", full_trace)
-            m.setattr(harness, "_edge_pixels", full_trace)
-            ref_id, ref_depth = render_id_buffer(model, scene_pose, K)
+            ref_id = render_id_buffer(model, scene_pose, K)
             ref_frame = render_frame_gray(model, scene_pose, K, sigma=0.0).pixels
         assert np.array_equal(id_buf.rgb, ref_id.rgb)
-        assert np.array_equal(depth_buf.depth, ref_depth.depth)
         assert np.array_equal(frame, ref_frame)
 
 
@@ -311,6 +314,62 @@ def test_run_tracking_survives_numeric_faults(tmp_path, cube_model, qvga_camera,
         else:
             assert projected == sampled == matched == r.attempts == 0
     assert len(load_pose_csv(tmp_path / "run" / POSES_NAME)) == 7
+
+
+@pytest.mark.parametrize("backend", ["float", "q40_23", "q47_16"])
+@pytest.mark.parametrize("first_fault", ["truncated", "small"])
+def test_run_tracking_coasts_over_bad_frames(tmp_path, cube_model, qvga_camera, backend, first_fault):
+    # A truncated PGM and a frame of the wrong size fail their frame as too
+    # few matches do: with coast_frames=1, frame 10 coasts, frame 11 (the
+    # other fault) is lost, and tracking resumes at frame 12.  The run
+    # writes one record per frame and both CSVs.
+    from edgetrack.imaging import GrayImage, save_image
+
+    traj = standard_trajectory(13)
+    seq = tmp_path / "s"
+    generate_sequence(cube_model, qvga_camera, traj, sigma=0.0, out_dir=seq, seed=0)
+    truncated = (seq / "frame_000010.pgm").read_bytes()[:1000]
+    small = GrayImage(pixels=np.full((10, 10), 255, dtype=np.uint8))
+    bad = [10, 11] if first_fault == "truncated" else [11, 10]
+    (seq / ("frame_%06d.pgm" % bad[0])).write_bytes(truncated)
+    save_image(small, seq / ("frame_%06d.pgm" % bad[1]))
+    cfg = TrackerConfig(backend=backend)
+    records = run_tracking(seq, cube_model, qvga_camera, cfg, traj.pose(0), coast_frames=1,
+                           out_dir=tmp_path / "run")
+    statuses = ["ok"] * 10 + ["coast", "lost", "ok"]
+    assert [r.frame for r in records] == list(range(13))
+    assert [r.status for r in records] == statuses
+    for r in records[10:12]:
+        assert r.projected == r.sampled == r.matched == r.iters == r.attempts == 0
+        assert np.isnan(r.err) and r.pose.t.tolist() == records[9].pose.t.tolist()
+    stats = (tmp_path / "run" / STATS_NAME).read_text().splitlines()
+    header = stats[0].split(",")
+    assert [row.split(",")[header.index("status")] for row in stats[1:]] == statuses
+    assert len(load_pose_csv(tmp_path / "run" / POSES_NAME)) == 13
+
+
+def test_run_tracking_dumps_reference_buffers(tmp_path, cube_model, qvga_camera):
+    # --dump-buffers writes, per frame, the ID and depth buffers at the
+    # tracked pose: byte for byte those of the full z-fill reference.
+    from edgetrack.imaging import save_image
+    from edgetrack.rasterizer import DepthBuffer, IdBuffer, depth_buffer_to_image, id_buffer_to_image
+    from test_rasterizer import reference_render
+
+    K = qvga_camera
+    traj = standard_trajectory(3)
+    generate_sequence(cube_model, K, traj, sigma=2.0, out_dir=tmp_path / "s", seed=4)
+    records = run_tracking(tmp_path / "s", cube_model, K, TrackerConfig(), traj.pose(0),
+                           out_dir=tmp_path / "run", dump_buffers=True)
+    buffers = tmp_path / "run" / "buffers"
+    assert len(list(buffers.iterdir())) == 2 * len(records) == 6
+    for r in records:
+        rgb, depth = reference_render(cube_model, r.pose, K)
+        assert decode_id_array(rgb).max() >= 0 and np.isfinite(depth).any()
+        save_image(id_buffer_to_image(IdBuffer(K.width, K.height, rgb)), tmp_path / "id.ppm")
+        save_image(depth_buffer_to_image(DepthBuffer(K.width, K.height, depth)), tmp_path / "depth.pgm")
+        assert (buffers / f"frame_{r.frame:06d}_id.ppm").read_bytes() == (tmp_path / "id.ppm").read_bytes()
+        assert (buffers / f"frame_{r.frame:06d}_depth.pgm").read_bytes() == (
+            tmp_path / "depth.pgm").read_bytes()
 
 
 def test_run_tracking_missing_frames_raises(tmp_path, cube_model, qvga_camera):

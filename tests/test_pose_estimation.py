@@ -354,12 +354,13 @@ def test_track_frame_is_stationary_on_its_own_render(cube_model, qvga_camera):
 
 def test_track_frame_rejects_wrong_image_size(cube_model, qvga_camera):
     from edgetrack.imaging import GrayImage
-    from edgetrack.pose_estimation import track_frame
+    from edgetrack.pose_estimation import FrameSizeError, track_frame
     from edgetrack.tracking import TrackerConfig
 
     gray = GrayImage(pixels=np.zeros((120, 160), dtype=np.uint8))
-    with pytest.raises(ValueError):
+    with pytest.raises(FrameSizeError, match="160x120"):
         track_frame(cube_pose(), gray, cube_model, qvga_camera, TrackerConfig())
+    assert issubclass(FrameSizeError, ValueError)
 
 
 def test_track_frame_blank_image_raises_insufficient(cube_model, qvga_camera):

@@ -5,24 +5,34 @@ import math
 import numpy as np
 import pytest
 
-from edgetrack.geometry import PoseSE3, WireframeModel, look_at_pose, project_np, transform_np
+from edgetrack.geometry import (
+    CameraIntrinsics,
+    PoseSE3,
+    WireframeModel,
+    look_at_pose,
+    project_cam,
+    project_np,
+    transform_np,
+)
 from edgetrack.imaging import ColorImage, GrayImage
 from edgetrack.rasterizer import (
     BACKGROUND,
     DEPTH_BIAS,
+    NEAR_PLANE_MM,
     CapacityError,
     IdBuffer,
     decode_edge_id,
     decode_id_array,
     depth_buffer_to_image,
     encode_edge_id,
+    encode_id_array,
     id_buffer_to_image,
     is_point_visible,
+    render_depth_buffer,
     render_id_buffer,
     visibility_oracle,
     _clip_polygon_near,
-    _clip_segment_near,
-    _fill_triangle,
+    _face_depth,
 )
 
 from conftest import random_convex_model, random_orbit_pose, silhouette_edge_ids
@@ -58,6 +68,15 @@ def test_codec_round_trip_exhaustive():
         assert decode_edge_id(r, g, b) == i
 
 
+def test_encode_id_array_matches_scalar():
+    ids = np.arange(32767)
+    assert np.array_equal(encode_id_array(ids), np.array([encode_edge_id(i) for i in ids]))
+    assert encode_id_array(np.zeros(0, dtype=int)).shape == (0, 3)
+    for bad in (-1, 32767):
+        with pytest.raises(CapacityError):
+            encode_id_array([3, bad])
+
+
 def test_decode_id_array_matches_scalar():
     rng = np.random.default_rng(51)
     colors = rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
@@ -89,20 +108,23 @@ def present_ids(id_buf):
 
 
 def test_single_triangle_all_edges_present(qvga_camera):
-    id_buf, depth_buf = render_id_buffer(single_triangle_model(), face_on_pose(), qvga_camera)
+    id_buf = render_id_buffer(single_triangle_model(), face_on_pose(), qvga_camera)
+    depth_buf = render_depth_buffer(single_triangle_model(), face_on_pose(), qvga_camera)
     assert present_ids(id_buf) == {0, 1, 2}
     assert np.isfinite(depth_buf.depth).any()
 
 
 def test_model_behind_camera_empty(qvga_camera):
     pose = PoseSE3(omega=np.zeros(3), t=np.array([0.0, 0.0, -500.0]))
-    id_buf, depth_buf = render_id_buffer(single_triangle_model(), pose, qvga_camera)
+    id_buf = render_id_buffer(single_triangle_model(), pose, qvga_camera)
+    depth_buf = render_depth_buffer(single_triangle_model(), pose, qvga_camera)
     assert not present_ids(id_buf)
     assert not np.isfinite(depth_buf.depth).any()
 
 
 def test_cube_face_on_front_edges_visible_rear_hidden(cube_model, qvga_camera):
-    id_buf, depth_buf = render_id_buffer(cube_model, face_on_pose(), qvga_camera)
+    id_buf = render_id_buffer(cube_model, face_on_pose(), qvga_camera)
+    depth_buf = render_depth_buffer(cube_model, face_on_pose(), qvga_camera)
     ids = present_ids(id_buf)
     # Cube edge order: front ring 0-3, rear ring 4-7, connecting edges 8-11.
     assert {0, 1, 2, 3} <= ids
@@ -115,7 +137,7 @@ def test_all_rendered_ids_valid(cube_model, qvga_camera):
     rng = np.random.default_rng(52)
     for _ in range(5):
         pose = random_orbit_pose(rng)
-        id_buf, _ = render_id_buffer(cube_model, pose, qvga_camera)
+        id_buf = render_id_buffer(cube_model, pose, qvga_camera)
         ids = present_ids(id_buf)
         assert all(0 <= i < len(cube_model.edges) for i in ids)
         # Channel levels of drawn pixels are always multiples of 8.
@@ -124,8 +146,8 @@ def test_all_rendered_ids_valid(cube_model, qvga_camera):
 
 def test_render_deterministic(cube_model, qvga_camera):
     pose = random_orbit_pose(np.random.default_rng(53))
-    a_id, a_depth = render_id_buffer(cube_model, pose, qvga_camera)
-    b_id, b_depth = render_id_buffer(cube_model, pose, qvga_camera)
+    a_id, b_id = (render_id_buffer(cube_model, pose, qvga_camera) for _ in range(2))
+    a_depth, b_depth = (render_depth_buffer(cube_model, pose, qvga_camera) for _ in range(2))
     assert np.array_equal(a_id.rgb, b_id.rgb)
     assert np.array_equal(a_depth.depth, b_depth.depth)
 
@@ -139,23 +161,81 @@ def test_near_plane_crossing_edge_clipped(qvga_camera):
         edges=np.array([[0, 1], [0, 2], [1, 2]]),
     )
     pose = PoseSE3(omega=np.zeros(3), t=np.zeros(3))
-    id_buf, _ = render_id_buffer(model, pose, qvga_camera)
+    id_buf = render_id_buffer(model, pose, qvga_camera)
     assert 0 in present_ids(id_buf)
 
 
-def reference_render(model, pose, K):
-    """render_id_buffer with the edge pass written as a per-pixel loop."""
-    cam = transform_np(model.vertices, pose.rotation(), pose.t)
+# References: the full-image z-fill and the per-pixel edge loop that
+# render_id_buffer and render_depth_buffer must match byte for byte.
+
+def clip_segment_near(a, b):
+    """Clip a camera-space segment against z >= near; None when fully behind."""
+    a_in, b_in = a[2] >= NEAR_PLANE_MM, b[2] >= NEAR_PLANE_MM
+    if not a_in and not b_in:
+        return None
+    if a_in and b_in:
+        return a, b
+    s = (NEAR_PLANE_MM - a[2]) / (b[2] - a[2])
+    cross = a + s * (b - a)
+    return (cross, b) if not a_in else (a, cross)
+
+
+def fill_triangle(depth, owner, face_index, pts, K):
+    """Depth fill of one camera-space triangle, pixel centers at ints;
+    ``owner`` records the face holding each pixel's nearest depth."""
+    uv = [project_cam(p, K) for p in pts]
+    inv_z = [1.0 / p[2] for p in pts]
+    (x0, y0), (x1, y1), (x2, y2) = uv
+    area = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+    if area == 0.0:
+        return
+    h, w = depth.shape
+    xs_min = max(0, math.ceil(min(x0, x1, x2)))
+    xs_max = min(w - 1, math.floor(max(x0, x1, x2)))
+    ys_min = max(0, math.ceil(min(y0, y1, y2)))
+    ys_max = min(h - 1, math.floor(max(y0, y1, y2)))
+    if xs_min > xs_max or ys_min > ys_max:
+        return
+    xs = np.arange(xs_min, xs_max + 1, dtype=np.float64)
+    ys = np.arange(ys_min, ys_max + 1, dtype=np.float64)[:, None]
+    e12 = (x2 - x1) * (ys - y1) - (y2 - y1) * (xs - x1)
+    e20 = (x0 - x2) * (ys - y2) - (y0 - y2) * (xs - x2)
+    e01 = (x1 - x0) * (ys - y0) - (y1 - y0) * (xs - x0)
+    if area > 0.0:
+        mask = (e12 >= 0.0) & (e20 >= 0.0) & (e01 >= 0.0)
+    else:
+        mask = (e12 <= 0.0) & (e20 <= 0.0) & (e01 <= 0.0)
+    if not mask.any():
+        return
+    inv_z_px = (e12 * inv_z[0] + e20 * inv_z[1] + e01 * inv_z[2]) / area
+    with np.errstate(divide="ignore"):
+        z = 1.0 / inv_z_px
+    region = depth[ys_min:ys_max + 1, xs_min:xs_max + 1]
+    owner_region = owner[ys_min:ys_max + 1, xs_min:xs_max + 1]
+    write = mask & (z < region)
+    region[write] = z[write]
+    owner_region[write] = face_index
+
+
+def reference_fill(model, cam, K):
+    """Every face clipped, fan-triangulated and z-filled over the image."""
     depth = np.full((K.height, K.width), np.inf)
     owner = np.full((K.height, K.width), -1, dtype=np.int32)
     for fi, f in enumerate(model.faces):
         poly = _clip_polygon_near([cam[f[0]], cam[f[1]], cam[f[2]]])
         for j in range(1, len(poly) - 1):
-            _fill_triangle(depth, owner, fi, [poly[0], poly[j], poly[j + 1]], K)
+            fill_triangle(depth, owner, fi, [poly[0], poly[j], poly[j + 1]], K)
+    return depth, owner
+
+
+def reference_render(model, pose, K):
+    """ID and depth buffers from the full z-fill and a per-pixel edge loop."""
+    cam = transform_np(model.vertices, pose.rotation(), pose.t)
+    depth, owner = reference_fill(model, cam, K)
     rgb = np.zeros((K.height, K.width, 3), dtype=np.uint8)
     edge_depth = np.full((K.height, K.width), np.inf)
     for i, own_faces in enumerate(model.edge_faces):
-        seg = _clip_segment_near(cam[model.edges[i][0]], cam[model.edges[i][1]])
+        seg = clip_segment_near(cam[model.edges[i][0]], cam[model.edges[i][1]])
         if seg is None:
             continue
         a, b = seg
@@ -180,8 +260,9 @@ def reference_render(model, pose, K):
     return rgb, depth
 
 
-def test_render_matches_per_pixel_reference(cube_model, qvga_camera):
-    rng = np.random.default_rng(56)
+def reference_scenes(cube_model, rng):
+    """The near-plane triangle, cube orbit poses, cameras inside or beside
+    random models, and an orbit of a 44-face random model."""
     near_triangle = WireframeModel(
         vertices=np.array([[-20.0, 0.0, 50.0], [20.0, 0.0, 50.0], [0.0, 10.0, -50.0]]),
         faces=np.array([[0, 1, 2]]),
@@ -196,11 +277,45 @@ def test_render_matches_per_pixel_reference(cube_model, qvga_camera):
         center = rng.normal(size=3)
         center *= rng.uniform(5.0, 40.0) / np.linalg.norm(center)
         scenes.append((model, look_at_pose(center, rng.normal(size=3), down=rng.normal(size=3))))
-    for model, pose in scenes:
-        id_buf, depth_buf = render_id_buffer(model, pose, qvga_camera)
+    model = random_convex_model(rng, n_points=24)
+    assert len(model.faces) >= 40
+    scenes += [(model, random_orbit_pose(rng, (60.0, 200.0))) for _ in range(6)]
+    return scenes
+
+
+def test_render_matches_per_pixel_reference(cube_model, qvga_camera):
+    for model, pose in reference_scenes(cube_model, np.random.default_rng(56)):
         rgb, depth = reference_render(model, pose, qvga_camera)
-        assert np.array_equal(id_buf.rgb, rgb)
-        assert np.array_equal(depth_buf.depth, depth)
+        assert np.array_equal(render_id_buffer(model, pose, qvga_camera).rgb, rgb)
+        assert np.array_equal(render_depth_buffer(model, pose, qvga_camera).depth, depth)
+
+
+def test_face_depth_owner_ties_go_to_lower_face():
+    # Coplanar faces at equal depth: a quad split along its diagonal (the
+    # diagonal's pixels lie in both halves), the same triangle listed twice
+    # with either winding, and a larger triangle in the same plane under
+    # both.  The depth query must give every pixel the nearest depth and,
+    # on a tie, the lower face index, as the ordered fill does.
+    K = CameraIntrinsics(fx=40.0, fy=40.0, cx=16.0, cy=12.0, width=32, height=24)
+    vertices = np.array([
+        [-4.0, -3.0, 10.0], [4.0, -3.0, 10.0], [4.0, 3.0, 10.0], [-4.0, 3.0, 10.0],
+        [-6.0, -5.0, 10.0], [6.0, -5.0, 10.0], [0.0, 5.0, 10.0],
+        [-3.0, -2.0, 8.0], [3.0, 2.0, 12.0], [-3.0, 2.0, 10.0],
+    ])
+    faces = np.array([[0, 1, 2], [0, 2, 3], [4, 5, 6], [1, 0, 2], [7, 8, 9], [3, 2, 0]])
+    model = WireframeModel(vertices=vertices, faces=faces, edges=np.array([[0, 1], [1, 2]]))
+    for pose in (PoseSE3(omega=np.zeros(3), t=np.zeros(3)),
+                 PoseSE3(omega=np.array([0.1, -0.2, 0.05]), t=np.array([0.5, -0.3, 2.0]))):
+        cam = transform_np(model.vertices, pose.rotation(), pose.t)
+        depth, owner = reference_fill(model, cam, K)
+        got_depth, got_owner = _face_depth(model, cam, K, np.arange(K.width * K.height))
+        assert np.array_equal(got_depth, depth.ravel())
+        assert np.array_equal(got_owner, owner.ravel())
+        # Ties really occur: pixels where two faces reach the nearest depth.
+        alone = [reference_fill(WireframeModel(vertices, faces[[fi]], np.zeros((0, 2))), cam, K)[0]
+                 for fi in range(len(faces))]
+        tied = np.sum([d == depth for d in alone], axis=0) >= 2
+        assert np.count_nonzero(tied & np.isfinite(depth)) >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +330,7 @@ def edge_midpoint_px(model, edge_index, pose, K):
 
 def test_visible_point_on_front_edge(cube_model, qvga_camera):
     pose = face_on_pose()
-    id_buf, _ = render_id_buffer(cube_model, pose, qvga_camera)
+    id_buf = render_id_buffer(cube_model, pose, qvga_camera)
     uv, mid, _ = edge_midpoint_px(cube_model, 0, pose, qvga_camera)
     assert is_point_visible(uv, 0, id_buf)
     assert visibility_oracle(cube_model, pose, qvga_camera, mid)
@@ -223,20 +338,20 @@ def test_visible_point_on_front_edge(cube_model, qvga_camera):
 
 def test_background_point_not_visible(cube_model, qvga_camera):
     pose = face_on_pose()
-    id_buf, _ = render_id_buffer(cube_model, pose, qvga_camera)
+    id_buf = render_id_buffer(cube_model, pose, qvga_camera)
     assert not is_point_visible((5.0, 5.0), 0, id_buf)
 
 
 def test_out_of_bounds_not_visible(cube_model, qvga_camera):
     pose = face_on_pose()
-    id_buf, _ = render_id_buffer(cube_model, pose, qvga_camera)
+    id_buf = render_id_buffer(cube_model, pose, qvga_camera)
     assert not is_point_visible((-3.0, 10.0), 0, id_buf)
     assert not is_point_visible((1000.0, 10.0), 0, id_buf)
 
 
 def test_occluded_rear_edge_not_visible(cube_model, qvga_camera):
     pose = face_on_pose()
-    id_buf, _ = render_id_buffer(cube_model, pose, qvga_camera)
+    id_buf = render_id_buffer(cube_model, pose, qvga_camera)
     uv, mid, _ = edge_midpoint_px(cube_model, 4, pose, qvga_camera)
     assert not is_point_visible(uv, 4, id_buf)
     assert not visibility_oracle(cube_model, pose, qvga_camera, mid)
@@ -256,7 +371,7 @@ def test_occluding_plane_blocks_edge(qvga_camera):
         edges=np.array([[0, 1], [0, 2], [1, 2]]),
     )
     pose = PoseSE3(omega=np.zeros(3), t=np.zeros(3))
-    id_buf, _ = render_id_buffer(model, pose, qvga_camera)
+    id_buf = render_id_buffer(model, pose, qvga_camera)
     assert not present_ids(id_buf)
     mid = np.array([0.0, -15.0, 200.0])
     uv, _ = project_np(mid[None, :], pose.rotation(), pose.t, qvga_camera)
@@ -267,7 +382,7 @@ def test_occluding_plane_blocks_edge(qvga_camera):
 def test_neighborhood_tolerance_absorbs_quantization(cube_model, qvga_camera):
     rng = np.random.default_rng(54)
     pose = face_on_pose()
-    id_buf, _ = render_id_buffer(cube_model, pose, qvga_camera)
+    id_buf = render_id_buffer(cube_model, pose, qvga_camera)
     uv, _, _ = edge_midpoint_px(cube_model, 0, pose, qvga_camera)
     for _ in range(20):
         jitter = rng.uniform(-0.49, 0.49, size=2)
@@ -288,7 +403,7 @@ def test_oracle_agreement_random_scenes(qvga_camera):
         for _ in range(5):
             pose = random_orbit_pose(rng)
             on_silhouette = silhouette_edge_ids(model, pose)
-            id_buf, _ = render_id_buffer(model, pose, qvga_camera)
+            id_buf = render_id_buffer(model, pose, qvga_camera)
             R, t = pose.rotation(), pose.t
             for i, e in enumerate(model.edges):
                 a, b = model.vertices[e[0]], model.vertices[e[1]]
@@ -315,14 +430,14 @@ def test_oracle_agreement_random_scenes(qvga_camera):
 # Debug dumps.
 
 def test_id_buffer_dump(cube_model, qvga_camera):
-    id_buf, _ = render_id_buffer(cube_model, face_on_pose(), qvga_camera)
+    id_buf = render_id_buffer(cube_model, face_on_pose(), qvga_camera)
     img = id_buffer_to_image(id_buf)
     assert isinstance(img, ColorImage)
     assert np.array_equal(img.pixels, id_buf.rgb)
 
 
 def test_depth_buffer_dump(cube_model, qvga_camera):
-    _, depth_buf = render_id_buffer(cube_model, face_on_pose(), qvga_camera)
+    depth_buf = render_depth_buffer(cube_model, face_on_pose(), qvga_camera)
     img = depth_buffer_to_image(depth_buf)
     assert isinstance(img, GrayImage)
     finite = np.isfinite(depth_buf.depth)

@@ -261,7 +261,7 @@ def test_collect_measurements_counts_and_matches(cube_model, qvga_camera):
     pose = look_at_pose(
         np.array([40.0, -35.0, -130.0]), np.zeros(3), np.array([0.0, 1.0, 0.0])
     )
-    id_buf, _ = render_id_buffer(cube_model, pose, qvga_camera)
+    id_buf = render_id_buffer(cube_model, pose, qvga_camera)
     gray = edge_drawn_image(cube_model, pose, qvga_camera)
     ms = collect_measurements(
         cube_model, pose, qvga_camera, gray, id_buf, default_cfg(), FLOAT
@@ -279,7 +279,7 @@ def test_collect_world_points_reproject_onto_control_points(cube_model, qvga_cam
     pose = look_at_pose(
         np.array([40.0, -35.0, -130.0]), np.zeros(3), np.array([0.0, 1.0, 0.0])
     )
-    id_buf, _ = render_id_buffer(cube_model, pose, qvga_camera)
+    id_buf = render_id_buffer(cube_model, pose, qvga_camera)
     gray = edge_drawn_image(cube_model, pose, qvga_camera)
     ms = collect_measurements(
         cube_model, pose, qvga_camera, gray, id_buf, default_cfg(), FLOAT
@@ -297,7 +297,7 @@ def test_collect_rear_edges_contribute_nothing(cube_model, qvga_camera):
     pose = look_at_pose(
         np.array([0.0, 0.0, -200.0]), np.zeros(3), np.array([0.0, 1.0, 0.0])
     )
-    id_buf, _ = render_id_buffer(cube_model, pose, qvga_camera)
+    id_buf = render_id_buffer(cube_model, pose, qvga_camera)
     gray = edge_drawn_image(cube_model, pose, qvga_camera)
     ms = collect_measurements(
         cube_model, pose, qvga_camera, gray, id_buf, default_cfg(), FLOAT
@@ -309,7 +309,7 @@ def test_collect_blank_image_insufficient(cube_model, qvga_camera):
     pose = look_at_pose(
         np.array([40.0, -35.0, -130.0]), np.zeros(3), np.array([0.0, 1.0, 0.0])
     )
-    id_buf, _ = render_id_buffer(cube_model, pose, qvga_camera)
+    id_buf = render_id_buffer(cube_model, pose, qvga_camera)
     blank = GrayImage(pixels=np.full((240, 320), 255, dtype=np.uint8))
     with pytest.raises(InsufficientMeasurementsError):
         collect_measurements(
@@ -321,7 +321,7 @@ def test_collect_behind_camera_insufficient(cube_model, qvga_camera):
     from edgetrack.geometry import PoseSE3
 
     pose = PoseSE3(np.zeros(3), np.array([0.0, 0.0, -200.0]))  # model behind
-    id_buf, _ = render_id_buffer(cube_model, pose, qvga_camera)
+    id_buf = render_id_buffer(cube_model, pose, qvga_camera)
     gray = GrayImage(pixels=np.zeros((240, 320), dtype=np.uint8))
     with pytest.raises(InsufficientMeasurementsError):
         collect_measurements(
@@ -333,7 +333,7 @@ def test_collect_fixed_backend_matches_float_counts(cube_model, qvga_camera):
     pose = look_at_pose(
         np.array([40.0, -35.0, -130.0]), np.zeros(3), np.array([0.0, 1.0, 0.0])
     )
-    id_buf, _ = render_id_buffer(cube_model, pose, qvga_camera)
+    id_buf = render_id_buffer(cube_model, pose, qvga_camera)
     gray = edge_drawn_image(cube_model, pose, qvga_camera)
     ms_f = collect_measurements(
         cube_model, pose, qvga_camera, gray, id_buf, default_cfg(), FLOAT
@@ -540,7 +540,7 @@ def test_visibility_matches_scalar_reference(cube_model, qvga_camera):
 
     rng = np.random.default_rng(402)
     pose = look_at_pose(np.array([40.0, -35.0, -130.0]), np.zeros(3), np.array([0.0, 1.0, 0.0]))
-    id_buf, _ = render_id_buffer(cube_model, pose, qvga_camera)
+    id_buf = render_id_buffer(cube_model, pose, qvga_camera)
     uv, _ = project_np(cube_model.vertices, exp_map_np(pose.omega), pose.t, qvga_camera)
     pts, edges = [], []
     for i, (a, b) in enumerate(cube_model.edges):
@@ -587,7 +587,7 @@ def test_collect_measurements_matches_scalar_reference(be, cube_model, qvga_came
         gray = render_frame_gray(model, pose, qvga_camera, sigma=3.0, rng=rng)
         # Track from a pose off the truth, as a tracker does.
         start = perturbed_start(pose, rng)
-        id_buf, _ = render_id_buffer(model, start, qvga_camera)
+        id_buf = render_id_buffer(model, start, qvga_camera)
         want, n_projected, n_sampled = ref_collect_measurements(
             model, start, qvga_camera, gray, id_buf, cfg, be)
         ms = collect_measurements(model, start, qvga_camera, gray, id_buf, cfg, be)
