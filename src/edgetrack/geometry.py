@@ -8,7 +8,8 @@ image y growing downward.
 Scalar-level routines (`exp_map`, `mat_vec`, `project_cam`, `project_point`)
 are written against the realmath backend protocol so they run identically in
 floating point and fixed point; all but `exp_map` also take backend arrays.
-Bulk float paths use numpy directly.
+The segment clips (`clip_near`, `clip_box`) run on backend arrays only; the
+renderer and the tracker share them.  Bulk float paths use numpy directly.
 """
 
 from __future__ import annotations
@@ -289,6 +290,63 @@ def transform_np(points: np.ndarray, R: np.ndarray, t: np.ndarray) -> np.ndarray
     """World points to camera space, vectorized float path."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     return pts @ np.asarray(R, dtype=np.float64).T + np.asarray(t, dtype=np.float64)
+
+
+# ---------------------------------------------------------------------------
+# Segment clipping, on backend arrays.
+
+def clip_near(a, b, near, backend):
+    """Clip the segments a[i]-b[i] to the half-space z >= near.
+
+    ``a`` and ``b`` are tuples of backend coordinate arrays with z at index
+    2; further components (say the world copy of a camera-space point) are
+    clipped with the same parameter.  Returns the indices of the segments
+    with an end in front of the plane and their clipped ends.  An end in
+    front is kept as it is; an end behind moves to a + s (b - a) with
+    s = (near - z_a) / (z_b - z_a), computed only where the segment crosses.
+    """
+    a_in, b_in = a[2] >= near, b[2] >= near
+    live = np.flatnonzero(a_in | b_in)
+    a, b = tuple(c[live] for c in a), tuple(c[live] for c in b)
+    a_in, b_in = a_in[live], b_in[live]
+    cross = a_in != b_in
+    if cross.any():
+        at = np.flatnonzero(cross)
+        ca, cb = tuple(c[at] for c in a), tuple(c[at] for c in b)
+        s = (near - ca[2]) / (cb[2] - ca[2])
+        moved = tuple(x + s * (y - x) for x, y in zip(ca, cb))
+        row = np.maximum(np.cumsum(cross) - 1, 0)  # a crossing row's entry in moved
+        a = tuple(backend.where(a_in, x, m[row]) for x, m in zip(a, moved))
+        b = tuple(backend.where(b_in, x, m[row]) for x, m in zip(b, moved))
+    return live, a, b
+
+
+def clip_box(a, d, lo, hi, backend):
+    """Liang-Barsky clip of the segments a + s d, 0 <= s <= 1, to the box
+    lo <= p <= hi.
+
+    ``a`` and ``d`` are tuples of per-axis backend arrays, ``lo`` and ``hi``
+    per-axis bounds.  Returns the span [s0, s1] of each segment inside the
+    box and whether the segment meets it (s0 <= s1, so a segment touching
+    the box gets an empty span).  On each axis the crossings are (lo - a) / d
+    and (hi - a) / d, swapped where d < 0; a flat axis (d == 0) is a
+    containment test.  A segment already outside divides by 1 on later
+    axes, so no division runs that a clip stopping at the first failed
+    test would skip.
+    """
+    s0, s1 = backend.zero, backend.one
+    meets = True
+    for a_k, d_k, lo_k, hi_k in zip(a, d, lo, hi):
+        to_lo, to_hi = lo_k - a_k, hi_k - a_k
+        flat = d_k == 0
+        meets = meets & ~(flat & ((to_lo > 0) | (to_hi < 0)))
+        step = backend.where(flat | ~meets, backend.one, d_k)
+        t_lo, t_hi = to_lo / step, to_hi / step
+        rising = d_k > 0
+        enter, leave = backend.where(rising, t_lo, t_hi), backend.where(rising, t_hi, t_lo)
+        s0 = backend.where(~flat & (enter > s0), enter, s0)
+        s1 = backend.where(~flat & (leave < s1), leave, s1)
+    return s0, s1, meets & (s0 <= s1)
 
 
 # ---------------------------------------------------------------------------

@@ -283,9 +283,10 @@ def run_tracking(sequence_dir, model: WireframeModel, K: CameraIntrinsics,
 
     Failed frames coast on the previous pose for up to coast_frames in a
     row, then report status "lost"; the run always covers every file.  A
-    frame fails on an unreadable image file, a frame of the wrong size, too
-    few matches, degenerate geometry, a fixed-point overflow or domain
-    error, or a point projected behind the camera.
+    frame fails on an image file that cannot be opened (OSError) or read, a
+    frame of the wrong size, too few matches, degenerate geometry, a
+    fixed-point overflow or domain error, or a point projected behind the
+    camera.
     When out_dir is set, writes the pose and stats CSVs (and optionally the
     ID/depth buffers per frame).
     """
@@ -306,7 +307,7 @@ def run_tracking(sequence_dir, model: WireframeModel, K: CameraIntrinsics,
             projected, sampled, matched = stats.projected, stats.sampled, stats.matched
             err, iters, attempts = stats.err, stats.iterations, stats.attempts
             t_visible, t_me, t_pose = stats.t_visible, stats.t_me, stats.t_pose
-        except (ImageFormatError, FrameSizeError, InsufficientMeasurementsError,
+        except (OSError, ImageFormatError, FrameSizeError, InsufficientMeasurementsError,
                 DegenerateGeometryError, MathOverflowError, MathDomainError, BehindCameraError):
             coasted += 1
             status = "coast" if coasted <= coast_frames else "lost"

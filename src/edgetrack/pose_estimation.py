@@ -127,14 +127,6 @@ def residual_jacobian(X, R, t, Kb, n, backend):
     return _jacobian_row(v, c, n, Kb)
 
 
-def _columns(measurements, backend):
-    """World points, normals and matches of ControlPoints as backend arrays."""
-    return tuple(
-        tuple(backend.stack([getattr(m, name)[j] for m in measurements]) for j in range(dim))
-        for name, dim in (("X", 3), ("n", 2), ("match", 2))
-    )
-
-
 def _build_system(columns, R, t, Kb, backend):
     """Residuals and the six Jacobian columns at the pose (R, t), as
     backend arrays over all points."""
@@ -206,24 +198,17 @@ def _pose_from_backend(R, t, backend) -> PoseSE3:
 # ---------------------------------------------------------------------------
 # Levenberg-Marquardt.
 
-def solve_lm(measurements, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSettings, backend):
+def solve_lm(columns, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSettings, backend):
     """Minimize the squared edge-normal residuals over the 6 pose parameters.
 
-    ``measurements`` are matched ControlPoints holding backend scalars.
-    Returns (refined pose, sum of absolute residuals, accepted steps).
-    Rejected trial steps escalate the damping; a normal system that stays
-    singular through the whole escalation raises DegenerateGeometryError.
+    ``columns`` are the measurements (X, n, match), each a tuple of backend
+    arrays with one entry per matched control point.  Returns (refined
+    pose, sum of absolute residuals, accepted steps, trial steps); the
+    trial count includes rejected steps, the honest measure of how hard the
+    minimization worked.  Rejected trial steps escalate the damping; a
+    normal system that stays singular through the whole escalation raises
+    DegenerateGeometryError.
     """
-    columns = _columns(measurements, backend)
-    pose, err, iterations, _ = _solve_lm_full(columns, pose0, K, settings, backend)
-    return pose, err, iterations
-
-
-def _solve_lm_full(columns, pose0: PoseSE3, K: CameraIntrinsics,
-                   settings: LMSettings, backend):
-    """solve_lm on the measurement columns (X, n, match), each a tuple of
-    backend arrays, plus the total trial-step count (accepted and
-    rejected): the honest measure of how hard the minimization worked."""
     be = backend
     tol_rel, tol_step = settings.resolved_tolerances(be)
     tol_rel_b = be.from_float(tol_rel)
@@ -337,9 +322,7 @@ def track_frame(prev_pose: PoseSE3, gray: GrayImage, model: WireframeModel,
     t1 = time.perf_counter()
     ms = collect_measurements(model, prev_pose, K, gray, id_buf, cfg, be)
     t2 = time.perf_counter()
-    pose, err, iterations, attempts = _solve_lm_full(
-        (ms.X, ms.n, ms.match), prev_pose, K, cfg.lm, be
-    )
+    pose, err, iterations, attempts = solve_lm((ms.X, ms.n, ms.match), prev_pose, K, cfg.lm, be)
     t3 = time.perf_counter()
     stats = FrameStats(
         projected=ms.n_projected,

@@ -32,10 +32,13 @@ from .geometry import (
     CameraIntrinsics,
     PoseSE3,
     WireframeModel,
+    clip_box,
+    clip_near,
     project_cam,
     transform_np,
 )
 from .imaging import ColorImage, GrayImage, RGB888
+from .realmath import FloatBackend
 
 NEAR_PLANE_MM = 1.0
 DEPTH_BIAS = 1e-3  # relative; edges sit on their faces, avoid self-occlusion
@@ -170,31 +173,34 @@ def _clip_polygon_near(points_cam: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
+# A traced point rounds onto the image when it lies in [-0.5, size - 0.5)
+# on both axes.  The margin box adds one pixel on every side.  A step moves
+# at most one pixel per axis, so the neighbours of every on-image step lie
+# inside the box, and a step on the box border is off the image by a pixel,
+# far beyond float rounding.
+_MARGIN_LO = -1.5
+_FLOAT = FloatBackend()
+
+
 def _edge_pixels(a: np.ndarray, b: np.ndarray, K: CameraIntrinsics) -> EdgeTrace:
     """Line-step camera-space segments a[i]-b[i], each clipped against the
     near plane; a and b are (E, 3).
 
     Each segment steps ``steps = max(1, ceil(max(|du|, |dv|)))`` times over
-    its whole projection, but only the steps that can land on the image are
-    traced, plus at least one off-image step at each cut end; the first
-    traced step of an edge therefore never hides an on-image repeat of its
-    predecessor.  A segment wholly behind the near plane or off the image
-    has no traced step.  Pixels are neither de-duplicated nor bounds-checked.
+    its whole projection, but only the steps inside the margin box
+    [-1.5, size + 0.5] on both axes are traced, plus at least one step
+    outside it at each cut end; the first traced step of an edge therefore
+    never hides an on-image repeat of its predecessor.  A segment wholly
+    behind the near plane or outside the box has no traced step.  Pixels
+    are neither de-duplicated nor bounds-checked.
     """
     n_edges = len(a)
-    a_in, b_in = a[:, 2] >= NEAR_PLANE_MM, b[:, 2] >= NEAR_PLANE_MM
-    ends = np.stack([a, b], axis=1)
-    cross = np.flatnonzero(a_in != b_in)
-    ca, cb = a[cross], b[cross]
-    s = (NEAR_PLANE_MM - ca[:, 2]) / (cb[:, 2] - ca[:, 2])
-    ends[cross, a_in[cross].astype(np.intp)] = ca + s[:, None] * (cb - ca)
-
-    live = np.flatnonzero(a_in | b_in)
-    ends = ends[live]
-    u, v = project_cam(np.moveaxis(ends, -1, 0), K)
-    ua, va, du, dv = u[:, 0], v[:, 0], u[:, 1] - u[:, 0], v[:, 1] - v[:, 0]
+    live, a, b = clip_near(tuple(a.T), tuple(b.T), NEAR_PLANE_MM, _FLOAT)
+    (ua, va), (ub, vb) = project_cam(a, K), project_cam(b, K)
+    du, dv = ub - ua, vb - va
     steps = np.maximum(1.0, np.ceil(np.maximum(np.abs(du), np.abs(dv)))).astype(np.int64)
-    s0, s1, hit = _margin_span(ua, va, du, dv, K)
+    s0, s1, hit = clip_box((ua, va), (du, dv), (_MARGIN_LO, _MARGIN_LO),
+                           (K.width + 0.5, K.height + 0.5), _FLOAT)
     k0 = np.maximum(0.0, np.floor(s0 * steps)).astype(np.int64)
     k1 = np.minimum(steps, np.ceil(s1 * steps).astype(np.int64))
     counts = np.where(hit, k1 - k0 + 1, 0)
@@ -207,37 +213,12 @@ def _edge_pixels(a: np.ndarray, b: np.ndarray, K: CameraIntrinsics) -> EdgeTrace
     y = np.floor(va[at] + s * dv[at] + 0.5).astype(np.int64)
 
     uv = np.full((n_edges, 2, 2), np.nan)
-    uv[live] = np.stack([u, v], axis=-1)
+    uv[live] = np.stack([ua, va, ub, vb], axis=-1).reshape(-1, 2, 2)
     inv_z = np.full((n_edges, 2), np.nan)
-    inv_z[live] = 1.0 / ends[..., 2]
+    inv_z[live] = 1.0 / np.stack([a[2], b[2]], axis=-1)
     all_steps = np.zeros(n_edges, dtype=np.int64)
     all_steps[live] = steps
     return EdgeTrace(uv, inv_z, all_steps, edge, x, y, s)
-
-
-# A traced point rounds onto the image when it lies in [-0.5, size - 0.5)
-# on both axes.  The margin box adds one pixel on every side.  A step moves
-# at most one pixel per axis, so the neighbours of every on-image step lie
-# inside the box, and a step on the box border is off the image by a pixel,
-# far beyond float rounding.
-_MARGIN_LO = -1.5
-
-
-def _margin_span(ua, va, du, dv, K: CameraIntrinsics):
-    """Parameter interval [s0, s1] of each projected segment (start, delta)
-    inside the margin box (Liang-Barsky), and whether it meets the box."""
-    s0, s1 = np.zeros(len(ua)), np.ones(len(ua))
-    hit = np.ones(len(ua), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for a, d, size in ((ua, du, K.width), (va, dv, K.height)):
-            lo, hi = _MARGIN_LO - a, size + 0.5 - a
-            flat = d == 0.0
-            hit &= ~(flat & ((lo > 0.0) | (hi < 0.0)))
-            lo, hi = lo / d, hi / d
-            lo, hi = np.where(d > 0.0, lo, hi), np.where(d > 0.0, hi, lo)
-            s0 = np.where(flat, s0, np.maximum(s0, lo))
-            s1 = np.where(flat, s1, np.minimum(s1, hi))
-    return s0, s1, hit & (s0 <= s1)
 
 
 # ---------------------------------------------------------------------------

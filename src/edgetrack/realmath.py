@@ -8,7 +8,9 @@ detects overflow instead of wrapping.
 
 The protocol has a scalar half (``FixedPoint`` values) and an array half
 (``FixedArray``, float64 ndarrays on the float backend) with the same
-per-element results, so per-point stages run once over all points.
+per-element results, so per-edge and per-point stages run once over all
+edges or points.  ``sqrt`` takes either half; ``where`` selects between
+arrays or scalars by a mask.
 
 Rounding rules, fixed so runs are bit-reproducible:
 
@@ -539,6 +541,14 @@ class FixedArray:
         (a,) = _exact_operands(self.bound, self.raw)
         return self._new(abs(a))
 
+    def sqrt(self) -> "FixedArray":
+        """Elementwise FixedPoint.sqrt; MathDomainError if any element is negative."""
+        if np.any(self.raw < 0):
+            raise MathDomainError("sqrt of negative fixed-point value")
+        shift = self.scalar_type.FRAC_BITS
+        root = [isqrt(r << shift) for r in self.raw.ravel().tolist()]
+        return FixedArray(np.array(root, dtype=np.int64).reshape(self.raw.shape), self.scalar_type)
+
     # -- comparisons --------------------------------------------------------
 
     def _compare(self, other, op):
@@ -597,7 +607,12 @@ class FloatBackend:
         return value
 
     @staticmethod
-    def sqrt(value: float) -> float:
+    def sqrt(value):
+        """Square root of a float or, elementwise, of a float64 ndarray."""
+        if isinstance(value, np.ndarray):
+            if np.any(value < 0.0):
+                raise MathDomainError("sqrt of negative value")
+            return np.sqrt(value)
         if value < 0.0:
             raise MathDomainError("sqrt of negative value")
         return math.sqrt(value)
@@ -624,6 +639,11 @@ class FloatBackend:
     @staticmethod
     def floor_array(values: np.ndarray) -> np.ndarray:
         return np.floor(values).astype(np.int64)
+
+    @staticmethod
+    def where(mask, x, y) -> np.ndarray:
+        """Elementwise x where mask holds, else y."""
+        return np.where(mask, x, y)
 
     @staticmethod
     def row_sums(values: np.ndarray) -> list:
@@ -664,7 +684,8 @@ class FixedBackend:
         return value.to_float()
 
     @staticmethod
-    def sqrt(value: FixedPoint) -> FixedPoint:
+    def sqrt(value):
+        """FixedPoint.sqrt of a scalar, or FixedArray.sqrt of an array."""
         return value.sqrt()
 
     def sin(self, value: FixedPoint) -> FixedPoint:
@@ -686,6 +707,14 @@ class FixedBackend:
     @staticmethod
     def floor_array(values: FixedArray) -> np.ndarray:
         return values.floor_to_int()
+
+    def where(self, mask, x, y) -> FixedArray:
+        """Elementwise x where mask holds, else y; arrays or scalars of this format."""
+        st = self.scalar_type
+        for v in (x, y):
+            if not (type(v) is st or (isinstance(v, FixedArray) and v.scalar_type is st)):
+                raise TypeError(f"where needs {st.FORMAT} values, got {type(v).__name__}")
+        return FixedArray(np.where(mask, x.raw, y.raw), st)
 
     @staticmethod
     def row_sums(values: FixedArray) -> list:

@@ -7,10 +7,11 @@ gradient along its edge normal (a single-hypothesis moving-edges scan).  The
 surviving (point, match) pairs are the measurements the pose refiner
 consumes.
 
-All per-point arithmetic goes through the realmath backend so fixed-point
-runs are bit-deterministic, and runs once per frame over all points on the
-backend's arrays; only the ID-buffer lookup converts to float (an exact
-conversion) to address pixels.
+All per-edge and per-point arithmetic goes through the realmath backend so
+fixed-point runs are bit-deterministic, and runs once per frame over all
+edges, then all points, on the backend's arrays; the edges are clipped by
+the renderer's near-plane and box clips.  Only the ID-buffer lookup
+converts to float (an exact conversion) to address pixels.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .geometry import (
     CameraIntrinsics,
     PoseSE3,
     WireframeModel,
+    clip_box,
+    clip_near,
     exp_map,
     mat_vec,
     project_cam,
@@ -71,7 +74,6 @@ class ControlPoint:
     edge_index: int
     p: tuple  # 2D sub-pixel position
     n: tuple  # 2D unit edge normal
-    t: object = None  # parameter along the clipped segment
     X: tuple = None  # 3D world point that projected to p
     match: Optional[tuple] = None
     likelihood: object = None
@@ -114,28 +116,6 @@ class MeasurementSet:
 # ---------------------------------------------------------------------------
 # Sampling.
 
-def _sample_layout(segment, cfg: TrackerConfig, backend):
-    """Point count, direction (dx, dy) and unit normal of a projected segment.
-
-    ``segment`` is a pair of 2D points in backend scalars.  Point count is
-    floor(length / step); a segment shorter than one step but at least half a
-    step still yields one point.  A count of 0 comes with no direction.
-    """
-    (ax, ay), (bx, by) = segment
-    dx, dy = bx - ax, by - ay
-    length = backend.sqrt(dx * dx + dy * dy)
-    step = backend.from_float(cfg.sampling_step)
-    n = backend.floor_to_int(length / step)
-    if n == 0:
-        # length >= step/2, compared without dividing the step
-        if not (length + length >= step):
-            return 0, None, None
-        n = 1
-    # Divide components directly: multiplying by a reciprocal doubles the
-    # quantization error in fixed point and breaks the unit-normal contract.
-    return n, (dx, dy), (-(dy / length), dx / length)
-
-
 def _sample_params(counts, backend):
     """For points laid out segment by segment, counts[i] on segment i: each
     point's segment slot and its parameter t = (k + 0.5) / counts[i], which
@@ -151,22 +131,29 @@ def _sample_params(counts, backend):
     return slot, (2 * k + 1) / twice_n[slot]
 
 
-def sample_control_points(segment, edge_index: int, cfg: TrackerConfig, backend) -> list:
-    """Evenly spaced control points along a projected 2D segment.
+def _sample_segments(ax, ay, bx, by, cfg: TrackerConfig, backend):
+    """Control points spread evenly along the projected segments a[i]-b[i],
+    given as backend arrays.
 
-    ``segment`` is a pair of 2D points in backend scalars; counts and
-    positions follow _sample_layout and _sample_params.
+    A segment gets floor(length / step) points, or one point when it is
+    shorter than a step but at least half a step long; its points follow
+    _sample_params.  Returns, per point, the index of its segment, its t,
+    its position (x, y) and its segment's unit normal (nx, ny).
     """
-    n, d, normal = _sample_layout(segment, cfg, backend)
-    if n == 0:
-        return []
-    _, t = _sample_params([n], backend)
-    (ax, ay), _ = segment
-    px, py = ax + t * d[0], ay + t * d[1]
-    return [
-        ControlPoint(edge_index=edge_index, p=(px[k], py[k]), n=normal, t=t[k])
-        for k in range(n)
-    ]
+    dx, dy = bx - ax, by - ay
+    length = backend.sqrt(dx * dx + dy * dy)
+    step = backend.from_float(cfg.sampling_step)
+    counts = backend.floor_array(length / step)
+    # length >= step/2, compared without dividing the step
+    counts = np.where((counts == 0) & (length + length >= step), 1, counts)
+    rows = np.flatnonzero(counts)
+    dx, dy, length = dx[rows], dy[rows], length[rows]
+    slot, t = _sample_params(counts[rows], backend)
+    # Divide components directly: multiplying by a reciprocal doubles the
+    # quantization error in fixed point and breaks the unit-normal contract.
+    nx, ny = -(dy / length), dx / length
+    at = rows[slot]
+    return at, t, (ax[at] + t * dx[slot], ay[at] + t * dy[slot]), (nx[slot], ny[slot])
 
 
 # ---------------------------------------------------------------------------
@@ -244,25 +231,6 @@ def search_correspondence(gray: GrayImage, cp: ControlPoint, cfg: TrackerConfig,
 # ---------------------------------------------------------------------------
 # Full measurement collection.
 
-def _clip_unit_interval(constraints, backend, t_lo, t_hi):
-    """Liang-Barsky style clip: keep t where fa + t*fd >= 0 for all pairs."""
-    for fa, fd in constraints:
-        if fd == backend.zero:
-            if fa < backend.zero:
-                return None
-            continue
-        t_cross = -fa / fd
-        if fd > backend.zero:
-            if t_cross > t_lo:
-                t_lo = t_cross
-        else:
-            if t_cross < t_hi:
-                t_hi = t_cross
-    if not t_lo < t_hi:
-        return None
-    return t_lo, t_hi
-
-
 def collect_measurements(
     model: WireframeModel,
     pose: PoseSE3,
@@ -274,8 +242,10 @@ def collect_measurements(
 ) -> MeasurementSet:
     """Sample, visibility-filter, and match control points on every edge.
 
-    Edge geometry runs per edge on backend scalars; every per-point step
-    runs once over all points on backend arrays.  Raises
+    Each step runs once per frame on backend arrays: over all edges the
+    camera transform, the near-plane clip, the projection, the clip to the
+    image box [0, size - 1] and the sample layout; then over all control
+    points the visibility test, the 3D point and the search.  Raises
     InsufficientMeasurementsError when fewer than 6 points match: the pose
     has 6 degrees of freedom.
     """
@@ -283,70 +253,40 @@ def collect_measurements(
     R = exp_map(tuple(be.from_float(w) for w in pose.omega), be)
     t = tuple(be.from_float(v) for v in pose.t)
     Kb: BackendIntrinsics = K.to_backend(be)
-    near = be.from_float(NEAR_PLANE_MM)
-    one = be.one
-    u_max = be.from_int(K.width - 1)
-    v_max = be.from_int(K.height - 1)
 
-    segments = []  # one row of per-edge scalars for each sampled segment
-    for i, e in enumerate(model.edges):
-        wa = tuple(be.from_float(c) for c in model.vertices[e[0]])
-        wb = tuple(be.from_float(c) for c in model.vertices[e[1]])
-        ca = mat_vec(R, wa)
-        cb = mat_vec(R, wb)
-        ca = (ca[0] + t[0], ca[1] + t[1], ca[2] + t[2])
-        cb = (cb[0] + t[0], cb[1] + t[1], cb[2] + t[2])
-        za, zb = ca[2], cb[2]
-        if za < near and zb < near:
-            continue
-        # Clip against the near plane; s parameterizes the original edge and
-        # is valid in world space too (the camera transform is affine).
-        s0 = be.zero if za >= near else (near - za) / (zb - za)
-        s1 = one if zb >= near else (near - za) / (zb - za)
-        wa2 = tuple(wa[j] + s0 * (wb[j] - wa[j]) for j in range(3))
-        wb2 = tuple(wa[j] + s1 * (wb[j] - wa[j]) for j in range(3))
-        ca2 = tuple(ca[j] + s0 * (cb[j] - ca[j]) for j in range(3))
-        cb2 = tuple(ca[j] + s1 * (cb[j] - ca[j]) for j in range(3))
-        ua, va = project_cam(ca2, Kb)
-        ub, vb = project_cam(cb2, Kb)
-        du, dv = ub - ua, vb - va
-        span = _clip_unit_interval(
-            [(ua, du), (u_max - ua, -du), (va, dv), (v_max - va, -dv)],
-            be,
-            be.zero,
-            one,
-        )
-        if span is None:
-            continue
-        t_lo, t_hi = span
-        a2 = (ua + t_lo * du, va + t_lo * dv)
-        b2 = (ua + t_hi * du, va + t_hi * dv)
-        count, d, normal = _sample_layout((a2, b2), cfg, be)
-        if count:
-            segments.append((i, count, *a2, *d, *normal, t_lo, t_hi, ca2[2], cb2[2], *wa2, *wb2))
-    if not segments:
-        raise InsufficientMeasurementsError("only 0 matched control points; pose needs 6")
-
-    edge_ids, counts, *columns = zip(*segments)
-    slot, tk = _sample_params(counts, be)
-    ax, ay, dx, dy = (be.stack(c)[slot] for c in columns[:4])
-    px, py = ax + tk * dx, ay + tk * dy
-    edge_ids = np.array(edge_ids)[slot]
-    visible = points_visible(be.to_float(px), be.to_float(py), edge_ids, id_buffer)
-    slot, tk, px, py, edge_ids = slot[visible], tk[visible], px[visible], py[visible], edge_ids[visible]
-    nx, ny, t_lo, t_hi, za2, zb2, *ends = (be.stack(c)[slot] for c in columns[4:])
+    # Camera and world coordinates of the edge ends, near-clipped together:
+    # the clip parameter is valid in world space too, since the camera
+    # transform is affine.
+    used, ends = np.unique(model.edges.ravel(), return_inverse=True)
+    ends = ends.reshape(-1, 2)
+    world = tuple(be.stack([be.from_float(c) for c in col]) for col in model.vertices[used].T.tolist())
+    points = (*(c + tc for c, tc in zip(mat_vec(R, world), t)), *world)
+    edge, a, b = clip_near(tuple(c[ends[:, 0]] for c in points),
+                           tuple(c[ends[:, 1]] for c in points), be.from_float(NEAR_PLANE_MM), be)
+    (ua, va), (ub, vb) = project_cam(a, Kb), project_cam(b, Kb)
+    du, dv = ub - ua, vb - va
+    size = (be.from_int(K.width - 1), be.from_int(K.height - 1))
+    t_lo, t_hi, hit = clip_box((ua, va), (du, dv), (be.zero, be.zero), size, be)
+    rows = np.flatnonzero(hit)
+    edge, ua, va, du, dv, t_lo, t_hi = (c[rows] for c in (edge, ua, va, du, dv, t_lo, t_hi))
+    a, b = tuple(c[rows] for c in a), tuple(c[rows] for c in b)
+    seg, tk, (px, py), (nx, ny) = _sample_segments(
+        ua + t_lo * du, va + t_lo * dv, ua + t_hi * du, va + t_hi * dv, cfg, be)
+    visible = points_visible(be.to_float(px), be.to_float(py), edge[seg], id_buffer)
+    seg, tk, px, py, nx, ny = (c[visible] for c in (seg, tk, px, py, nx, ny))
     # Parameter on the near-clipped projected segment, then the
     # perspective-correct parameter along the 3D segment.
+    t_lo, t_hi, za, zb = t_lo[seg], t_hi[seg], a[2][seg], b[2][seg]
     t2 = t_lo + tk * (t_hi - t_lo)
-    t3 = t2 * za2 / (zb2 + t2 * (za2 - zb2))
-    X = tuple(wa + t3 * (wb - wa) for wa, wb in zip(ends[:3], ends[3:]))
+    t3 = t2 * za / (zb + t2 * (za - zb))
+    X = tuple(wa[seg] + t3 * (wb[seg] - wa[seg]) for wa, wb in zip(a[3:], b[3:]))
     hit, qx, qy, likelihood = _search(gray, px, py, nx, ny, cfg, be)
     if np.count_nonzero(hit) < 6:
         raise InsufficientMeasurementsError(
             f"only {np.count_nonzero(hit)} matched control points; pose needs 6"
         )
     return MeasurementSet(
-        edge_index=edge_ids[hit],
+        edge_index=edge[seg][hit],
         p=(px[hit], py[hit]),
         n=(nx[hit], ny[hit]),
         X=tuple(c[hit] for c in X),

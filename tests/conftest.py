@@ -159,6 +159,15 @@ def synthetic_measurements(model, pose, K, step: float = 10.0):
     return out
 
 
+def columns(measurements, backend):
+    """World points, normals and matches of ControlPoints as the backend
+    column arrays (X, n, match) that solve_lm takes."""
+    return tuple(
+        tuple(backend.stack([getattr(m, name)[j] for m in measurements]) for j in range(dim))
+        for name, dim in (("X", 3), ("n", 2), ("match", 2))
+    )
+
+
 def pose_errors(pose_a, pose_b):
     """(geodesic rotation angle, translation distance) between two poses."""
     from edgetrack.geometry import exp_map_np

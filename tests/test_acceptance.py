@@ -38,6 +38,7 @@ from edgetrack.realmath import get_backend
 from edgetrack.tracking import TrackerConfig
 
 from conftest import (
+    columns,
     cube_model_text,
     perturbed_pose,
     pose_errors,
@@ -203,7 +204,7 @@ def test_criterion_04_exact_recovery(cube60, camera):
     ok = 0
     for _ in range(100):
         start = perturbed_pose(pose, np.radians(2.0), 3.0, rng)
-        out, _, _ = solve_lm(ms, start, camera, LMSettings(), FLOAT)
+        out, _, _, _ = solve_lm(columns(ms, FLOAT), start, camera, LMSettings(), FLOAT)
         ang, dist = pose_errors(out, pose)
         ok += ang < 1e-3 and dist < 1e-2
     elapsed = time.perf_counter() - t0

@@ -317,12 +317,13 @@ def test_run_tracking_survives_numeric_faults(tmp_path, cube_model, qvga_camera,
 
 
 @pytest.mark.parametrize("backend", ["float", "q40_23", "q47_16"])
-@pytest.mark.parametrize("first_fault", ["truncated", "small"])
+@pytest.mark.parametrize("first_fault", ["truncated", "small", "directory"])
 def test_run_tracking_coasts_over_bad_frames(tmp_path, cube_model, qvga_camera, backend, first_fault):
-    # A truncated PGM and a frame of the wrong size fail their frame as too
-    # few matches do: with coast_frames=1, frame 10 coasts, frame 11 (the
-    # other fault) is lost, and tracking resumes at frame 12.  The run
-    # writes one record per frame and both CSVs.
+    # A truncated PGM, a frame of the wrong size and a frame path that
+    # cannot be opened (a directory) fail their frame as too few matches
+    # do: with coast_frames=1, frame 10 coasts, frame 11 (a second fault) is
+    # lost, and tracking resumes at frame 12.  The run writes one record
+    # per frame and both CSVs.
     from edgetrack.imaging import GrayImage, save_image
 
     traj = standard_trajectory(13)
@@ -330,9 +331,19 @@ def test_run_tracking_coasts_over_bad_frames(tmp_path, cube_model, qvga_camera, 
     generate_sequence(cube_model, qvga_camera, traj, sigma=0.0, out_dir=seq, seed=0)
     truncated = (seq / "frame_000010.pgm").read_bytes()[:1000]
     small = GrayImage(pixels=np.full((10, 10), 255, dtype=np.uint8))
-    bad = [10, 11] if first_fault == "truncated" else [11, 10]
-    (seq / ("frame_%06d.pgm" % bad[0])).write_bytes(truncated)
-    save_image(small, seq / ("frame_%06d.pgm" % bad[1]))
+
+    def inject(fault, frame):
+        path = seq / ("frame_%06d.pgm" % frame)
+        if fault == "truncated":
+            path.write_bytes(truncated)
+        elif fault == "small":
+            save_image(small, path)
+        else:
+            path.unlink()
+            path.mkdir()
+
+    inject(first_fault, 10)
+    inject("truncated" if first_fault == "small" else "small", 11)
     cfg = TrackerConfig(backend=backend)
     records = run_tracking(seq, cube_model, qvga_camera, cfg, traj.pose(0), coast_frames=1,
                            out_dir=tmp_path / "run")

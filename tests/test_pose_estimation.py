@@ -21,7 +21,7 @@ from edgetrack.pose_estimation import (
 from edgetrack.realmath import get_backend
 from edgetrack.tracking import ControlPoint
 
-from conftest import perturbed_pose, pose_errors, synthetic_measurements
+from conftest import columns, perturbed_pose, pose_errors, synthetic_measurements
 
 FLOAT = get_backend("float")
 Q40 = get_backend("q40_23")
@@ -176,7 +176,7 @@ def test_solver_zero_residual_returns_immediately(qvga_camera):
         q = (K.fx * X[0] / z + K.cx, K.fy * X[1] / z + K.cy)
         n = (1.0, 0.0) if i % 2 else (0.0, 1.0)
         ms.append(ControlPoint(edge_index=0, p=q, n=n, X=X, match=q))
-    out, err, iters = solve_lm(ms, pose, qvga_camera, LMSettings(), FLOAT)
+    out, err, iters, _ = solve_lm(columns(ms, FLOAT), pose, qvga_camera, LMSettings(), FLOAT)
     assert err == 0.0 and iters == 0
     ang, dist = pose_errors(out, pose)
     assert ang < 1e-12 and dist < 1e-12
@@ -188,7 +188,7 @@ def test_solver_already_converged_pose_stays_put(cube_model, qvga_camera):
     pose = cube_pose()
     ms = synthetic_measurements(cube_model, pose, qvga_camera)
     assert len(ms) >= 20
-    out, err, iters = solve_lm(ms, pose, qvga_camera, LMSettings(), FLOAT)
+    out, err, iters, _ = solve_lm(columns(ms, FLOAT), pose, qvga_camera, LMSettings(), FLOAT)
     assert err < 1e-9
     ang, dist = pose_errors(out, pose)
     assert ang < 1e-9 and dist < 1e-9
@@ -200,7 +200,7 @@ def test_solver_recovers_perturbed_poses(cube_model, qvga_camera):
     rng = np.random.default_rng(909)
     for _ in range(25):
         start = perturbed_pose(pose, np.radians(2.0), 3.0, rng)
-        out, err, iters = solve_lm(ms, start, qvga_camera, LMSettings(), FLOAT)
+        out, err, iters, _ = solve_lm(columns(ms, FLOAT), start, qvga_camera, LMSettings(), FLOAT)
         ang, dist = pose_errors(out, pose)
         assert ang < 1e-3 and dist < 1e-2
         assert iters >= 1
@@ -227,8 +227,8 @@ def test_solver_cost_decreases_with_iteration_budget(cube_model, qvga_camera):
     tight = dict(tol_relative=1e-30, tol_step=1e-30)
     costs = []
     for budget in range(0, 9):
-        out, _, iters = solve_lm(
-            ms, start, qvga_camera, LMSettings(max_iterations=budget, **tight), FLOAT
+        out, _, iters, _ = solve_lm(
+            columns(ms, FLOAT), start, qvga_camera, LMSettings(max_iterations=budget, **tight), FLOAT
         )
         assert iters <= budget
         costs.append(cost_at(out))
@@ -253,7 +253,8 @@ def test_solver_single_straight_edge_is_degenerate(qvga_camera):
             )
         )
     with pytest.raises(DegenerateGeometryError):
-        solve_lm(ms, PoseSE3(np.zeros(3), np.array([0.0, 0.0, z])), K, LMSettings(), FLOAT)
+        solve_lm(columns(ms, FLOAT), PoseSE3(np.zeros(3), np.array([0.0, 0.0, z])), K,
+                 LMSettings(), FLOAT)
 
 
 def test_solver_result_insensitive_to_model_frame_choice(cube_model, qvga_camera):
@@ -282,8 +283,8 @@ def test_solver_result_insensitive_to_model_frame_choice(cube_model, qvga_camera
             )
         )
 
-    out1, err1, it1 = solve_lm(ms, start, qvga_camera, LMSettings(), FLOAT)
-    out2, err2, it2 = solve_lm(ms2, reframe(start), qvga_camera, LMSettings(), FLOAT)
+    out1, err1, it1, _ = solve_lm(columns(ms, FLOAT), start, qvga_camera, LMSettings(), FLOAT)
+    out2, err2, it2, _ = solve_lm(columns(ms2, FLOAT), reframe(start), qvga_camera, LMSettings(), FLOAT)
     assert err2 == pytest.approx(err1, abs=1e-9)
     assert it1 == it2
     # out2 should be the reframed out1
@@ -312,9 +313,10 @@ def test_solver_fixed_backends_land_near_float(cube_model, qvga_camera):
     ms = synthetic_measurements(cube_model, pose, qvga_camera)
     rng = np.random.default_rng(13)
     start = perturbed_pose(pose, np.radians(1.0), 2.0, rng)
-    out_f, _, _ = solve_lm(ms, start, qvga_camera, LMSettings(), FLOAT)
+    out_f, _, _, _ = solve_lm(columns(ms, FLOAT), start, qvga_camera, LMSettings(), FLOAT)
     for be, tol_mm in ((Q40, 0.1), (Q47, 0.5)):
-        out_b, _, _ = solve_lm(measurements_to_backend(ms, be), start, qvga_camera, LMSettings(), be)
+        out_b, _, _, _ = solve_lm(columns(measurements_to_backend(ms, be), be), start, qvga_camera,
+                                 LMSettings(), be)
         ang, dist = pose_errors(out_b, out_f)
         assert dist < tol_mm
         assert ang < 2e-3
@@ -409,7 +411,7 @@ def scalar_bits(v):
 @pytest.mark.parametrize("be", [FLOAT, Q40, Q47], ids=["float", "q40_23", "q47_16"])
 def test_normal_system_matches_scalar_reference(be, cube_model, qvga_camera):
     from edgetrack.geometry import exp_map
-    from edgetrack.pose_estimation import _build_system, _columns, _normal_equations, _sum_squares
+    from edgetrack.pose_estimation import _build_system, _normal_equations, _sum_squares
 
     pose = cube_pose()
     ms = synthetic_measurements(cube_model, pose, qvga_camera)
@@ -424,7 +426,7 @@ def test_normal_system_matches_scalar_reference(be, cube_model, qvga_camera):
         R = exp_map(tuple(be.from_float(w) for w in start.omega), be)
         t = [be.from_float(v) for v in start.t]
         cost, A, g = ref_normal_system(bms, R, t, Kb, be)
-        rs, rows = _build_system(_columns(bms, be), R, t, Kb, be)
+        rs, rows = _build_system(columns(bms, be), R, t, Kb, be)
         A2, g2 = _normal_equations(rs, rows, be)
         assert scalar_bits(_sum_squares(rs, be)) == scalar_bits(cost)
         assert [[scalar_bits(v) for v in row] for row in A2] == [[scalar_bits(v) for v in row] for row in A]
@@ -434,7 +436,7 @@ def test_normal_system_matches_scalar_reference(be, cube_model, qvga_camera):
 def test_normal_system_overflow_raises_like_scalar(qvga_camera):
     # A point 2 um in front of the camera drives its Jacobian row, and the
     # JᵀJ products, past the Q40.23 range: both forms raise, never wrap.
-    from edgetrack.pose_estimation import _build_system, _columns, _normal_equations
+    from edgetrack.pose_estimation import _build_system, _normal_equations
     from edgetrack.realmath import MathOverflowError
 
     K = qvga_camera
@@ -447,4 +449,4 @@ def test_normal_system_overflow_raises_like_scalar(qvga_camera):
     with pytest.raises(MathOverflowError):
         ref_normal_system(bms, R, t, Kb, Q40)
     with pytest.raises(MathOverflowError):
-        _normal_equations(*_build_system(_columns(bms, Q40), R, t, Kb, Q40), Q40)
+        _normal_equations(*_build_system(columns(bms, Q40), R, t, Kb, Q40), Q40)

@@ -296,6 +296,11 @@ def test_get_backend_names():
 def test_float_backend_sqrt_domain():
     with pytest.raises(MathDomainError):
         get_backend("float").sqrt(-1.0)
+    # Arrays: elementwise math.sqrt, and a raise when any element is negative.
+    values = np.concatenate([[0.0, 1.0, 4.0, 2.0], np.random.default_rng(610).uniform(0.0, 1e6, 200)])
+    assert FloatBackend.sqrt(values).tolist() == [math.sqrt(v) for v in values.tolist()]
+    with pytest.raises(MathDomainError):
+        FloatBackend.sqrt(np.array([1.0, -1e-300]))
 
 
 def test_backend_constants_consistent():
@@ -326,7 +331,7 @@ def scalar_outcome(fn):
     """Raw result of a scalar operation, or the class of what it raised."""
     try:
         out = fn()
-    except (MathOverflowError, ZeroDivisionError) as exc:
+    except (MathOverflowError, MathDomainError, ZeroDivisionError) as exc:
         return type(exc)
     return out.raw
 
@@ -358,12 +363,13 @@ def test_fixed_array_matches_scalar_per_element(cls):
                   for name, op in BINARY_OPS]
         cases += [(name + " scalar", lambda op=op: op(cls(a), cls(b)), lambda op=op: op(fa, cls(b)))
                   for name, op in BINARY_OPS]
-        cases += [("neg", lambda: -cls(a), lambda: -fa), ("abs", lambda: abs(cls(a)), lambda: abs(fa))]
+        cases += [("neg", lambda: -cls(a), lambda: -fa), ("abs", lambda: abs(cls(a)), lambda: abs(fa)),
+                  ("sqrt", lambda: cls(a).sqrt(), lambda: fa.sqrt())]
         for name, scalar, array in cases:
             want = scalar_outcome(scalar)
             try:
                 got = array().raw.tolist()[0]
-            except (MathOverflowError, ZeroDivisionError) as exc:
+            except (MathOverflowError, MathDomainError, ZeroDivisionError) as exc:
                 got = type(exc)
             assert got == want, (name, a, b, k)
             raised += isinstance(want, type)
@@ -371,6 +377,32 @@ def test_fixed_array_matches_scalar_per_element(cls):
             assert getattr(fa, op)(fb).tolist() == [getattr(cls(a), op)(cls(b))]
             assert getattr(fa, op)(k).tolist() == [getattr(cls(a), op)(k)]
     assert raised > 1000  # the range ends were exercised
+
+    # sqrt over whole arrays: 0, perfect squares, the largest raw word, and
+    # a raise when any element is negative.
+    be = FixedBackend(cls.FORMAT)
+    roots = [0, 1, 3, 1000, (1 << 20) - 1]  # k * k fits both formats
+    values = [0, 1, (1 << 63) - 1, *a_raw[:50]] + [(k * k) << cls.FRAC_BITS for k in roots]
+    values = [v for v in values if v >= 0]
+    got = FixedArray(np.array(values, dtype=np.int64), cls).sqrt()
+    assert got.raw.tolist() == [cls(v).sqrt().raw for v in values]
+    assert got.raw.tolist()[-len(roots):] == [k << cls.FRAC_BITS for k in roots]
+    assert be.sqrt(be.stack([cls(v) for v in values])).raw.tolist() == got.raw.tolist()
+    with pytest.raises(MathDomainError):
+        FixedArray(np.array([4, -1, 9], dtype=np.int64), cls).sqrt()
+
+    # where: per element the operand the mask picks, arrays or scalars.
+    mask = rng.random(len(a_raw)) < 0.5
+    fa = FixedArray(np.array(a_raw, dtype=np.int64), cls)
+    fb = FixedArray(np.array(b_raw, dtype=np.int64), cls)
+    assert be.where(mask, fa, fb).raw.tolist() == [x if m else y for m, x, y in zip(mask, a_raw, b_raw)]
+    assert be.where(mask, cls(a_raw[0]), fb).raw.tolist() == [
+        a_raw[0] if m else y for m, y in zip(mask, b_raw)]
+    with pytest.raises(TypeError):
+        be.where(mask, fa, 1.0)
+    other = FIXED_CLASSES[1] if cls is FIXED_CLASSES[0] else FIXED_CLASSES[0]
+    with pytest.raises(TypeError):
+        be.where(mask, fa, FixedArray(fb.raw, other))
 
 
 @pytest.mark.parametrize("cls", FIXED_CLASSES)

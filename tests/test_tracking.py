@@ -14,9 +14,9 @@ from edgetrack.tracking import (
     InsufficientMeasurementsError,
     MeasurementSet,
     TrackerConfig,
+    _sample_segments,
     bilinear_sample,
     collect_measurements,
-    sample_control_points,
     search_correspondence,
 )
 
@@ -27,6 +27,16 @@ Q47 = get_backend("q47_16")
 
 def default_cfg(**kw):
     return TrackerConfig(**kw)
+
+
+def sample_control_points(segment, edge_index, cfg, backend):
+    """Control points of one projected segment, a pair of 2D points in
+    backend scalars, laid out by the tracker's array sampling."""
+    (ax, ay), (bx, by) = segment
+    seg, _, (px, py), (nx, ny) = _sample_segments(
+        *(backend.stack([v]) for v in (ax, ay, bx, by)), cfg, backend)
+    return [ControlPoint(edge_index=edge_index, p=(px[k], py[k]), n=(nx[k], ny[k]))
+            for k in range(len(seg))]
 
 
 # ---------------------------------------------------------------------------
@@ -423,17 +433,57 @@ def ref_sample_control_points(segment, cfg, backend):
     return out, (-(dy / length), dx / length)
 
 
+def _clip_unit_interval(constraints, backend, t_lo, t_hi):
+    """Liang-Barsky style clip: keep t where fa + t*fd >= 0 for all pairs."""
+    for fa, fd in constraints:
+        if fd == backend.zero:
+            if fa < backend.zero:
+                return None
+            continue
+        t_cross = -fa / fd
+        if fd > backend.zero:
+            if t_cross > t_lo:
+                t_lo = t_cross
+        else:
+            if t_cross < t_hi:
+                t_hi = t_cross
+    if not t_lo < t_hi:
+        return None
+    return t_lo, t_hi
+
+
+def ref_clip_near(a, b, near, backend):
+    """(a2, b2) of one segment clipped to z >= near (z at index 2), None
+    when both ends are behind; the end in front is kept as it is."""
+    a_in, b_in = a[2] >= near, b[2] >= near
+    if not (a_in or b_in):
+        return None
+    if a_in and b_in:
+        return a, b
+    s = (near - a[2]) / (b[2] - a[2])
+    moved = tuple(x + s * (y - x) for x, y in zip(a, b))
+    return (a, moved) if a_in else (moved, b)
+
+
+def ref_clip_box(a, d, lo, hi, backend):
+    """Span (s0, s1) of one segment a + s d inside lo <= p <= hi, None
+    when the clip leaves no interval of positive length."""
+    constraints = []
+    for a_k, d_k, lo_k, hi_k in zip(a, d, lo, hi):
+        constraints += [(a_k - lo_k, d_k), (hi_k - a_k, -d_k)]
+    return _clip_unit_interval(constraints, backend, backend.zero, backend.one)
+
+
 def ref_collect_measurements(model, pose, K, gray, id_buffer, cfg, be):
     """(matched ControlPoints, n_projected, n_sampled) from the per-point loop."""
     from edgetrack.geometry import exp_map, mat_vec, project_cam
     from edgetrack.rasterizer import NEAR_PLANE_MM
-    from edgetrack.tracking import _clip_unit_interval
 
     R = exp_map(tuple(be.from_float(w) for w in pose.omega), be)
     t = tuple(be.from_float(v) for v in pose.t)
     Kb = K.to_backend(be)
     near = be.from_float(NEAR_PLANE_MM)
-    u_max, v_max = be.from_int(K.width - 1), be.from_int(K.height - 1)
+    lo, hi = (be.zero, be.zero), (be.from_int(K.width - 1), be.from_int(K.height - 1))
     matched, n_projected, n_sampled = [], 0, 0
     for i, e in enumerate(model.edges):
         wa = tuple(be.from_float(c) for c in model.vertices[e[0]])
@@ -441,21 +491,16 @@ def ref_collect_measurements(model, pose, K, gray, id_buffer, cfg, be):
         ca, cb = mat_vec(R, wa), mat_vec(R, wb)
         ca = (ca[0] + t[0], ca[1] + t[1], ca[2] + t[2])
         cb = (cb[0] + t[0], cb[1] + t[1], cb[2] + t[2])
-        za, zb = ca[2], cb[2]
-        if za < near and zb < near:
+        ends = ref_clip_near((*ca, *wa), (*cb, *wb), near, be)
+        if ends is None:
             continue
-        s0 = be.zero if za >= near else (near - za) / (zb - za)
-        s1 = be.one if zb >= near else (near - za) / (zb - za)
-        wa2 = tuple(wa[j] + s0 * (wb[j] - wa[j]) for j in range(3))
-        wb2 = tuple(wa[j] + s1 * (wb[j] - wa[j]) for j in range(3))
-        ca2 = tuple(ca[j] + s0 * (cb[j] - ca[j]) for j in range(3))
-        cb2 = tuple(ca[j] + s1 * (cb[j] - ca[j]) for j in range(3))
+        a, b = ends
+        ca2, wa2, cb2, wb2 = a[:3], a[3:], b[:3], b[3:]
         za2, zb2 = ca2[2], cb2[2]
         ua, va = project_cam(ca2, Kb)
         ub, vb = project_cam(cb2, Kb)
         du, dv = ub - ua, vb - va
-        span = _clip_unit_interval(
-            [(ua, du), (u_max - ua, -du), (va, dv), (v_max - va, -dv)], be, be.zero, be.one)
+        span = ref_clip_box((ua, va), (du, dv), lo, hi, be)
         if span is None:
             continue
         t_lo, t_hi = span
@@ -487,6 +532,77 @@ def random_gray(rng, h=60, w=70):
     base = rng.integers(0, 256, (h // 6 + 2, w // 6 + 2)).astype(float)
     img = np.kron(base, np.ones((6, 6)))[:h, :w] + rng.normal(0.0, 8.0, (h, w))
     return GrayImage(pixels=np.clip(img, 0, 255).astype(np.uint8))
+
+
+@pytest.mark.parametrize("be", [FLOAT, Q40, Q47], ids=["float", "q40_23", "q47_16"])
+def test_clip_near_matches_scalar_reference(be):
+    from edgetrack.geometry import clip_near
+
+    rng = np.random.default_rng(404)
+    near = be.from_float(1.0)
+    # Depths on both sides of the plane and on it; the rows cover every
+    # pair, so segments lie wholly behind, cross either way, end on the
+    # plane or lie wholly in front.
+    depths = [-40.0, -1.0, 0.0, 0.5, 1.0, 1.0 + 2.0 ** -10, 3.0, 250.0]
+    rows = [(za, zb) for za in depths for zb in depths]
+    a = [(*rng.uniform(-90.0, 90.0, 2), za, *rng.uniform(-90.0, 90.0, 3)) for za, _ in rows]
+    b = [(*rng.uniform(-90.0, 90.0, 2), zb, *rng.uniform(-90.0, 90.0, 3)) for _, zb in rows]
+    a = [tuple(be.from_float(float(v)) for v in p) for p in a]
+    b = [tuple(be.from_float(float(v)) for v in p) for p in b]
+    live, ca, cb = clip_near(*(tuple(be.stack([p[j] for p in end]) for j in range(6)) for end in (a, b)),
+                             near, be)
+    want = [ref_clip_near(pa, pb, near, be) for pa, pb in zip(a, b)]
+    assert live.tolist() == [i for i, w in enumerate(want) if w is not None]
+    for k, i in enumerate(live.tolist()):
+        for got, ref in zip((ca, cb), want[i]):
+            assert [bits(c[k]) for c in got] == [bits(v) for v in ref]
+    # 4 depths lie behind the plane and 4 on or in front of it.
+    assert sum(w is None for w in want) == 16
+    assert sum(w is not None and w != (pa, pb) for w, pa, pb in zip(want, a, b)) == 32
+
+
+@pytest.mark.parametrize("be", [FLOAT, Q40, Q47], ids=["float", "q40_23", "q47_16"])
+def test_clip_box_matches_scalar_reference(be):
+    from edgetrack.geometry import clip_box
+
+    rng = np.random.default_rng(405)
+    cases = [
+        ((3.0, 2.0), (0.0, 3.0)),  # flat in x, inside
+        ((-1.0, 2.0), (0.0, 3.0)),  # flat in x, outside
+        ((3.0, 7.0), (4.0, 0.0)),  # flat in y, outside
+        ((4.0, 4.0), (0.0, 0.0)),  # a point inside
+        ((12.0, 4.0), (0.0, 0.0)),  # a point outside
+        ((0.0, 0.0), (9.0, 6.0)),  # ends on the box corners
+        ((9.0, 3.0), (-9.0, 0.0)),  # ends on the borders, descending
+        ((-1.0, -1.0), (1.0, 1.0)),  # touches a corner: a zero-length span
+        ((9.0, 6.0), (2.0, -3.0)),  # leaves from a corner: a zero-length span
+        ((-5.0, 3.0), (20.0, 0.0)),  # crosses the box rising
+        ((15.0, 3.0), (-20.0, 0.0)),  # crosses the box falling
+        ((-3.0, 8.0), (16.0, -11.0)),  # crosses diagonally
+        # Outside in x, so y is never divided: its crossings would
+        # overflow both fixed-point formats.
+        ((-5.0, 1e10), (0.0, 2.0 ** -16)),
+    ]
+    # Half-pixel grid: many crossings land exactly on the borders.
+    cases += [(tuple(rng.integers(-6, 25, 2) * 0.5), tuple(rng.integers(-16, 17, 2) * 0.5))
+              for _ in range(400)]
+    for lo, hi in (((0.0, 0.0), (9.0, 6.0)), ((-1.5, -1.5), (10.5, 7.5))):
+        lo_b, hi_b = tuple(be.from_float(v) for v in lo), tuple(be.from_float(v) for v in hi)
+        a = [tuple(be.from_float(v) for v in c[0]) for c in cases]
+        d = [tuple(be.from_float(v) for v in c[1]) for c in cases]
+        s0, s1, meets = clip_box(tuple(be.stack([p[j] for p in a]) for j in range(2)),
+                                 tuple(be.stack([p[j] for p in d]) for j in range(2)), lo_b, hi_b, be)
+        spans = empty = 0
+        for k, (pa, pd) in enumerate(zip(a, d)):
+            want = ref_clip_box(pa, pd, lo_b, hi_b, be)
+            if want is None:
+                # The scalar clip also drops a span of length zero.
+                assert not meets[k] or bits(s0[k]) == bits(s1[k]), cases[k]
+                empty += bool(meets[k])
+            else:
+                assert meets[k] and (bits(s0[k]), bits(s1[k])) == tuple(map(bits, want)), cases[k]
+                spans += 1
+        assert spans > 150 and len(cases) - spans > 100 and empty >= 2
 
 
 @pytest.mark.parametrize("be", [FLOAT, Q40, Q47], ids=["float", "q40_23", "q47_16"])
@@ -577,11 +693,13 @@ def test_visibility_matches_scalar_reference(cube_model, qvga_camera):
 def test_collect_measurements_matches_scalar_reference(be, cube_model, qvga_camera):
     from conftest import random_convex_model, random_orbit_pose
     from edgetrack.harness import render_frame_gray
+    from test_harness import corridor_scene
 
     rng = np.random.default_rng(403)
     scenes = [(cube_model, look_at_pose(np.array([40.0, -35.0, -130.0]), np.zeros(3),
                                         np.array([0.0, 1.0, 0.0])))]
     scenes += [(random_convex_model(rng), random_orbit_pose(rng, (90.0, 160.0))) for _ in range(2)]
+    scenes.append(corridor_scene())  # four edges cross the near plane in view
     cfg = default_cfg()
     for model, pose in scenes:
         gray = render_frame_gray(model, pose, qvga_camera, sigma=3.0, rng=rng)
