@@ -9,7 +9,8 @@ Jacobian never differentiates through the exponential map at large angles.
 Everything runs on the realmath backend, so the same code path produces
 float results or bit-reproducible fixed-point results.  Residuals, Jacobian
 rows and the normal equations are computed once per trial over all points
-on the backend's arrays; the 6x6 solve and the damping loop run on scalars.
+on the backend's arrays; the damping loop runs on scalars, and the 6x6
+solve and the rotation update on the backend's words (``backend.words``).
 """
 
 from __future__ import annotations
@@ -157,36 +158,55 @@ def _sum_squares(rs, backend):
 
 
 def _solve_linear6(A, b, backend):
-    """Gaussian elimination with partial pivoting; None when singular."""
-    aug = [list(A[i]) + [b[i]] for i in range(6)]
-    ref = max(abs(_to_float(A[i][j])) for i in range(6) for j in range(6))
+    """Gaussian elimination with partial pivoting; None when singular.
+
+    Runs on the backend's words (``backend.words``): floats, or raw
+    fixed-point words rounded and range-checked as FixedPoint's operators
+    do, so every step gives the word the same step on scalars gives.
+    """
+    w = backend.words
+    sub, mul, div, to_float = w.sub, w.mul, w.div, w.to_float
+    aug = [[w.word(v) for v in A[i]] + [w.word(b[i])] for i in range(6)]
+    ref = max(abs(to_float(aug[i][j])) for i in range(6) for j in range(6))
     if ref == 0.0:
         return None
     for col in range(6):
-        piv = max(range(col, 6), key=lambda r: abs(_to_float(aug[r][col])))
-        if abs(_to_float(aug[piv][col])) <= _PIVOT_RTOL * ref:
+        piv = max(range(col, 6), key=lambda r: abs(to_float(aug[r][col])))
+        if abs(to_float(aug[piv][col])) <= _PIVOT_RTOL * ref:
             return None
         if piv != col:
             aug[col], aug[piv] = aug[piv], aug[col]
-        pivot = aug[col][col]
+        top = aug[col]
         for r in range(col + 1, 6):
-            factor = aug[r][col] / pivot
+            row = aug[r]
+            factor = div(row[col], top[col])
             for cc in range(col, 7):
-                aug[r][cc] = aug[r][cc] - factor * aug[col][cc]
-    x = [backend.zero] * 6
-    for row in range(5, -1, -1):
-        acc = aug[row][6]
-        for cc in range(row + 1, 6):
-            acc = acc - aug[row][cc] * x[cc]
-        x[row] = acc / aug[row][row]
-    return x
+                row[cc] = sub(row[cc], mul(factor, top[cc]))
+    x = [None] * 6
+    for r in range(5, -1, -1):
+        row = aug[r]
+        acc = row[6]
+        for cc in range(r + 1, 6):
+            acc = sub(acc, mul(row[cc], x[cc]))
+        x[r] = div(acc, row[r])
+    return [w.scalar(v) for v in x]
 
 
-def _mat_mul3(A, B):
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3)]
-        for i in range(3)
-    ]
+def _mat_mul3(A, B, backend):
+    """A B for 3x3 nested lists of backend scalars, each entry summed from
+    0 left to right as sum() does; runs on the backend's words."""
+    w = backend.words
+    add, mul = w.add, w.mul
+    a = [[w.word(v) for v in row] for row in A]
+    b = [[w.word(v) for v in row] for row in B]
+    out = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            acc = 0
+            for k in range(3):
+                acc = add(acc, mul(a[i][k], b[k][j]))
+            out[i][j] = w.scalar(acc)
+    return out
 
 
 def _pose_from_backend(R, t, backend) -> PoseSE3:
@@ -239,7 +259,7 @@ def solve_lm(columns, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSettings,
             delta = _solve_linear6(damped, [-v for v in g], be)
             singular = delta is None
             if not singular:
-                R_new = _mat_mul3(exp_map((delta[0], delta[1], delta[2]), be), R)
+                R_new = _mat_mul3(exp_map((delta[0], delta[1], delta[2]), be), R, be)
                 t_new = [t[i] + delta[3 + i] for i in range(3)]
                 try:
                     rs_new, rows_new = _build_system(columns, R_new, t_new, Kb, be)

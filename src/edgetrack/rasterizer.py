@@ -158,21 +158,6 @@ class EdgeTrace:
     s: np.ndarray
 
 
-def _clip_polygon_near(points_cam: list[np.ndarray]) -> list[np.ndarray]:
-    """Sutherland-Hodgman clip of a camera-space polygon against z >= near."""
-    out: list[np.ndarray] = []
-    n = len(points_cam)
-    for i in range(n):
-        a, b = points_cam[i], points_cam[(i + 1) % n]
-        a_in, b_in = a[2] >= NEAR_PLANE_MM, b[2] >= NEAR_PLANE_MM
-        if a_in:
-            out.append(a)
-        if a_in != b_in:
-            s = (NEAR_PLANE_MM - a[2]) / (b[2] - a[2])
-            out.append(a + s * (b - a))
-    return out
-
-
 # A traced point rounds onto the image when it lies in [-0.5, size - 0.5)
 # on both axes.  The margin box adds one pixel on every side.  A step moves
 # at most one pixel per axis, so the neighbours of every on-image step lie
@@ -231,17 +216,34 @@ _PAIR_CHUNK = 1 << 12
 
 def _triangles(model: WireframeModel, cam: np.ndarray):
     """Camera-space triangles (T, 3, 3) of the faces clipped against the
-    near plane and fan-triangulated, with each triangle's face index."""
+    near plane and fan-triangulated, with each triangle's face index.
+
+    The faces crossing the plane are clipped as their edges v0-v1, v1-v2,
+    v2-v0 in one clip_near call, which is the Sutherland-Hodgman clip of
+    each: every edge with an end in front gives its a end, moved onto the
+    plane when behind, then its moved b end when b is behind.
+    """
     pts = cam[model.faces]
     front = pts[:, :, 2] >= NEAR_PLANE_MM
     whole = front.all(axis=1)
-    tris, faces = [pts[whole]], [np.flatnonzero(whole)]
-    for fi in np.flatnonzero(front.any(axis=1) & ~whole):
-        poly = _clip_polygon_near(list(pts[fi]))
-        for j in range(1, len(poly) - 1):
-            tris.append(np.array([[poly[0], poly[j], poly[j + 1]]]))
-            faces.append(np.array([fi]))
-    return np.concatenate(tris), np.concatenate(faces)
+    tris, faces = pts[whole], np.flatnonzero(whole)
+    cross = np.flatnonzero(front.any(axis=1) & ~whole)
+    if len(cross) == 0:
+        return tris, faces
+    a = pts[cross].reshape(-1, 3)
+    b = pts[cross][:, [1, 2, 0]].reshape(-1, 3)
+    live, ca, cb = clip_near(tuple(a.T), tuple(b.T), NEAR_PLANE_MM, _FLOAT)
+    ends = np.stack([np.stack(ca, axis=-1), np.stack(cb, axis=-1)], axis=1)
+    emit = np.stack([np.ones(len(live), dtype=bool), b[live, 2] < NEAR_PLANE_MM], axis=1)
+    poly = ends[emit]  # the clipped polygons' points, face by face in order
+    # A clipped triangle has 3 or 4 points: fan triangles (0, j, j + 1) of each.
+    counts = np.bincount(np.repeat(live // 3, emit.sum(axis=1)), minlength=len(cross))
+    fans = counts - 2
+    fan = np.repeat(np.arange(len(cross)), fans)
+    start = (np.cumsum(counts) - counts)[fan]
+    j = start + np.arange(len(fan)) - np.repeat(np.cumsum(fans) - fans, fans) + 1
+    corners = poly[np.stack([start, j, j + 1], axis=1)]
+    return np.concatenate([tris, corners]), np.concatenate([faces, cross[fan]])
 
 
 def _face_depth(model: WireframeModel, cam: np.ndarray, K: CameraIntrinsics, pixels):

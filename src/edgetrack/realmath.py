@@ -10,7 +10,11 @@ The protocol has a scalar half (``FixedPoint`` values) and an array half
 (``FixedArray``, float64 ndarrays on the float backend) with the same
 per-element results, so per-edge and per-point stages run once over all
 edges or points.  ``sqrt`` takes either half; ``where`` selects between
-arrays or scalars by a mask.
+arrays or scalars by a mask.  A ``FixedArray`` carries a bound on its raw
+magnitudes from operation to operation, and its words are scanned only
+where no bound was propagated or the propagated bounds fail to prove an
+operation exact.  ``backend.words`` (``WordOps``) runs scalar arithmetic
+on the plain numbers the scalars hold, for loops of many scalar steps.
 
 Rounding rules, fixed so runs are bit-reproducible:
 
@@ -26,7 +30,7 @@ import operator
 from dataclasses import dataclass
 from functools import partialmethod
 from math import isqrt
-from typing import ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -68,6 +72,17 @@ Q47_16 = QFormat(integer_bits=47, fraction_bits=16)
 # ---------------------------------------------------------------------------
 # Integer helpers (arbitrary-precision Python ints stand in for the
 # double-width intermediates).
+
+_WORD_LIMIT = 1 << 63  # a magnitude below this fits a signed 64-bit word
+
+
+def _word(raw: int) -> int:
+    """raw as a fixed-point word: MathOverflowError unless it lies in the
+    signed 64-bit range, the range check of every FixedPoint result."""
+    if not -_WORD_LIMIT <= raw < _WORD_LIMIT:
+        raise MathOverflowError(f"raw value {raw} outside the 64-bit word range")
+    return raw
+
 
 def _trunc_shift(n: int, shift: int) -> int:
     """n >> shift, truncating toward zero rather than toward -inf."""
@@ -186,13 +201,9 @@ class FixedPoint:
 
     FORMAT: ClassVar[QFormat]
     FRAC_BITS: ClassVar[int]
-    _RAW_MIN: ClassVar[int]
-    _RAW_MAX: ClassVar[int]
 
     def __init__(self, raw: int):
-        if not self._RAW_MIN <= raw <= self._RAW_MAX:
-            raise MathOverflowError(f"raw value {raw} outside {self.FORMAT} range")
-        self.raw = raw
+        self.raw = _word(raw)
 
     # -- construction -------------------------------------------------------
 
@@ -231,7 +242,7 @@ class FixedPoint:
             return other.raw
         if isinstance(other, int):
             raw = other << self.FRAC_BITS
-            if not self._RAW_MIN <= raw <= self._RAW_MAX:
+            if not -_WORD_LIMIT <= raw < _WORD_LIMIT:
                 raise MathOverflowError(f"int operand {other} outside {self.FORMAT} range")
             return raw
         return None
@@ -347,8 +358,6 @@ def _make_fixed_class(fmt: QFormat) -> type[FixedPoint]:
             "__slots__": (),
             "FORMAT": fmt,
             "FRAC_BITS": fmt.fraction_bits,
-            "_RAW_MIN": -(1 << 63),
-            "_RAW_MAX": (1 << 63) - 1,
         },
     )
 
@@ -370,9 +379,6 @@ def fixed_type(fmt: QFormat) -> type[FixedPoint]:
 # ---------------------------------------------------------------------------
 # Fixed-point arrays.
 
-_WORD_LIMIT = 1 << 63  # a magnitude below this fits a signed 64-bit word
-
-
 def _max_abs(raw) -> int:
     """Largest magnitude in an integer array, as a Python int (0 when empty)."""
     if raw.size == 0:
@@ -380,23 +386,30 @@ def _max_abs(raw) -> int:
     return max(-int(raw.min()), int(raw.max()))
 
 
-def _exact_operands(bound: int, *operands):
-    """The operands as given when every result is below 2**63 in magnitude
-    (bound), else as Python ints (object dtype) so nothing can wrap."""
-    if bound < _WORD_LIMIT:
-        return operands
-    return tuple(o.astype(object) if isinstance(o, np.ndarray) else o for o in operands)
+def _nonzero(divisor):
+    """The divisor words, or ZeroDivisionError when one of them is zero."""
+    if not (divisor.all() if isinstance(divisor, np.ndarray) else divisor):
+        raise ZeroDivisionError("fixed-point division by zero")
+    return divisor
 
 
 def _trunc_shift_array(p, shift: int):
     """Elementwise p >> shift truncated toward zero; numpy's >> floors."""
-    return np.where(p < 0, -((-p) >> shift), p >> shift)
+    if p.dtype == object:
+        return np.where(p < 0, -((-p) >> shift), p >> shift)
+    # int64: adding 2**shift - 1 to the negative words first makes the
+    # floor shift truncate, without a branch.
+    return (p + ((p >> 63) & ((1 << shift) - 1))) >> shift
 
 
 def _trunc_div_array(a, b):
     """Elementwise a / b truncated toward zero; numpy's // floors."""
-    q = abs(a) // abs(b)
-    return np.where((a < 0) != (b < 0), -q, q)
+    if (a if isinstance(a, np.ndarray) else b).dtype == object:
+        q = abs(a) // abs(b)
+        return np.where((a < 0) != (b < 0), -q, q)
+    # int64: fmod leaves the remainder with a's sign, so a minus it is the
+    # multiple of b next toward zero and the floor division is exact.
+    return (a - np.fmod(a, b)) // b
 
 
 class FixedArray:
@@ -407,21 +420,32 @@ class FixedArray:
     operation gives, and raises MathOverflowError exactly when one of those
     would.  It computes in int64 only where the operands' magnitudes prove
     the result exact, and in Python ints otherwise, so nothing ever wraps.
+
+    The magnitudes come from ``bound``, an upper bound on the raw
+    magnitudes that each result carries from its operands' bounds: a + b and
+    a - b give ba + bb, a * b gives (ba * bb) >> F, negation, abs and
+    slicing keep the bound, ``where`` takes the larger, sqrt gives
+    isqrt(b << F).  The words are scanned (one min and one max reduction)
+    only for an array without a bound (quotients, stacks) and when the
+    propagated bounds fail to prove an operation exact; the tight bounds of
+    that rescan then decide, as a scan of every operand would.
+
     Operands are arrays or scalars of the same format, ints and integer
     ndarrays (scaled by 2**F as plain ints are); floats are rejected.
     Integer indices return FixedPoint scalars, other indices FixedArrays.
     """
 
-    __slots__ = ("raw", "scalar_type", "_bound")
+    __slots__ = ("raw", "scalar_type", "_bound", "_scanned")
 
     # ndarray OP FixedArray returns NotImplemented, so the reflected method
     # here runs instead of numpy building an object array of FixedPoints.
     __array_ufunc__ = None
 
-    def __init__(self, raw: np.ndarray, scalar_type: type[FixedPoint]):
+    def __init__(self, raw: np.ndarray, scalar_type: type[FixedPoint], bound=None):
         self.raw = raw
         self.scalar_type = scalar_type
-        self._bound = None
+        self._bound = bound
+        self._scanned = False
 
     @property
     def FORMAT(self) -> QFormat:
@@ -429,38 +453,76 @@ class FixedArray:
 
     @property
     def bound(self) -> int:
-        """Largest raw magnitude, computed once."""
-        if self._bound is None:
+        """Upper bound on the raw magnitudes; scanned when none was propagated."""
+        return self._scan() if self._bound is None else self._bound
+
+    def _scan(self) -> int:
+        """Largest raw magnitude, which becomes the bound; scanned once."""
+        if not self._scanned:
             self._bound = _max_abs(self.raw)
+            self._scanned = True
         return self._bound
 
-    def _new(self, raw) -> "FixedArray":
-        """Wrap an exact raw result; Python-int results are range-checked."""
-        if raw.dtype == object:
-            st = self.scalar_type
-            if raw.size and (raw.min() < st._RAW_MIN or raw.max() > st._RAW_MAX):
-                raise MathOverflowError(f"raw value outside {st.FORMAT} range")
-            raw = raw.astype(np.int64)
-        return FixedArray(raw, self.scalar_type)
-
-    def _operand(self, other):
-        """(raw, magnitude bound) of a compatible operand, range-checked; None if unsupported."""
+    def _new(self, raw, bound) -> "FixedArray":
+        """Wrap an exact raw result with a bound on its magnitudes; a
+        Python-int result is range-checked, which also gives its tight bound."""
         st = self.scalar_type
-        if isinstance(other, FixedArray):
-            return (other.raw, other.bound) if other.scalar_type is st else None
-        if type(other) is st:
-            return other.raw, abs(other.raw)
-        if isinstance(other, (int, np.integer)):
+        if raw.dtype != object:
+            return FixedArray(raw, st, bound)
+        lo, hi = (int(raw.min()), int(raw.max())) if raw.size else (0, 0)
+        if lo < -_WORD_LIMIT or hi >= _WORD_LIMIT:
+            raise MathOverflowError(f"raw value outside {st.FORMAT} range")
+        out = FixedArray(raw.astype(np.int64), st, max(-lo, hi))
+        out._scanned = True
+        return out
+
+    def _words(self, other, need):
+        """Raw words of this array and of a compatible operand, and
+        need(bound, operand bound): a bound on the magnitudes of the
+        operation's intermediates and result; None if the operand is
+        unsupported.  Int operands are range-checked.
+
+        The words stay int64 when the propagated bounds prove every
+        intermediate below 2**63.  Otherwise the arrays are scanned for
+        tight bounds and need is taken again; only when even those fail do
+        the words come back as Python ints.
+        """
+        st = self.scalar_type
+        arr = None
+        if type(other) is FixedArray:
+            if other.scalar_type is not st:
+                return None
+            raw, arr = other.raw, other
+            bound = other._scan() if other._bound is None else other._bound
+        elif type(other) is st:
+            raw = other.raw
+            bound = abs(raw)
+        elif isinstance(other, (int, np.integer)):
             raw = int(other) << st.FRAC_BITS
-            if not st._RAW_MIN <= raw <= st._RAW_MAX:
+            if not -_WORD_LIMIT <= raw < _WORD_LIMIT:
                 raise MathOverflowError(f"int operand {other} outside {st.FORMAT} range")
-            return raw, abs(raw)
-        if isinstance(other, np.ndarray) and other.dtype.kind in "iu":
+            bound = abs(raw)
+        elif isinstance(other, np.ndarray) and other.dtype.kind in "iu":
             lo, hi = (int(other.min()), int(other.max())) if other.size else (0, 0)
-            if lo << st.FRAC_BITS < st._RAW_MIN or hi << st.FRAC_BITS > st._RAW_MAX:
+            if lo << st.FRAC_BITS < -_WORD_LIMIT or hi << st.FRAC_BITS >= _WORD_LIMIT:
                 raise MathOverflowError(f"int operand outside {st.FORMAT} range")
-            return other.astype(np.int64) << st.FRAC_BITS, max(-lo, hi) << st.FRAC_BITS
-        return None
+            raw, bound = other.astype(np.int64) << st.FRAC_BITS, max(-lo, hi) << st.FRAC_BITS
+        else:
+            return None
+        n = need(self._scan() if self._bound is None else self._bound, bound)
+        if n >= _WORD_LIMIT:
+            n = need(self._scan(), bound if arr is None else arr._scan())
+            if n >= _WORD_LIMIT:  # Python ints, in which nothing can wrap
+                wide = raw.astype(object) if isinstance(raw, np.ndarray) else raw
+                return self.raw.astype(object), wide, n
+        return self.raw, raw, n
+
+    def _own_words(self, factor: int = 1):
+        """The raw words as _words gives them, for an operation on this
+        array alone whose intermediates reach factor times its magnitudes."""
+        if factor * self.bound >= _WORD_LIMIT and factor * self._scan() >= _WORD_LIMIT:
+            return self.raw.astype(object)
+        return self.raw
 
     # -- conversion ---------------------------------------------------------
 
@@ -473,7 +535,7 @@ class FixedArray:
     def __getitem__(self, key):
         raw = self.raw[key]
         if isinstance(raw, np.ndarray):
-            return FixedArray(raw, self.scalar_type)
+            return FixedArray(raw, self.scalar_type, self._bound)
         return self.scalar_type(int(raw))
 
     def __bool__(self):
@@ -482,64 +544,62 @@ class FixedArray:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        o = self._operand(other)
-        if o is None:
+        w = self._words(other, operator.add)
+        if w is None:
             return NotImplemented
-        a, b = _exact_operands(self.bound + o[1], self.raw, o[0])
-        return self._new(a + b)
+        a, b, bound = w
+        return self._new(a + b, bound)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._operand(other)
-        if o is None:
+        w = self._words(other, operator.add)
+        if w is None:
             return NotImplemented
-        a, b = _exact_operands(self.bound + o[1], self.raw, o[0])
-        return self._new(a - b)
+        a, b, bound = w
+        return self._new(a - b, bound)
 
     def __rsub__(self, other):
-        o = self._operand(other)
-        if o is None:
+        w = self._words(other, operator.add)
+        if w is None:
             return NotImplemented
-        a, b = _exact_operands(self.bound + o[1], self.raw, o[0])
-        return self._new(b - a)
+        a, b, bound = w
+        return self._new(b - a, bound)
 
     def __mul__(self, other):
-        o = self._operand(other)
-        if o is None:
+        w = self._words(other, operator.mul)
+        if w is None:
             return NotImplemented
-        a, b = _exact_operands(self.bound * o[1], self.raw, o[0])
-        return self._new(_trunc_shift_array(a * b, self.scalar_type.FRAC_BITS))
+        a, b, bound = w
+        shift = self.scalar_type.FRAC_BITS
+        return self._new(_trunc_shift_array(a * b, shift), bound >> shift)
 
     __rmul__ = __mul__
 
-    def _quotient(self, a, a_bound, b, b_bound):
-        """(a << F) / b truncated toward zero, as FixedPoint.__truediv__."""
-        if np.any(b == 0):
-            raise ZeroDivisionError("fixed-point division by zero")
-        shift = self.scalar_type.FRAC_BITS
-        a, b = _exact_operands(max(a_bound << shift, b_bound), a, b)
-        return self._new(_trunc_div_array(a << shift, b))
+    # Division gives (a << F) / b truncated toward zero, as FixedPoint's
+    # __truediv__ and __rtruediv__ do; a quotient carries no bound.
 
     def __truediv__(self, other):
-        o = self._operand(other)
-        if o is None:
+        shift = self.scalar_type.FRAC_BITS
+        w = self._words(other, lambda ba, bb: max(ba << shift, bb))
+        if w is None:
             return NotImplemented
-        return self._quotient(self.raw, self.bound, *o)
+        a, b, _ = w
+        return self._new(_trunc_div_array(a << shift, _nonzero(b)), None)
 
     def __rtruediv__(self, other):
-        o = self._operand(other)
-        if o is None:
+        shift = self.scalar_type.FRAC_BITS
+        w = self._words(other, lambda bb, ba: max(ba << shift, bb))
+        if w is None:
             return NotImplemented
-        return self._quotient(*o, self.raw, self.bound)
+        b, a, _ = w
+        return self._new(_trunc_div_array(a << shift, _nonzero(b)), None)
 
     def __neg__(self):
-        (a,) = _exact_operands(self.bound, self.raw)
-        return self._new(-a)
+        return self._new(-self._own_words(), self.bound)
 
     def __abs__(self):
-        (a,) = _exact_operands(self.bound, self.raw)
-        return self._new(abs(a))
+        return self._new(abs(self._own_words()), self.bound)
 
     def sqrt(self) -> "FixedArray":
         """Elementwise FixedPoint.sqrt; MathDomainError if any element is negative."""
@@ -547,7 +607,9 @@ class FixedArray:
             raise MathDomainError("sqrt of negative fixed-point value")
         shift = self.scalar_type.FRAC_BITS
         root = [isqrt(r << shift) for r in self.raw.ravel().tolist()]
-        return FixedArray(np.array(root, dtype=np.int64).reshape(self.raw.shape), self.scalar_type)
+        bound = None if self._bound is None else isqrt(self._bound << shift)
+        return FixedArray(np.array(root, dtype=np.int64).reshape(self.raw.shape),
+                          self.scalar_type, bound)
 
     # -- comparisons --------------------------------------------------------
 
@@ -577,14 +639,49 @@ class FixedArray:
         *rows, count = self.raw.shape
         if count == 0:
             return [st(0) for _ in range(math.prod(rows))]
-        raw = self.raw.reshape(-1, count)
-        (raw,) = _exact_operands(count * self.bound, raw)
-        partial = self._new(np.cumsum(raw, axis=1)).raw
+        raw = self._own_words(count).reshape(-1, count)
+        partial = self._new(np.cumsum(raw, axis=1), None).raw
         return [st(int(v)) for v in partial[:, -1]]
 
 
 # ---------------------------------------------------------------------------
 # Backends.
+
+class WordOps(NamedTuple):
+    """Scalar arithmetic on a backend's words, the plain numbers its scalars
+    hold: floats, or raw fixed-point words as Python ints, rounded and
+    range-checked as FixedPoint's own operators round and check them.  A
+    loop of many scalar steps runs on words and skips the scalar objects."""
+
+    word: Callable  # backend scalar -> word
+    scalar: Callable  # word -> backend scalar
+    to_float: Callable  # word -> float, as the backend's to_float gives it
+    add: Callable
+    sub: Callable
+    mul: Callable
+    div: Callable
+
+
+def _same(x):
+    return x
+
+
+def _fixed_word_ops(st: type[FixedPoint]) -> WordOps:
+    """WordOps on the raw words of the format of st."""
+    shift = st.FRAC_BITS
+    scale = 1 << shift
+
+    def mul(a: int, b: int) -> int:
+        return _word(_trunc_shift(a * b, shift))
+
+    def div(a: int, b: int) -> int:
+        if b == 0:
+            raise ZeroDivisionError("fixed-point division by zero")
+        return _word(_trunc_div(a << shift, b))
+
+    return WordOps(word=operator.attrgetter("raw"), scalar=st, to_float=lambda w: w / scale,
+                   add=lambda a, b: _word(a + b), sub=lambda a, b: _word(a - b), mul=mul, div=div)
+
 
 class FloatBackend:
     """Native double-precision arithmetic."""
@@ -629,6 +726,9 @@ class FloatBackend:
     def floor_to_int(value: float) -> int:
         return math.floor(value)
 
+    words = WordOps(word=_same, scalar=_same, to_float=_same, add=operator.add,
+                    sub=operator.sub, mul=operator.mul, div=operator.truediv)
+
     # -- array half: float64 ndarrays -----------------------------------------
 
     @staticmethod
@@ -672,6 +772,7 @@ class FixedBackend:
         self.name = f"q{fmt.integer_bits}_{fmt.fraction_bits}"
         self.zero = self.scalar_type(0)
         self.one = self.scalar_type.from_int(1)
+        self.words = _fixed_word_ops(self.scalar_type)
 
     def from_float(self, value: float) -> FixedPoint:
         return self.scalar_type.from_float(value)
@@ -714,7 +815,9 @@ class FixedBackend:
         for v in (x, y):
             if not (type(v) is st or (isinstance(v, FixedArray) and v.scalar_type is st)):
                 raise TypeError(f"where needs {st.FORMAT} values, got {type(v).__name__}")
-        return FixedArray(np.where(mask, x.raw, y.raw), st)
+        bounds = [v._bound if type(v) is FixedArray else abs(v.raw) for v in (x, y)]
+        bound = None if None in bounds else max(bounds)
+        return FixedArray(np.where(mask, x.raw, y.raw), st, bound)
 
     @staticmethod
     def row_sums(values: FixedArray) -> list:

@@ -450,3 +450,120 @@ def test_normal_system_overflow_raises_like_scalar(qvga_camera):
         ref_normal_system(bms, R, t, Kb, Q40)
     with pytest.raises(MathOverflowError):
         _normal_equations(*_build_system(columns(bms, Q40), R, t, Kb, Q40), Q40)
+
+
+# ---------------------------------------------------------------------------
+# The 6x6 solve on words against the same elimination on backend scalars.
+
+_PIVOT_RTOL = 1e-12
+
+
+def to_float(x):
+    return x.to_float() if hasattr(x, "raw") else x
+
+
+def scalar_elimination(A, b, be):
+    """Gaussian elimination with partial pivoting on backend scalars
+    (FixedPoint or float); None when singular.  The reference for
+    _solve_linear6."""
+    aug = [list(A[i]) + [b[i]] for i in range(6)]
+    ref = max(abs(to_float(A[i][j])) for i in range(6) for j in range(6))
+    if ref == 0.0:
+        return None
+    for col in range(6):
+        piv = max(range(col, 6), key=lambda r: abs(to_float(aug[r][col])))
+        if abs(to_float(aug[piv][col])) <= _PIVOT_RTOL * ref:
+            return None
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+        pivot = aug[col][col]
+        for r in range(col + 1, 6):
+            factor = aug[r][col] / pivot
+            for cc in range(col, 7):
+                aug[r][cc] = aug[r][cc] - factor * aug[col][cc]
+    x = [be.zero] * 6
+    for row in range(5, -1, -1):
+        acc = aug[row][6]
+        for cc in range(row + 1, 6):
+            acc = acc - aug[row][cc] * x[cc]
+        x[row] = acc / aug[row][row]
+    return x
+
+
+def solve_outcome(solve, A, b, be):
+    """The solution's scalar bits, None, or the class of what was raised."""
+    from edgetrack.realmath import MathOverflowError
+
+    try:
+        x = solve(A, b, be)
+    except MathOverflowError as exc:
+        return type(exc)
+    return None if x is None else [scalar_bits(v) for v in x]
+
+
+def damped_system(J, r, lam, be):
+    """JᵀJ with its diagonal scaled by 1 + lam, and -Jᵀr, in backend scalars."""
+    A = [[be.from_float(v) for v in row] for row in (J.T @ J).tolist()]
+    lam = be.from_float(lam)
+    for i in range(6):
+        A[i][i] = A[i][i] + lam * A[i][i]
+    return A, [-be.from_float(v) for v in (J.T @ r).tolist()]
+
+
+@pytest.mark.parametrize("be", [FLOAT, Q40, Q47], ids=["float", "q40_23", "q47_16"])
+def test_solve_linear6_matches_scalar_elimination(be):
+    from edgetrack.pose_estimation import _solve_linear6
+    from edgetrack.realmath import MathOverflowError
+
+    rng = np.random.default_rng(512)
+    solved = 0
+    for _ in range(150):
+        n = int(rng.integers(6, 40))
+        J = rng.normal(0.0, 1.0, (n, 6)) * 10.0 ** rng.uniform(-2.0, 2.5, 6)
+        A, b = damped_system(J, rng.normal(0.0, 2.0, n), 10.0 ** rng.uniform(-3.0, 2.0), be)
+        want = solve_outcome(scalar_elimination, A, b, be)
+        assert solve_outcome(_solve_linear6, A, b, be) == want
+        solved += isinstance(want, list)
+    assert solved >= 140
+
+    # Rank-deficient: a pose direction no row moves, or an all-zero matrix.
+    J = rng.normal(0.0, 1.0, (20, 6))
+    J[:, 4] = 0.0
+    A, b = damped_system(J, rng.normal(0.0, 1.0, 20), 1e-3, be)
+    assert scalar_elimination(A, b, be) is None and _solve_linear6(A, b, be) is None
+    zero = [[be.zero] * 6 for _ in range(6)]
+    assert scalar_elimination(zero, b, be) is None and _solve_linear6(zero, b, be) is None
+
+    # Elimination that leaves the 64-bit range: row 1 minus -1 times row 0
+    # doubles an entry of 2**62 raw.  Float just carries the large value.
+    big = be.from_float(2.0 ** (62 - be.format.fraction_bits)) if be.is_fixed else 2.0 ** 62
+    A = [[be.one if i == j else be.zero for j in range(6)] for i in range(6)]
+    A[0][0], A[0][1], A[1][0], A[1][1] = big, big, -big, big
+    ones = [be.one] * 6
+    want = solve_outcome(scalar_elimination, A, ones, be)
+    assert (want is MathOverflowError) == be.is_fixed
+    assert solve_outcome(_solve_linear6, A, ones, be) == want
+
+
+@pytest.mark.parametrize("be", [FLOAT, Q40, Q47], ids=["float", "q40_23", "q47_16"])
+def test_mat_mul3_matches_scalar_sums(be):
+    from edgetrack.pose_estimation import _mat_mul3
+
+    def scalar_product(A, B):
+        return [[sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+    rng = np.random.default_rng(513)
+    for _ in range(50):
+        A, B = (rng.normal(0.0, 1.0, (3, 3)) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(2))
+        A[0, 0] = -0.0  # sum() starts from int 0, so -0.0 products turn to 0.0
+        A, B = ([[be.from_float(float(v)) for v in row] for row in M] for M in (A, B))
+        want = [[scalar_bits(v) for v in row] for row in scalar_product(A, B)]
+        assert [[scalar_bits(v) for v in row] for row in _mat_mul3(A, B, be)] == want
+    if be.is_fixed:
+        from edgetrack.realmath import MathOverflowError
+
+        big = [[be.from_float(2.0 ** (61 - be.format.fraction_bits))] * 3 for _ in range(3)]
+        with pytest.raises(MathOverflowError):
+            scalar_product(big, [[be.from_int(2)] * 3] * 3)
+        with pytest.raises(MathOverflowError):
+            _mat_mul3(big, [[be.from_int(2)] * 3] * 3, be)

@@ -31,8 +31,8 @@ from edgetrack.rasterizer import (
     render_depth_buffer,
     render_id_buffer,
     visibility_oracle,
-    _clip_polygon_near,
     _face_depth,
+    _triangles,
 )
 
 from conftest import random_convex_model, random_orbit_pose, silhouette_edge_ids
@@ -168,6 +168,21 @@ def test_near_plane_crossing_edge_clipped(qvga_camera):
 # References: the full-image z-fill and the per-pixel edge loop that
 # render_id_buffer and render_depth_buffer must match byte for byte.
 
+def clip_polygon_near(points_cam):
+    """Sutherland-Hodgman clip of a camera-space polygon against z >= near."""
+    out = []
+    n = len(points_cam)
+    for i in range(n):
+        a, b = points_cam[i], points_cam[(i + 1) % n]
+        a_in, b_in = a[2] >= NEAR_PLANE_MM, b[2] >= NEAR_PLANE_MM
+        if a_in:
+            out.append(a)
+        if a_in != b_in:
+            s = (NEAR_PLANE_MM - a[2]) / (b[2] - a[2])
+            out.append(a + s * (b - a))
+    return out
+
+
 def clip_segment_near(a, b):
     """Clip a camera-space segment against z >= near; None when fully behind."""
     a_in, b_in = a[2] >= NEAR_PLANE_MM, b[2] >= NEAR_PLANE_MM
@@ -222,7 +237,7 @@ def reference_fill(model, cam, K):
     depth = np.full((K.height, K.width), np.inf)
     owner = np.full((K.height, K.width), -1, dtype=np.int32)
     for fi, f in enumerate(model.faces):
-        poly = _clip_polygon_near([cam[f[0]], cam[f[1]], cam[f[2]]])
+        poly = clip_polygon_near([cam[f[0]], cam[f[1]], cam[f[2]]])
         for j in range(1, len(poly) - 1):
             fill_triangle(depth, owner, fi, [poly[0], poly[j], poly[j + 1]], K)
     return depth, owner
@@ -288,6 +303,50 @@ def test_render_matches_per_pixel_reference(cube_model, qvga_camera):
         rgb, depth = reference_render(model, pose, qvga_camera)
         assert np.array_equal(render_id_buffer(model, pose, qvga_camera).rgb, rgb)
         assert np.array_equal(render_depth_buffer(model, pose, qvga_camera).depth, depth)
+
+
+def test_triangles_match_per_face_clip(cube_model, monkeypatch):
+    # The near-plane triangle, the corridor and cameras inside or beside
+    # random models: the crossing faces, clipped in one array call, give
+    # the triangles of a per-face Sutherland-Hodgman clip and fan, value
+    # for value and in order.
+    import edgetrack.rasterizer as rasterizer
+    from test_harness import corridor_scene
+
+    rng = np.random.default_rng(57)
+    scenes = reference_scenes(cube_model, rng)[:1] + [corridor_scene()]
+    for _ in range(20):
+        model = random_convex_model(rng)
+        center = rng.normal(size=3)
+        center *= rng.uniform(2.0, 40.0) / np.linalg.norm(center)
+        scenes.append((model, look_at_pose(center, rng.normal(size=3), down=rng.normal(size=3))))
+    crossing = 0
+    for model, pose in scenes:
+        cam = transform_np(model.vertices, pose.rotation(), pose.t)
+        front = cam[model.faces][:, :, 2] >= NEAR_PLANE_MM
+        crossing += np.count_nonzero(front.any(axis=1) & ~front.all(axis=1))
+        want_tris, want_faces = [], []
+        for fi, f in enumerate(model.faces):
+            poly = clip_polygon_near([cam[f[0]], cam[f[1]], cam[f[2]]])
+            for j in range(1, len(poly) - 1):
+                want_tris.append([poly[0], poly[j], poly[j + 1]])
+                want_faces.append(fi)
+        tris, faces = _triangles(model, cam)
+        order = np.argsort(faces, kind="stable")  # whole faces come first
+        assert np.array_equal(faces[order], want_faces)
+        assert np.array_equal(tris[order], np.array(want_tris).reshape(-1, 3, 3))
+    assert crossing >= 40
+
+    # With no face crossing the plane, as on every orbit pose, no clip runs.
+    def no_clip(*args):
+        raise AssertionError("clip_near called with no crossing face")
+
+    monkeypatch.setattr(rasterizer, "clip_near", no_clip)
+    for _ in range(5):
+        pose = random_orbit_pose(rng)
+        cam = transform_np(cube_model.vertices, pose.rotation(), pose.t)
+        tris, faces = _triangles(cube_model, cam)
+        assert np.array_equal(tris, cam[cube_model.faces]) and faces.tolist() == list(range(12))
 
 
 def test_face_depth_owner_ties_go_to_lower_face():

@@ -495,3 +495,99 @@ def test_row_sums_match_scalar_accumulation(cls):
     assert FloatBackend.row_sums(values) == loop
     assert FloatBackend.row_sums(np.array([[-0.0, -0.0]])) == [0.0]
     assert math.copysign(1.0, FloatBackend.row_sums(np.array([[-0.0, -0.0]]))[0]) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# FixedArray bounds: propagated through operation chains, never below the
+# words they bound, and never changing a word or an error.
+
+def expected_outcome(outcomes):
+    """What an array operation gives for these per-element scalar outcomes:
+    the raw words, or the error the array raises first."""
+    for exc in (ZeroDivisionError, MathDomainError, MathOverflowError):
+        if exc in outcomes:
+            return exc
+    return outcomes
+
+
+CHAIN_OPS = [  # (name, array op, scalar op on element i), operands x, y, s, k, mask
+    ("add", lambda x, y, s, k, m: x + y, lambda x, y, s, k, m, i: x[i] + y[i]),
+    ("sub", lambda x, y, s, k, m: x - y, lambda x, y, s, k, m, i: x[i] - y[i]),
+    ("mul", lambda x, y, s, k, m: x * y, lambda x, y, s, k, m, i: x[i] * y[i]),
+    ("div", lambda x, y, s, k, m: x / y, lambda x, y, s, k, m, i: x[i] / y[i]),
+    ("radd int", lambda x, y, s, k, m: k + x, lambda x, y, s, k, m, i: k + x[i]),
+    ("rsub int", lambda x, y, s, k, m: k - x, lambda x, y, s, k, m, i: k - x[i]),
+    ("rmul int", lambda x, y, s, k, m: k * x, lambda x, y, s, k, m, i: k * x[i]),
+    ("rdiv int", lambda x, y, s, k, m: k / x, lambda x, y, s, k, m, i: k / x[i]),
+    ("rsub scalar", lambda x, y, s, k, m: s - x, lambda x, y, s, k, m, i: s - x[i]),
+    ("mul scalar", lambda x, y, s, k, m: x * s, lambda x, y, s, k, m, i: x[i] * s),
+    ("div scalar", lambda x, y, s, k, m: x / s, lambda x, y, s, k, m, i: x[i] / s),
+    ("neg", lambda x, y, s, k, m: -x, lambda x, y, s, k, m, i: -x[i]),
+    ("abs", lambda x, y, s, k, m: abs(x), lambda x, y, s, k, m, i: abs(x[i])),
+    ("sqrt", lambda x, y, s, k, m: x.sqrt(), lambda x, y, s, k, m, i: x[i].sqrt()),
+    ("slice", lambda x, y, s, k, m: x[::-1], lambda x, y, s, k, m, i: x[-1 - i]),
+    ("where", lambda x, y, s, k, m: FixedBackend(s.FORMAT).where(m, x, y),
+     lambda x, y, s, k, m, i: x[i] if m[i] else y[i]),
+]
+
+
+@pytest.mark.parametrize("cls", FIXED_CLASSES)
+def test_fixed_array_bounds_hold_through_operation_chains(cls):
+    from edgetrack.realmath import _max_abs
+
+    rng = np.random.default_rng(610)
+    size = 6
+
+    def random_array(max_bits):
+        bits = rng.integers(0, max_bits, size)
+        raw = [int(rng.integers(-(1 << int(b)), 1 << int(b), endpoint=True)) for b in bits]
+        return FixedArray(np.array(raw, dtype=np.int64), cls)
+
+    counts = {"ok": 0, "raised": 0}
+    for _ in range(60):
+        pool = [random_array(int(rng.integers(8, 63))) for _ in range(4)]
+        for _ in range(25):
+            name, array_op, scalar_op = CHAIN_OPS[int(rng.integers(len(CHAIN_OPS)))]
+            x, y = (pool[int(j)] for j in rng.integers(len(pool), size=2))
+            s = cls(int(rng.integers(-(1 << 40), 1 << 40)))
+            k = int(rng.integers(-(1 << 20), 1 << 20))
+            mask = rng.random(size) < 0.5
+            xs, ys = [cls(v) for v in x.raw.tolist()], [cls(v) for v in y.raw.tolist()]
+            want = expected_outcome([scalar_outcome(lambda i=i: scalar_op(xs, ys, s, k, mask, i))
+                                     for i in range(size)])
+            try:
+                got = array_op(x, y, s, k, mask)
+            except (MathOverflowError, MathDomainError, ZeroDivisionError) as exc:
+                assert type(exc) is want, name
+                counts["raised"] += 1
+                continue
+            assert got.raw.dtype == np.int64 and got.raw.tolist() == want, name
+            assert got._bound is None or got._bound >= _max_abs(got.raw), name
+            pool = pool[1:] + [got]
+            counts["ok"] += 1
+
+            # row_sums of the result, against a left-to-right scalar sum.
+            acc = cls(0)
+            want_sum = scalar_outcome(lambda: sum((cls(v) for v in got.raw.tolist()), acc))
+            assert scalar_outcome(lambda: got.row_sums()[0]) == want_sum
+    assert counts["ok"] > 600 and counts["raised"] > 50
+
+    # Propagated bounds past 2**63 on values that fit: a rescan finds the
+    # tight bound and the words stay int64, as the scalar path gives them.
+    a = FixedArray(np.array([1 << 62, -(1 << 62), 5, 0], dtype=np.int64), cls)
+    b = FixedArray(np.array([-(1 << 62) + 3, (1 << 62) - 7, -5, 9], dtype=np.int64), cls)
+    c = a + b
+    assert c.raw.tolist() == [3, -7, 0, 9] and c._bound > 1 << 62
+    for got, op in ((c + c, lambda u, v: u + v), (c * c, lambda u, v: u * v),
+                    ((c + c) - c, lambda u, v: u + v - u)):
+        assert got._bound < 1 << 63
+        assert got.raw.tolist() == [op(cls(v), cls(v)).raw for v in c.raw.tolist()]
+
+    # True overflows raise where the scalar path raises.
+    big = (1 << 62) + 1
+    for op in (lambda u: u + u, lambda u: u - (-u), lambda u: u * u, lambda u: u * 4,
+               lambda u: u / cls.from_float(0.25)):
+        with pytest.raises(MathOverflowError):
+            op(cls(big))
+        with pytest.raises(MathOverflowError):
+            op(FixedArray(np.array([3, big, -7], dtype=np.int64), cls))
