@@ -84,13 +84,12 @@ def _to_float(x):
 # ---------------------------------------------------------------------------
 # Residual and Jacobian.
 
-def residual(p, q, n):
-    """Signed distance of the match q from the projected point p along n.
+def _check_unit_normals(n):
+    """Raise ValueError unless every edge normal n is unit length.
 
-    Takes backend scalars for one point or backend arrays for many.  The
-    unit-normal check allows a few ulps of slack for fixed-point values:
-    storing a unit vector at Q47.16 resolution already perturbs the squared
-    norm by more than the float tolerance.
+    Allows a few ulps of slack for fixed-point values: storing a unit
+    vector at Q47.16 resolution already perturbs the squared norm by more
+    than the float tolerance.
     """
     nn = n[0] * n[0] + n[1] * n[1]
     tol = 1e-6
@@ -98,6 +97,14 @@ def residual(p, q, n):
         tol = max(tol, 16.0 * nn.FORMAT.resolution)
     if np.any(abs(_to_float(nn) - 1.0) > tol):
         raise ValueError("edge normal must be unit length")
+
+
+def residual(p, q, n):
+    """Signed distance of the match q from the projected point p along the
+    unit normal n.
+
+    Takes backend scalars for one point or backend arrays for many.
+    """
     return (q[0] - p[0]) * n[0] + (q[1] - p[1]) * n[1]
 
 
@@ -227,8 +234,10 @@ def solve_lm(columns, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSettings,
     trial count includes rejected steps, the honest measure of how hard the
     minimization worked.  Rejected trial steps escalate the damping; a
     normal system that stays singular through the whole escalation raises
-    DegenerateGeometryError.
+    DegenerateGeometryError, and a normal that is not unit length raises
+    ValueError.
     """
+    _check_unit_normals(columns[1])
     be = backend
     tol_rel, tol_step = settings.resolved_tolerances(be)
     tol_rel_b = be.from_float(tol_rel)

@@ -1,11 +1,13 @@
 """Sequence generation, tracked runs, evaluation, and the CLI."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edgetrack.geometry import PoseSE3, WireframeModel, look_at_pose
+from edgetrack.geometry import PoseSE3, WireframeModel, load_model, look_at_pose
 from edgetrack.harness import (
     GROUND_TRUTH_NAME,
     POSES_NAME,
@@ -23,11 +25,33 @@ from edgetrack.harness import (
     save_pose_csv,
     standard_camera,
     standard_trajectory,
+    _draw_runs,
+    _visible_runs,
 )
 from edgetrack.rasterizer import BACKGROUND, decode_id_array, render_id_buffer
 from edgetrack.tracking import TrackerConfig
 
-from conftest import CUBE_EDGES, CUBE_FACES, CUBE_VERTICES, pose_errors, random_convex_model
+from conftest import (
+    CUBE_EDGES,
+    CUBE_FACES,
+    CUBE_VERTICES,
+    pose_errors,
+    random_convex_model,
+    random_orbit_pose,
+)
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+@pytest.fixture
+def icosphere_model(tmp_path, monkeypatch):
+    """The benchmark's icosphere: 42 vertices, 80 faces, 120 edges."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    from models import icosphere_text
+
+    path = tmp_path / "icosphere.model"
+    path.write_text(icosphere_text())
+    return load_model(path)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +221,127 @@ def test_occlude_strip_hides_requested_share(cube_model, qvga_camera):
     assert cols.size > 0
 
 
+def draw_aa_segment(img, a, b):
+    """Darken pixels within the anti-aliased band of one segment: the
+    per-run loop _draw_runs replaces, and its reference.
+
+    Intensity ramps 0..255 over point-to-segment distance 0.5..1.5 px,
+    giving a dark line an effective width of 2 px.
+    """
+    h, w = img.shape
+    x0 = max(0, int(math.floor(min(a[0], b[0]) - 2)))
+    x1 = min(w - 1, int(math.ceil(max(a[0], b[0]) + 2)))
+    y0 = max(0, int(math.floor(min(a[1], b[1]) - 2)))
+    y1 = min(h - 1, int(math.ceil(max(a[1], b[1]) + 2)))
+    if x0 > x1 or y0 > y1:
+        return
+    xs = np.arange(x0, x1 + 1, dtype=float)
+    ys = np.arange(y0, y1 + 1, dtype=float)[:, None]
+    d = b - a
+    dd = float(d[0] * d[0] + d[1] * d[1])
+    if dd == 0.0:
+        dist = np.hypot(xs - a[0], ys - a[1])
+    else:
+        tau = ((xs - a[0]) * d[0] + (ys - a[1]) * d[1]) / dd
+        tau = np.clip(tau, 0.0, 1.0)
+        dist = np.hypot(xs - (a[0] + tau * d[0]), ys - (a[1] + tau * d[1]))
+    shade = np.clip((dist - 0.5) * 255.0, 0.0, 255.0)
+    region = img[y0 : y1 + 1, x0 : x1 + 1]
+    np.minimum(region, shade.astype(np.uint8), out=region)
+
+
+def assert_draw_matches_loop(a, b, shape):
+    a, b = np.asarray(a, dtype=float).reshape(-1, 2), np.asarray(b, dtype=float).reshape(-1, 2)
+    ref = np.full(shape, 255, dtype=np.uint8)
+    for pa, pb in zip(a, b):
+        draw_aa_segment(ref, pa, pb)
+    img = np.full(shape, 255, dtype=np.uint8)
+    _draw_runs(img, a, b)
+    assert np.array_equal(img, ref), np.argwhere(img != ref)[:5]
+    return ref
+
+
+def test_draw_runs_matches_per_run_loop_on_scenes(cube_model, icosphere_model, qvga_camera):
+    K = qvga_camera
+    traj = standard_trajectory()
+    scenes = [(model, traj.pose(k)) for model in (cube_model, icosphere_model)
+              for k in range(traj.frames)]
+    scenes.append(corridor_scene())
+    triangle = WireframeModel(
+        vertices=np.array([[-20.0, 0.0, 50.0], [20.0, 0.0, 50.0], [0.0, 10.0, -50.0]]),
+        faces=np.array([[0, 1, 2]]),
+        edges=np.array([[0, 1], [0, 2], [1, 2]]),
+    )
+    scenes.append((triangle, PoseSE3(omega=np.zeros(3), t=np.zeros(3))))
+    rng = np.random.default_rng(23)
+    for _ in range(6):
+        scenes.append((random_convex_model(rng), random_orbit_pose(rng, (60.0, 160.0))))
+    drawn = 0
+    for model, pose in scenes:
+        a, b = _visible_runs(model, pose, K)
+        assert a.shape == b.shape == (len(a), 2)
+        ref = assert_draw_matches_loop(a, b, (K.height, K.width))
+        assert np.array_equal(ref, render_frame_gray(model, pose, K).pixels)
+        drawn += len(a)
+    assert drawn > 3000
+
+
+def test_draw_runs_matches_per_run_loop_on_hand_made_runs():
+    h, w = 30, 40
+    runs = [
+        ((10.0, 10.0), (10.0, 10.0)),  # zero length, on a pixel center
+        ((20.3, 7.6), (20.3, 7.6)),  # zero length, between pixels
+        ((5.2, 20.1), (5.6, 20.4)),  # sub-pixel
+        ((3.0, 5.0), (35.0, 5.0)),  # horizontal
+        ((12.5, 3.5), (31.5, 3.5)),  # horizontal, on pixel edges
+        ((30.0, 2.0), (30.0, 27.0)),  # vertical
+        ((8.0, 8.0), (22.0, 22.0)),  # 45 degrees
+        ((25.0, 20.0), (37.0, 8.0)),  # -45 degrees
+        ((14.2, 1.3), (18.9, 28.4)),  # steep
+        ((2.2, 12.7), (38.6, 17.1)),  # shallow
+        ((0.0, 0.0), (39.0, 29.0)),  # corner to corner
+        ((0.0, 15.0), (0.0, 15.0)),  # ends on the left border
+        ((39.0, 3.0), (39.0, 26.0)),  # on the right border
+        ((4.0, 0.0), (36.0, 0.0)),  # on the top border
+        ((4.0, 29.0), (36.0, 29.0)),  # on the bottom border
+        ((-7.5, 11.0), (9.0, 14.0)),  # past the left border
+        ((30.0, 16.0), (52.0, 21.5)),  # past the right border
+        ((17.0, -6.0), (21.0, 9.0)),  # past the top border
+        ((6.0, 24.0), (13.0, 41.0)),  # past the bottom border
+        ((-12.0, -9.0), (55.0, 44.0)),  # past two corners
+        ((-1.2, 31.0), (41.3, -1.4)),  # just outside, crossing
+        ((-10.0, -10.0), (-3.0, -5.0)),  # wholly off the image
+        ((41.6, 2.0), (60.0, 25.0)),  # wholly off, right
+        ((3.0, -1.6), (36.0, -1.6)),  # off the top, band still inside
+        ((9.0, 10.0), (24.0, 12.0)),  # overlapping the 45 degree run
+        ((9.0, 10.5), (24.0, 12.5)),  # overlapping its neighbour
+    ]
+    a, b = (np.array(ends) for ends in zip(*runs))
+    assert_draw_matches_loop(a, b, (h, w))
+    for pa, pb in runs:
+        assert_draw_matches_loop(pa, pb, (h, w))
+        assert_draw_matches_loop(pb, pa, (h, w))
+    rng = np.random.default_rng(5)
+    a = rng.uniform((-8.0, -8.0), (w + 8.0, h + 8.0), size=(300, 2))
+    b = a + rng.normal(scale=rng.choice([0.3, 3.0, 20.0], size=(300, 1)), size=(300, 2))
+    assert_draw_matches_loop(a, b, (h, w))
+    assert_draw_matches_loop(np.zeros((0, 2)), np.zeros((0, 2)), (h, w))
+
+
+def test_render_noise_matches_the_out_of_place_formula(cube_model, icosphere_model, qvga_camera):
+    K = qvga_camera
+    traj = standard_trajectory()
+    for model in (cube_model, icosphere_model):
+        for seed, k in ((1, 0), (2, 17), (3, 42), (4, 59)):
+            pose = traj.pose(k)
+            clean = render_frame_gray(model, pose, K).pixels
+            noise = np.random.default_rng([seed, k]).normal(0.0, 2.0, clean.shape)
+            ref = np.clip(np.rint(clean.astype(np.float64) + noise), 0, 255).astype(np.uint8)
+            img = render_frame_gray(model, pose, K, sigma=2.0,
+                                    rng=np.random.default_rng([seed, k])).pixels
+            assert np.array_equal(img, ref)
+
+
 # ---------------------------------------------------------------------------
 # Sequence generation.
 
@@ -213,6 +358,61 @@ def test_generate_sequence_is_deterministic(tmp_path, cube_model, qvga_camera):
     assert (tmp_path / "a" / "frame_000000.pgm").read_bytes() != (
         tmp_path / "c" / "frame_000000.pgm"
     ).read_bytes()
+
+
+def sequence_digest(seq_dir) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(Path(seq_dir).glob("frame_*.pgm")):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+# sha256 over the frame files of each sequence, in frame order.  Synthetic
+# sequences are the ground truth of every accuracy figure, so any change to
+# these bytes is a change of behaviour.  The frames pass through float
+# projection and libm, so the digests were recorded on x86-64 Linux.
+GOLDEN_SEQUENCES = {
+    # name: (model, frames, seed, occlusion fraction, sha256)
+    "cube_seed5": ("cube", 60, 5, 0.0,
+                   "a39df85fdbd1366d2584e236959e8d2509ea5c32b226ccd304edd15c5692c334"),
+    "icosphere": ("icosphere", 20, 11, 0.0,
+                  "601f00fac38737c5f13176ae1c0fd78ad7cf494e6ba04aa9e82ab9db246c9650"),
+    "cube_occluded": ("cube", 20, 5, 0.2,
+                      "82300fde25747d9d39f708bad7c085702c85f5ab0398d8289e9195efd096f18a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SEQUENCES))
+def test_synthetic_sequences_match_golden_digests(name, tmp_path, cube_model, icosphere_model):
+    model_name, frames, seed, occlusion, expected = GOLDEN_SEQUENCES[name]
+    model = {"cube": cube_model, "icosphere": icosphere_model}[model_name]
+    generate_sequence(model, standard_camera(), standard_trajectory(frames),
+                      sigma=2.0, out_dir=tmp_path / name, seed=seed,
+                      occlusion_fraction=occlusion)
+    assert sequence_digest(tmp_path / name) == expected
+
+
+@pytest.mark.parametrize("sigma, occlusion", [
+    (-1.0, 0.0), (float("nan"), 0.0), (float("inf"), 0.0),
+    (2.0, 1.5), (2.0, -0.2), (2.0, float("nan")),
+])
+def test_synthesis_rejects_invalid_parameters(sigma, occlusion, tmp_path, cube_model,
+                                              qvga_camera):
+    pose = standard_trajectory(1).pose(0)
+    with pytest.raises(ValueError):
+        render_frame_gray(cube_model, pose, qvga_camera, sigma=sigma,
+                          rng=np.random.default_rng(0), occlusion_fraction=occlusion)
+    with pytest.raises(ValueError):
+        generate_sequence(cube_model, qvga_camera, standard_trajectory(2), sigma=sigma,
+                          out_dir=tmp_path / "seq", occlusion_fraction=occlusion)
+    assert not (tmp_path / "seq").exists()
+
+
+def test_synthesis_accepts_boundary_parameters(tmp_path, cube_model, qvga_camera):
+    for sigma, occlusion in ((0.0, 0.0), (2.0, 1.0)):
+        assert generate_sequence(cube_model, qvga_camera, standard_trajectory(1),
+                                 sigma=sigma, out_dir=tmp_path / f"s{sigma}",
+                                 occlusion_fraction=occlusion) == 1
 
 
 def test_generate_zero_frames(tmp_path, cube_model, qvga_camera):
@@ -532,6 +732,20 @@ def test_cli_reports_errors_as_exit_code(tmp_path, capsys):
                "--out", str(tmp_path / "run")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--noise", "-1"], ["--noise", "nan"], ["--occlusion", "1.5"], ["--occlusion", "-0.2"],
+])
+def test_cli_synth_rejects_invalid_parameters(flags, tmp_path, cube_model_path, capsys):
+    from edgetrack.cli import main
+
+    seq = tmp_path / "seq"
+    rc = main(["synth", "--model", str(cube_model_path), "--frames", "2",
+               "--out", str(seq), *flags])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not seq.exists()
 
 
 def test_cli_rejects_non_finite_init(tmp_path, cube_model_path, capsys):

@@ -40,21 +40,30 @@ def test_residual_hand_values():
     assert residual((0.0, 0.0), (3.0, 4.0), (0.0, -1.0)) == pytest.approx(-4.0)
 
 
+def one_point_lm(n, be):
+    """solve_lm without iterations on one point seen at (cx, cy) and
+    matched at (cx + 1, cy + 1) with the normal n: returns the residual
+    sum |r| at the start pose.  solve_lm checks the normals once on entry."""
+    K = CameraIntrinsics(fx=500.0, fy=500.0, cx=160.0, cy=120.0, width=320, height=240)
+    cols = tuple(tuple(be.stack([be.from_float(v)]) for v in values)
+                 for values in ((0.0, 0.0, 0.0), n, (K.cx + 1.0, K.cy + 1.0)))
+    pose = PoseSE3(np.zeros(3), np.array([0.0, 0.0, 150.0]))
+    _, err, iters, attempts = solve_lm(cols, pose, K, LMSettings(max_iterations=0), be)
+    assert iters == attempts == 0
+    return err
+
+
 def test_residual_requires_unit_normal():
-    with pytest.raises(ValueError):
-        residual((0.0, 0.0), (1.0, 1.0), (1.0, 1.0))
-    with pytest.raises(ValueError):
-        residual((0.0, 0.0), (1.0, 1.0), (0.0, 0.9))
+    for n in ((1.0, 1.0), (0.0, 0.9)):
+        with pytest.raises(ValueError, match="unit length"):
+            one_point_lm(n, FLOAT)
 
 
 def test_residual_accepts_fixed_point_unit_normals():
     # Q47.16 cannot store 1/sqrt(2) exactly; the check must tolerate that
     for be in (Q40, Q47):
-        c = be.from_float(1.0 / np.sqrt(2.0))
-        p = (be.from_float(0.0), be.from_float(0.0))
-        q = (be.from_float(1.0), be.from_float(1.0))
-        r = residual(p, q, (c, c))
-        assert be.to_float(r) == pytest.approx(np.sqrt(2.0), abs=1e-3)
+        c = 1.0 / np.sqrt(2.0)
+        assert one_point_lm((c, c), be) == pytest.approx(np.sqrt(2.0), abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
