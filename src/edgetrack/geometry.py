@@ -89,8 +89,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValueError("focal lengths must be positive and finite")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point outside the image")
 
@@ -380,9 +380,12 @@ def load_model(path) -> WireframeModel:
             if len(args) != 3:
                 raise ModelFormatError(f"line {lineno}: vertex needs 3 coordinates")
             try:
-                vertices.append(tuple(float(a) for a in args))
+                v = tuple(map(float, args))
             except ValueError:
-                raise ModelFormatError(f"line {lineno}: bad vertex coordinate") from None
+                v = None
+            if v is None or not all(map(math.isfinite, v)):
+                raise ModelFormatError(f"line {lineno}: bad vertex coordinate")
+            vertices.append(v)
         elif kind == "f":
             faces.append((lineno, _parse_indices(args, 3, lineno)))
         elif kind == "e":

@@ -508,6 +508,11 @@ def parse_config(path=None, backend: str = "float") -> RunConfig:
                 values[key] = CONFIG_KEYS[key](raw.strip())
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: bad value for {key}: {raw.strip()!r}") from exc
+    if values.get("lm_max_iter", 1) < 1:
+        # with no LM step every frame would report ok at the predicted pose
+        raise ValueError("lm_max_iter must be >= 1")
+    if values.get("coast_frames", 0) < 0:
+        raise ValueError("coast_frames must be >= 0")
     cam = standard_camera()
     camera = CameraIntrinsics(
         fx=values.get("fx", cam.fx), fy=values.get("fy", cam.fy),

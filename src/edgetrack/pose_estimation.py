@@ -6,18 +6,26 @@ Marquardt loop minimizes the sum of squared residuals over the 6 pose
 parameters, with the rotation updated incrementally on the left so the
 Jacobian never differentiates through the exponential map at large angles.
 
+A trial solves (A + lambda*diag(A)) delta = -g, with A = JᵀJ and g = Jᵀr,
+starting at lambda = ``LMSettings.lambda0``.  A trial that lowers the cost
+is accepted and divides lambda by 10; any other (a higher cost, a singular
+system, a point behind the camera) multiplies it by 10, up to 1e4.  LM
+stops after ``LMSettings.max_iterations`` accepted steps, at the 11th
+rejection in a row, or on an accepted step whose relative cost decrease or
+step norm is below the backend's tolerance (``_TOLERANCES``) or that leaves
+a zero cost.  ``lambda0`` and ``max_iterations`` are the only settings.
+
 Everything runs on the realmath backend, so the same code path produces
 float results or bit-reproducible fixed-point results.  Residuals, Jacobian
 rows and the normal equations are computed once per trial over all points
-on the backend's arrays; the damping loop runs on scalars, and the 6x6
-solve and the rotation update on the backend's words (``backend.words``).
+on the backend's arrays; the damped 6x6 solve and the rotation update run
+on the backend's words (``backend.words``).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -32,10 +40,22 @@ from .geometry import (
 )
 from .imaging import GrayImage
 from .rasterizer import render_id_buffer
-from .realmath import FixedArray, FixedPoint, FloatBackend, get_backend
+from .realmath import FloatBackend, get_backend
 
 # Relative pivot size below which the damped normal system counts as singular.
 _PIVOT_RTOL = 1e-12
+
+# Damping schedule: a rejected trial multiplies lambda by _LAMBDA_SCALE and an
+# accepted one divides it.  The cap keeps the damped diagonal A + lambda*diag(A)
+# inside the fixed-point range; steps are already negligible at that damping.
+_LAMBDA_SCALE = 10.0
+_LAMBDA_MAX = 1e4
+_MAX_REJECTIONS = 10  # rejections in a row that LM allows; the next one stops it
+
+# (relative cost decrease, step norm) below which an accepted step ends LM,
+# keyed by backend.is_fixed: the fixed-point formats quantize the cost
+# surface too coarsely for the float thresholds.
+_TOLERANCES = {False: (1e-6, 1e-8), True: (1e-4, 1e-5)}
 
 
 class DegenerateGeometryError(ValueError):
@@ -48,43 +68,23 @@ class FrameSizeError(ValueError):
 
 @dataclass
 class LMSettings:
-    """Damping schedule and stopping rules for the pose solver.
-
-    ``tol_relative`` / ``tol_step`` of None pick per-backend defaults:
-    1e-6 / 1e-8 for float, 1e-4 / 1e-5 for the fixed-point formats, whose
-    cost surface is quantized too coarsely for the float thresholds.
-    """
+    """The two settable values of the pose solver: the starting damping and
+    the budget of accepted steps."""
 
     lambda0: float = 1e-3
-    lambda_scale: float = 10.0
-    lambda_max: float = 1e4
     max_iterations: int = 50
-    max_rejections: int = 10
-    tol_relative: Optional[float] = None
-    tol_step: Optional[float] = None
 
     def __post_init__(self):
-        if self.lambda0 <= 0 or self.lambda_scale <= 1:
-            raise ValueError("damping requires lambda0 > 0 and scale > 1")
-        if self.lambda_max < self.lambda0:
-            raise ValueError("lambda_max must be >= lambda0")
-
-    def resolved_tolerances(self, backend) -> tuple[float, float]:
-        fixed = backend.is_fixed
-        rel = self.tol_relative if self.tol_relative is not None else (1e-4 if fixed else 1e-6)
-        step = self.tol_step if self.tol_step is not None else (1e-5 if fixed else 1e-8)
-        return rel, step
-
-
-def _to_float(x):
-    """Exact float view of a backend scalar or array, for control-flow tests only."""
-    return x.to_float() if isinstance(x, (FixedPoint, FixedArray)) else x
+        if not 0 < self.lambda0 <= _LAMBDA_MAX:
+            raise ValueError(f"lambda0 must lie in (0, {_LAMBDA_MAX:g}]")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0")
 
 
 # ---------------------------------------------------------------------------
 # Residual and Jacobian.
 
-def _check_unit_normals(n):
+def _check_unit_normals(n, backend):
     """Raise ValueError unless every edge normal n is unit length.
 
     Allows a few ulps of slack for fixed-point values: storing a unit
@@ -92,10 +92,8 @@ def _check_unit_normals(n):
     than the float tolerance.
     """
     nn = n[0] * n[0] + n[1] * n[1]
-    tol = 1e-6
-    if isinstance(nn, (FixedPoint, FixedArray)):
-        tol = max(tol, 16.0 * nn.FORMAT.resolution)
-    if np.any(abs(_to_float(nn) - 1.0) > tol):
+    tol = max(1e-6, 16.0 * backend.format.resolution) if backend.is_fixed else 1e-6
+    if np.any(abs(backend.to_float(nn) - 1.0) > tol):
         raise ValueError("edge normal must be unit length")
 
 
@@ -164,8 +162,9 @@ def _sum_squares(rs, backend):
     return backend.row_sums((rs * rs)[None])[0]
 
 
-def _solve_linear6(A, b, backend):
-    """Gaussian elimination with partial pivoting; None when singular.
+def _solve_linear6(A, g, lam, backend):
+    """The LM step delta solving (A + lam*diag(A)) delta = -g, by Gaussian
+    elimination with partial pivoting; None when singular.
 
     Runs on the backend's words (``backend.words``): floats, or raw
     fixed-point words rounded and range-checked as FixedPoint's operators
@@ -173,7 +172,10 @@ def _solve_linear6(A, b, backend):
     """
     w = backend.words
     sub, mul, div, to_float = w.sub, w.mul, w.div, w.to_float
-    aug = [[w.word(v) for v in A[i]] + [w.word(b[i])] for i in range(6)]
+    aug = [[w.word(v) for v in A[i]] + [w.neg(w.word(g[i]))] for i in range(6)]
+    lam = w.word(lam)
+    for i in range(6):
+        aug[i][i] = w.add(aug[i][i], mul(lam, aug[i][i]))
     ref = max(abs(to_float(aug[i][j])) for i in range(6) for j in range(6))
     if ref == 0.0:
         return None
@@ -225,6 +227,18 @@ def _pose_from_backend(R, t, backend) -> PoseSE3:
 # ---------------------------------------------------------------------------
 # Levenberg-Marquardt.
 
+def _trial(columns, R, t, delta, Kb, backend):
+    """The pose (R, t) moved by the step delta, with its residuals, Jacobian
+    columns and cost; None when a point falls behind the camera."""
+    R = _mat_mul3(exp_map((delta[0], delta[1], delta[2]), backend), R, backend)
+    t = [t[i] + delta[3 + i] for i in range(3)]
+    try:
+        rs, rows = _build_system(columns, R, t, Kb, backend)
+    except BehindCameraError:
+        return None
+    return R, t, rs, rows, _sum_squares(rs, backend)
+
+
 def solve_lm(columns, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSettings, backend):
     """Minimize the squared edge-normal residuals over the 6 pose parameters.
 
@@ -232,82 +246,50 @@ def solve_lm(columns, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSettings,
     arrays with one entry per matched control point.  Returns (refined
     pose, sum of absolute residuals, accepted steps, trial steps); the
     trial count includes rejected steps, the honest measure of how hard the
-    minimization worked.  Rejected trial steps escalate the damping; a
-    normal system that stays singular through the whole escalation raises
-    DegenerateGeometryError, and a normal that is not unit length raises
-    ValueError.
+    minimization worked.  A run of rejections that ends on a singular
+    normal system raises DegenerateGeometryError, and a normal that is not
+    unit length raises ValueError.
     """
-    _check_unit_normals(columns[1])
     be = backend
-    tol_rel, tol_step = settings.resolved_tolerances(be)
-    tol_rel_b = be.from_float(tol_rel)
-    tol_step_b = be.from_float(tol_step)
+    _check_unit_normals(columns[1], be)
+    tol_rel, tol_step = (be.from_float(v) for v in _TOLERANCES[be.is_fixed])
+    scale, lam_max = be.from_float(_LAMBDA_SCALE), be.from_float(_LAMBDA_MAX)
     Kb = K.to_backend(be)
     R = exp_map(tuple(be.from_float(w) for w in pose0.omega), be)
     t = [be.from_float(v) for v in pose0.t]
 
     rs, rows = _build_system(columns, R, t, Kb, be)
     cost = _sum_squares(rs, be)
-    iterations = 0
-    attempts = 0
     lam = be.from_float(settings.lambda0)
-    if not cost > be.zero:
-        return _pose_from_backend(R, t, be), 0.0, 0, 0
-
-    for _ in range(settings.max_iterations):
-        A, g = _normal_equations(rs, rows, be)
-
-        rejections = 0
-        accepted = False
-        singular = False
-        while True:
-            attempts += 1
-            damped = [list(A[i]) for i in range(6)]
-            for i in range(6):
-                damped[i][i] = A[i][i] + lam * A[i][i]
-            delta = _solve_linear6(damped, [-v for v in g], be)
-            singular = delta is None
-            if not singular:
-                R_new = _mat_mul3(exp_map((delta[0], delta[1], delta[2]), be), R, be)
-                t_new = [t[i] + delta[3 + i] for i in range(3)]
-                try:
-                    rs_new, rows_new = _build_system(columns, R_new, t_new, Kb, be)
-                except BehindCameraError:
-                    rs_new = None
-                if rs_new is not None:
-                    cost_new = _sum_squares(rs_new, be)
-                    if cost_new < cost:
-                        accepted = True
-                        break
+    iterations = attempts = rejections = 0
+    while iterations < settings.max_iterations and cost > be.zero:
+        if rejections == 0:
+            A, g = _normal_equations(rs, rows, be)
+        attempts += 1
+        delta = _solve_linear6(A, g, lam, be)
+        moved = None if delta is None else _trial(columns, R, t, delta, Kb, be)
+        if moved is None or not moved[4] < cost:
             rejections += 1
-            if rejections > settings.max_rejections:
+            if rejections > _MAX_REJECTIONS:
+                if delta is None:
+                    raise DegenerateGeometryError(
+                        "normal system singular after full damping escalation"
+                    )
                 break
-            # The cap keeps the damped diagonal inside the fixed-point
-            # range; steps are already negligible at that damping.
-            lam = lam * be.from_float(settings.lambda_scale)
-            lam_cap = be.from_float(settings.lambda_max)
-            if lam > lam_cap:
-                lam = lam_cap
-
-        if not accepted:
-            if singular:
-                raise DegenerateGeometryError(
-                    "normal system singular after full damping escalation"
-                )
-            break
-        lam = lam / be.from_float(settings.lambda_scale)
+            lam = min(lam * scale, lam_max)
+            continue
+        lam = lam / scale
+        rejections = 0
         iterations += 1
-        decrease = cost - cost_new
-        rel_small = decrease < tol_rel_b * cost
         step_sq = be.zero
         for d in delta:
             step_sq = step_sq + d * d
-        step_small = be.sqrt(step_sq) < tol_step_b
-        R, t, rs, rows, cost = R_new, t_new, rs_new, rows_new, cost_new
-        if rel_small or step_small or not cost > be.zero:
+        rel_small = cost - moved[4] < tol_rel * cost
+        R, t, rs, rows, cost = moved
+        if rel_small or be.sqrt(step_sq) < tol_step:
             break
 
-    err = FloatBackend.row_sums(abs(_to_float(rs))[None])[0]
+    err = FloatBackend.row_sums(abs(be.to_float(rs))[None])[0]
     return _pose_from_backend(R, t, be), err, iterations, attempts
 
 

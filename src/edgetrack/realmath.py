@@ -658,6 +658,7 @@ class WordOps(NamedTuple):
     to_float: Callable  # word -> float, as the backend's to_float gives it
     add: Callable
     sub: Callable
+    neg: Callable
     mul: Callable
     div: Callable
 
@@ -680,7 +681,8 @@ def _fixed_word_ops(st: type[FixedPoint]) -> WordOps:
         return _word(_trunc_div(a << shift, b))
 
     return WordOps(word=operator.attrgetter("raw"), scalar=st, to_float=lambda w: w / scale,
-                   add=lambda a, b: _word(a + b), sub=lambda a, b: _word(a - b), mul=mul, div=div)
+                   add=lambda a, b: _word(a + b), sub=lambda a, b: _word(a - b),
+                   neg=lambda a: _word(-a), mul=mul, div=div)
 
 
 class FloatBackend:
@@ -727,7 +729,7 @@ class FloatBackend:
         return math.floor(value)
 
     words = WordOps(word=_same, scalar=_same, to_float=_same, add=operator.add,
-                    sub=operator.sub, mul=operator.mul, div=operator.truediv)
+                    sub=operator.sub, neg=operator.neg, mul=operator.mul, div=operator.truediv)
 
     # -- array half: float64 ndarrays -----------------------------------------
 

@@ -16,6 +16,7 @@ converts to float (an exact conversion) to address pixels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -53,12 +54,12 @@ class TrackerConfig:
     lm: LMSettings = field(default_factory=LMSettings)
 
     def __post_init__(self):
-        if self.sampling_step < 2:
-            raise ValueError("sampling_step must be >= 2 px")
+        if not 2 <= self.sampling_step < math.inf:
+            raise ValueError("sampling_step must be finite and >= 2 px")
         if self.search_range < 1:
             raise ValueError("search_range must be >= 1 px")
-        if self.gradient_threshold < 0:
-            raise ValueError("gradient_threshold must be >= 0")
+        if not 0 <= self.gradient_threshold < math.inf:
+            raise ValueError("gradient_threshold must be finite and >= 0")
         if self.backend not in BACKEND_NAMES:
             raise ValueError(f"unknown backend {self.backend!r}")
 

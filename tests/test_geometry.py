@@ -268,6 +268,11 @@ def test_intrinsics_validation():
         CameraIntrinsics(fx=0.0, fy=500.0, cx=160, cy=120, width=320, height=240)
     with pytest.raises(ValueError):
         CameraIntrinsics(fx=500.0, fy=500.0, cx=400, cy=120, width=320, height=240)
+    good = dict(fx=500.0, fy=500.0, cx=160.0, cy=120.0)
+    for key in good:
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                CameraIntrinsics(**{**good, key: bad}, width=320, height=240)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +335,10 @@ def test_bad_vertex_coordinate(tmp_path):
     path.write_text("v 0 zero 0\n")
     with pytest.raises(ModelFormatError, match="line 1"):
         load_model(path)
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"v 0 0 0\nv 1 {bad} 0\n")
+        with pytest.raises(ModelFormatError, match="line 2: bad vertex coordinate"):
+            load_model(path)
 
 
 def test_zero_length_edge(tmp_path):

@@ -700,6 +700,19 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
         parse_config(cfg)
 
 
+@pytest.mark.parametrize("line, match", [
+    ("lm_lambda0 = nan", "lambda0"), ("lm_lambda0 = 0", "lambda0"),
+    ("lm_max_iter = -3", "lm_max_iter"), ("lm_max_iter = 0", "lm_max_iter"),
+    ("coast_frames = -1", "coast_frames"), ("fx = nan", "focal"),
+    ("sampling_step = nan", "sampling_step"), ("gradient_threshold = nan", "gradient_threshold"),
+])
+def test_parse_config_rejects_unusable_values(line, match, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(ValueError, match=match):
+        parse_config(cfg)
+
+
 # ---------------------------------------------------------------------------
 # CLI.
 
@@ -746,6 +759,35 @@ def test_cli_synth_rejects_invalid_parameters(flags, tmp_path, cube_model_path, 
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not seq.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "track"])
+@pytest.mark.parametrize("model_line, config, match", [
+    ("v nan -30 -30", "", "vertex"), ("", "fx = nan", "focal"),
+    ("", "sampling_step = nan", "sampling_step"),
+    ("", "gradient_threshold = nan", "gradient_threshold"), ("", "lm_lambda0 = nan", "lambda0"),
+    ("", "lm_max_iter = -3", "lm_max_iter"), ("", "coast_frames = -1", "coast_frames"),
+], ids=["nan_vertex", "nan_fx", "nan_step", "nan_threshold", "nan_lambda0",
+        "negative_max_iter", "negative_coast"])
+def test_cli_rejects_unusable_model_or_config(command, model_line, config, match, tmp_path,
+                                              cube_model_path, capsys):
+    from edgetrack.cli import main
+
+    seq = tmp_path / "seq"
+    assert main(["synth", "--model", str(cube_model_path), "--frames", "1",
+                 "--out", str(seq), "--noise", "0"]) == 0
+    model = tmp_path / "bad.model"
+    model.write_text(model_line + "\n" + cube_model_path.read_text())
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config + "\n")
+    out = tmp_path / "out"
+    args = {"synth": ["--frames", "1"],
+            "track": ["--sequence", str(seq), "--init", str(seq / GROUND_TRUTH_NAME)]}[command]
+    rc = main([command, "--model", str(model), "--config", str(cfg), "--out", str(out), *args])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and match in err
+    assert not out.exists()
 
 
 def test_cli_rejects_non_finite_init(tmp_path, cube_model_path, capsys):

@@ -49,6 +49,11 @@ def test_config_rejects_bad_values():
         TrackerConfig(search_range=0)
     with pytest.raises(ValueError):
         TrackerConfig(gradient_threshold=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sampling_step"):
+            TrackerConfig(sampling_step=bad)
+        with pytest.raises(ValueError, match="gradient_threshold"):
+            TrackerConfig(gradient_threshold=bad)
     with pytest.raises(ValueError):
         TrackerConfig(backend="decimal")
 
