@@ -5,11 +5,13 @@ rotation axis, norm is the angle in radians.  The pose convention is
 camera-from-world (``x_cam = R x_world + t``), translations in millimeters,
 image y growing downward.
 
-Scalar-level routines (`exp_map`, `mat_vec`, `project_cam`, `project_point`)
-are written against the realmath backend protocol so they run identically in
-floating point and fixed point; all but `exp_map` also take backend arrays.
-The segment clips (`clip_near`, `clip_box`) run on backend arrays only; the
-renderer and the tracker share them.  Bulk float paths use numpy directly.
+The backend routines are written against the realmath backend protocol so
+they run identically in floating point and fixed point.  `exp_map` runs on
+the backend's words (``backend.words``); `transform` takes a pose on words
+and world points as one (3, N) backend array; `project_cam` takes backend
+scalars or arrays.  The segment clips (`clip_near`, `clip_box`) run on
+backend arrays only; the renderer and the tracker share them.  Bulk float
+paths use numpy directly.
 """
 
 from __future__ import annotations
@@ -156,25 +158,34 @@ _TAYLOR_ANGLE = 1e-6
 
 
 def exp_map(omega: Sequence, backend) -> list:
-    """Rodrigues rotation from three backend scalars, as a 3x3 nested list."""
+    """Rodrigues rotation from three words (``backend.words``), as a 3x3
+    nested list of words.
+
+    Each step rounds and range-checks as the backend's scalar operators do,
+    so the words are those the same formula gives on backend scalars.
+    """
+    w = backend.words
+    add, sub, mul, div = w.add, w.sub, w.mul, w.div
+    one = w.word(backend.one)
+    two = add(one, one)
     wx, wy, wz = omega
-    xx, yy, zz = wx * wx, wy * wy, wz * wz
-    xy, xz, yz = wx * wy, wx * wz, wy * wz
-    theta_sq = xx + yy + zz
-    theta = backend.sqrt(theta_sq)
-    if backend.to_float(theta) < _TAYLOR_ANGLE:
+    xx, yy, zz = mul(wx, wx), mul(wy, wy), mul(wz, wz)
+    xy, xz, yz = mul(wx, wy), mul(wx, wz), mul(wy, wz)
+    theta_sq = add(add(xx, yy), zz)
+    theta = w.sqrt(theta_sq)
+    if w.to_float(theta) < _TAYLOR_ANGLE:
         # I + W + W^2/2: second-order Taylor, no division by the tiny angle
         return [
-            [1 - (yy + zz) / 2, xy / 2 - wz, xz / 2 + wy],
-            [xy / 2 + wz, 1 - (xx + zz) / 2, yz / 2 - wx],
-            [xz / 2 - wy, yz / 2 + wx, 1 - (xx + yy) / 2],
+            [sub(one, div(add(yy, zz), two)), sub(div(xy, two), wz), add(div(xz, two), wy)],
+            [add(div(xy, two), wz), sub(one, div(add(xx, zz), two)), sub(div(yz, two), wx)],
+            [sub(div(xz, two), wy), add(div(yz, two), wx), sub(one, div(add(xx, yy), two))],
         ]
-    a = backend.sin(theta) / theta
-    b = (1 - backend.cos(theta)) / theta_sq
+    a = div(w.sin(theta), theta)
+    b = div(sub(one, w.cos(theta)), theta_sq)
     return [
-        [1 - b * (yy + zz), b * xy - a * wz, b * xz + a * wy],
-        [b * xy + a * wz, 1 - b * (xx + zz), b * yz - a * wx],
-        [b * xz - a * wy, b * yz + a * wx, 1 - b * (xx + yy)],
+        [sub(one, mul(b, add(yy, zz))), sub(mul(b, xy), mul(a, wz)), add(mul(b, xz), mul(a, wy))],
+        [add(mul(b, xy), mul(a, wz)), sub(one, mul(b, add(xx, zz))), sub(mul(b, yz), mul(a, wx))],
+        [sub(mul(b, xz), mul(a, wy)), add(mul(b, yz), mul(a, wx)), sub(one, mul(b, add(xx, yy)))],
     ]
 
 
@@ -238,13 +249,18 @@ def look_at_pose(camera_pos, target=(0.0, 0.0, 0.0), down=(0.0, 1.0, 0.0)) -> Po
 # ---------------------------------------------------------------------------
 # Projection.
 
-def mat_vec(R: Sequence, v: Sequence) -> tuple:
-    """3x3 matrix times 3-vector on nested sequences of any scalar type."""
-    return (
-        R[0][0] * v[0] + R[0][1] * v[1] + R[0][2] * v[2],
-        R[1][0] * v[0] + R[1][1] * v[1] + R[1][2] * v[2],
-        R[2][0] * v[0] + R[2][1] * v[1] + R[2][2] * v[2],
-    )
+def transform(X, R: Sequence, t: Sequence, backend):
+    """R X and R X + t for the world points X, one (3, N) backend array,
+    at the camera-from-world pose (R, t) given on the backend's words.
+
+    R X is one (3, k, N) product for the k rows of R (3 for a rotation),
+    whose rows are summed left to right, R[i][0] X[0] + R[i][1] X[1] +
+    R[i][2] X[2], as a scalar loop sums them; t has k entries too.
+    """
+    w = backend.words
+    P = w.array(list(zip(*R)))[:, :, None] * X[:, None]
+    v = P[0] + P[1] + P[2]
+    return v, v + w.array(t)[:, None]
 
 
 def project_cam(c: Sequence, K) -> tuple:
@@ -254,23 +270,6 @@ def project_cam(c: Sequence, K) -> tuple:
     expression run on floats, numpy arrays and backend scalars.
     """
     return K.fx * c[0] / c[2] + K.cx, K.fy * c[1] / c[2] + K.cy
-
-
-def project_point(X: Sequence, R: Sequence, t: Sequence, K: BackendIntrinsics, backend):
-    """Project world points; returns ((u, v), R X, R X + t) in backend values.
-
-    R and t are camera-from-world in backend scalars (R a 3x3 nested list);
-    the coordinates of X are backend scalars for one point or backend
-    arrays for many.  The rotated-only point and the camera-space point come
-    back too: the pose Jacobian needs both.  Raises BehindCameraError when
-    any camera-space z <= 0.
-    """
-    v = mat_vec(R, X)
-    c = (v[0] + t[0], v[1] + t[1], v[2] + t[2])
-    if not np.all(c[2] > backend.zero):
-        depth = np.min(backend.to_float(c[2]))
-        raise BehindCameraError(f"point depth {depth} mm is not positive")
-    return project_cam(c, K), v, c
 
 
 def project_np(points: np.ndarray, R: np.ndarray, t: np.ndarray, K: CameraIntrinsics):

@@ -16,10 +16,13 @@ step norm is below the backend's tolerance (``_TOLERANCES``) or that leaves
 a zero cost.  ``lambda0`` and ``max_iterations`` are the only settings.
 
 Everything runs on the realmath backend, so the same code path produces
-float results or bit-reproducible fixed-point results.  Residuals, Jacobian
-rows and the normal equations are computed once per trial over all points
-on the backend's arrays; the damped 6x6 solve and the rotation update run
-on the backend's words (``backend.words``).
+float results or bit-reproducible fixed-point results.  ``solve_lm``
+stacks the measurements once per solve, as (3, N) world points and (2, N)
+normals and matches; each trial then forms the residuals, the (6, N)
+Jacobian and the normal equations in a few operations on the backend's
+arrays.  The pose, the damping, the convergence tests, the rotation update
+(``geometry.exp_map``) and the damped 6x6 solve stay on the backend's
+words (``backend.words``), so the loop builds no backend scalar per step.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .geometry import (
     WireframeModel,
     exp_map,
     log_rotation_np,
-    project_point,
+    transform,
 )
 from .imaging import GrayImage
 from .rasterizer import render_id_buffer
@@ -98,64 +101,93 @@ def _check_unit_normals(n, backend):
 
 
 def residual(p, q, n):
-    """Signed distance of the match q from the projected point p along the
-    unit normal n.
+    """Signed distances of the matches q from the projected points p along
+    the unit normals n.
 
-    Takes backend scalars for one point or backend arrays for many.
+    Takes (2, N) backend arrays, x in row 0 and y in row 1, or (2,) arrays
+    for one point.
     """
-    return (q[0] - p[0]) * n[0] + (q[1] - p[1]) * n[1]
+    d = (q - p) * n
+    return d[0] + d[1]
 
 
-def _jacobian_row(v, c, n, Kb):
-    """Jacobian row from the rotated point v and camera point c.
+def _stack_columns(columns, Kb, backend):
+    """The operands of every system build in one solve: the measurement
+    columns (X, n, match) as (3, N), (2, N) and (2, N) backend arrays, and
+    the focal lengths and the principal point as (2, 1) arrays."""
+    X, n, q = (backend.stack(c) for c in columns)
+    focal, center = (backend.stack(pair)[:, None] for pair in ((Kb.fx, Kb.fy), (Kb.cx, Kb.cy)))
+    return X, n, q, focal, center
 
-    With g = n^T * d(projection)/d(camera point), the row is (g x v, -g):
-    the rotation block comes from a left-multiplied increment exp(eps)*R,
-    which keeps the linearization well-behaved at any rotation magnitude.
+
+def _project(X, R, t, focal, backend):
+    """For the world points X at the pose (R, t) on words: the offsets
+    K c_xy / z of their image points from the principal point, the rotated
+    points and the depths z.  Raises BehindCameraError when any z <= 0.
+
+    The rotated points come as five rows, the rows of R X in the order
+    0, 1, 2, 0, 1, so that _jacobian's cross product takes its rotations of
+    them as slices.
     """
+    v, c = transform(X, R + R[:2], t + t[:2], backend)
     z = c[2]
-    gx = n[0] * Kb.fx / z
-    gy = n[1] * Kb.fy / z
-    gz = -(n[0] * (Kb.fx * c[0] / z) + n[1] * (Kb.fy * c[1] / z)) / z
-    return (
-        gy * v[2] - gz * v[1],
-        gz * v[0] - gx * v[2],
-        gx * v[1] - gy * v[0],
-        -gx,
-        -gy,
-        -gz,
-    )
+    if not (z > backend.zero).all():
+        raise BehindCameraError(f"point depth {np.min(backend.to_float(z))} mm is not positive")
+    return focal * c[:2] / z, v, z
+
+
+def _jacobian(f, v, z, n, focal, backend):
+    """The (6, N) Jacobian of the residuals over (rotation increment,
+    translation), from _project's offsets f, rotated points v and depths z.
+
+    With g = n^T * d(projection)/d(camera point), the column of a point is
+    (g x v, -g): the rotation block comes from a left-multiplied increment
+    exp(eps)*R, which keeps the linearization well-behaved at any rotation
+    magnitude.  g = (n_x fx, n_y fy, -(n . f)) / z, with fx and fy the
+    focal lengths and f the offset K c_xy / z that the projection forms
+    too; g wraps around like v.
+    """
+    nk, nf = n * focal, n * f
+    g = backend.stack([nk[0], nk[1], -(nf[0] + nf[1]), nk[0], nk[1]]) / z
+    minus_g = -g  # scans the quotient's words once, before the slices below
+    cross = g[1:4] * v[2:5] - g[2:5] * v[1:4]
+    return backend.stack([cross, minus_g[:3]]).reshape(6, -1)
 
 
 def residual_jacobian(X, R, t, Kb, n, backend):
-    """Row of ∂r/∂(rotation increment, translation) at the current pose."""
-    _, v, c = project_point(X, R, t, Kb, backend)
-    return _jacobian_row(v, c, n, Kb)
+    """Row of ∂r/∂(rotation increment, translation) at the pose (R, t),
+    for the point X with the normal n, all given as backend scalars: the
+    Jacobian LM builds, on one-point columns."""
+    w = backend.words
+    X, n = (backend.stack(c)[:, None] for c in (X, n))
+    focal = backend.stack((Kb.fx, Kb.fy))[:, None]
+    R = [[w.word(v) for v in row] for row in R]
+    f, v, z = _project(X, R, [w.word(v) for v in t], focal, backend)
+    return tuple(_jacobian(f, v, z, n, focal, backend)[:, 0])
 
 
-def _build_system(columns, R, t, Kb, backend):
-    """Residuals and the six Jacobian columns at the pose (R, t), as
-    backend arrays over all points."""
-    X, n, q = columns
-    p, v, c = project_point(X, R, t, Kb, backend)
-    return residual(p, q, n), _jacobian_row(v, c, n, Kb)
+def _build_system(stacked, R, t, backend):
+    """Residuals (N,) and Jacobian (6, N) at the pose (R, t) on words, over
+    the columns _stack_columns gives."""
+    X, n, q, focal, center = stacked
+    f, v, z = _project(X, R, t, focal, backend)
+    return residual(f + center, q, n), _jacobian(f, v, z, n, focal, backend)
 
 
 _UPPER = np.triu_indices(6)
 
 
-def _normal_equations(rs, rows, backend):
-    """JᵀJ and Jᵀr as nested lists of backend scalars.
+def _normal_equations(rs, J, backend):
+    """JᵀJ and Jᵀr as nested lists of words (``backend.words``).
 
     Each entry is its own sum over the points, left to right from zero, as
     an accumulation loop over the points would form it.
     """
-    J = backend.stack(rows)
     upper = backend.row_sums(J[_UPPER[0]] * J[_UPPER[1]])
     A = [[None] * 6 for _ in range(6)]
     for i, j, value in zip(*(ix.tolist() for ix in _UPPER), upper):
         A[i][j] = A[j][i] = value
-    return A, backend.row_sums(J * rs[None])
+    return A, backend.row_sums(J * rs)
 
 
 def _sum_squares(rs, backend):
@@ -168,12 +200,12 @@ def _solve_linear6(A, g, lam, backend):
 
     Runs on the backend's words (``backend.words``): floats, or raw
     fixed-point words rounded and range-checked as FixedPoint's operators
-    do, so every step gives the word the same step on scalars gives.
+    do, so every step gives the word the same step on scalars gives.  A, g
+    and lam are words, and so is the step.
     """
     w = backend.words
     sub, mul, div, to_float = w.sub, w.mul, w.div, w.to_float
-    aug = [[w.word(v) for v in A[i]] + [w.neg(w.word(g[i]))] for i in range(6)]
-    lam = w.word(lam)
+    aug = [list(A[i]) + [w.neg(g[i])] for i in range(6)]
     for i in range(6):
         aug[i][i] = w.add(aug[i][i], mul(lam, aug[i][i]))
     ref = max(abs(to_float(aug[i][j])) for i in range(6) for j in range(6))
@@ -198,45 +230,45 @@ def _solve_linear6(A, g, lam, backend):
         for cc in range(r + 1, 6):
             acc = sub(acc, mul(row[cc], x[cc]))
         x[r] = div(acc, row[r])
-    return [w.scalar(v) for v in x]
+    return x
 
 
 def _mat_mul3(A, B, backend):
-    """A B for 3x3 nested lists of backend scalars, each entry summed from
-    0 left to right as sum() does; runs on the backend's words."""
+    """A B for 3x3 nested lists of words (``backend.words``), each entry
+    summed from 0 left to right as sum() does."""
     w = backend.words
     add, mul = w.add, w.mul
-    a = [[w.word(v) for v in row] for row in A]
-    b = [[w.word(v) for v in row] for row in B]
     out = [[None] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(3):
             acc = 0
             for k in range(3):
-                acc = add(acc, mul(a[i][k], b[k][j]))
-            out[i][j] = w.scalar(acc)
+                acc = add(acc, mul(A[i][k], B[k][j]))
+            out[i][j] = acc
     return out
 
 
-def _pose_from_backend(R, t, backend) -> PoseSE3:
-    Rf = np.array([[backend.to_float(R[i][j]) for j in range(3)] for i in range(3)])
-    tf = np.array([backend.to_float(v) for v in t])
-    return PoseSE3(log_rotation_np(Rf), tf)
+def _pose_from_words(R, t, backend) -> PoseSE3:
+    to_float = backend.words.to_float
+    Rf = np.array([[to_float(v) for v in row] for row in R])
+    return PoseSE3(log_rotation_np(Rf), np.array([to_float(v) for v in t]))
 
 
 # ---------------------------------------------------------------------------
 # Levenberg-Marquardt.
 
-def _trial(columns, R, t, delta, Kb, backend):
-    """The pose (R, t) moved by the step delta, with its residuals, Jacobian
-    columns and cost; None when a point falls behind the camera."""
-    R = _mat_mul3(exp_map((delta[0], delta[1], delta[2]), backend), R, backend)
-    t = [t[i] + delta[3 + i] for i in range(3)]
+def _trial(stacked, R, t, delta, backend):
+    """The pose (R, t) moved by the step delta, with its residuals,
+    Jacobian and cost; None when a point falls behind the camera.  The
+    pose, the step and the cost are words."""
+    w = backend.words
+    R = _mat_mul3(exp_map(delta[:3], backend), R, backend)
+    t = [w.add(t[i], delta[3 + i]) for i in range(3)]
     try:
-        rs, rows = _build_system(columns, R, t, Kb, backend)
+        rs, J = _build_system(stacked, R, t, backend)
     except BehindCameraError:
         return None
-    return R, t, rs, rows, _sum_squares(rs, backend)
+    return R, t, rs, J, _sum_squares(rs, backend)
 
 
 def solve_lm(columns, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSettings, backend):
@@ -251,23 +283,30 @@ def solve_lm(columns, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSettings,
     unit length raises ValueError.
     """
     be = backend
+    w = be.words
+    add, sub, mul = w.add, w.sub, w.mul
     _check_unit_normals(columns[1], be)
-    tol_rel, tol_step = (be.from_float(v) for v in _TOLERANCES[be.is_fixed])
-    scale, lam_max = be.from_float(_LAMBDA_SCALE), be.from_float(_LAMBDA_MAX)
-    Kb = K.to_backend(be)
-    R = exp_map(tuple(be.from_float(w) for w in pose0.omega), be)
-    t = [be.from_float(v) for v in pose0.t]
 
-    rs, rows = _build_system(columns, R, t, Kb, be)
+    def word(value):
+        return w.word(be.from_float(value))
+
+    tol_rel, tol_step = (word(v) for v in _TOLERANCES[be.is_fixed])
+    scale, lam_max = word(_LAMBDA_SCALE), word(_LAMBDA_MAX)
+    zero = word(0.0)
+    stacked = _stack_columns(columns, K.to_backend(be), be)
+    R = exp_map(tuple(word(v) for v in pose0.omega), be)
+    t = [word(v) for v in pose0.t]
+
+    rs, J = _build_system(stacked, R, t, be)
     cost = _sum_squares(rs, be)
-    lam = be.from_float(settings.lambda0)
+    lam = word(settings.lambda0)
     iterations = attempts = rejections = 0
-    while iterations < settings.max_iterations and cost > be.zero:
+    while iterations < settings.max_iterations and cost > zero:
         if rejections == 0:
-            A, g = _normal_equations(rs, rows, be)
+            A, g = _normal_equations(rs, J, be)
         attempts += 1
         delta = _solve_linear6(A, g, lam, be)
-        moved = None if delta is None else _trial(columns, R, t, delta, Kb, be)
+        moved = None if delta is None else _trial(stacked, R, t, delta, be)
         if moved is None or not moved[4] < cost:
             rejections += 1
             if rejections > _MAX_REJECTIONS:
@@ -276,21 +315,21 @@ def solve_lm(columns, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSettings,
                         "normal system singular after full damping escalation"
                     )
                 break
-            lam = min(lam * scale, lam_max)
+            lam = min(mul(lam, scale), lam_max)
             continue
-        lam = lam / scale
+        lam = w.div(lam, scale)
         rejections = 0
         iterations += 1
-        step_sq = be.zero
+        step_sq = zero
         for d in delta:
-            step_sq = step_sq + d * d
-        rel_small = cost - moved[4] < tol_rel * cost
-        R, t, rs, rows, cost = moved
-        if rel_small or be.sqrt(step_sq) < tol_step:
+            step_sq = add(step_sq, mul(d, d))
+        rel_small = sub(cost, moved[4]) < mul(tol_rel, cost)
+        R, t, rs, J, cost = moved
+        if rel_small or w.sqrt(step_sq) < tol_step:
             break
 
     err = FloatBackend.row_sums(abs(be.to_float(rs))[None])[0]
-    return _pose_from_backend(R, t, be), err, iterations, attempts
+    return _pose_from_words(R, t, be), err, iterations, attempts
 
 
 # ---------------------------------------------------------------------------

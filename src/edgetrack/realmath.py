@@ -13,8 +13,9 @@ edges or points.  ``sqrt`` takes either half; ``where`` selects between
 arrays or scalars by a mask.  A ``FixedArray`` carries a bound on its raw
 magnitudes from operation to operation, and its words are scanned only
 where no bound was propagated or the propagated bounds fail to prove an
-operation exact.  ``backend.words`` (``WordOps``) runs scalar arithmetic
-on the plain numbers the scalars hold, for loops of many scalar steps.
+operation exact.  ``backend.words`` (``WordOps``) runs scalar arithmetic,
+sqrt, sin and cos on the plain numbers the scalars hold, for loops of many
+scalar steps, and turns nested lists of them into arrays.
 
 Rounding rules, fixed so runs are bit-reproducible:
 
@@ -423,12 +424,13 @@ class FixedArray:
 
     The magnitudes come from ``bound``, an upper bound on the raw
     magnitudes that each result carries from its operands' bounds: a + b and
-    a - b give ba + bb, a * b gives (ba * bb) >> F, negation, abs and
-    slicing keep the bound, ``where`` takes the larger, sqrt gives
-    isqrt(b << F).  The words are scanned (one min and one max reduction)
-    only for an array without a bound (quotients, stacks) and when the
-    propagated bounds fail to prove an operation exact; the tight bounds of
-    that rescan then decide, as a scan of every operand would.
+    a - b give ba + bb, a * b gives (ba * bb) >> F, negation, abs,
+    slicing and reshaping keep the bound, ``where`` and ``stack`` take the
+    largest, sqrt gives isqrt(b << F).  The words are scanned (one min and
+    one max reduction) only for an array without a bound (quotients, and
+    stacks and selections of them) and when the propagated bounds fail to
+    prove an operation exact; the tight bounds of that rescan then decide,
+    as a scan of every operand would.
 
     Operands are arrays or scalars of the same format, ints and integer
     ndarrays (scaled by 2**F as plain ints are); floats are rejected.
@@ -538,6 +540,9 @@ class FixedArray:
             return FixedArray(raw, self.scalar_type, self._bound)
         return self.scalar_type(int(raw))
 
+    def reshape(self, *shape) -> "FixedArray":
+        return FixedArray(self.raw.reshape(*shape), self.scalar_type, self._bound)
+
     def __bool__(self):
         raise TypeError("the truth value of a FixedArray is ambiguous")
 
@@ -633,15 +638,14 @@ class FixedArray:
     # -- reductions ---------------------------------------------------------
 
     def row_sums(self) -> list:
-        """Sum along the last axis, left to right from zero, one FixedPoint
-        per row; every partial sum is range-checked, as FixedPoint's + does."""
-        st = self.scalar_type
+        """Sum along the last axis, left to right from zero, one raw word
+        (a Python int) per row; every partial sum is range-checked, as
+        FixedPoint's + does."""
         *rows, count = self.raw.shape
         if count == 0:
-            return [st(0) for _ in range(math.prod(rows))]
+            return [0] * math.prod(rows)
         raw = self._own_words(count).reshape(-1, count)
-        partial = self._new(np.cumsum(raw, axis=1), None).raw
-        return [st(int(v)) for v in partial[:, -1]]
+        return self._new(np.cumsum(raw, axis=1), None).raw[:, -1].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -656,11 +660,15 @@ class WordOps(NamedTuple):
     word: Callable  # backend scalar -> word
     scalar: Callable  # word -> backend scalar
     to_float: Callable  # word -> float, as the backend's to_float gives it
+    array: Callable  # nested lists of words -> backend array
     add: Callable
     sub: Callable
     neg: Callable
     mul: Callable
     div: Callable
+    sqrt: Callable  # as the backend's sqrt, MathDomainError below zero
+    sin: Callable
+    cos: Callable
 
 
 def _same(x):
@@ -680,9 +688,16 @@ def _fixed_word_ops(st: type[FixedPoint]) -> WordOps:
             raise ZeroDivisionError("fixed-point division by zero")
         return _word(_trunc_div(a << shift, b))
 
+    def sqrt(a: int) -> int:
+        if a < 0:
+            raise MathDomainError("sqrt of negative fixed-point value")
+        return isqrt(a << shift)
+
     return WordOps(word=operator.attrgetter("raw"), scalar=st, to_float=lambda w: w / scale,
+                   array=lambda words: FixedArray(np.array(words, dtype=np.int64), st),
                    add=lambda a, b: _word(a + b), sub=lambda a, b: _word(a - b),
-                   neg=lambda a: _word(-a), mul=mul, div=div)
+                   neg=lambda a: _word(-a), mul=mul, div=div, sqrt=sqrt,
+                   sin=lambda a: _sin_raw(a, shift), cos=lambda a: _cos_raw(a, shift))
 
 
 class FloatBackend:
@@ -728,8 +743,10 @@ class FloatBackend:
     def floor_to_int(value: float) -> int:
         return math.floor(value)
 
-    words = WordOps(word=_same, scalar=_same, to_float=_same, add=operator.add,
-                    sub=operator.sub, neg=operator.neg, mul=operator.mul, div=operator.truediv)
+    words = WordOps(word=_same, scalar=_same, to_float=_same,
+                    array=lambda words: np.array(words, dtype=np.float64), add=operator.add,
+                    sub=operator.sub, neg=operator.neg, mul=operator.mul, div=operator.truediv,
+                    sqrt=sqrt, sin=math.sin, cos=math.cos)
 
     # -- array half: float64 ndarrays -----------------------------------------
 
@@ -749,7 +766,8 @@ class FloatBackend:
 
     @staticmethod
     def row_sums(values: np.ndarray) -> list:
-        """Sum along the last axis, left to right from 0.0, one float per row.
+        """Sum along the last axis, left to right from 0.0, one float (the
+        backend's word) per row.
 
         np.sum sums pairwise, which rounds differently from a scalar loop;
         an accumulation runs in order.
@@ -804,8 +822,14 @@ class FixedBackend:
     # -- array half: FixedArray -----------------------------------------------
 
     def stack(self, items) -> FixedArray:
-        """Array of backend scalars, or of equal-shape arrays one axis up."""
-        return FixedArray(np.array([x.raw for x in items], dtype=np.int64), self.scalar_type)
+        """Array of backend scalars, or of equal-shape arrays one axis up.
+
+        Its bound is the largest of the items' bounds (|raw| for a scalar),
+        or none when an item has none.
+        """
+        bounds = [x._bound if type(x) is FixedArray else abs(x.raw) for x in items]
+        bound = None if None in bounds else max(bounds, default=0)
+        return FixedArray(np.array([x.raw for x in items], dtype=np.int64), self.scalar_type, bound)
 
     @staticmethod
     def floor_array(values: FixedArray) -> np.ndarray:
@@ -823,6 +847,7 @@ class FixedBackend:
 
     @staticmethod
     def row_sums(values: FixedArray) -> list:
+        """FixedArray.row_sums: one word (``words``) per row."""
         return values.row_sums()
 
     def __repr__(self):

@@ -30,8 +30,8 @@ from .geometry import (
     clip_box,
     clip_near,
     exp_map,
-    mat_vec,
     project_cam,
+    transform,
 )
 from .imaging import GrayImage
 from .pose_estimation import LMSettings
@@ -251,8 +251,9 @@ def collect_measurements(
     has 6 degrees of freedom.
     """
     be = backend
-    R = exp_map(tuple(be.from_float(w) for w in pose.omega), be)
-    t = tuple(be.from_float(v) for v in pose.t)
+    word = be.words.word
+    R = exp_map(tuple(word(be.from_float(w)) for w in pose.omega), be)
+    t = [word(be.from_float(v)) for v in pose.t]
     Kb: BackendIntrinsics = K.to_backend(be)
 
     # Camera and world coordinates of the edge ends, near-clipped together:
@@ -260,8 +261,10 @@ def collect_measurements(
     # transform is affine.
     used, ends = np.unique(model.edges.ravel(), return_inverse=True)
     ends = ends.reshape(-1, 2)
-    world = tuple(be.stack([be.from_float(c) for c in col]) for col in model.vertices[used].T.tolist())
-    points = (*(c + tc for c, tc in zip(mat_vec(R, world), t)), *world)
+    world = be.stack([be.stack([be.from_float(c) for c in col])
+                      for col in model.vertices[used].T.tolist()])
+    _, cam = transform(world, R, t, be)
+    points = tuple(c[i] for c in (cam, world) for i in range(3))
     edge, a, b = clip_near(tuple(c[ends[:, 0]] for c in points),
                            tuple(c[ends[:, 1]] for c in points), be.from_float(NEAR_PLANE_MM), be)
     (ua, va), (ub, vb) = project_cam(a, Kb), project_cam(b, Kb)

@@ -177,3 +177,49 @@ def pose_errors(pose_a, pose_b):
     cosang = (np.trace(Ra.T @ Rb) - 1.0) / 2.0
     ang = float(np.arccos(np.clip(cosang, -1.0, 1.0)))
     return ang, float(np.linalg.norm(np.asarray(pose_a.t) - np.asarray(pose_b.t)))
+
+
+# ---------------------------------------------------------------------------
+# Scalar references for the word- and array-level rotation code.
+
+def ref_exp_map(omega, backend):
+    """Rodrigues rotation from three backend scalars, as a 3x3 nested list of
+    backend scalars: the formula geometry.exp_map runs on words, written
+    with the scalars' own operators."""
+    from edgetrack.geometry import _TAYLOR_ANGLE
+
+    wx, wy, wz = omega
+    xx, yy, zz = wx * wx, wy * wy, wz * wz
+    xy, xz, yz = wx * wy, wx * wz, wy * wz
+    theta_sq = xx + yy + zz
+    theta = backend.sqrt(theta_sq)
+    if backend.to_float(theta) < _TAYLOR_ANGLE:
+        return [
+            [1 - (yy + zz) / 2, xy / 2 - wz, xz / 2 + wy],
+            [xy / 2 + wz, 1 - (xx + zz) / 2, yz / 2 - wx],
+            [xz / 2 - wy, yz / 2 + wx, 1 - (xx + yy) / 2],
+        ]
+    a = backend.sin(theta) / theta
+    b = (1 - backend.cos(theta)) / theta_sq
+    return [
+        [1 - b * (yy + zz), b * xy - a * wz, b * xz + a * wy],
+        [b * xy + a * wz, 1 - b * (xx + zz), b * yz - a * wx],
+        [b * xz - a * wy, b * yz + a * wx, 1 - b * (xx + yy)],
+    ]
+
+
+def mat_vec(R, v):
+    """3x3 matrix times 3-vector on nested sequences of any scalar type,
+    each row summed left to right."""
+    return (
+        R[0][0] * v[0] + R[0][1] * v[1] + R[0][2] * v[2],
+        R[1][0] * v[0] + R[1][1] * v[1] + R[1][2] * v[2],
+        R[2][0] * v[0] + R[2][1] * v[1] + R[2][2] * v[2],
+    )
+
+
+def to_words(values, backend):
+    """Backend scalars, in nested lists, as words (backend.words)."""
+    if isinstance(values, (list, tuple)):
+        return [to_words(v, backend) for v in values]
+    return backend.words.word(values)

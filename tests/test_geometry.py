@@ -14,10 +14,13 @@ from edgetrack.geometry import (
     exp_map_np,
     load_model,
     log_rotation_np,
+    project_cam,
     project_np,
-    project_point,
+    transform,
 )
-from edgetrack.realmath import get_backend
+from edgetrack.realmath import MathOverflowError, get_backend
+
+from conftest import ref_exp_map, to_words
 
 FLOAT = get_backend("float")
 
@@ -95,8 +98,8 @@ def test_exp_map_fixed_backend_orthonormal():
     be = get_backend("q40_23")
     for _ in range(50):
         w = random_omega(rng)
-        R = exp_map([be.from_float(x) for x in w], be)
-        Rf = np.array([[be.to_float(v) for v in row] for row in R])
+        R = exp_map([be.words.word(be.from_float(x)) for x in w], be)
+        Rf = np.array([[be.words.to_float(v) for v in row] for row in R])
         assert np.max(np.abs(Rf @ Rf.T - np.eye(3))) < 1e-3
         assert abs(np.linalg.det(Rf) - 1.0) < 1e-3
         assert np.max(np.abs(Rf - exp_map_np(w))) < 1e-3
@@ -107,9 +110,54 @@ def test_exp_map_fixed_matches_float_coarsely():
     be = get_backend("q47_16")
     for _ in range(25):
         w = random_omega(rng)
-        R = exp_map([be.from_float(x) for x in w], be)
-        Rf = np.array([[be.to_float(v) for v in row] for row in R])
+        R = exp_map([be.words.word(be.from_float(x)) for x in w], be)
+        Rf = np.array([[be.words.to_float(v) for v in row] for row in R])
         assert np.max(np.abs(Rf - exp_map_np(w))) < 1e-2
+
+
+@pytest.mark.parametrize("name", ["float", "q40_23", "q47_16"])
+def test_exp_map_words_match_scalar_reference(name):
+    # exp_map on words against the same formula on backend scalars, bit for
+    # bit: both branches, angles near pi, and omegas whose squares or their
+    # sum leave the range, which must raise as the scalar form raises.
+    from edgetrack.geometry import _TAYLOR_ANGLE
+
+    be = get_backend(name)
+    rng = np.random.default_rng(31)
+
+    def outcome(fn):
+        try:
+            R = fn()
+        except (MathOverflowError, ValueError) as exc:  # ValueError: math.sin(inf)
+            return type(exc)
+        return [[v.raw if be.is_fixed else float(v).hex() for v in row] for row in R]
+
+    def taylor(scalars):
+        return be.to_float(be.sqrt(sum((x * x for x in scalars), be.zero))) < _TAYLOR_ANGLE
+
+    # A fixed-point omega below 2**-(F/2) squares to zero: theta is 0.
+    small = 2.0 ** -(be.format.fraction_bits // 2 + 1) if be.is_fixed else 3e-7
+    axes = [v / np.linalg.norm(v) for v in rng.normal(size=(8, 3))]
+    cases = [random_omega(rng) for _ in range(200)]
+    cases += [theta * axis for theta in (math.pi - 1e-3, math.pi - 1e-6, math.pi, math.pi + 1e-6)
+              for axis in axes]
+    cases += [rng.uniform(-small, small, 3) for _ in range(100)]
+    cases += [rng.uniform(-8.0 * small, 8.0 * small, 3) for _ in range(100)]
+    half = be.format.integer_bits / 2 if be.is_fixed else 512.0
+    huge = [(2.0 ** (half + 0.5), 0.0, 0.0), (0.75 * 2.0 ** half, 0.75 * 2.0 ** half, 0.0),
+            (0.0, -(2.0 ** (half + 0.5)), 1.0)]
+    branches = {True: 0, False: 0}
+    for k, w in enumerate(cases + huge):
+        scalars = [be.from_float(float(x)) for x in w]
+        want = outcome(lambda: ref_exp_map(scalars, be))
+        got = outcome(lambda: [[be.words.scalar(v) for v in row]
+                               for row in exp_map(to_words(scalars, be), be)])
+        assert got == want
+        if k < len(cases):
+            branches[taylor(scalars)] += 1
+        else:
+            assert want is (MathOverflowError if be.is_fixed else ValueError)
+    assert branches[True] >= 100 and branches[False] >= 300
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +191,14 @@ def test_log_rotation_near_pi():
 # ---------------------------------------------------------------------------
 # Projection.
 
+def project_point(X, R, t, K, be):
+    """((u, v), R X, R X + t) of one world point given as backend scalars,
+    through geometry.transform and project_cam."""
+    v, c = transform(be.stack(X)[:, None], to_words(R, be), to_words(t, be), be)
+    u, w = project_cam(c, K)
+    return (u[0], w[0]), tuple(v[:, 0]), tuple(c[:, 0])
+
+
 def test_project_principal_point(qvga_camera):
     K = qvga_camera.to_backend(FLOAT)
     R = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -164,12 +220,15 @@ def test_project_hand_computed(qvga_camera):
 
 
 def test_project_behind_camera(qvga_camera):
+    # The LM system build is the projection that checks depths.
+    from edgetrack.pose_estimation import residual_jacobian
+
     K = qvga_camera.to_backend(FLOAT)
     R = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     with pytest.raises(BehindCameraError):
-        project_point((0.0, 0.0, -10.0), R, [0.0, 0.0, 0.0], K, FLOAT)
+        residual_jacobian((0.0, 0.0, -10.0), R, [0.0, 0.0, 0.0], K, (0.0, 1.0), FLOAT)
     with pytest.raises(BehindCameraError):
-        project_point((0.0, 0.0, 0.0), R, [0.0, 0.0, 0.0], K, FLOAT)
+        residual_jacobian((0.0, 0.0, 0.0), R, [0.0, 0.0, 0.0], K, (0.0, 1.0), FLOAT)
 
 
 def test_project_fixed_backend_close_to_float(qvga_camera):

@@ -15,6 +15,7 @@ from edgetrack.geometry import (
 from edgetrack.pose_estimation import (
     DegenerateGeometryError,
     LMSettings,
+    _sum_squares,
     residual,
     residual_jacobian,
     solve_lm,
@@ -22,7 +23,15 @@ from edgetrack.pose_estimation import (
 from edgetrack.realmath import get_backend
 from edgetrack.tracking import ControlPoint
 
-from conftest import columns, perturbed_pose, pose_errors, synthetic_measurements
+from conftest import (
+    columns,
+    mat_vec,
+    perturbed_pose,
+    pose_errors,
+    ref_exp_map,
+    synthetic_measurements,
+    to_words,
+)
 
 FLOAT = get_backend("float")
 Q40 = get_backend("q40_23")
@@ -32,13 +41,22 @@ Q47 = get_backend("q47_16")
 # ---------------------------------------------------------------------------
 # Residual.
 
+def point_residual(p, q, n):
+    """residual for one point given as three pairs of floats."""
+    return residual(*(np.array(v, dtype=np.float64) for v in (p, q, n)))
+
+
 def test_residual_hand_values():
-    assert residual((0.0, 0.0), (3.0, 4.0), (0.0, 1.0)) == pytest.approx(4.0)
-    assert residual((0.0, 0.0), (3.0, 4.0), (1.0, 0.0)) == pytest.approx(3.0)
-    assert residual((0.0, 0.0), (3.0, 4.0), (0.6, 0.8)) == pytest.approx(5.0)
-    assert residual((10.0, 7.0), (10.0, 7.0), (0.0, 1.0)) == 0.0
+    assert point_residual((0.0, 0.0), (3.0, 4.0), (0.0, 1.0)) == pytest.approx(4.0)
+    assert point_residual((0.0, 0.0), (3.0, 4.0), (1.0, 0.0)) == pytest.approx(3.0)
+    assert point_residual((0.0, 0.0), (3.0, 4.0), (0.6, 0.8)) == pytest.approx(5.0)
+    assert point_residual((10.0, 7.0), (10.0, 7.0), (0.0, 1.0)) == 0.0
     # sign flips with the normal
-    assert residual((0.0, 0.0), (3.0, 4.0), (0.0, -1.0)) == pytest.approx(-4.0)
+    assert point_residual((0.0, 0.0), (3.0, 4.0), (0.0, -1.0)) == pytest.approx(-4.0)
+    # Many points at once, as (2, N) columns.
+    p, q = np.zeros((2, 3)), np.array([[3.0, 3.0, 3.0], [4.0, 4.0, 4.0]])
+    n = np.array([[0.0, 1.0, 0.6], [1.0, 0.0, 0.8]])
+    assert residual(p, q, n) == pytest.approx([4.0, 3.0, 5.0])
 
 
 def one_point_lm(n, be):
@@ -106,7 +124,7 @@ def numeric_row(X, R, t, K, n, q, h=1e-6):
     def res_at(Rc, tc):
         c = Rc @ X + tc
         p = (K.fx * c[0] / c[2] + K.cx, K.fy * c[1] / c[2] + K.cy)
-        return residual(p, q, n)
+        return point_residual(p, q, n)
 
     out = []
     for i in range(3):
@@ -238,7 +256,7 @@ def test_solver_cost_decreases_with_iteration_budget(cube_model, qvga_camera, mo
                 qvga_camera.fx * c[0] / c[2] + qvga_camera.cx,
                 qvga_camera.fy * c[1] / c[2] + qvga_camera.cy,
             )
-            total += residual(proj, m.match, m.n) ** 2
+            total += point_residual(proj, m.match, m.n) ** 2
         return total
 
     costs = []
@@ -391,16 +409,30 @@ def test_track_frame_blank_image_raises_insufficient(cube_model, qvga_camera):
 # ---------------------------------------------------------------------------
 # The array system build against the per-point scalar loop it replaced.
 
-def ref_normal_system(measurements, R, t, Kb, be):
-    """(cost, JᵀJ, Jᵀr) accumulated point by point, left to right."""
-    from edgetrack.geometry import project_point
-    from edgetrack.pose_estimation import _jacobian_row
+def ref_point_system(X, R, t, Kb, n, q, be):
+    """Residual and Jacobian row of one point, on backend scalars: the
+    per-point formulas the array build runs over stacked columns."""
+    v = mat_vec(R, X)
+    c = (v[0] + t[0], v[1] + t[1], v[2] + t[2])
+    z = c[2]
+    if not z > be.zero:
+        raise BehindCameraError(f"point depth {be.to_float(z)} mm is not positive")
+    p = (Kb.fx * c[0] / z + Kb.cx, Kb.fy * c[1] / z + Kb.cy)
+    gx = n[0] * Kb.fx / z
+    gy = n[1] * Kb.fy / z
+    gz = -(n[0] * (Kb.fx * c[0] / z) + n[1] * (Kb.fy * c[1] / z)) / z
+    row = (gy * v[2] - gz * v[1], gz * v[0] - gx * v[2], gx * v[1] - gy * v[0], -gx, -gy, -gz)
+    return (q[0] - p[0]) * n[0] + (q[1] - p[1]) * n[1], row
 
+
+def ref_normal_system(measurements, R, t, Kb, be):
+    """(cost, JᵀJ, Jᵀr) accumulated point by point, left to right, with R
+    and t as backend scalars."""
     rs, rows = [], []
     for m in measurements:
-        p, v, c = project_point(m.X, R, t, Kb, be)
-        rs.append(residual(p, m.match, m.n))
-        rows.append(_jacobian_row(v, c, m.n, Kb))
+        r, row = ref_point_system(m.X, R, t, Kb, m.n, m.match, be)
+        rs.append(r)
+        rows.append(row)
     cost = be.zero
     for r in rs:
         cost = cost + r * r
@@ -417,15 +449,29 @@ def ref_normal_system(measurements, R, t, Kb, be):
     return cost, A, g
 
 
+def array_normal_system(measurements, R, t, K, be):
+    """(cost, JᵀJ, Jᵀr) from the array build LM runs, as backend scalars."""
+    from edgetrack.pose_estimation import _build_system, _normal_equations, _stack_columns
+
+    scalar = be.words.scalar
+    stacked = _stack_columns(columns(measurements, be), K.to_backend(be), be)
+    rs, J = _build_system(stacked, to_words(R, be), to_words(t, be), be)
+    A, g = _normal_equations(rs, J, be)
+    return (scalar(_sum_squares(rs, be)), [[scalar(v) for v in row] for row in A],
+            [scalar(v) for v in g])
+
+
 def scalar_bits(v):
     return ("raw", v.raw) if hasattr(v, "raw") else ("float", float(v))
 
 
+def system_bits(system):
+    cost, A, g = system
+    return scalar_bits(cost), [[scalar_bits(v) for v in row] for row in A], [scalar_bits(v) for v in g]
+
+
 @pytest.mark.parametrize("be", [FLOAT, Q40, Q47], ids=["float", "q40_23", "q47_16"])
 def test_normal_system_matches_scalar_reference(be, cube_model, qvga_camera):
-    from edgetrack.geometry import exp_map
-    from edgetrack.pose_estimation import _build_system, _normal_equations, _sum_squares
-
     pose = cube_pose()
     ms = synthetic_measurements(cube_model, pose, qvga_camera)
     rng = np.random.default_rng(505)
@@ -436,20 +482,20 @@ def test_normal_system_matches_scalar_reference(be, cube_model, qvga_camera):
                               match=tuple(float(v) for v in np.add(m.match, rng.normal(0, 1, 2))))
                  for m in ms]
         bms = noisy if be is FLOAT else measurements_to_backend(noisy, be)
-        R = exp_map(tuple(be.from_float(w) for w in start.omega), be)
+        R = ref_exp_map(tuple(be.from_float(w) for w in start.omega), be)
         t = [be.from_float(v) for v in start.t]
-        cost, A, g = ref_normal_system(bms, R, t, Kb, be)
-        rs, rows = _build_system(columns(bms, be), R, t, Kb, be)
-        A2, g2 = _normal_equations(rs, rows, be)
-        assert scalar_bits(_sum_squares(rs, be)) == scalar_bits(cost)
-        assert [[scalar_bits(v) for v in row] for row in A2] == [[scalar_bits(v) for v in row] for row in A]
-        assert [scalar_bits(v) for v in g2] == [scalar_bits(v) for v in g]
+        want = system_bits(ref_normal_system(bms, R, t, Kb, be))
+        assert system_bits(array_normal_system(bms, R, t, qvga_camera, be)) == want
+
+
+def identity_pose(be):
+    return ([[be.one, be.zero, be.zero], [be.zero, be.one, be.zero], [be.zero, be.zero, be.one]],
+            [be.zero, be.zero, be.zero])
 
 
 def test_normal_system_overflow_raises_like_scalar(qvga_camera):
     # A point 2 um in front of the camera drives its Jacobian row, and the
     # JᵀJ products, past the Q40.23 range: both forms raise, never wrap.
-    from edgetrack.pose_estimation import _build_system, _normal_equations
     from edgetrack.realmath import MathOverflowError
 
     K = qvga_camera
@@ -457,12 +503,35 @@ def test_normal_system_overflow_raises_like_scalar(qvga_camera):
     pts = [ControlPoint(edge_index=0, p=(0.0, 0.0), n=(0.6, 0.8), X=(x, 1.0, z), match=(100.0, 90.0))
            for x, z in ((10.0, 150.0), (-20.0, 140.0), (30.0, 0.002))]
     bms = measurements_to_backend(pts, Q40)
-    R = [[Q40.one, Q40.zero, Q40.zero], [Q40.zero, Q40.one, Q40.zero], [Q40.zero, Q40.zero, Q40.one]]
-    t = [Q40.zero, Q40.zero, Q40.zero]
+    R, t = identity_pose(Q40)
     with pytest.raises(MathOverflowError):
         ref_normal_system(bms, R, t, Kb, Q40)
     with pytest.raises(MathOverflowError):
-        _normal_equations(*_build_system(columns(bms, Q40), R, t, Kb, Q40), Q40)
+        array_normal_system(bms, R, t, K, Q40)
+
+
+@pytest.mark.parametrize("be", [FLOAT, Q40, Q47], ids=["float", "q40_23", "q47_16"])
+def test_point_behind_camera_rejects_trial(be, qvga_camera):
+    # One point of three lies behind the camera: both forms raise, and the
+    # LM trial reports the step as failed instead.
+    from edgetrack.pose_estimation import _stack_columns, _trial
+
+    K = qvga_camera
+    pts = [ControlPoint(edge_index=0, p=(0.0, 0.0), n=(0.6, 0.8), X=(x, 1.0, z), match=(100.0, 90.0))
+           for x, z in ((10.0, 150.0), (-20.0, -3.0), (30.0, 140.0))]
+    bms = pts if be is FLOAT else measurements_to_backend(pts, be)
+    R, t = identity_pose(be)
+    with pytest.raises(BehindCameraError):
+        ref_normal_system(bms, R, t, K.to_backend(be), be)
+    with pytest.raises(BehindCameraError):
+        array_normal_system(bms, R, t, K, be)
+    stacked = _stack_columns(columns(bms, be), K.to_backend(be), be)
+    zero = be.words.word(be.zero)
+    assert _trial(stacked, to_words(R, be), to_words(t, be), [zero] * 6, be) is None
+    # The same step with the point moved in front is a trial with a cost.
+    bms[1].X = bms[2].X
+    stacked = _stack_columns(columns(bms, be), K.to_backend(be), be)
+    assert _trial(stacked, to_words(R, be), to_words(t, be), [zero] * 6, be) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +602,16 @@ def reference_solve(A, g, lam, be):
     return scalar_elimination(*damped_system(A, g, lam, be), be)
 
 
+def words_solve(A, g, lam, be):
+    """_solve_linear6 on the words of backend scalars, its step as scalars."""
+    from edgetrack.pose_estimation import _solve_linear6
+
+    x = _solve_linear6(to_words(A, be), to_words(g, be), to_words(lam, be), be)
+    return None if x is None else [be.words.scalar(v) for v in x]
+
+
 @pytest.mark.parametrize("be", [FLOAT, Q40, Q47], ids=["float", "q40_23", "q47_16"])
 def test_solve_linear6_matches_scalar_elimination(be):
-    from edgetrack.pose_estimation import _solve_linear6
     from edgetrack.realmath import MathOverflowError
 
     rng = np.random.default_rng(512)
@@ -546,7 +622,7 @@ def test_solve_linear6_matches_scalar_elimination(be):
         A, g = normal_system(J, rng.normal(0.0, 2.0, n), be)
         lam = be.from_float(10.0 ** rng.uniform(-3.0, 2.0))
         want = solve_outcome(reference_solve, A, g, lam, be)
-        assert solve_outcome(_solve_linear6, A, g, lam, be) == want
+        assert solve_outcome(words_solve, A, g, lam, be) == want
         solved += isinstance(want, list)
     assert solved >= 140
 
@@ -555,9 +631,9 @@ def test_solve_linear6_matches_scalar_elimination(be):
     J[:, 4] = 0.0
     A, g = normal_system(J, rng.normal(0.0, 1.0, 20), be)
     lam = be.from_float(1e-3)
-    assert reference_solve(A, g, lam, be) is None and _solve_linear6(A, g, lam, be) is None
+    assert reference_solve(A, g, lam, be) is None and words_solve(A, g, lam, be) is None
     zero = [[be.zero] * 6 for _ in range(6)]
-    assert reference_solve(zero, g, lam, be) is None and _solve_linear6(zero, g, lam, be) is None
+    assert reference_solve(zero, g, lam, be) is None and words_solve(zero, g, lam, be) is None
 
     # Elimination that leaves the 64-bit range: row 1 minus -1 times row 0
     # doubles an entry of 2**62 raw.  Float just carries the large value.
@@ -567,12 +643,16 @@ def test_solve_linear6_matches_scalar_elimination(be):
     ones = [be.one] * 6
     want = solve_outcome(reference_solve, A, ones, be.zero, be)
     assert (want is MathOverflowError) == be.is_fixed
-    assert solve_outcome(_solve_linear6, A, ones, be.zero, be) == want
+    assert solve_outcome(words_solve, A, ones, be.zero, be) == want
 
 
 @pytest.mark.parametrize("be", [FLOAT, Q40, Q47], ids=["float", "q40_23", "q47_16"])
 def test_mat_mul3_matches_scalar_sums(be):
     from edgetrack.pose_estimation import _mat_mul3
+
+    def words_product(A, B):
+        return [[be.words.scalar(v) for v in row]
+                for row in _mat_mul3(to_words(A, be), to_words(B, be), be)]
 
     def scalar_product(A, B):
         return [[sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
@@ -583,7 +663,7 @@ def test_mat_mul3_matches_scalar_sums(be):
         A[0, 0] = -0.0  # sum() starts from int 0, so -0.0 products turn to 0.0
         A, B = ([[be.from_float(float(v)) for v in row] for row in M] for M in (A, B))
         want = [[scalar_bits(v) for v in row] for row in scalar_product(A, B)]
-        assert [[scalar_bits(v) for v in row] for row in _mat_mul3(A, B, be)] == want
+        assert [[scalar_bits(v) for v in row] for row in words_product(A, B)] == want
     if be.is_fixed:
         from edgetrack.realmath import MathOverflowError
 
@@ -591,4 +671,4 @@ def test_mat_mul3_matches_scalar_sums(be):
         with pytest.raises(MathOverflowError):
             scalar_product(big, [[be.from_int(2)] * 3] * 3)
         with pytest.raises(MathOverflowError):
-            _mat_mul3(big, [[be.from_int(2)] * 3] * 3, be)
+            words_product(big, [[be.from_int(2)] * 3] * 3)

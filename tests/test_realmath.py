@@ -481,7 +481,7 @@ def test_row_sums_match_scalar_accumulation(cls):
                 want = MathOverflowError
             single = FixedArray(np.array(row, dtype=np.int64), cls)
             try:
-                assert single.row_sums()[0].raw == want
+                assert single.row_sums()[0] == want
             except MathOverflowError:
                 assert want is MathOverflowError
     # Float rows add left to right from 0.0, as a loop does.
@@ -569,7 +569,7 @@ def test_fixed_array_bounds_hold_through_operation_chains(cls):
             # row_sums of the result, against a left-to-right scalar sum.
             acc = cls(0)
             want_sum = scalar_outcome(lambda: sum((cls(v) for v in got.raw.tolist()), acc))
-            assert scalar_outcome(lambda: got.row_sums()[0]) == want_sum
+            assert scalar_outcome(lambda: cls(got.row_sums()[0])) == want_sum
     assert counts["ok"] > 600 and counts["raised"] > 50
 
     # Propagated bounds past 2**63 on values that fit: a rescan finds the
@@ -591,3 +591,48 @@ def test_fixed_array_bounds_hold_through_operation_chains(cls):
             op(cls(big))
         with pytest.raises(MathOverflowError):
             op(FixedArray(np.array([3, big, -7], dtype=np.int64), cls))
+
+
+@pytest.mark.parametrize("cls", FIXED_CLASSES)
+def test_stack_bound_is_the_items_largest(cls):
+    # A stack carries the largest of its items' bounds (|raw| for a
+    # scalar), none when an item has none; its words, and the words and
+    # errors of operations on it, are those of the same stack scanned.
+    from edgetrack.realmath import _max_abs
+
+    be = FixedBackend(cls.FORMAT)
+    rng = np.random.default_rng(611)
+
+    def outcome(fn):
+        try:
+            return fn().raw.tolist()
+        except MathOverflowError:
+            return MathOverflowError
+
+    def random_array(max_bits, size=5):
+        bits = rng.integers(0, max_bits, size)
+        raw = [int(rng.integers(-(1 << int(b)), 1 << int(b), endpoint=True)) for b in bits]
+        return FixedArray(np.array(raw, dtype=np.int64), cls)
+
+    raised = 0
+    for _ in range(150):
+        x, y = random_array(int(rng.integers(8, 63))), random_array(int(rng.integers(8, 40)))
+        try:
+            items = [x * y if rng.random() < 0.8 else x / (y + 1), x + x, -y]
+        except MathOverflowError:
+            continue
+        items = items[:int(rng.integers(1, 4))]
+        for stack_items in (items, [x[int(i)] for i in rng.integers(0, 5, 4)]):
+            got = be.stack(stack_items)
+            assert got.raw.tolist() == [v.raw.tolist() if isinstance(v, FixedArray) else v.raw
+                                        for v in stack_items]
+            bounds = [v._bound if isinstance(v, FixedArray) else abs(v.raw) for v in stack_items]
+            assert got._bound == (None if None in bounds else max(bounds))
+            assert got._bound is None or got._bound >= _max_abs(got.raw)
+            scanned = FixedArray(got.raw.copy(), cls)
+            for op in (lambda a: a * a, lambda a: a + a, lambda a: a - a * 3, lambda a: -a):
+                want = outcome(lambda: op(scanned))
+                assert outcome(lambda: op(got)) == want
+                raised += want is MathOverflowError
+    assert raised > 20
+    assert be.stack([]).raw.size == 0

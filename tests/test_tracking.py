@@ -20,6 +20,8 @@ from edgetrack.tracking import (
     search_correspondence,
 )
 
+from conftest import mat_vec, ref_exp_map
+
 FLOAT = get_backend("float")
 Q40 = get_backend("q40_23")
 Q47 = get_backend("q47_16")
@@ -481,10 +483,10 @@ def ref_clip_box(a, d, lo, hi, backend):
 
 def ref_collect_measurements(model, pose, K, gray, id_buffer, cfg, be):
     """(matched ControlPoints, n_projected, n_sampled) from the per-point loop."""
-    from edgetrack.geometry import exp_map, mat_vec, project_cam
+    from edgetrack.geometry import project_cam
     from edgetrack.rasterizer import NEAR_PLANE_MM
 
-    R = exp_map(tuple(be.from_float(w) for w in pose.omega), be)
+    R = ref_exp_map(tuple(be.from_float(w) for w in pose.omega), be)
     t = tuple(be.from_float(v) for v in pose.t)
     Kb = K.to_backend(be)
     near = be.from_float(NEAR_PLANE_MM)
