@@ -52,7 +52,7 @@ STATS_NAME = "stats.csv"
 POSE_COLUMNS = "frame,wx,wy,wz,tx,ty,tz"
 STATS_COLUMNS = (
     "frame,sampled,matched,err,iters,t_total_ms,t_visible_ms,"
-    "t_gray_ms,t_me_ms,t_pose_ms,status,projected,attempts"
+    "t_gray_ms,t_me_ms,t_pose_ms,status,projected,attempts,lm_stop"
 )
 
 # Desk-scale defaults: every headline accuracy number refers to this setup.
@@ -315,6 +315,7 @@ class FrameRecord:
     t_me: float
     t_pose: float
     status: str
+    lm_stop: str = ""  # why LM stopped (pose_estimation.LM_STOPS); empty unless ok
 
 
 def _sequence_frames(sequence_dir) -> list:
@@ -355,13 +356,14 @@ def run_tracking(sequence_dir, model: WireframeModel, K: CameraIntrinsics,
             status = "ok"
             projected, sampled, matched = stats.projected, stats.sampled, stats.matched
             err, iters, attempts = stats.err, stats.iterations, stats.attempts
+            lm_stop = stats.lm_stop
             t_visible, t_me, t_pose = stats.t_visible, stats.t_me, stats.t_pose
         except (OSError, ImageFormatError, FrameSizeError, InsufficientMeasurementsError,
                 DegenerateGeometryError, MathOverflowError, MathDomainError, BehindCameraError):
             coasted += 1
             status = "coast" if coasted <= coast_frames else "lost"
             projected = sampled = matched = iters = attempts = 0
-            err = float("nan")
+            err, lm_stop = float("nan"), ""
             t_visible = t_me = t_pose = 0.0
         t_total = time.perf_counter() - t_start
         records.append(
@@ -369,7 +371,7 @@ def run_tracking(sequence_dir, model: WireframeModel, K: CameraIntrinsics,
                 frame=idx, pose=pose.copy(), projected=projected, sampled=sampled, matched=matched,
                 err=err, iters=iters, attempts=attempts, t_total=t_total,
                 t_visible=t_visible, t_gray=t_gray, t_me=t_me, t_pose=t_pose,
-                status=status,
+                status=status, lm_stop=lm_stop,
             )
         )
         if dump_buffers and out_dir is not None:
@@ -393,7 +395,7 @@ def write_run_outputs(out_dir, records):
         lines.append(
             f"{r.frame},{r.sampled},{r.matched},{r.err:.6f},{r.iters},"
             f"{r.t_total * 1e3:.3f},{r.t_visible * 1e3:.3f},{r.t_gray * 1e3:.3f},"
-            f"{r.t_me * 1e3:.3f},{r.t_pose * 1e3:.3f},{r.status},{r.projected},{r.attempts}"
+            f"{r.t_me * 1e3:.3f},{r.t_pose * 1e3:.3f},{r.status},{r.projected},{r.attempts},{r.lm_stop}"
         )
     (out / STATS_NAME).write_text("\n".join(lines) + "\n")
 

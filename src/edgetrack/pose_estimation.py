@@ -8,12 +8,18 @@ Jacobian never differentiates through the exponential map at large angles.
 
 A trial solves (A + lambda*diag(A)) delta = -g, with A = JᵀJ and g = Jᵀr,
 starting at lambda = ``LMSettings.lambda0``.  A trial that lowers the cost
-is accepted and divides lambda by 10; any other (a higher cost, a singular
-system, a point behind the camera) multiplies it by 10, up to 1e4.  LM
-stops after ``LMSettings.max_iterations`` accepted steps, at the 11th
-rejection in a row, or on an accepted step whose relative cost decrease or
-step norm is below the backend's tolerance (``_TOLERANCES``) or that leaves
-a zero cost.  ``lambda0`` and ``max_iterations`` are the only settings.
+is accepted and divides lambda by 10.  A trial whose cost is no lower but
+rose by less than the backend's relative tolerance (``_TOLERANCES``) times
+the cost ends LM at the current pose: the cost is flat there at the level
+at which an accepted step also ends LM, and on the fixed-point formats,
+whose cost is quantized, further trials there mostly find a cost no lower.
+Any other trial (a higher cost, a singular system, a point behind the
+camera) multiplies lambda by 10, up to 1e4.  LM also stops after
+``LMSettings.max_iterations`` accepted steps, at the 11th rejection in a
+row, or on an accepted step whose relative cost decrease or step norm is
+below the backend's tolerance or that leaves a zero cost; ``solve_lm``
+says which (``LM_STOPS``).  ``lambda0`` and ``max_iterations`` are the
+only settings.
 
 Everything runs on the realmath backend, so the same code path produces
 float results or bit-reproducible fixed-point results.  ``solve_lm``
@@ -59,6 +65,12 @@ _MAX_REJECTIONS = 10  # rejections in a row that LM allows; the next one stops i
 # keyed by backend.is_fixed: the fixed-point formats quantize the cost
 # surface too coarsely for the float thresholds.
 _TOLERANCES = {False: (1e-6, 1e-8), True: (1e-4, 1e-5)}
+
+# Why solve_lm stopped: an accepted step's relative cost decrease or step
+# norm fell below the tolerance, the cost reached zero, the budget of
+# accepted steps ran out, a trial was rejected with a cost no more than the
+# relative tolerance above the current one (flat), or the rejections ran out.
+LM_STOPS = ("rel_decrease", "small_step", "zero_cost", "max_iterations", "flat", "rejections")
 
 
 class DegenerateGeometryError(ValueError):
@@ -276,11 +288,12 @@ def solve_lm(columns, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSettings,
 
     ``columns`` are the measurements (X, n, match), each a tuple of backend
     arrays with one entry per matched control point.  Returns (refined
-    pose, sum of absolute residuals, accepted steps, trial steps); the
-    trial count includes rejected steps, the honest measure of how hard the
-    minimization worked.  A run of rejections that ends on a singular
-    normal system raises DegenerateGeometryError, and a normal that is not
-    unit length raises ValueError.
+    pose, sum of absolute residuals, accepted steps, trial steps, stop
+    reason); the trial count includes rejected steps, the honest measure of
+    how hard the minimization worked, and the stop reason is one of
+    ``LM_STOPS``.  A run of rejections that ends on a singular normal
+    system raises DegenerateGeometryError, and a normal that is not unit
+    length raises ValueError.
     """
     be = backend
     w = be.words
@@ -308,12 +321,16 @@ def solve_lm(columns, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSettings,
         delta = _solve_linear6(A, g, lam, be)
         moved = None if delta is None else _trial(stacked, R, t, delta, be)
         if moved is None or not moved[4] < cost:
+            if moved is not None and sub(moved[4], cost) < mul(tol_rel, cost):
+                stop = "flat"  # the cost surface is flat at the tolerance here
+                break
             rejections += 1
             if rejections > _MAX_REJECTIONS:
                 if delta is None:
                     raise DegenerateGeometryError(
                         "normal system singular after full damping escalation"
                     )
+                stop = "rejections"
                 break
             lam = min(mul(lam, scale), lam_max)
             continue
@@ -325,11 +342,17 @@ def solve_lm(columns, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSettings,
             step_sq = add(step_sq, mul(d, d))
         rel_small = sub(cost, moved[4]) < mul(tol_rel, cost)
         R, t, rs, J, cost = moved
-        if rel_small or w.sqrt(step_sq) < tol_step:
+        if rel_small:
+            stop = "rel_decrease"
             break
+        if w.sqrt(step_sq) < tol_step:
+            stop = "small_step"
+            break
+    else:  # the loop's own condition ended it
+        stop = "max_iterations" if cost > zero else "zero_cost"
 
     err = FloatBackend.row_sums(abs(be.to_float(rs))[None])[0]
-    return _pose_from_words(R, t, be), err, iterations, attempts
+    return _pose_from_words(R, t, be), err, iterations, attempts, stop
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +368,7 @@ class FrameStats:
     err: float
     iterations: int  # accepted LM steps
     attempts: int  # all LM trial steps, including rejected ones
+    lm_stop: str  # why LM stopped, one of LM_STOPS
     t_visible: float  # render + visibility bookkeeping, seconds
     t_me: float  # measurement collection incl. the 1D search
     t_pose: float  # LM refinement
@@ -372,7 +396,8 @@ def track_frame(prev_pose: PoseSE3, gray: GrayImage, model: WireframeModel,
     t1 = time.perf_counter()
     ms = collect_measurements(model, prev_pose, K, gray, id_buf, cfg, be)
     t2 = time.perf_counter()
-    pose, err, iterations, attempts = solve_lm((ms.X, ms.n, ms.match), prev_pose, K, cfg.lm, be)
+    pose, err, iterations, attempts, lm_stop = solve_lm(
+        (ms.X, ms.n, ms.match), prev_pose, K, cfg.lm, be)
     t3 = time.perf_counter()
     stats = FrameStats(
         projected=ms.n_projected,
@@ -381,6 +406,7 @@ def track_frame(prev_pose: PoseSE3, gray: GrayImage, model: WireframeModel,
         err=err,
         iterations=iterations,
         attempts=attempts,
+        lm_stop=lm_stop,
         t_visible=t1 - t0,
         t_me=t2 - t1,
         t_pose=t3 - t2,

@@ -426,7 +426,8 @@ class FixedArray:
     magnitudes that each result carries from its operands' bounds: a + b and
     a - b give ba + bb, a * b gives (ba * bb) >> F, negation, abs,
     slicing and reshaping keep the bound, ``where`` and ``stack`` take the
-    largest, sqrt gives isqrt(b << F).  The words are scanned (one min and
+    largest, sqrt gives isqrt(b << F), and ``WordOps.array`` takes the
+    largest magnitude of its words.  The words are scanned (one min and
     one max reduction) only for an array without a bound (quotients, and
     stacks and selections of them) and when the propagated bounds fail to
     prove an operation exact; the tight bounds of that rescan then decide,
@@ -693,8 +694,16 @@ def _fixed_word_ops(st: type[FixedPoint]) -> WordOps:
             raise MathDomainError("sqrt of negative fixed-point value")
         return isqrt(a << shift)
 
+    def array(words) -> FixedArray:
+        """The words as an array whose bound is their largest magnitude, taken
+        over the Python ints, which is quicker than a scan of the array."""
+        raw = np.array(words, dtype=np.int64)
+        out = FixedArray(raw, st, max(map(abs, raw.ravel().tolist()), default=0))
+        out._scanned = True
+        return out
+
     return WordOps(word=operator.attrgetter("raw"), scalar=st, to_float=lambda w: w / scale,
-                   array=lambda words: FixedArray(np.array(words, dtype=np.int64), st),
+                   array=array,
                    add=lambda a, b: _word(a + b), sub=lambda a, b: _word(a - b),
                    neg=lambda a: _word(-a), mul=mul, div=div, sqrt=sqrt,
                    sin=lambda a: _sin_raw(a, shift), cos=lambda a: _cos_raw(a, shift))
@@ -730,14 +739,6 @@ class FloatBackend:
         if value < 0.0:
             raise MathDomainError("sqrt of negative value")
         return math.sqrt(value)
-
-    @staticmethod
-    def sin(value: float) -> float:
-        return math.sin(value)
-
-    @staticmethod
-    def cos(value: float) -> float:
-        return math.cos(value)
 
     @staticmethod
     def floor_to_int(value: float) -> int:
@@ -808,12 +809,6 @@ class FixedBackend:
     def sqrt(value):
         """FixedPoint.sqrt of a scalar, or FixedArray.sqrt of an array."""
         return value.sqrt()
-
-    def sin(self, value: FixedPoint) -> FixedPoint:
-        return self.scalar_type(_sin_raw(value.raw, value.FRAC_BITS))
-
-    def cos(self, value: FixedPoint) -> FixedPoint:
-        return self.scalar_type(_cos_raw(value.raw, value.FRAC_BITS))
 
     @staticmethod
     def floor_to_int(value: FixedPoint) -> int:

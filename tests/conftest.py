@@ -199,8 +199,9 @@ def ref_exp_map(omega, backend):
             [xy / 2 + wz, 1 - (xx + zz) / 2, yz / 2 - wx],
             [xz / 2 - wy, yz / 2 + wx, 1 - (xx + yy) / 2],
         ]
-    a = backend.sin(theta) / theta
-    b = (1 - backend.cos(theta)) / theta_sq
+    w = backend.words
+    a = w.scalar(w.sin(w.word(theta))) / theta
+    b = (1 - w.scalar(w.cos(w.word(theta)))) / theta_sq
     return [
         [1 - b * (yy + zz), b * xy - a * wz, b * xz + a * wy],
         [b * xy + a * wz, 1 - b * (xx + zz), b * yz - a * wx],

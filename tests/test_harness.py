@@ -28,6 +28,7 @@ from edgetrack.harness import (
     _draw_runs,
     _visible_runs,
 )
+from edgetrack.pose_estimation import LM_STOPS
 from edgetrack.rasterizer import BACKGROUND, decode_id_array, render_id_buffer
 from edgetrack.tracking import TrackerConfig
 
@@ -504,15 +505,17 @@ def test_run_tracking_survives_numeric_faults(tmp_path, cube_model, qvga_camera,
     assert [r.status for r in records] == statuses
     stats = [line.split(",") for line in (tmp_path / "run" / STATS_NAME).read_text().splitlines()]
     header = stats[0]
-    assert header[-3:] == ["status", "projected", "attempts"]
+    assert header[-4:] == ["status", "projected", "attempts", "lm_stop"]
     assert [row[header.index("status")] for row in stats[1:]] == statuses
     for row, r in zip(stats[1:], records):
         projected, sampled, matched = (int(row[header.index(k)]) for k in ("projected", "sampled", "matched"))
         assert projected == r.projected and int(row[header.index("attempts")]) == r.attempts
+        assert row[header.index("lm_stop")] == r.lm_stop
         if r.status == "ok":
             assert projected >= sampled >= matched >= 6 and r.attempts >= r.iters
+            assert r.lm_stop in LM_STOPS
         else:
-            assert projected == sampled == matched == r.attempts == 0
+            assert projected == sampled == matched == r.attempts == 0 and r.lm_stop == ""
     assert len(load_pose_csv(tmp_path / "run" / POSES_NAME)) == 7
 
 

@@ -1,5 +1,7 @@
 """Residuals, analytic Jacobians, and the LM pose solver."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -67,8 +69,8 @@ def one_point_lm(n, be):
     cols = tuple(tuple(be.stack([be.from_float(v)]) for v in values)
                  for values in ((0.0, 0.0, 0.0), n, (K.cx + 1.0, K.cy + 1.0)))
     pose = PoseSE3(np.zeros(3), np.array([0.0, 0.0, 150.0]))
-    _, err, iters, attempts = solve_lm(cols, pose, K, LMSettings(max_iterations=0), be)
-    assert iters == attempts == 0
+    _, err, iters, attempts, stop = solve_lm(cols, pose, K, LMSettings(max_iterations=0), be)
+    assert iters == attempts == 0 and stop == "max_iterations"
     return err
 
 
@@ -209,8 +211,8 @@ def test_solver_zero_residual_returns_immediately(qvga_camera):
         q = (K.fx * X[0] / z + K.cx, K.fy * X[1] / z + K.cy)
         n = (1.0, 0.0) if i % 2 else (0.0, 1.0)
         ms.append(ControlPoint(edge_index=0, p=q, n=n, X=X, match=q))
-    out, err, iters, _ = solve_lm(columns(ms, FLOAT), pose, qvga_camera, LMSettings(), FLOAT)
-    assert err == 0.0 and iters == 0
+    out, err, iters, _, stop = solve_lm(columns(ms, FLOAT), pose, qvga_camera, LMSettings(), FLOAT)
+    assert err == 0.0 and iters == 0 and stop == "zero_cost"
     ang, dist = pose_errors(out, pose)
     assert ang < 1e-12 and dist < 1e-12
 
@@ -221,7 +223,7 @@ def test_solver_already_converged_pose_stays_put(cube_model, qvga_camera):
     pose = cube_pose()
     ms = synthetic_measurements(cube_model, pose, qvga_camera)
     assert len(ms) >= 20
-    out, err, iters, _ = solve_lm(columns(ms, FLOAT), pose, qvga_camera, LMSettings(), FLOAT)
+    out, err, iters, _, _ = solve_lm(columns(ms, FLOAT), pose, qvga_camera, LMSettings(), FLOAT)
     assert err < 1e-9
     ang, dist = pose_errors(out, pose)
     assert ang < 1e-9 and dist < 1e-9
@@ -233,7 +235,7 @@ def test_solver_recovers_perturbed_poses(cube_model, qvga_camera):
     rng = np.random.default_rng(909)
     for _ in range(25):
         start = perturbed_pose(pose, np.radians(2.0), 3.0, rng)
-        out, err, iters, _ = solve_lm(columns(ms, FLOAT), start, qvga_camera, LMSettings(), FLOAT)
+        out, err, iters, _, _ = solve_lm(columns(ms, FLOAT), start, qvga_camera, LMSettings(), FLOAT)
         ang, dist = pose_errors(out, pose)
         assert ang < 1e-3 and dist < 1e-2
         assert iters >= 1
@@ -261,7 +263,7 @@ def test_solver_cost_decreases_with_iteration_budget(cube_model, qvga_camera, mo
 
     costs = []
     for budget in range(0, 9):
-        out, _, iters, _ = solve_lm(
+        out, _, iters, _, _ = solve_lm(
             columns(ms, FLOAT), start, qvga_camera, LMSettings(max_iterations=budget), FLOAT
         )
         assert iters <= budget
@@ -317,8 +319,8 @@ def test_solver_result_insensitive_to_model_frame_choice(cube_model, qvga_camera
             )
         )
 
-    out1, err1, it1, _ = solve_lm(columns(ms, FLOAT), start, qvga_camera, LMSettings(), FLOAT)
-    out2, err2, it2, _ = solve_lm(columns(ms2, FLOAT), reframe(start), qvga_camera, LMSettings(), FLOAT)
+    out1, err1, it1, _, _ = solve_lm(columns(ms, FLOAT), start, qvga_camera, LMSettings(), FLOAT)
+    out2, err2, it2, _, _ = solve_lm(columns(ms2, FLOAT), reframe(start), qvga_camera, LMSettings(), FLOAT)
     assert err2 == pytest.approx(err1, abs=1e-9)
     assert it1 == it2
     # out2 should be the reframed out1
@@ -347,9 +349,9 @@ def test_solver_fixed_backends_land_near_float(cube_model, qvga_camera):
     ms = synthetic_measurements(cube_model, pose, qvga_camera)
     rng = np.random.default_rng(13)
     start = perturbed_pose(pose, np.radians(1.0), 2.0, rng)
-    out_f, _, _, _ = solve_lm(columns(ms, FLOAT), start, qvga_camera, LMSettings(), FLOAT)
+    out_f, _, _, _, _ = solve_lm(columns(ms, FLOAT), start, qvga_camera, LMSettings(), FLOAT)
     for be, tol_mm in ((Q40, 0.1), (Q47, 0.5)):
-        out_b, _, _, _ = solve_lm(columns(measurements_to_backend(ms, be), be), start, qvga_camera,
+        out_b, _, _, _, _ = solve_lm(columns(measurements_to_backend(ms, be), be), start, qvga_camera,
                                  LMSettings(), be)
         ang, dist = pose_errors(out_b, out_f)
         assert dist < tol_mm
@@ -363,6 +365,76 @@ def test_lm_settings_validation():
     with pytest.raises(ValueError, match="max_iterations"):
         LMSettings(max_iterations=-1)
     assert LMSettings(lambda0=1e4, max_iterations=0).lambda0 == 1e4
+
+
+# ---------------------------------------------------------------------------
+# Stop rules.
+
+def flat_frame(name):
+    """The LM system of one frame of the seed-5 standard cube on the backend
+    ``name`` (raw words of X, n and match; the start pose as floats) and
+    the backend.  Without the flat-cost stop LM accepted two steps on it
+    and then rejected trials whose cost rose by less than the tolerance
+    (``parent_trials``, A accepted and R rejected): on Q40.23 (frame 6) two
+    rejections and then a step that moved the camera centre by 1.1 µm, on
+    Q47.16 (frame 7) eleven rejections of one step at one cost."""
+    from pathlib import Path
+
+    from edgetrack.realmath import FixedArray
+
+    data = json.loads((Path(__file__).parent / "data" / "lm_flat_frames.json").read_text())[name]
+    be = get_backend(name)
+    cols = tuple(tuple(FixedArray(np.array(row, dtype=np.int64), be.scalar_type) for row in data[k])
+                 for k in ("X", "n", "match"))
+    return cols, PoseSE3(np.array(data["omega"]), np.array(data["t"])), be
+
+
+@pytest.mark.parametrize("name", ["q40_23", "q47_16"])
+def test_lm_stops_at_first_flat_rejection(name, qvga_camera):
+    # The third trial is rejected with a cost within the tolerance of the
+    # current one: LM ends there, at the pose of its two accepted steps.
+    cols, pose0, be = flat_frame(name)
+    K = qvga_camera
+    out, err, iters, attempts, stop = solve_lm(cols, pose0, K, LMSettings(), be)
+    assert (stop, iters, attempts) == ("flat", 2, 3)
+    two, err2, iters2, attempts2, stop2 = solve_lm(cols, pose0, K, LMSettings(max_iterations=2), be)
+    assert (stop2, iters2, attempts2) == ("max_iterations", 2, 2)
+    assert out.omega.tolist() == two.omega.tolist() and out.t.tolist() == two.t.tolist()
+    assert err == err2
+
+
+@pytest.mark.parametrize("fault", ["cost_rise", "behind_camera"])
+@pytest.mark.parametrize("name", ["q40_23", "q47_16"])
+def test_lm_rejections_that_are_not_flat_raise_lambda(name, fault, qvga_camera, monkeypatch):
+    # Every trial either costs far more than the current pose or puts a
+    # point behind the camera: each rejection multiplies lambda by 10, up to
+    # the cap, until the 11th in a row stops LM at the start pose.
+    cols, pose0, be = flat_frame(name)
+    w = be.words
+    huge = w.word(be.from_float(1e6))
+    lams = []
+    solve_linear6, trial = pose_estimation._solve_linear6, pose_estimation._trial
+
+    def record_lambda(A, g, lam, backend):
+        lams.append(lam)
+        return solve_linear6(A, g, lam, backend)
+
+    def faulty_trial(*args):
+        moved = trial(*args)
+        return None if fault == "behind_camera" else moved[:4] + (huge,)
+
+    monkeypatch.setattr(pose_estimation, "_solve_linear6", record_lambda)
+    monkeypatch.setattr(pose_estimation, "_trial", faulty_trial)
+    K = qvga_camera
+    out, _, iters, attempts, stop = solve_lm(cols, pose0, K, LMSettings(), be)
+    assert (stop, iters, attempts) == ("rejections", 0, pose_estimation._MAX_REJECTIONS + 1)
+    expected = [w.word(be.from_float(1e-3))]
+    cap, scale = (w.word(be.from_float(v)) for v in (pose_estimation._LAMBDA_MAX, 10.0))
+    while len(expected) < len(lams):
+        expected.append(min(w.mul(expected[-1], scale), cap))
+    assert lams == expected and lams[-1] == cap
+    start, *_ = solve_lm(cols, pose0, K, LMSettings(max_iterations=0), be)
+    assert out.omega.tolist() == start.omega.tolist() and out.t.tolist() == start.t.tolist()
 
 
 # ---------------------------------------------------------------------------

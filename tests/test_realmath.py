@@ -254,10 +254,11 @@ def test_sqrt_accuracy_random():
 def test_trig_examples():
     for name in ("q40_23", "q47_16"):
         be = get_backend(name)
-        assert be.sin(be.zero).raw == 0
-        assert be.cos(be.zero).to_float() == 1.0
-        assert abs(be.sin(be.from_float(math.pi / 2)).to_float() - 1.0) <= 2.0 ** -16
-        assert abs(be.cos(be.from_float(math.pi)).to_float() + 1.0) <= 2.0 ** -16
+        w = be.words
+        assert w.sin(w.word(be.zero)) == 0
+        assert w.to_float(w.cos(w.word(be.zero))) == 1.0
+        assert abs(w.to_float(w.sin(w.word(be.from_float(math.pi / 2)))) - 1.0) <= 2.0 ** -16
+        assert abs(w.to_float(w.cos(w.word(be.from_float(math.pi)))) + 1.0) <= 2.0 ** -16
 
 
 def test_sin_cos_accuracy_random():
@@ -265,20 +266,21 @@ def test_sin_cos_accuracy_random():
     n = 100_000 // 2
     for name in ("q40_23", "q47_16"):
         be = get_backend(name)
+        w = be.words
         for _ in range(n // 2):
             x = float(rng.uniform(-math.pi, math.pi))
-            a = be.from_float(x)
-            xa = a.to_float()
-            assert abs(be.sin(a).to_float() - math.sin(xa)) <= 2.0 ** -16
-            assert abs(be.cos(a).to_float() - math.cos(xa)) <= 2.0 ** -16
+            a = w.word(be.from_float(x))
+            xa = w.to_float(a)
+            assert abs(w.to_float(w.sin(a)) - math.sin(xa)) <= 2.0 ** -16
+            assert abs(w.to_float(w.cos(a)) - math.cos(xa)) <= 2.0 ** -16
 
 
 def test_trig_bit_determinism():
     be1 = get_backend("q40_23")
     be2 = get_backend("q40_23")
-    x = be1.from_float(0.7123)
-    assert be1.sin(x).raw == be2.sin(x).raw
-    assert be1.cos(x).raw == be2.cos(x).raw
+    x = be1.words.word(be1.from_float(0.7123))
+    assert be1.words.sin(x) == be2.words.sin(x)
+    assert be1.words.cos(x) == be2.words.cos(x)
 
 
 # ---------------------------------------------------------------------------
@@ -636,3 +638,18 @@ def test_stack_bound_is_the_items_largest(cls):
                 raised += want is MathOverflowError
     assert raised > 20
     assert be.stack([]).raw.size == 0
+
+
+@pytest.mark.parametrize("cls", FIXED_CLASSES)
+def test_word_array_bound_is_the_words_largest_magnitude(cls, monkeypatch):
+    # An array made from words carries their largest magnitude as its bound,
+    # so neither it nor an operation on it scans; the words are unchanged.
+    from edgetrack import realmath
+
+    w = FixedBackend(cls.FORMAT).words
+    words = [[3 << 20, -(7 << 30), 5], [0, 1, -(1 << 36)]]
+    monkeypatch.setattr(realmath, "_max_abs", lambda raw: pytest.fail("scanned"))
+    arr = w.array(words)
+    assert arr.raw.tolist() == words and arr.bound == 1 << 36
+    assert (arr * arr).raw.tolist() == [[w.mul(v, v) for v in row] for row in words]
+    assert w.array([5, -9]).bound == 9 and w.array([]).bound == 0
