@@ -36,7 +36,6 @@ from .imaging import (
 )
 from .pose_estimation import DegenerateGeometryError, FrameSizeError, LMSettings, track_frame
 from .rasterizer import (
-    decode_id_array,
     depth_buffer_to_image,
     id_buffer_to_image,
     render_depth_buffer,
@@ -122,13 +121,13 @@ def _visible_runs(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics):
 
     Walks the ID buffer along the edge trace it was rendered from and keeps
     maximal runs of steps the edge owns, so the drawn lines inherit the
-    rasterizer's hidden-line decisions.  Only the traced pixels are decoded.
+    rasterizer's hidden-line decisions.
     """
     id_buf = render_id_buffer(model, pose, K)
     tr = id_buf.trace
     inside = (tr.x >= 0) & (tr.x < K.width) & (tr.y >= 0) & (tr.y < K.height)
     owned = np.zeros(len(tr.s), dtype=bool)
-    owned[inside] = decode_id_array(id_buf.rgb[tr.y[inside], tr.x[inside]]) == tr.edge[inside]
+    owned[inside] = id_buf.ids[tr.y[inside], tr.x[inside]] == tr.edge[inside]
     # A run starts at an owned step whose predecessor in the same edge is
     # not owned, and ends at one whose successor is not.
     chained = owned[1:] & owned[:-1] & (tr.edge[1:] == tr.edge[:-1])

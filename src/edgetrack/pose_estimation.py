@@ -24,11 +24,12 @@ only settings.
 Everything runs on the realmath backend, so the same code path produces
 float results or bit-reproducible fixed-point results.  ``solve_lm``
 stacks the measurements once per solve, as (3, N) world points and (2, N)
-normals and matches; each trial then forms the residuals, the (6, N)
-Jacobian and the normal equations in a few operations on the backend's
-arrays.  The pose, the damping, the convergence tests, the rotation update
-(``geometry.exp_map``) and the damped 6x6 solve stay on the backend's
-words (``backend.words``), so the loop builds no backend scalar per step.
+normals and matches; each trial then forms the residuals in a few
+operations on the backend's arrays, and only a pose LM continues from gets
+its (6, N) Jacobian and normal equations.  The pose, the damping, the
+convergence tests, the rotation update (``geometry.exp_map``) and the
+damped 6x6 solve stay on the backend's words (``backend.words``), so the
+loop builds no backend scalar per step.
 """
 
 from __future__ import annotations
@@ -178,12 +179,13 @@ def residual_jacobian(X, R, t, Kb, n, backend):
     return tuple(_jacobian(f, v, z, n, focal, backend)[:, 0])
 
 
-def _build_system(stacked, R, t, backend):
-    """Residuals (N,) and Jacobian (6, N) at the pose (R, t) on words, over
-    the columns _stack_columns gives."""
+def _residuals(stacked, R, t, backend):
+    """Residuals (N,) at the pose (R, t) on words, over the columns
+    _stack_columns gives, and _project's outputs, from which _jacobian
+    forms their Jacobian when LM continues from this pose."""
     X, n, q, focal, center = stacked
-    f, v, z = _project(X, R, t, focal, backend)
-    return residual(f + center, q, n), _jacobian(f, v, z, n, focal, backend)
+    projected = _project(X, R, t, focal, backend)
+    return residual(projected[0] + center, q, n), projected
 
 
 _UPPER = np.triu_indices(6)
@@ -271,16 +273,16 @@ def _pose_from_words(R, t, backend) -> PoseSE3:
 
 def _trial(stacked, R, t, delta, backend):
     """The pose (R, t) moved by the step delta, with its residuals,
-    Jacobian and cost; None when a point falls behind the camera.  The
-    pose, the step and the cost are words."""
+    _project's outputs and cost; None when a point falls behind the
+    camera.  The pose, the step and the cost are words."""
     w = backend.words
     R = _mat_mul3(exp_map(delta[:3], backend), R, backend)
     t = [w.add(t[i], delta[3 + i]) for i in range(3)]
     try:
-        rs, J = _build_system(stacked, R, t, backend)
+        rs, projected = _residuals(stacked, R, t, backend)
     except BehindCameraError:
         return None
-    return R, t, rs, J, _sum_squares(rs, backend)
+    return R, t, rs, projected, _sum_squares(rs, backend)
 
 
 def solve_lm(columns, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSettings, backend):
@@ -307,16 +309,17 @@ def solve_lm(columns, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSettings,
     scale, lam_max = word(_LAMBDA_SCALE), word(_LAMBDA_MAX)
     zero = word(0.0)
     stacked = _stack_columns(columns, K.to_backend(be), be)
+    n, focal = stacked[1], stacked[3]
     R = exp_map(tuple(word(v) for v in pose0.omega), be)
     t = [word(v) for v in pose0.t]
 
-    rs, J = _build_system(stacked, R, t, be)
+    rs, projected = _residuals(stacked, R, t, be)
     cost = _sum_squares(rs, be)
     lam = word(settings.lambda0)
     iterations = attempts = rejections = 0
     while iterations < settings.max_iterations and cost > zero:
-        if rejections == 0:
-            A, g = _normal_equations(rs, J, be)
+        if rejections == 0:  # only a pose LM continues from needs its Jacobian
+            A, g = _normal_equations(rs, _jacobian(*projected, n, focal, be), be)
         attempts += 1
         delta = _solve_linear6(A, g, lam, be)
         moved = None if delta is None else _trial(stacked, R, t, delta, be)
@@ -341,7 +344,7 @@ def solve_lm(columns, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSettings,
         for d in delta:
             step_sq = add(step_sq, mul(d, d))
         rel_small = sub(cost, moved[4]) < mul(tol_rel, cost)
-        R, t, rs, J, cost = moved
+        R, t, rs, projected, cost = moved
         if rel_small:
             stop = "rel_decrease"
             break
@@ -369,8 +372,8 @@ class FrameStats:
     iterations: int  # accepted LM steps
     attempts: int  # all LM trial steps, including rejected ones
     lm_stop: str  # why LM stopped, one of LM_STOPS
-    t_visible: float  # render + visibility bookkeeping, seconds
-    t_me: float  # measurement collection incl. the 1D search
+    t_visible: float  # the ID render at the pixels the visibility test reads, seconds
+    t_me: float  # the rest of measurement collection, incl. the 1D search
     t_pose: float  # LM refinement
 
 
@@ -378,11 +381,11 @@ def track_frame(prev_pose: PoseSE3, gray: GrayImage, model: WireframeModel,
                 K: CameraIntrinsics, cfg) -> tuple[PoseSE3, FrameStats]:
     """Refine the previous pose against one gray frame.
 
-    Renders the ID buffer at the prediction, collects matched control
-    points, and runs the LM solver from the prediction.  Insufficient
-    measurements, degenerate geometry or a frame of the wrong size
-    (FrameSizeError) propagate to the caller, which owns the coast-or-abort
-    policy.
+    Collects matched control points at the prediction, rendering the ID
+    buffer there at the pixels the visibility test reads, and runs the LM
+    solver from the prediction.  Insufficient measurements, degenerate
+    geometry or a frame of the wrong size (FrameSizeError) propagate to the
+    caller, which owns the coast-or-abort policy.
     """
     from .tracking import collect_measurements
 
@@ -391,10 +394,17 @@ def track_frame(prev_pose: PoseSE3, gray: GrayImage, model: WireframeModel,
             f"frame is {gray.width}x{gray.height}, the camera {K.width}x{K.height}"
         )
     be = get_backend(cfg.backend)
-    t0 = time.perf_counter()
-    id_buf = render_id_buffer(model, prev_pose, K)
+    t_render = 0.0
+
+    def render_ids(pixels):
+        nonlocal t_render
+        t = time.perf_counter()
+        id_buf = render_id_buffer(model, prev_pose, K, pixels)
+        t_render += time.perf_counter() - t
+        return id_buf
+
     t1 = time.perf_counter()
-    ms = collect_measurements(model, prev_pose, K, gray, id_buf, cfg, be)
+    ms = collect_measurements(model, prev_pose, K, gray, render_ids, cfg, be)
     t2 = time.perf_counter()
     pose, err, iterations, attempts, lm_stop = solve_lm(
         (ms.X, ms.n, ms.match), prev_pose, K, cfg.lm, be)
@@ -407,8 +417,8 @@ def track_frame(prev_pose: PoseSE3, gray: GrayImage, model: WireframeModel,
         iterations=iterations,
         attempts=attempts,
         lm_stop=lm_stop,
-        t_visible=t1 - t0,
-        t_me=t2 - t1,
+        t_visible=t_render,
+        t_me=t2 - t1 - t_render,
         t_pose=t3 - t2,
     )
     return pose, stats

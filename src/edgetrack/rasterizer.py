@@ -6,14 +6,23 @@ edges are line-stepped in one array pass.  At each distinct on-image pixel
 of that trace, every triangle of the near-clipped, fan-triangulated faces is
 tested (bounding box and three edge functions, depth perspective-correct
 via linear 1/z interpolation) and the nearest face wins, on a tie the lower
-face index.  Each edge's encoded ID color is then written wherever it
-survives the hidden-line test: the frontmost face at the pixel is one of
-the edge's own faces, or no face covers it, or the line depth is within a
-small relative bias of the face depth; among surviving edges the nearest
-wins.  The buffer is the one a full-image z-fill of every face would give.
-`render_depth_buffer` runs the same per-pixel face query over every pixel,
-for debug dumps.  Edge IDs are packed into RGB with a spacing of 8 between
-channel levels; black is reserved for background.
+face index.  Each edge's ID is then written wherever it survives the
+hidden-line test: the frontmost face at the pixel is one of the edge's own
+faces, or no face covers it, or the line depth is within a small relative
+bias of the face depth; among surviving edges the nearest wins.  The buffer
+is the one a full-image z-fill of every face would give.
+
+A pixel's ID depends only on its own trace steps and face depth, so
+`render_id_buffer` can also render just the pixels a caller will read: the
+tracker passes the 3x3 neighbourhoods of its control points
+(`read_pixels`), about a third of the traced pixels of a cube frame, and
+every other pixel stays background.  `render_depth_buffer` runs the same
+per-pixel face query over every pixel, for debug dumps.
+
+The buffer holds integer edge IDs, BACKGROUND (-1) where no edge is drawn.
+The colour code an OpenGL ID render would write packs an ID into RGB with a
+spacing of 8 between channel levels, black for background; it is applied
+only when a buffer becomes an image (`id_buffer_to_image`).
 
 A pixel's edge ID answers "is this control point visible" without GPU
 occlusion queries.  An independent ray-casting oracle (`visibility_oracle`)
@@ -113,24 +122,32 @@ class DepthBuffer:
 
 @dataclass
 class IdBuffer:
-    """Per-pixel encoded edge-ID color; black (0,0,0) is background.
+    """Per-pixel edge ID, BACKGROUND where no edge is drawn.
 
-    ``trace`` holds the edge steps the buffer was drawn from, when
-    render_id_buffer made it.
+    ``ids`` is an (h, w) int16 array, which holds every ID up to
+    MAX_EDGE_ID.  A buffer rendered at chosen pixels holds IDs there only.  ``trace`` holds the edge steps the buffer was
+    drawn from, when render_id_buffer made it.
     """
 
     width: int
     height: int
-    rgb: np.ndarray = field(default=None)
+    ids: np.ndarray = field(default=None)
     trace: Optional["EdgeTrace"] = None
 
     def __post_init__(self):
-        if self.rgb is None:
-            self.rgb = np.zeros((self.height, self.width, 3), dtype=np.uint8)
+        if self.ids is None:
+            self.ids = np.full((self.height, self.width), BACKGROUND, dtype=np.int16)
+
+    @property
+    def rgb(self) -> np.ndarray:
+        """The pixels of id_buffer_to_image, read-only: IDs are written to
+        ``ids``."""
+        rgb = id_buffer_to_image(self).pixels
+        rgb.flags.writeable = False
+        return rgb
 
     def decode_at(self, x: int, y: int) -> int:
-        r, g, b = self.rgb[y, x]
-        return decode_edge_id(int(r), int(g), int(b))
+        return int(self.ids[y, x])
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +288,13 @@ def _face_depth(model: WireframeModel, cam: np.ndarray, K: CameraIntrinsics, pix
     y_lo = np.maximum(0.0, np.ceil(v.min(axis=1)))
     y_hi = np.minimum(K.height - 1.0, np.floor(v.max(axis=1)))
     # The pixels are sorted by row, then column, so the pixels of one row of
-    # a bounding box are one slice [lo, hi) of them.
-    height = np.maximum(y_hi - y_lo + 1.0, 0.0).astype(np.int64)
+    # a bounding box are one slice [lo, hi) of them.  Only the box rows that
+    # hold a pixel are enumerated.
+    rows = _distinct(pixels // K.width)
+    r_lo = np.searchsorted(rows, y_lo)
+    height = np.maximum(np.searchsorted(rows, y_hi, side="right") - r_lo, 0)
     tri = np.repeat(np.arange(len(faces)), height)
-    row = y_lo[tri] + (np.arange(len(tri)) - np.repeat(np.cumsum(height) - height, height))
+    row = rows[r_lo[tri] + (np.arange(len(tri)) - np.repeat(np.cumsum(height) - height, height))]
     lo = np.searchsorted(pixels, row * K.width + x_lo[tri])
     n = np.maximum(np.searchsorted(pixels, row * K.width + x_hi[tri], side="right") - lo, 0)
     ends = np.cumsum(n)
@@ -308,6 +328,14 @@ def _face_depth(model: WireframeModel, cam: np.ndarray, K: CameraIntrinsics, pix
                     np.concatenate(hits_f), len(pixels))
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of the sorted array a, in order (np.unique
+    without its sort and hashing)."""
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
+
+
 def _nearest(group, z, rank, n: int):
     """For each group 0..n-1 the least z of its entries and, among the
     entries at that z, the lowest rank; +inf and -1 for an empty group."""
@@ -324,24 +352,32 @@ def _nearest(group, z, rank, n: int):
 # ---------------------------------------------------------------------------
 # Rendering.
 
-def render_id_buffer(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics) -> IdBuffer:
-    """Render the model's edges to ID colors with hidden-line removal.
+def render_id_buffer(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics,
+                     pixels: Optional[np.ndarray] = None) -> IdBuffer:
+    """Render the model's edges to IDs with hidden-line removal.
 
     Face depth is evaluated only at the on-image pixels the edges step on.
+    Given ``pixels``, sorted distinct flat indices y * width + x, only those
+    pixels are rendered, each to the ID the full render gives it, and every
+    other pixel stays background.
     """
     cam = transform_np(model.vertices, pose.rotation(), pose.t)
     trace = _edge_pixels(cam[model.edges[:, 0]], cam[model.edges[:, 1]], K)
     id_buf = IdBuffer(K.width, K.height, trace=trace)
     e, x, y, s = trace.edge, trace.x, trace.y, trace.s
-    # Drop consecutive repeats within an edge, then pixels off the image.
-    # The stepped pixels of an edge are monotone in x and y, so afterwards
-    # each appears once per edge.
+    # Drop consecutive repeats within an edge, then pixels off the image or
+    # not asked for.  The stepped pixels of an edge are monotone in x and y,
+    # so afterwards each appears once per edge.
     keep = np.ones(len(s), dtype=bool)
     keep[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1]) | (e[1:] != e[:-1])
     keep &= (x >= 0) & (x < K.width) & (y >= 0) & (y < K.height)
+    flat = y * K.width + x
+    if pixels is not None:
+        asked = np.append(pixels, -1)  # the sentinel matches no on-image pixel
+        keep &= asked[np.searchsorted(pixels, flat)] == flat
     e, s = e[keep], s[keep]
-    pixels, at = np.unique(y[keep] * K.width + x[keep], return_inverse=True)
-    depth, owner = _face_depth(model, cam, K, pixels)
+    drawn_at, at = np.unique(flat[keep], return_inverse=True)
+    depth, owner = _face_depth(model, cam, K, drawn_at)
 
     # An edge pixel survives hidden-line removal when the frontmost surface
     # there is one of the edge's own faces (the edge bounds the visible
@@ -354,9 +390,8 @@ def render_id_buffer(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics) 
     passes = z <= depth[at] * (1.0 + DEPTH_BIAS)
     passes |= (model.edge_faces[e] == owner[at][:, None]).any(axis=1)
     # Among edges crossing one pixel the nearest wins, ties to the lower ID.
-    _, edge = _nearest(at[passes], z[passes], e[passes], len(pixels))
-    drawn = edge >= 0
-    id_buf.rgb.reshape(-1, 3)[pixels[drawn]] = encode_id_array(edge[drawn])
+    _, edge = _nearest(at[passes], z[passes], e[passes], len(drawn_at))
+    id_buf.ids.reshape(-1)[drawn_at] = edge
     return id_buf
 
 
@@ -375,6 +410,30 @@ def render_depth_buffer(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsic
 _NEIGHBOURS = np.array([(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
 
 
+def _neighbourhoods(px, py, width: int, height: int) -> np.ndarray:
+    """Per point, the flat indices y * width + x of the 3x3 neighbourhood of
+    pixel round(p), (N, 9); -1 for a neighbour off the image, and for every
+    neighbour of a point whose own pixel is off the image.
+
+    Rounding is to the nearest pixel, ties away from zero.
+    """
+    px, py = np.asarray(px, dtype=np.float64), np.asarray(py, dtype=np.float64)
+    x = np.where(px >= 0.0, np.floor(px + 0.5), np.ceil(px - 0.5))
+    y = np.where(py >= 0.0, np.floor(py + 0.5), np.ceil(py - 0.5))
+    inside = (x >= 0) & (x < width) & (y >= 0) & (y < height)
+    nx = np.where(inside, x, 0).astype(np.int64)[:, None] + _NEIGHBOURS[:, 1]
+    ny = np.where(inside, y, 0).astype(np.int64)[:, None] + _NEIGHBOURS[:, 0]
+    on_image = inside[:, None] & (nx >= 0) & (nx < width) & (ny >= 0) & (ny < height)
+    return np.where(on_image, ny * width + nx, -1)
+
+
+def read_pixels(px, py, width: int, height: int) -> np.ndarray:
+    """The sorted distinct flat pixel indices points_visible reads for the
+    points (px, py): the pixels to pass to render_id_buffer."""
+    flat = _neighbourhoods(px, py, width, height)
+    return _distinct(np.sort(flat[flat >= 0]))
+
+
 def points_visible(px, py, edges, id_buffer: IdBuffer) -> np.ndarray:
     """Per point, whether the ID buffer credits pixel round(p) (or a 3x3
     neighbour) to the point's edge.
@@ -382,19 +441,11 @@ def points_visible(px, py, edges, id_buffer: IdBuffer) -> np.ndarray:
     Rounding is to the nearest pixel, ties away from zero; a point whose
     pixel is off the image is not visible.  The neighbourhood absorbs the
     quantization gap between sub-pixel control points and the
-    integer-rasterized buffer.  Only the gathered pixels are decoded.
+    integer-rasterized buffer.  Only the pixels read_pixels names are read.
     """
-    w, h = id_buffer.width, id_buffer.height
-    px, py = np.asarray(px, dtype=np.float64), np.asarray(py, dtype=np.float64)
-    x = np.where(px >= 0.0, np.floor(px + 0.5), np.ceil(px - 0.5))
-    y = np.where(py >= 0.0, np.floor(py + 0.5), np.ceil(py - 0.5))
-    inside = (x >= 0) & (x < w) & (y >= 0) & (y < h)
-    nx = np.where(inside, x, 0).astype(np.int64)[:, None] + _NEIGHBOURS[:, 1]
-    ny = np.where(inside, y, 0).astype(np.int64)[:, None] + _NEIGHBOURS[:, 0]
-    on_image = (nx >= 0) & (nx < w) & (ny >= 0) & (ny < h)
-    ids = decode_id_array(id_buffer.rgb[np.clip(ny, 0, h - 1), np.clip(nx, 0, w - 1)])
-    own = on_image & (ids == np.asarray(edges)[:, None])
-    return inside & own.any(axis=1)
+    flat = _neighbourhoods(px, py, id_buffer.width, id_buffer.height)
+    ids = id_buffer.ids.reshape(-1)[np.maximum(flat, 0)]
+    return ((flat >= 0) & (ids == np.asarray(edges)[:, None])).any(axis=1)
 
 
 def is_point_visible(p, edge_index: int, id_buffer: IdBuffer) -> bool:
@@ -448,7 +499,12 @@ def visibility_oracle(
 # Debug dumps.
 
 def id_buffer_to_image(id_buffer: IdBuffer) -> ColorImage:
-    return ColorImage(id_buffer.rgb.copy(), RGB888)
+    """The buffer's IDs in the colour code of encode_id_array, black for
+    background."""
+    rgb = np.zeros((id_buffer.height, id_buffer.width, 3), dtype=np.uint8)
+    drawn = id_buffer.ids != BACKGROUND
+    rgb[drawn] = encode_id_array(id_buffer.ids[drawn])
+    return ColorImage(rgb, RGB888)
 
 
 def depth_buffer_to_image(depth_buffer: DepthBuffer) -> GrayImage:

@@ -1,9 +1,11 @@
 """Control-point sampling along projected edges and the 1D edge search.
 
-A predicted pose projects each visible model edge into the image; control
-points are spread evenly along the projected segment, filtered through the
-edge-ID visibility test, then each point searches for the strongest intensity
-gradient along its edge normal (a single-hypothesis moving-edges scan).  The
+A predicted pose projects each model edge into the image and control
+points are spread evenly along the projected segment.  The edge-ID buffer
+is then rendered only at the pixels the visibility test reads, the 3x3
+neighbourhoods of those points (``rasterizer.read_pixels``), and filters
+them; each visible point searches for the strongest intensity gradient
+along its edge normal (a single-hypothesis moving-edges scan).  The
 surviving (point, match) pairs are the measurements the pose refiner
 consumes.
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,7 +39,13 @@ from .imaging import GrayImage
 from .pose_estimation import LMSettings
 # Nothing here calls is_point_visible; benchmarks/run.py wraps the name
 # tracking.is_point_visible in its traced run.
-from .rasterizer import NEAR_PLANE_MM, IdBuffer, is_point_visible, points_visible  # noqa: F401
+from .rasterizer import (  # noqa: F401
+    NEAR_PLANE_MM,
+    IdBuffer,
+    is_point_visible,
+    points_visible,
+    read_pixels,
+)
 from .realmath import BACKEND_NAMES, FixedArray
 
 
@@ -237,7 +245,7 @@ def collect_measurements(
     pose: PoseSE3,
     K: CameraIntrinsics,
     gray: GrayImage,
-    id_buffer: IdBuffer,
+    render_ids: Callable[[np.ndarray], IdBuffer],
     cfg: TrackerConfig,
     backend,
 ) -> MeasurementSet:
@@ -246,9 +254,11 @@ def collect_measurements(
     Each step runs once per frame on backend arrays: over all edges the
     camera transform, the near-plane clip, the projection, the clip to the
     image box [0, size - 1] and the sample layout; then over all control
-    points the visibility test, the 3D point and the search.  Raises
-    InsufficientMeasurementsError when fewer than 6 points match: the pose
-    has 6 degrees of freedom.
+    points the visibility test, the 3D point and the search.  The
+    visibility test reads the ID buffer that ``render_ids`` returns for the
+    sorted flat indices of the pixels it reads; a buffer holding more
+    pixels gives the same result.  Raises InsufficientMeasurementsError
+    when fewer than 6 points match: the pose has 6 degrees of freedom.
     """
     be = backend
     word = be.words.word
@@ -276,7 +286,9 @@ def collect_measurements(
     a, b = tuple(c[rows] for c in a), tuple(c[rows] for c in b)
     seg, tk, (px, py), (nx, ny) = _sample_segments(
         ua + t_lo * du, va + t_lo * dv, ua + t_hi * du, va + t_hi * dv, cfg, be)
-    visible = points_visible(be.to_float(px), be.to_float(py), edge[seg], id_buffer)
+    px_f, py_f = be.to_float(px), be.to_float(py)
+    id_buffer = render_ids(read_pixels(px_f, py_f, K.width, K.height))
+    visible = points_visible(px_f, py_f, edge[seg], id_buffer)
     seg, tk, px, py, nx, ny = (c[visible] for c in (seg, tk, px, py, nx, ny))
     # Parameter on the near-clipped projected segment, then the
     # perspective-correct parameter along the 3D segment.

@@ -1,5 +1,7 @@
 """Shared fixtures: model files, random scenes, and the standard camera."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,17 @@ def cube_model_path(tmp_path):
 @pytest.fixture
 def cube_model(cube_model_path):
     return load_model(cube_model_path)
+
+
+@pytest.fixture
+def icosphere_model(tmp_path, monkeypatch):
+    """The benchmark's icosphere: 42 vertices, 80 faces, 120 edges."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    from models import icosphere_text
+
+    path = tmp_path / "icosphere.model"
+    path.write_text(icosphere_text())
+    return load_model(path)
 
 
 @pytest.fixture

@@ -41,20 +41,6 @@ from conftest import (
     random_orbit_pose,
 )
 
-BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
-
-
-@pytest.fixture
-def icosphere_model(tmp_path, monkeypatch):
-    """The benchmark's icosphere: 42 vertices, 80 faces, 120 edges."""
-    monkeypatch.syspath_prepend(str(BENCH_DIR))
-    from models import icosphere_text
-
-    path = tmp_path / "icosphere.model"
-    path.write_text(icosphere_text())
-    return load_model(path)
-
-
 # ---------------------------------------------------------------------------
 # Trajectories.
 
@@ -579,7 +565,8 @@ def test_run_tracking_dumps_reference_buffers(tmp_path, cube_model, qvga_camera)
     for r in records:
         rgb, depth = reference_render(cube_model, r.pose, K)
         assert decode_id_array(rgb).max() >= 0 and np.isfinite(depth).any()
-        save_image(id_buffer_to_image(IdBuffer(K.width, K.height, rgb)), tmp_path / "id.ppm")
+        ref_ids = IdBuffer(K.width, K.height, decode_id_array(rgb))
+        save_image(id_buffer_to_image(ref_ids), tmp_path / "id.ppm")
         save_image(depth_buffer_to_image(DepthBuffer(K.width, K.height, depth)), tmp_path / "depth.pgm")
         assert (buffers / f"frame_{r.frame:06d}_id.ppm").read_bytes() == (tmp_path / "id.ppm").read_bytes()
         assert (buffers / f"frame_{r.frame:06d}_depth.pgm").read_bytes() == (

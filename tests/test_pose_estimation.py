@@ -390,15 +390,22 @@ def flat_frame(name):
 
 
 @pytest.mark.parametrize("name", ["q40_23", "q47_16"])
-def test_lm_stops_at_first_flat_rejection(name, qvga_camera):
+def test_lm_stops_at_first_flat_rejection(name, qvga_camera, monkeypatch):
     # The third trial is rejected with a cost within the tolerance of the
     # current one: LM ends there, at the pose of its two accepted steps.
+    # Only the poses LM continues from get a Jacobian: the start and the
+    # first accepted step with a step budget of 2, and the second one too
+    # without it; no rejected trial and no final accepted step.
+    jacobians = []
+    jacobian = pose_estimation._jacobian
+    monkeypatch.setattr(pose_estimation, "_jacobian", lambda *a: jacobians.append(1) or jacobian(*a))
     cols, pose0, be = flat_frame(name)
     K = qvga_camera
     out, err, iters, attempts, stop = solve_lm(cols, pose0, K, LMSettings(), be)
-    assert (stop, iters, attempts) == ("flat", 2, 3)
+    assert (stop, iters, attempts, len(jacobians)) == ("flat", 2, 3, 3)
+    jacobians.clear()
     two, err2, iters2, attempts2, stop2 = solve_lm(cols, pose0, K, LMSettings(max_iterations=2), be)
-    assert (stop2, iters2, attempts2) == ("max_iterations", 2, 2)
+    assert (stop2, iters2, attempts2, len(jacobians)) == ("max_iterations", 2, 2, 2)
     assert out.omega.tolist() == two.omega.tolist() and out.t.tolist() == two.t.tolist()
     assert err == err2
 
@@ -523,12 +530,12 @@ def ref_normal_system(measurements, R, t, Kb, be):
 
 def array_normal_system(measurements, R, t, K, be):
     """(cost, JᵀJ, Jᵀr) from the array build LM runs, as backend scalars."""
-    from edgetrack.pose_estimation import _build_system, _normal_equations, _stack_columns
+    from edgetrack.pose_estimation import _jacobian, _normal_equations, _residuals, _stack_columns
 
     scalar = be.words.scalar
     stacked = _stack_columns(columns(measurements, be), K.to_backend(be), be)
-    rs, J = _build_system(stacked, to_words(R, be), to_words(t, be), be)
-    A, g = _normal_equations(rs, J, be)
+    rs, projected = _residuals(stacked, to_words(R, be), to_words(t, be), be)
+    A, g = _normal_equations(rs, _jacobian(*projected, stacked[1], stacked[3], be), be)
     return (scalar(_sum_squares(rs, be)), [[scalar(v) for v in row] for row in A],
             [scalar(v) for v in g])
 

@@ -18,6 +18,7 @@ from edgetrack.imaging import ColorImage, GrayImage
 from edgetrack.rasterizer import (
     BACKGROUND,
     DEPTH_BIAS,
+    MAX_EDGE_ID,
     NEAR_PLANE_MM,
     CapacityError,
     IdBuffer,
@@ -378,6 +379,111 @@ def test_face_depth_owner_ties_go_to_lower_face():
 
 
 # ---------------------------------------------------------------------------
+# Rendering at chosen pixels: each against the full render read there.
+
+def traced_pixels(id_buf, K):
+    """Sorted distinct flat indices of the on-image pixels the buffer's
+    trace steps on."""
+    tr = id_buf.trace
+    on = (tr.x >= 0) & (tr.x < K.width) & (tr.y >= 0) & (tr.y < K.height)
+    return np.unique(tr.y[on] * K.width + tr.x[on])
+
+
+def tracker_read_pixels(model, pose, K):
+    """The pixels collect_measurements asks its one ID render for at pose."""
+    from edgetrack.realmath import get_backend
+    from edgetrack.tracking import InsufficientMeasurementsError, TrackerConfig, collect_measurements
+
+    asked = []
+
+    def render(pixels):
+        asked.append(pixels)
+        return render_id_buffer(model, pose, K, pixels)
+
+    blank = GrayImage(np.full((K.height, K.width), 255, dtype=np.uint8))
+    with pytest.raises(InsufficientMeasurementsError):  # a blank frame matches nothing
+        collect_measurements(model, pose, K, blank, render, TrackerConfig(), get_backend("float"))
+    assert len(asked) == 1
+    return asked[0]
+
+
+def check_render_at(model, pose, K, pixels):
+    """The render at pixels holds the full render's IDs there and
+    background everywhere else."""
+    full = render_id_buffer(model, pose, K).ids.ravel()
+    want = np.full_like(full, BACKGROUND)
+    want[pixels] = full[pixels]
+    assert np.array_equal(render_id_buffer(model, pose, K, pixels).ids.ravel(), want)
+
+
+def subset_scenes(cube_model, icosphere_model, rng):
+    """The 60-frame cube and icosphere orbits, the corridor, and the
+    reference scenes: the near-plane triangle, cube orbit poses and random
+    convex models with the camera outside, inside or beside them."""
+    from edgetrack.harness import standard_trajectory
+    from test_harness import corridor_scene
+
+    traj = standard_trajectory()
+    scenes = [(m, traj.pose(k)) for m in (cube_model, icosphere_model) for k in range(traj.frames)]
+    return scenes + [corridor_scene()] + reference_scenes(cube_model, rng)
+
+
+def test_render_at_tracker_pixels_matches_full_render(cube_model, icosphere_model, qvga_camera):
+    K = qvga_camera
+    rng = np.random.default_rng(58)
+    asked_share = []
+    for model, pose in subset_scenes(cube_model, icosphere_model, rng):
+        pixels = tracker_read_pixels(model, pose, K)
+        check_render_at(model, pose, K, pixels)
+        traced = traced_pixels(render_id_buffer(model, pose, K), K)
+        if model is cube_model and len(traced):
+            asked_share.append(np.isin(traced, pixels).mean())
+        # Random pixel sets, traced or not, with gaps between their rows.
+        for share in (0.05, 0.5):
+            pick = rng.random(len(traced)) < share
+            extra = rng.integers(0, K.width * K.height, 40)
+            check_render_at(model, pose, K, np.union1d(traced[pick], extra))
+    # The tracker reads about a third of a cube frame's traced pixels.
+    assert 0.1 < np.mean(asked_share) < 0.5
+
+
+def test_render_at_no_traced_pixel_is_background(cube_model, qvga_camera):
+    K = qvga_camera
+    pose = random_orbit_pose(np.random.default_rng(59))
+    full = render_id_buffer(cube_model, pose, K)
+    traced = traced_pixels(full, K)
+    assert len(traced) > 100
+    untraced = np.setdiff1d(np.arange(K.width * K.height), traced)[::7]
+    for pixels in (np.zeros(0, dtype=np.int64), untraced):
+        buf = render_id_buffer(cube_model, pose, K, pixels)
+        assert (buf.ids == BACKGROUND).all()
+        assert not buf.rgb.any()
+    # Untraced pixels next to traced ones change nothing.
+    check_render_at(cube_model, pose, K, np.union1d(traced[::3], untraced))
+
+
+def test_face_depth_at_sparse_rows_matches_depth_buffer(cube_model, qvga_camera):
+    # Pixel sets whose rows have gaps: the row enumeration skips the rows
+    # that hold no pixel and must still pair every pixel with every
+    # triangle whose bounding box holds it.
+    K = qvga_camera
+    rng = np.random.default_rng(60)
+    n = K.width * K.height
+    for model, pose in reference_scenes(cube_model, rng):
+        cam = transform_np(model.vertices, pose.rotation(), pose.t)
+        depth = render_depth_buffer(model, pose, K).depth.ravel()
+        _, owner = _face_depth(model, cam, K, np.arange(n))
+        rows = np.sort(rng.choice(K.height, 12, replace=False))
+        in_rows = (np.arange(n) // K.width)[:, None] == rows
+        for pixels in (np.flatnonzero(in_rows.any(axis=1)),
+                       np.unique(rng.integers(0, n, 300)),
+                       np.array([rng.integers(0, n)])):
+            got_depth, got_owner = _face_depth(model, cam, K, pixels)
+            assert np.array_equal(got_depth, depth[pixels])
+            assert np.array_equal(got_owner, owner[pixels])
+
+
+# ---------------------------------------------------------------------------
 # Point visibility against the buffer.
 
 def edge_midpoint_px(model, edge_index, pose, K):
@@ -513,6 +619,10 @@ def test_depth_dump_empty_buffer():
 
 def test_id_buffer_decode_at():
     buf = IdBuffer(4, 4)
-    buf.rgb[2, 1] = encode_edge_id(7)
+    buf.ids[2, 1] = 7
+    buf.ids[3, 3] = MAX_EDGE_ID  # the buffer's integers hold every ID
+    assert tuple(buf.rgb[2, 1]) == encode_edge_id(7)
+    assert tuple(buf.rgb[3, 3]) == encode_edge_id(MAX_EDGE_ID)
     assert buf.decode_at(1, 2) == 7
+    assert buf.decode_at(3, 3) == MAX_EDGE_ID
     assert buf.decode_at(0, 0) == BACKGROUND

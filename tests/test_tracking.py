@@ -31,6 +31,12 @@ def default_cfg(**kw):
     return TrackerConfig(**kw)
 
 
+def render_at(model, pose, K):
+    """The ID render collect_measurements takes: the buffer at the given
+    pixels, as the tracker renders it."""
+    return lambda pixels: render_id_buffer(model, pose, K, pixels)
+
+
 def sample_control_points(segment, edge_index, cfg, backend):
     """Control points of one projected segment, a pair of 2D points in
     backend scalars, laid out by the tracker's array sampling."""
@@ -278,10 +284,10 @@ def test_collect_measurements_counts_and_matches(cube_model, qvga_camera):
     pose = look_at_pose(
         np.array([40.0, -35.0, -130.0]), np.zeros(3), np.array([0.0, 1.0, 0.0])
     )
-    id_buf = render_id_buffer(cube_model, pose, qvga_camera)
+    render = render_at(cube_model, pose, qvga_camera)
     gray = edge_drawn_image(cube_model, pose, qvga_camera)
     ms = collect_measurements(
-        cube_model, pose, qvga_camera, gray, id_buf, default_cfg(), FLOAT
+        cube_model, pose, qvga_camera, gray, render, default_cfg(), FLOAT
     )
     assert isinstance(ms, MeasurementSet)
     assert ms.n_projected >= ms.n_sampled >= ms.n_matched >= 6
@@ -296,10 +302,10 @@ def test_collect_world_points_reproject_onto_control_points(cube_model, qvga_cam
     pose = look_at_pose(
         np.array([40.0, -35.0, -130.0]), np.zeros(3), np.array([0.0, 1.0, 0.0])
     )
-    id_buf = render_id_buffer(cube_model, pose, qvga_camera)
+    render = render_at(cube_model, pose, qvga_camera)
     gray = edge_drawn_image(cube_model, pose, qvga_camera)
     ms = collect_measurements(
-        cube_model, pose, qvga_camera, gray, id_buf, default_cfg(), FLOAT
+        cube_model, pose, qvga_camera, gray, render, default_cfg(), FLOAT
     )
     R = exp_map_np(pose.omega)
     X = np.array([cp.X for cp in ms.points])
@@ -314,10 +320,10 @@ def test_collect_rear_edges_contribute_nothing(cube_model, qvga_camera):
     pose = look_at_pose(
         np.array([0.0, 0.0, -200.0]), np.zeros(3), np.array([0.0, 1.0, 0.0])
     )
-    id_buf = render_id_buffer(cube_model, pose, qvga_camera)
+    render = render_at(cube_model, pose, qvga_camera)
     gray = edge_drawn_image(cube_model, pose, qvga_camera)
     ms = collect_measurements(
-        cube_model, pose, qvga_camera, gray, id_buf, default_cfg(), FLOAT
+        cube_model, pose, qvga_camera, gray, render, default_cfg(), FLOAT
     )
     assert {cp.edge_index for cp in ms.points}.isdisjoint({4, 5, 6, 7})
 
@@ -326,11 +332,11 @@ def test_collect_blank_image_insufficient(cube_model, qvga_camera):
     pose = look_at_pose(
         np.array([40.0, -35.0, -130.0]), np.zeros(3), np.array([0.0, 1.0, 0.0])
     )
-    id_buf = render_id_buffer(cube_model, pose, qvga_camera)
+    render = render_at(cube_model, pose, qvga_camera)
     blank = GrayImage(pixels=np.full((240, 320), 255, dtype=np.uint8))
     with pytest.raises(InsufficientMeasurementsError):
         collect_measurements(
-            cube_model, pose, qvga_camera, blank, id_buf, default_cfg(), FLOAT
+            cube_model, pose, qvga_camera, blank, render, default_cfg(), FLOAT
         )
 
 
@@ -338,11 +344,11 @@ def test_collect_behind_camera_insufficient(cube_model, qvga_camera):
     from edgetrack.geometry import PoseSE3
 
     pose = PoseSE3(np.zeros(3), np.array([0.0, 0.0, -200.0]))  # model behind
-    id_buf = render_id_buffer(cube_model, pose, qvga_camera)
+    render = render_at(cube_model, pose, qvga_camera)
     gray = GrayImage(pixels=np.zeros((240, 320), dtype=np.uint8))
     with pytest.raises(InsufficientMeasurementsError):
         collect_measurements(
-            cube_model, pose, qvga_camera, gray, id_buf, default_cfg(), FLOAT
+            cube_model, pose, qvga_camera, gray, render, default_cfg(), FLOAT
         )
 
 
@@ -350,13 +356,13 @@ def test_collect_fixed_backend_matches_float_counts(cube_model, qvga_camera):
     pose = look_at_pose(
         np.array([40.0, -35.0, -130.0]), np.zeros(3), np.array([0.0, 1.0, 0.0])
     )
-    id_buf = render_id_buffer(cube_model, pose, qvga_camera)
+    render = render_at(cube_model, pose, qvga_camera)
     gray = edge_drawn_image(cube_model, pose, qvga_camera)
     ms_f = collect_measurements(
-        cube_model, pose, qvga_camera, gray, id_buf, default_cfg(), FLOAT
+        cube_model, pose, qvga_camera, gray, render, default_cfg(), FLOAT
     )
     ms_q = collect_measurements(
-        cube_model, pose, qvga_camera, gray, id_buf, default_cfg(), Q40
+        cube_model, pose, qvga_camera, gray, render, default_cfg(), Q40
     )
     assert ms_q.n_sampled == ms_f.n_sampled
     assert abs(ms_q.n_matched - ms_f.n_matched) <= 2
@@ -689,7 +695,8 @@ def test_visibility_matches_scalar_reference(cube_model, qvga_camera):
         ids = rng.integers(-1, 3, (5, 7))
         for (y, x), i in np.ndenumerate(ids):
             if i >= 0:
-                buf.rgb[y, x] = encode_edge_id(int(i))
+                buf.ids[y, x] = i
+                assert tuple(buf.rgb[y, x]) == encode_edge_id(int(i))
         pts = rng.integers(-5, 17, (60, 2)) * 0.5
         edges = rng.integers(0, 3, 60)
         want = [ref_is_point_visible(p, e, buf) for p, e in zip(pts, edges)]
@@ -715,13 +722,42 @@ def test_collect_measurements_matches_scalar_reference(be, cube_model, qvga_came
         id_buf = render_id_buffer(model, start, qvga_camera)
         want, n_projected, n_sampled = ref_collect_measurements(
             model, start, qvga_camera, gray, id_buf, cfg, be)
-        ms = collect_measurements(model, start, qvga_camera, gray, id_buf, cfg, be)
+        render = render_at(model, start, qvga_camera)
+        ms = collect_measurements(model, start, qvga_camera, gray, render, cfg, be)
         assert (ms.n_projected, ms.n_sampled, ms.n_matched) == (n_projected, n_sampled, len(want))
         for got, ref in zip(ms.points, want):
             assert got.edge_index == ref.edge_index
             for field in ("p", "n", "X", "match"):
                 assert [bits(v) for v in getattr(got, field)] == [bits(v) for v in getattr(ref, field)]
             assert bits(got.likelihood) == bits(ref.likelihood)
+
+
+def measurement_bytes(ms):
+    """Every column's words or floats as bytes, and the counters."""
+    columns = (ms.edge_index, *ms.p, *ms.n, *ms.X, *ms.match, ms.likelihood)
+    return [np.asarray(getattr(c, "raw", c)).tobytes() for c in columns], ms.n_projected, ms.n_sampled
+
+
+@pytest.mark.parametrize("be", [FLOAT, Q40, Q47], ids=["float", "q40_23", "q47_16"])
+def test_collect_at_read_pixels_matches_full_buffer(be, tmp_path, cube_model, qvga_camera):
+    # The seed-5 standard frames, each measured from the previous frame's
+    # true pose: the render at the pixels the visibility test reads gives
+    # the MeasurementSet of the full buffer, byte for byte.
+    from edgetrack.harness import generate_sequence, standard_trajectory
+    from edgetrack.imaging import frame_filename, load_image
+
+    K = qvga_camera
+    traj = standard_trajectory()
+    generate_sequence(cube_model, K, traj, sigma=2.0, out_dir=tmp_path, seed=5)
+    cfg = default_cfg()
+    for k in range(traj.frames):
+        gray = load_image(tmp_path / frame_filename(k))
+        pose = traj.pose(max(k - 1, 0))
+        full = render_id_buffer(cube_model, pose, K)
+        want = collect_measurements(cube_model, pose, K, gray, lambda pixels: full, cfg, be)
+        got = collect_measurements(cube_model, pose, K, gray, render_at(cube_model, pose, K), cfg, be)
+        assert measurement_bytes(got) == measurement_bytes(want)
+        assert want.n_matched >= 6
 
 
 def perturbed_start(pose, rng):

@@ -16,6 +16,11 @@ host spread across them. The report keeps, per workload and end-to-end
 metric of BENCHMARK.json, each side's median and quartiles, the pairs the
 change wins, the relative median gain and whether the change stays within
 the metric's bound, plus every run's metrics; its notes start empty.
+
+After the pairs, each side runs once more per workload with ``--trace 1``
+on the first pair's seed, one run at a time; the report keeps those runs'
+per-layer metrics of BENCHMARK.json under ``traced``, so it shows which
+layer a change moved.
 """
 
 from __future__ import annotations
@@ -60,10 +65,10 @@ def checkout(rev: str | None, dest: Path) -> Path:
     return dest
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One benchmark run: its result line, host facts and exit code."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", f"{seconds:g}", "--trace", "0"]
+           "--seconds", f"{seconds:g}", "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                           timeout=4 * seconds + 300)
     lines = done.stdout.strip().splitlines()
@@ -119,12 +124,14 @@ def main(argv=None) -> int:
     seconds = args.seconds or float(bench["run_seconds"])
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     specs = {m["name"]: m for m in bench["end_to_end"]}
+    layers = [m["name"] for m in bench["per_layer"]]
     if "synth_ico" in workloads and args.pairs > len(DIGEST_SEEDS):
         raise SystemExit(f"synth_ico has frame digests for {len(DIGEST_SEEDS)} seeds only")
     work = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     parent = git("rev-parse", args.parent).strip()
     trees = {"parent": checkout(parent, work / "parent"), "change": checkout(None, work / "change")}
     runs = {w: {side: [] for side in SIDES} for w in workloads}
+    traced = {w: {} for w in workloads}
     seeds = {w: [k if w == "synth_ico" else args.seed_base + k for k in range(args.pairs)]
              for w in workloads}
     try:
@@ -137,6 +144,10 @@ def main(argv=None) -> int:
                     ms = run["result"]["metrics"]
                     print(f"pair {k} {w} {side}: " + ", ".join(
                         f"{m} {ms[m]['value']:.4g}" for m in specs if m in ms), flush=True)
+        for w in workloads:
+            for side in SIDES:
+                traced[w][side] = run_once(trees[side], w, seeds[w][0], seconds, trace=1)
+                print(f"traced {w} {side}: done", flush=True)
     finally:
         if args.workdir is None:
             shutil.rmtree(work, ignore_errors=True)
@@ -189,9 +200,23 @@ def main(argv=None) -> int:
                                  "median_gap_exceeds_parent_iqr")},
             "met": s["change_better_pairs"] >= 0.9 * s["pairs"] and s["median_gap_exceeds_parent_iqr"],
         }
+    report["traced"] = {
+        "command": (f"python3 benchmarks/run.py --workload <w> --seed <first pair's seed> "
+                    f"--seconds {seconds:g} --trace 1"),
+        "protocol": ("one traced run per side and workload, from the same checkouts as the "
+                     "paired runs, run one at a time after them, parent first"),
+        "runs": {w: {side: {"correct": r["result"]["correct"] and r["exit"] == 0,
+                            "attempted": r["result"]["attempted"],
+                            "failed": r["result"]["failed"],
+                            **{m: r["result"]["metrics"][m]["value"] for m in layers
+                               if m in r["result"]["metrics"]}}
+                     for side, r in traced[w].items()} for w in workloads},
+    }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {args.out}")
-    return 0 if all(e["all_checks_passed"] for e in report["workloads"].values()) else 1
+    passed = all(e["all_checks_passed"] for e in report["workloads"].values())
+    passed &= all(r["correct"] for w in workloads for r in report["traced"]["runs"][w].values())
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":
