@@ -9,7 +9,7 @@ The backend routines are written against the realmath backend protocol so
 they run identically in floating point and fixed point.  `exp_map` runs on
 the backend's words (``backend.words``); `transform` takes a pose on words
 and world points as one (3, N) backend array; `project_cam` takes backend
-scalars or arrays.  The segment clips (`clip_near`, `clip_box`) run on
+arrays.  The segment clips (`clip_near`, `clip_box`) run on
 backend arrays only; the renderer and the tracker share them.  Bulk float
 paths use numpy directly.
 """
@@ -97,17 +97,13 @@ class CameraIntrinsics:
             raise ValueError("principal point outside the image")
 
     def to_backend(self, backend) -> "BackendIntrinsics":
-        return BackendIntrinsics(
-            fx=backend.from_float(self.fx),
-            fy=backend.from_float(self.fy),
-            cx=backend.from_float(self.cx),
-            cy=backend.from_float(self.cy),
-        )
+        v = backend.array([self.fx, self.fy, self.cx, self.cy])
+        return BackendIntrinsics(v[0], v[1], v[2], v[3])
 
 
 @dataclass(frozen=True)
 class BackendIntrinsics:
-    """Intrinsics pre-converted to one backend's scalar type."""
+    """Intrinsics converted to one backend by ``backend.array``."""
 
     fx: object
     fy: object
@@ -161,12 +157,13 @@ def exp_map(omega: Sequence, backend) -> list:
     """Rodrigues rotation from three words (``backend.words``), as a 3x3
     nested list of words.
 
-    Each step rounds and range-checks as the backend's scalar operators do,
-    so the words are those the same formula gives on backend scalars.
+    Each step rounds and range-checks as FixedPoint's operators do on
+    fixed point, so the words are those the same formula gives on
+    FixedPoint values.
     """
     w = backend.words
     add, sub, mul, div = w.add, w.sub, w.mul, w.div
-    one = w.word(backend.one)
+    one = w.from_float(1)
     two = add(one, one)
     wx, wy, wz = omega
     xx, yy, zz = mul(wx, wx), mul(wy, wy), mul(wz, wz)
@@ -267,7 +264,7 @@ def project_cam(c: Sequence, K) -> tuple:
     """Pinhole image point (u, v) of camera-space point c; no depth check.
 
     K is CameraIntrinsics or BackendIntrinsics: plain operators let the same
-    expression run on floats, numpy arrays and backend scalars.
+    expression run on floats, numpy arrays and backend arrays.
     """
     return K.fx * c[0] / c[2] + K.cx, K.fy * c[1] / c[2] + K.cy
 
@@ -325,7 +322,8 @@ def clip_box(a, d, lo, hi, backend):
     lo <= p <= hi.
 
     ``a`` and ``d`` are tuples of per-axis backend arrays, ``lo`` and ``hi``
-    per-axis bounds.  Returns the span [s0, s1] of each segment inside the
+    per-axis bounds that those arrays take as operands (ints, or arrays of
+    the backend).  Returns the span [s0, s1] of each segment inside the
     box and whether the segment meets it (s0 <= s1, so a segment touching
     the box gets an empty span).  On each axis the crossings are (lo - a) / d
     and (hi - a) / d, swapped where d < 0; a flat axis (d == 0) is a
@@ -333,13 +331,14 @@ def clip_box(a, d, lo, hi, backend):
     axes, so no division runs that a clip stopping at the first failed
     test would skip.
     """
-    s0, s1 = backend.zero, backend.one
+    s0 = backend.array(0)
+    s1 = one = backend.array(1)
     meets = True
     for a_k, d_k, lo_k, hi_k in zip(a, d, lo, hi):
         to_lo, to_hi = lo_k - a_k, hi_k - a_k
         flat = d_k == 0
         meets = meets & ~(flat & ((to_lo > 0) | (to_hi < 0)))
-        step = backend.where(flat | ~meets, backend.one, d_k)
+        step = backend.where(flat | ~meets, one, d_k)
         t_lo, t_hi = to_lo / step, to_hi / step
         rising = d_k > 0
         enter, leave = backend.where(rising, t_lo, t_hi), backend.where(rising, t_hi, t_lo)

@@ -29,7 +29,7 @@ operations on the backend's arrays, and only a pose LM continues from gets
 its (6, N) Jacobian and normal equations.  The pose, the damping, the
 convergence tests, the rotation update (``geometry.exp_map``) and the
 damped 6x6 solve stay on the backend's words (``backend.words``), so the
-loop builds no backend scalar per step.
+loop builds no array per scalar step.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def _project(X, R, t, focal, backend):
     """
     v, c = transform(X, R + R[:2], t + t[:2], backend)
     z = c[2]
-    if not (z > backend.zero).all():
+    if not (z > 0).all():
         raise BehindCameraError(f"point depth {np.min(backend.to_float(z))} mm is not positive")
     return focal * c[:2] / z, v, z
 
@@ -167,15 +167,14 @@ def _jacobian(f, v, z, n, focal, backend):
     return backend.stack([cross, minus_g[:3]]).reshape(6, -1)
 
 
-def residual_jacobian(X, R, t, Kb, n, backend):
+def residual_jacobian(X, R, t, K: CameraIntrinsics, n, backend):
     """Row of ∂r/∂(rotation increment, translation) at the pose (R, t),
-    for the point X with the normal n, all given as backend scalars: the
-    Jacobian LM builds, on one-point columns."""
-    w = backend.words
-    X, n = (backend.stack(c)[:, None] for c in (X, n))
-    focal = backend.stack((Kb.fx, Kb.fy))[:, None]
-    R = [[w.word(v) for v in row] for row in R]
-    f, v, z = _project(X, R, [w.word(v) for v in t], focal, backend)
+    for the point X with the normal n, all given as floats and converted to
+    the backend: the Jacobian LM builds, on one-point columns."""
+    from_float = backend.words.from_float
+    X, n, focal = (backend.array(c)[:, None] for c in (X, n, (K.fx, K.fy)))
+    R = [list(map(from_float, row)) for row in R]
+    f, v, z = _project(X, R, list(map(from_float, t)), focal, backend)
     return tuple(_jacobian(f, v, z, n, focal, backend)[:, 0])
 
 
@@ -302,9 +301,7 @@ def solve_lm(columns, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSettings,
     add, sub, mul = w.add, w.sub, w.mul
     _check_unit_normals(columns[1], be)
 
-    def word(value):
-        return w.word(be.from_float(value))
-
+    word = w.from_float
     tol_rel, tol_step = (word(v) for v in _TOLERANCES[be.is_fixed])
     scale, lam_max = word(_LAMBDA_SCALE), word(_LAMBDA_MAX)
     zero = word(0.0)

@@ -125,8 +125,9 @@ class IdBuffer:
     """Per-pixel edge ID, BACKGROUND where no edge is drawn.
 
     ``ids`` is an (h, w) int16 array, which holds every ID up to
-    MAX_EDGE_ID.  A buffer rendered at chosen pixels holds IDs there only.  ``trace`` holds the edge steps the buffer was
-    drawn from, when render_id_buffer made it.
+    MAX_EDGE_ID.  A buffer rendered at chosen pixels holds IDs there only.
+    ``trace`` holds the edge steps the buffer was drawn from, when
+    render_id_buffer made it.
     """
 
     width: int

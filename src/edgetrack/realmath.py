@@ -6,16 +6,20 @@ deterministic Q-format fixed point.  Two Q formats are supported: Q40.23
 (default) and Q47.16.  Fixed-point values are immutable and every operation
 detects overflow instead of wrapping.
 
-The protocol has a scalar half (``FixedPoint`` values) and an array half
-(``FixedArray``, float64 ndarrays on the float backend) with the same
-per-element results, so per-edge and per-point stages run once over all
-edges or points.  ``sqrt`` takes either half; ``where`` selects between
-arrays or scalars by a mask.  A ``FixedArray`` carries a bound on its raw
-magnitudes from operation to operation, and its words are scanned only
-where no bound was propagated or the propagated bounds fail to prove an
-operation exact.  ``backend.words`` (``WordOps``) runs scalar arithmetic,
-sqrt, sin and cos on the plain numbers the scalars hold, for loops of many
-scalar steps, and turns nested lists of them into arrays.
+A backend holds numbers in two forms.  Arrays (``FixedArray``, float64
+ndarrays on the float backend), 0-d for a single number, carry the
+per-edge and per-point stages, which run once over all edges or points;
+``backend.array`` is the one conversion from numbers to them.  Words, the
+plain numbers in an array (floats, or raw fixed-point words as Python
+ints), carry loops of many scalar steps: ``backend.words`` (``WordOps``)
+converts numbers to words and runs arithmetic, sqrt, sin and cos on them,
+and turns nested lists of them into arrays.  A ``FixedArray`` carries a
+bound on its raw magnitudes from operation to operation, and its words are
+scanned only where no bound was propagated or the propagated bounds fail
+to prove an operation exact.
+
+``FixedPoint`` is the fixed-point scalar: no tracker path builds one, and
+the tests compare arrays and words against it, operation by operation.
 
 Rounding rules, fixed so runs are bit-reproducible:
 
@@ -83,6 +87,22 @@ def _word(raw: int) -> int:
     if not -_WORD_LIMIT <= raw < _WORD_LIMIT:
         raise MathOverflowError(f"raw value {raw} outside the 64-bit word range")
     return raw
+
+
+def _float_word(value, fmt: QFormat) -> int:
+    """A number as a word of the format fmt: ints exactly (value * 2**F),
+    floats rounded to nearest, ties away from zero.  MathDomainError for
+    inf and NaN, MathOverflowError outside the word range."""
+    if isinstance(value, int):
+        return _word(value << fmt.fraction_bits)
+    if not math.isfinite(value):
+        raise MathDomainError(f"cannot represent {value!r} in {fmt}")
+    scaled = value * (1 << fmt.fraction_bits)  # exact: power-of-two scale
+    if abs(scaled) >= 2.0 ** 52:
+        return _word(int(scaled))
+    if scaled >= 0.0:
+        return math.floor(scaled + 0.5)
+    return math.ceil(scaled - 0.5)
 
 
 def _trunc_shift(n: int, shift: int) -> int:
@@ -210,18 +230,7 @@ class FixedPoint:
 
     @classmethod
     def from_float(cls, value: float) -> "FixedPoint":
-        if isinstance(value, int):
-            return cls.from_int(value)
-        if not math.isfinite(value):
-            raise MathDomainError(f"cannot represent {value!r} in {cls.FORMAT}")
-        scaled = value * (1 << cls.FRAC_BITS)  # exact: power-of-two scale
-        if abs(scaled) >= 2.0 ** 52:
-            raw = int(scaled)
-        elif scaled >= 0.0:
-            raw = math.floor(scaled + 0.5)
-        else:
-            raw = math.ceil(scaled - 0.5)
-        return cls(raw)
+        return cls(_float_word(value, cls.FORMAT))
 
     @classmethod
     def from_int(cls, value: int) -> "FixedPoint":
@@ -426,16 +435,17 @@ class FixedArray:
     magnitudes that each result carries from its operands' bounds: a + b and
     a - b give ba + bb, a * b gives (ba * bb) >> F, negation, abs,
     slicing and reshaping keep the bound, ``where`` and ``stack`` take the
-    largest, sqrt gives isqrt(b << F), and ``WordOps.array`` takes the
-    largest magnitude of its words.  The words are scanned (one min and
-    one max reduction) only for an array without a bound (quotients, and
-    stacks and selections of them) and when the propagated bounds fail to
-    prove an operation exact; the tight bounds of that rescan then decide,
-    as a scan of every operand would.
+    largest, sqrt gives isqrt(b << F), and ``FixedBackend.array`` and
+    ``WordOps.array`` take the largest magnitude of their words.  The words
+    are scanned (one min and one max reduction) only for an array without a
+    bound (quotients, and stacks and selections of them) and when the
+    propagated bounds fail to prove an operation exact; the tight bounds of
+    that rescan then decide, as a scan of every operand would.
 
-    Operands are arrays or scalars of the same format, ints and integer
-    ndarrays (scaled by 2**F as plain ints are); floats are rejected.
-    Integer indices return FixedPoint scalars, other indices FixedArrays.
+    Operands are arrays of the same format, 0-d for a single number, ints
+    and integer ndarrays (scaled by 2**F as plain ints are); floats are
+    rejected, by comparisons too.  Every index returns a FixedArray, 0-d
+    for an integer index.
     """
 
     __slots__ = ("raw", "scalar_type", "_bound", "_scanned")
@@ -497,9 +507,6 @@ class FixedArray:
                 return None
             raw, arr = other.raw, other
             bound = other._scan() if other._bound is None else other._bound
-        elif type(other) is st:
-            raw = other.raw
-            bound = abs(raw)
         elif isinstance(other, (int, np.integer)):
             raw = int(other) << st.FRAC_BITS
             if not -_WORD_LIMIT <= raw < _WORD_LIMIT:
@@ -532,14 +539,8 @@ class FixedArray:
     def to_float(self) -> np.ndarray:
         return self.raw / (1 << self.scalar_type.FRAC_BITS)
 
-    def floor_to_int(self) -> np.ndarray:
-        return self.raw >> self.scalar_type.FRAC_BITS
-
     def __getitem__(self, key):
-        raw = self.raw[key]
-        if isinstance(raw, np.ndarray):
-            return FixedArray(raw, self.scalar_type, self._bound)
-        return self.scalar_type(int(raw))
+        return FixedArray(np.asarray(self.raw[key]), self.scalar_type, self._bound)
 
     def reshape(self, *shape) -> "FixedArray":
         return FixedArray(self.raw.reshape(*shape), self.scalar_type, self._bound)
@@ -620,13 +621,15 @@ class FixedArray:
     # -- comparisons --------------------------------------------------------
 
     def _compare(self, other, op):
-        """Elementwise comparison; ints compare exactly, with no range limit."""
+        """Elementwise comparison with an array of this format or an int;
+        ints compare exactly, with no range limit.  TypeError for any other
+        operand, so that == and != give no bare bool for a float."""
         st = self.scalar_type
-        if type(other) is st or (isinstance(other, FixedArray) and other.scalar_type is st):
+        if isinstance(other, FixedArray) and other.scalar_type is st:
             return op(self.raw, other.raw)
         if isinstance(other, (int, np.integer)):
             return op(self.raw, int(other) << st.FRAC_BITS)
-        return NotImplemented
+        raise TypeError(f"cannot compare a {st.FORMAT} array with {type(other).__name__}")
 
     __eq__ = partialmethod(_compare, op=operator.eq)
     __ne__ = partialmethod(_compare, op=operator.ne)
@@ -653,13 +656,12 @@ class FixedArray:
 # Backends.
 
 class WordOps(NamedTuple):
-    """Scalar arithmetic on a backend's words, the plain numbers its scalars
+    """Scalar arithmetic on a backend's words, the plain numbers its arrays
     hold: floats, or raw fixed-point words as Python ints, rounded and
     range-checked as FixedPoint's own operators round and check them.  A
-    loop of many scalar steps runs on words and skips the scalar objects."""
+    loop of many scalar steps runs on words."""
 
-    word: Callable  # backend scalar -> word
-    scalar: Callable  # word -> backend scalar
+    from_float: Callable  # number -> word, rounded as backend.array rounds it
     to_float: Callable  # word -> float, as the backend's to_float gives it
     array: Callable  # nested lists of words -> backend array
     add: Callable
@@ -676,9 +678,15 @@ def _same(x):
     return x
 
 
+def _float_sqrt(value: float) -> float:
+    if value < 0.0:
+        raise MathDomainError("sqrt of negative value")
+    return math.sqrt(value)
+
+
 def _fixed_word_ops(st: type[FixedPoint]) -> WordOps:
     """WordOps on the raw words of the format of st."""
-    shift = st.FRAC_BITS
+    fmt, shift = st.FORMAT, st.FRAC_BITS
     scale = 1 << shift
 
     def mul(a: int, b: int) -> int:
@@ -702,7 +710,7 @@ def _fixed_word_ops(st: type[FixedPoint]) -> WordOps:
         out._scanned = True
         return out
 
-    return WordOps(word=operator.attrgetter("raw"), scalar=st, to_float=lambda w: w / scale,
+    return WordOps(from_float=lambda v: _float_word(v, fmt), to_float=lambda w: w / scale,
                    array=array,
                    add=lambda a, b: _word(a + b), sub=lambda a, b: _word(a - b),
                    neg=lambda a: _word(-a), mul=mul, div=div, sqrt=sqrt,
@@ -714,46 +722,31 @@ class FloatBackend:
 
     name = "float"
     is_fixed = False
-    zero = 0.0
-    one = 1.0
 
     @staticmethod
-    def from_float(value: float) -> float:
-        return float(value)
+    def array(values) -> np.ndarray:
+        """A number (as a 0-d array), nested lists or an ndarray as float64."""
+        return np.asarray(values, dtype=np.float64)
 
     @staticmethod
-    def from_int(value: int) -> float:
-        return float(value)
+    def to_float(values: np.ndarray) -> np.ndarray:
+        return values
 
     @staticmethod
-    def to_float(value: float) -> float:
-        return value
-
-    @staticmethod
-    def sqrt(value):
-        """Square root of a float or, elementwise, of a float64 ndarray."""
-        if isinstance(value, np.ndarray):
-            if np.any(value < 0.0):
-                raise MathDomainError("sqrt of negative value")
-            return np.sqrt(value)
-        if value < 0.0:
+    def sqrt(values: np.ndarray) -> np.ndarray:
+        """Elementwise square root; MathDomainError if any element is negative."""
+        if np.any(values < 0.0):
             raise MathDomainError("sqrt of negative value")
-        return math.sqrt(value)
+        return np.sqrt(values)
 
-    @staticmethod
-    def floor_to_int(value: float) -> int:
-        return math.floor(value)
-
-    words = WordOps(word=_same, scalar=_same, to_float=_same,
+    words = WordOps(from_float=float, to_float=_same,
                     array=lambda words: np.array(words, dtype=np.float64), add=operator.add,
                     sub=operator.sub, neg=operator.neg, mul=operator.mul, div=operator.truediv,
-                    sqrt=sqrt, sin=math.sin, cos=math.cos)
-
-    # -- array half: float64 ndarrays -----------------------------------------
+                    sqrt=_float_sqrt, sin=math.sin, cos=math.cos)
 
     @staticmethod
     def stack(items) -> np.ndarray:
-        """Array of backend scalars, or of equal-shape arrays one axis up."""
+        """Equal-shape arrays stacked one axis up."""
         return np.array(items, dtype=np.float64)
 
     @staticmethod
@@ -791,53 +784,51 @@ class FixedBackend:
         self.format = fmt
         self.scalar_type = fixed_type(fmt)
         self.name = f"q{fmt.integer_bits}_{fmt.fraction_bits}"
-        self.zero = self.scalar_type(0)
-        self.one = self.scalar_type.from_int(1)
         self.words = _fixed_word_ops(self.scalar_type)
 
-    def from_float(self, value: float) -> FixedPoint:
-        return self.scalar_type.from_float(value)
-
-    def from_int(self, value: int) -> FixedPoint:
-        return self.scalar_type.from_int(value)
-
-    @staticmethod
-    def to_float(value: FixedPoint) -> float:
-        return value.to_float()
-
-    @staticmethod
-    def sqrt(value):
-        """FixedPoint.sqrt of a scalar, or FixedArray.sqrt of an array."""
-        return value.sqrt()
+    def array(self, values) -> FixedArray:
+        """A number (as a 0-d array), nested lists or an ndarray as an array
+        of their shape, each element converted as ``words.from_float``
+        converts it, so as FixedPoint.from_float does; its bound is the
+        largest magnitude of its words."""
+        if isinstance(values, (int, float)):  # one number, without numpy's conversion
+            word = self.words.from_float(values)
+            return FixedArray(np.array(word, dtype=np.int64), self.scalar_type, abs(word))
+        values = np.asarray(values)
+        words = list(map(self.words.from_float, values.ravel().tolist()))
+        return FixedArray(np.array(words, dtype=np.int64).reshape(values.shape), self.scalar_type,
+                          max(map(abs, words), default=0))
 
     @staticmethod
-    def floor_to_int(value: FixedPoint) -> int:
-        return value.floor_to_int()
+    def to_float(values: FixedArray) -> np.ndarray:
+        return values.to_float()
 
-    # -- array half: FixedArray -----------------------------------------------
+    @staticmethod
+    def sqrt(values: FixedArray) -> FixedArray:
+        return values.sqrt()
 
     def stack(self, items) -> FixedArray:
-        """Array of backend scalars, or of equal-shape arrays one axis up.
+        """Equal-shape arrays of this format stacked one axis up.
 
-        Its bound is the largest of the items' bounds (|raw| for a scalar),
-        or none when an item has none.
+        Its bound is the largest of the items' bounds, or none when an item
+        has none.
         """
-        bounds = [x._bound if type(x) is FixedArray else abs(x.raw) for x in items]
+        bounds = [x._bound for x in items]
         bound = None if None in bounds else max(bounds, default=0)
-        return FixedArray(np.array([x.raw for x in items], dtype=np.int64), self.scalar_type, bound)
+        raw = np.array([x.raw for x in items], dtype=np.int64)
+        return FixedArray(raw, self.scalar_type, bound)
 
     @staticmethod
     def floor_array(values: FixedArray) -> np.ndarray:
-        return values.floor_to_int()
+        return values.raw >> values.scalar_type.FRAC_BITS
 
     def where(self, mask, x, y) -> FixedArray:
-        """Elementwise x where mask holds, else y; arrays or scalars of this format."""
+        """Elementwise x where mask holds, else y; arrays of this format."""
         st = self.scalar_type
         for v in (x, y):
-            if not (type(v) is st or (isinstance(v, FixedArray) and v.scalar_type is st)):
-                raise TypeError(f"where needs {st.FORMAT} values, got {type(v).__name__}")
-        bounds = [v._bound if type(v) is FixedArray else abs(v.raw) for v in (x, y)]
-        bound = None if None in bounds else max(bounds)
+            if not (isinstance(v, FixedArray) and v.scalar_type is st):
+                raise TypeError(f"where needs {st.FORMAT} arrays, got {type(v).__name__}")
+        bound = None if None in (x._bound, y._bound) else max(x._bound, y._bound)
         return FixedArray(np.where(mask, x.raw, y.raw), st, bound)
 
     @staticmethod

@@ -76,8 +76,9 @@ class TrackerConfig:
 class ControlPoint:
     """One measurement site on a projected model edge.
 
-    Scalar fields hold backend scalars (floats or FixedPoint); ``match`` is
-    set by the correspondence search when a gradient above threshold exists.
+    The fields hold single backend values: 0-d arrays, or numpy scalars on
+    the float backend; ``match`` is set by the correspondence search when a
+    gradient above threshold exists.
     """
 
     edge_index: int
@@ -108,7 +109,7 @@ class MeasurementSet:
 
     @property
     def points(self) -> list:
-        """The matches as ControlPoints holding backend scalars."""
+        """The matches as ControlPoints holding single backend values."""
         return [
             ControlPoint(
                 edge_index=int(e),
@@ -131,13 +132,13 @@ def _sample_params(counts, backend):
     keeps the points off the segment ends.
 
     t is formed as (2k + 1) / (2 counts[i]) from integers, which on every
-    backend gives the bits of from_float(k + 0.5) / from_int(counts[i]).
+    backend gives the bits of (k + 0.5) / counts[i] with both operands
+    converted by ``backend.array``; the doubled counts take one call.
     """
     counts = np.asarray(counts, dtype=np.int64)
     slot = np.repeat(np.arange(len(counts)), counts)
     k = np.arange(len(slot)) - np.repeat(np.cumsum(counts) - counts, counts)
-    twice_n = backend.stack([backend.from_int(2 * int(c)) for c in counts])
-    return slot, (2 * k + 1) / twice_n[slot]
+    return slot, (2 * k + 1) / backend.array(2 * counts)[slot]
 
 
 def _sample_segments(ax, ay, bx, by, cfg: TrackerConfig, backend):
@@ -151,7 +152,7 @@ def _sample_segments(ax, ay, bx, by, cfg: TrackerConfig, backend):
     """
     dx, dy = bx - ax, by - ay
     length = backend.sqrt(dx * dx + dy * dy)
-    step = backend.from_float(cfg.sampling_step)
+    step = backend.array(cfg.sampling_step)
     counts = backend.floor_array(length / step)
     # length >= step/2, compared without dividing the step
     counts = np.where((counts == 0) & (length + length >= step), 1, counts)
@@ -219,7 +220,7 @@ def _search(gray: GrayImage, px, py, nx, ny, cfg: TrackerConfig, backend):
     best = order[np.argmax(np.where(valid, key, -1)[:, order], axis=1)]
     rows = np.arange(len(best))
     best_l = likelihood[rows, best]
-    hit = valid[rows, best] & (best_l >= backend.from_float(cfg.gradient_threshold))
+    hit = valid[rows, best] & (best_l >= backend.array(cfg.gradient_threshold))
     return hit, xs[rows, best + 1][hit], ys[rows, best + 1][hit], best_l[hit]
 
 
@@ -261,9 +262,9 @@ def collect_measurements(
     when fewer than 6 points match: the pose has 6 degrees of freedom.
     """
     be = backend
-    word = be.words.word
-    R = exp_map(tuple(word(be.from_float(w)) for w in pose.omega), be)
-    t = [word(be.from_float(v)) for v in pose.t]
+    from_float = be.words.from_float
+    R = exp_map(tuple(map(from_float, pose.omega)), be)
+    t = list(map(from_float, pose.t))
     Kb: BackendIntrinsics = K.to_backend(be)
 
     # Camera and world coordinates of the edge ends, near-clipped together:
@@ -271,16 +272,14 @@ def collect_measurements(
     # transform is affine.
     used, ends = np.unique(model.edges.ravel(), return_inverse=True)
     ends = ends.reshape(-1, 2)
-    world = be.stack([be.stack([be.from_float(c) for c in col])
-                      for col in model.vertices[used].T.tolist()])
+    world = be.array(model.vertices[used].T)
     _, cam = transform(world, R, t, be)
     points = tuple(c[i] for c in (cam, world) for i in range(3))
     edge, a, b = clip_near(tuple(c[ends[:, 0]] for c in points),
-                           tuple(c[ends[:, 1]] for c in points), be.from_float(NEAR_PLANE_MM), be)
+                           tuple(c[ends[:, 1]] for c in points), be.array(NEAR_PLANE_MM), be)
     (ua, va), (ub, vb) = project_cam(a, Kb), project_cam(b, Kb)
     du, dv = ub - ua, vb - va
-    size = (be.from_int(K.width - 1), be.from_int(K.height - 1))
-    t_lo, t_hi, hit = clip_box((ua, va), (du, dv), (be.zero, be.zero), size, be)
+    t_lo, t_hi, hit = clip_box((ua, va), (du, dv), (0, 0), (K.width - 1, K.height - 1), be)
     rows = np.flatnonzero(hit)
     edge, ua, va, du, dv, t_lo, t_hi = (c[rows] for c in (edge, ua, va, du, dv, t_lo, t_hi))
     a, b = tuple(c[rows] for c in a), tuple(c[rows] for c in b)

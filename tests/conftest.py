@@ -1,6 +1,10 @@
-"""Shared fixtures: model files, random scenes, and the standard camera."""
+"""Shared fixtures: model files, random scenes, the standard camera, and
+the reference scalars the backends' arrays and words are checked against."""
 
+import math
+from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -173,10 +177,10 @@ def synthetic_measurements(model, pose, K, step: float = 10.0):
 
 
 def columns(measurements, backend):
-    """World points, normals and matches of ControlPoints as the backend
-    column arrays (X, n, match) that solve_lm takes."""
+    """World points, normals and matches of ControlPoints holding floats, as
+    the backend column arrays (X, n, match) that solve_lm takes."""
     return tuple(
-        tuple(backend.stack([getattr(m, name)[j] for m in measurements]) for j in range(dim))
+        tuple(backend.array([getattr(m, name)[j] for m in measurements]) for j in range(dim))
         for name, dim in (("X", 3), ("n", 2), ("match", 2))
     )
 
@@ -193,28 +197,55 @@ def pose_errors(pose_a, pose_b):
 
 
 # ---------------------------------------------------------------------------
+# Reference scalars: the oracle for the backends' arrays and words.
+
+def ref_scalars(backend) -> SimpleNamespace:
+    """The reference scalars of a backend: FixedPoint values on fixed point,
+    floats on float.  They convert and compute on their own, so a test can
+    form a result one scalar at a time and compare the backend's arrays
+    and words with it.  ``word`` gives a scalar's word (``backend.words``)
+    and ``scalar`` the scalar of a word."""
+    if not backend.is_fixed:
+        return SimpleNamespace(from_float=float, from_int=float, zero=0.0, one=1.0,
+                               sqrt=backend.words.sqrt, to_float=float, floor_to_int=math.floor,
+                               word=float, scalar=float)
+    st = backend.scalar_type
+    return SimpleNamespace(from_float=st.from_float, from_int=st.from_int, zero=st(0),
+                           one=st.from_int(1), sqrt=st.sqrt, to_float=st.to_float,
+                           floor_to_int=st.floor_to_int, word=attrgetter("raw"), scalar=st)
+
+
+def ref_intrinsics(K, backend):
+    """The intrinsics K as reference scalars, in a BackendIntrinsics."""
+    from edgetrack.geometry import BackendIntrinsics
+
+    return BackendIntrinsics(*map(ref_scalars(backend).from_float, (K.fx, K.fy, K.cx, K.cy)))
+
+
+# ---------------------------------------------------------------------------
 # Scalar references for the word- and array-level rotation code.
 
 def ref_exp_map(omega, backend):
-    """Rodrigues rotation from three backend scalars, as a 3x3 nested list of
-    backend scalars: the formula geometry.exp_map runs on words, written
-    with the scalars' own operators."""
+    """Rodrigues rotation from three reference scalars (ref_scalars), as a
+    3x3 nested list of them: the formula geometry.exp_map runs on words,
+    written with the scalars' own operators."""
     from edgetrack.geometry import _TAYLOR_ANGLE
 
+    ref = ref_scalars(backend)
     wx, wy, wz = omega
     xx, yy, zz = wx * wx, wy * wy, wz * wz
     xy, xz, yz = wx * wy, wx * wz, wy * wz
     theta_sq = xx + yy + zz
-    theta = backend.sqrt(theta_sq)
-    if backend.to_float(theta) < _TAYLOR_ANGLE:
+    theta = ref.sqrt(theta_sq)
+    if ref.to_float(theta) < _TAYLOR_ANGLE:
         return [
             [1 - (yy + zz) / 2, xy / 2 - wz, xz / 2 + wy],
             [xy / 2 + wz, 1 - (xx + zz) / 2, yz / 2 - wx],
             [xz / 2 - wy, yz / 2 + wx, 1 - (xx + yy) / 2],
         ]
     w = backend.words
-    a = w.scalar(w.sin(w.word(theta))) / theta
-    b = (1 - w.scalar(w.cos(w.word(theta)))) / theta_sq
+    a = ref.scalar(w.sin(ref.word(theta))) / theta
+    b = (1 - ref.scalar(w.cos(ref.word(theta)))) / theta_sq
     return [
         [1 - b * (yy + zz), b * xy - a * wz, b * xz + a * wy],
         [b * xy + a * wz, 1 - b * (xx + zz), b * yz - a * wx],
@@ -233,7 +264,8 @@ def mat_vec(R, v):
 
 
 def to_words(values, backend):
-    """Backend scalars, in nested lists, as words (backend.words)."""
+    """Reference scalars (ref_scalars), in nested lists, as words
+    (backend.words)."""
     if isinstance(values, (list, tuple)):
         return [to_words(v, backend) for v in values]
-    return backend.words.word(values)
+    return ref_scalars(backend).word(values)

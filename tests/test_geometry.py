@@ -20,7 +20,7 @@ from edgetrack.geometry import (
 )
 from edgetrack.realmath import MathOverflowError, get_backend
 
-from conftest import ref_exp_map, to_words
+from conftest import ref_exp_map, ref_scalars, to_words
 
 FLOAT = get_backend("float")
 
@@ -98,7 +98,7 @@ def test_exp_map_fixed_backend_orthonormal():
     be = get_backend("q40_23")
     for _ in range(50):
         w = random_omega(rng)
-        R = exp_map([be.words.word(be.from_float(x)) for x in w], be)
+        R = exp_map([be.words.from_float(x) for x in w], be)
         Rf = np.array([[be.words.to_float(v) for v in row] for row in R])
         assert np.max(np.abs(Rf @ Rf.T - np.eye(3))) < 1e-3
         assert abs(np.linalg.det(Rf) - 1.0) < 1e-3
@@ -110,19 +110,20 @@ def test_exp_map_fixed_matches_float_coarsely():
     be = get_backend("q47_16")
     for _ in range(25):
         w = random_omega(rng)
-        R = exp_map([be.words.word(be.from_float(x)) for x in w], be)
+        R = exp_map([be.words.from_float(x) for x in w], be)
         Rf = np.array([[be.words.to_float(v) for v in row] for row in R])
         assert np.max(np.abs(Rf - exp_map_np(w))) < 1e-2
 
 
 @pytest.mark.parametrize("name", ["float", "q40_23", "q47_16"])
 def test_exp_map_words_match_scalar_reference(name):
-    # exp_map on words against the same formula on backend scalars, bit for
-    # bit: both branches, angles near pi, and omegas whose squares or their
-    # sum leave the range, which must raise as the scalar form raises.
+    # exp_map on words against the same formula on reference scalars, bit
+    # for bit: both branches, angles near pi, and omegas whose squares or
+    # their sum leave the range, which must raise as the scalar form raises.
     from edgetrack.geometry import _TAYLOR_ANGLE
 
     be = get_backend(name)
+    ref = ref_scalars(be)
     rng = np.random.default_rng(31)
 
     def outcome(fn):
@@ -133,7 +134,7 @@ def test_exp_map_words_match_scalar_reference(name):
         return [[v.raw if be.is_fixed else float(v).hex() for v in row] for row in R]
 
     def taylor(scalars):
-        return be.to_float(be.sqrt(sum((x * x for x in scalars), be.zero))) < _TAYLOR_ANGLE
+        return ref.to_float(ref.sqrt(sum((x * x for x in scalars), ref.zero))) < _TAYLOR_ANGLE
 
     # A fixed-point omega below 2**-(F/2) squares to zero: theta is 0.
     small = 2.0 ** -(be.format.fraction_bits // 2 + 1) if be.is_fixed else 3e-7
@@ -148,9 +149,9 @@ def test_exp_map_words_match_scalar_reference(name):
             (0.0, -(2.0 ** (half + 0.5)), 1.0)]
     branches = {True: 0, False: 0}
     for k, w in enumerate(cases + huge):
-        scalars = [be.from_float(float(x)) for x in w]
+        scalars = [ref.from_float(float(x)) for x in w]
         want = outcome(lambda: ref_exp_map(scalars, be))
-        got = outcome(lambda: [[be.words.scalar(v) for v in row]
+        got = outcome(lambda: [[ref.scalar(v) for v in row]
                                for row in exp_map(to_words(scalars, be), be)])
         assert got == want
         if k < len(cases):
@@ -192,9 +193,11 @@ def test_log_rotation_near_pi():
 # Projection.
 
 def project_point(X, R, t, K, be):
-    """((u, v), R X, R X + t) of one world point given as backend scalars,
-    through geometry.transform and project_cam."""
-    v, c = transform(be.stack(X)[:, None], to_words(R, be), to_words(t, be), be)
+    """((u, v), R X, R X + t) of one world point at the pose (R, t), all
+    given as floats, through geometry.transform and project_cam."""
+    from_float = be.words.from_float
+    v, c = transform(be.array(X)[:, None], [list(map(from_float, row)) for row in R],
+                     list(map(from_float, t)), be)
     u, w = project_cam(c, K)
     return (u[0], w[0]), tuple(v[:, 0]), tuple(c[:, 0])
 
@@ -223,7 +226,7 @@ def test_project_behind_camera(qvga_camera):
     # The LM system build is the projection that checks depths.
     from edgetrack.pose_estimation import residual_jacobian
 
-    K = qvga_camera.to_backend(FLOAT)
+    K = qvga_camera
     R = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     with pytest.raises(BehindCameraError):
         residual_jacobian((0.0, 0.0, -10.0), R, [0.0, 0.0, 0.0], K, (0.0, 1.0), FLOAT)
@@ -243,10 +246,7 @@ def test_project_fixed_backend_close_to_float(qvga_camera):
             t = [0.0, 0.0, 150.0]
             Rf = exp_map_np(w)
             (uf, vf), _, _ = project_point(tuple(X), Rf.tolist(), t, Kf, FLOAT)
-            Rb = [[be.from_float(x) for x in row] for row in Rf]
-            tb = [be.from_float(x) for x in t]
-            Xb = tuple(be.from_float(x) for x in X)
-            (ub, vb), _, _ = project_point(Xb, Rb, tb, K, be)
+            (ub, vb), _, _ = project_point(tuple(X), Rf.tolist(), t, K, be)
             assert abs(be.to_float(ub) - uf) < 0.05
             assert abs(be.to_float(vb) - vf) < 0.05
 

@@ -31,6 +31,8 @@ from conftest import (
     perturbed_pose,
     pose_errors,
     ref_exp_map,
+    ref_intrinsics,
+    ref_scalars,
     synthetic_measurements,
     to_words,
 )
@@ -66,7 +68,7 @@ def one_point_lm(n, be):
     matched at (cx + 1, cy + 1) with the normal n: returns the residual
     sum |r| at the start pose.  solve_lm checks the normals once on entry."""
     K = CameraIntrinsics(fx=500.0, fy=500.0, cx=160.0, cy=120.0, width=320, height=240)
-    cols = tuple(tuple(be.stack([be.from_float(v)]) for v in values)
+    cols = tuple(tuple(be.array([v]) for v in values)
                  for values in ((0.0, 0.0, 0.0), n, (K.cx + 1.0, K.cy + 1.0)))
     pose = PoseSE3(np.zeros(3), np.array([0.0, 0.0, 150.0]))
     _, err, iters, attempts, stop = solve_lm(cols, pose, K, LMSettings(max_iterations=0), be)
@@ -84,7 +86,7 @@ def test_residual_accepts_fixed_point_unit_normals():
     # A unit normal at 0.3 rad, stored at Q47.16, squares to 1 - 1.5e-5: off
     # by more than the float tolerance, so the check must allow for the format.
     n = (np.cos(0.3), np.sin(0.3))
-    nx, ny = (Q47.from_float(v) for v in n)
+    nx, ny = (ref_scalars(Q47).from_float(v) for v in n)
     assert abs((nx * nx + ny * ny).to_float() - 1.0) > 1e-5
     for be in (Q40, Q47):
         c = 1.0 / np.sqrt(2.0)
@@ -106,18 +108,17 @@ def ident3():
 def test_jacobian_hand_example_on_axis():
     # X at the origin seen down the axis: only d(residual)/d(ty) survives
     K = small_camera()
-    Kb = K.to_backend(FLOAT)
     z = 150.0
-    row = residual_jacobian((0.0, 0.0, 0.0), ident3(), (0.0, 0.0, z), Kb, (0.0, 1.0), FLOAT)
+    row = residual_jacobian((0.0, 0.0, 0.0), ident3(), (0.0, 0.0, z), K, (0.0, 1.0), FLOAT)
     assert row == pytest.approx((0.0, 0.0, 0.0, 0.0, -K.fy / z, 0.0))
-    row = residual_jacobian((0.0, 0.0, 0.0), ident3(), (0.0, 0.0, z), Kb, (1.0, 0.0), FLOAT)
+    row = residual_jacobian((0.0, 0.0, 0.0), ident3(), (0.0, 0.0, z), K, (1.0, 0.0), FLOAT)
     assert row == pytest.approx((0.0, 0.0, 0.0, -K.fx / z, 0.0, 0.0))
 
 
 def test_jacobian_behind_camera_raises():
-    Kb = small_camera().to_backend(FLOAT)
     with pytest.raises(BehindCameraError):
-        residual_jacobian((0.0, 0.0, 0.0), ident3(), (0.0, 0.0, -5.0), Kb, (0.0, 1.0), FLOAT)
+        residual_jacobian((0.0, 0.0, 0.0), ident3(), (0.0, 0.0, -5.0), small_camera(), (0.0, 1.0),
+                          FLOAT)
 
 
 def numeric_row(X, R, t, K, n, q, h=1e-6):
@@ -162,12 +163,10 @@ def random_configs(rng, count):
 
 def test_jacobian_matches_finite_differences_float():
     rng = np.random.default_rng(101)
-    K = small_camera()
-    Kb = K.to_backend(FLOAT)
     worst = 0.0
     for K, R, t, X, n, q in random_configs(rng, 1000):
         Rb = tuple(tuple(float(v) for v in row) for row in R)
-        row = np.array(residual_jacobian(tuple(X), Rb, tuple(t), Kb, n, FLOAT))
+        row = np.array(residual_jacobian(tuple(X), Rb, tuple(t), K, n, FLOAT))
         fd = numeric_row(X, R, t, K, n, q)
         rel = np.max(np.abs(row - fd)) / max(1.0, np.max(np.abs(fd)))
         worst = max(worst, rel)
@@ -176,17 +175,10 @@ def test_jacobian_matches_finite_differences_float():
 
 def test_jacobian_fixed_point_tracks_float():
     rng = np.random.default_rng(55)
-    K = small_camera()
-    Kb_f = K.to_backend(FLOAT)
-    Kb_q = K.to_backend(Q40)
     for K, R, t, X, n, q in random_configs(rng, 40):
         Rb = tuple(tuple(float(v) for v in row) for row in R)
-        row_f = np.array(residual_jacobian(tuple(X), Rb, tuple(t), Kb_f, n, FLOAT))
-        Rq = tuple(tuple(Q40.from_float(v) for v in row) for row in R)
-        tq = tuple(Q40.from_float(v) for v in t)
-        Xq = tuple(Q40.from_float(v) for v in X)
-        nq = (Q40.from_float(n[0]), Q40.from_float(n[1]))
-        row_q = np.array([Q40.to_float(v) for v in residual_jacobian(Xq, Rq, tq, Kb_q, nq, Q40)])
+        row_f = np.array(residual_jacobian(tuple(X), Rb, tuple(t), K, n, FLOAT))
+        row_q = Q40.to_float(Q40.stack(residual_jacobian(tuple(X), Rb, tuple(t), K, n, Q40)))
         scale = max(1.0, float(np.max(np.abs(row_f))))
         assert np.max(np.abs(row_q - row_f)) / scale < 1e-2
 
@@ -329,21 +321,6 @@ def test_solver_result_insensitive_to_model_frame_choice(cube_model, qvga_camera
     assert ang < 1e-9 and dist < 1e-7
 
 
-def measurements_to_backend(ms, be):
-    out = []
-    for m in ms:
-        out.append(
-            ControlPoint(
-                edge_index=m.edge_index,
-                p=(be.from_float(m.p[0]), be.from_float(m.p[1])),
-                n=(be.from_float(m.n[0]), be.from_float(m.n[1])),
-                X=tuple(be.from_float(v) for v in m.X),
-                match=(be.from_float(m.match[0]), be.from_float(m.match[1])),
-            )
-        )
-    return out
-
-
 def test_solver_fixed_backends_land_near_float(cube_model, qvga_camera):
     pose = cube_pose()
     ms = synthetic_measurements(cube_model, pose, qvga_camera)
@@ -351,8 +328,7 @@ def test_solver_fixed_backends_land_near_float(cube_model, qvga_camera):
     start = perturbed_pose(pose, np.radians(1.0), 2.0, rng)
     out_f, _, _, _, _ = solve_lm(columns(ms, FLOAT), start, qvga_camera, LMSettings(), FLOAT)
     for be, tol_mm in ((Q40, 0.1), (Q47, 0.5)):
-        out_b, _, _, _, _ = solve_lm(columns(measurements_to_backend(ms, be), be), start, qvga_camera,
-                                 LMSettings(), be)
+        out_b, _, _, _, _ = solve_lm(columns(ms, be), start, qvga_camera, LMSettings(), be)
         ang, dist = pose_errors(out_b, out_f)
         assert dist < tol_mm
         assert ang < 2e-3
@@ -418,7 +394,7 @@ def test_lm_rejections_that_are_not_flat_raise_lambda(name, fault, qvga_camera, 
     # the cap, until the 11th in a row stops LM at the start pose.
     cols, pose0, be = flat_frame(name)
     w = be.words
-    huge = w.word(be.from_float(1e6))
+    huge = w.from_float(1e6)
     lams = []
     solve_linear6, trial = pose_estimation._solve_linear6, pose_estimation._trial
 
@@ -435,8 +411,8 @@ def test_lm_rejections_that_are_not_flat_raise_lambda(name, fault, qvga_camera, 
     K = qvga_camera
     out, _, iters, attempts, stop = solve_lm(cols, pose0, K, LMSettings(), be)
     assert (stop, iters, attempts) == ("rejections", 0, pose_estimation._MAX_REJECTIONS + 1)
-    expected = [w.word(be.from_float(1e-3))]
-    cap, scale = (w.word(be.from_float(v)) for v in (pose_estimation._LAMBDA_MAX, 10.0))
+    expected = [w.from_float(1e-3)]
+    cap, scale = (w.from_float(v) for v in (pose_estimation._LAMBDA_MAX, 10.0))
     while len(expected) < len(lams):
         expected.append(min(w.mul(expected[-1], scale), cap))
     assert lams == expected and lams[-1] == cap
@@ -488,14 +464,24 @@ def test_track_frame_blank_image_raises_insufficient(cube_model, qvga_camera):
 # ---------------------------------------------------------------------------
 # The array system build against the per-point scalar loop it replaced.
 
+def ref_measurements(ms, be):
+    """ControlPoints holding floats as ControlPoints holding reference
+    scalars (ref_scalars)."""
+    from_float = ref_scalars(be).from_float
+    return [ControlPoint(edge_index=m.edge_index, p=tuple(map(from_float, m.p)),
+                         n=tuple(map(from_float, m.n)), X=tuple(map(from_float, m.X)),
+                         match=tuple(map(from_float, m.match)))
+            for m in ms]
+
+
 def ref_point_system(X, R, t, Kb, n, q, be):
-    """Residual and Jacobian row of one point, on backend scalars: the
+    """Residual and Jacobian row of one point, on reference scalars: the
     per-point formulas the array build runs over stacked columns."""
     v = mat_vec(R, X)
     c = (v[0] + t[0], v[1] + t[1], v[2] + t[2])
     z = c[2]
-    if not z > be.zero:
-        raise BehindCameraError(f"point depth {be.to_float(z)} mm is not positive")
+    if not z > 0:
+        raise BehindCameraError(f"point depth {ref_scalars(be).to_float(z)} mm is not positive")
     p = (Kb.fx * c[0] / z + Kb.cx, Kb.fy * c[1] / z + Kb.cy)
     gx = n[0] * Kb.fx / z
     gy = n[1] * Kb.fy / z
@@ -504,19 +490,21 @@ def ref_point_system(X, R, t, Kb, n, q, be):
     return (q[0] - p[0]) * n[0] + (q[1] - p[1]) * n[1], row
 
 
-def ref_normal_system(measurements, R, t, Kb, be):
-    """(cost, JᵀJ, Jᵀr) accumulated point by point, left to right, with R
-    and t as backend scalars."""
+def ref_normal_system(measurements, R, t, K, be):
+    """(cost, JᵀJ, Jᵀr) accumulated point by point, left to right, on
+    reference scalars: the measurements (ControlPoints holding floats)
+    and K converted to them, with R and t given as them."""
+    zero, Kb = ref_scalars(be).zero, ref_intrinsics(K, be)
     rs, rows = [], []
-    for m in measurements:
+    for m in ref_measurements(measurements, be):
         r, row = ref_point_system(m.X, R, t, Kb, m.n, m.match, be)
         rs.append(r)
         rows.append(row)
-    cost = be.zero
+    cost = zero
     for r in rs:
         cost = cost + r * r
-    A = [[be.zero] * 6 for _ in range(6)]
-    g = [be.zero] * 6
+    A = [[zero] * 6 for _ in range(6)]
+    g = [zero] * 6
     for r, row in zip(rs, rows):
         for i in range(6):
             g[i] = g[i] + row[i] * r
@@ -529,10 +517,11 @@ def ref_normal_system(measurements, R, t, Kb, be):
 
 
 def array_normal_system(measurements, R, t, K, be):
-    """(cost, JᵀJ, Jᵀr) from the array build LM runs, as backend scalars."""
+    """(cost, JᵀJ, Jᵀr) from the array build LM runs, as reference scalars,
+    for the same inputs as ref_normal_system."""
     from edgetrack.pose_estimation import _jacobian, _normal_equations, _residuals, _stack_columns
 
-    scalar = be.words.scalar
+    scalar = ref_scalars(be).scalar
     stacked = _stack_columns(columns(measurements, be), K.to_backend(be), be)
     rs, projected = _residuals(stacked, to_words(R, be), to_words(t, be), be)
     A, g = _normal_equations(rs, _jacobian(*projected, stacked[1], stacked[3], be), be)
@@ -554,22 +543,22 @@ def test_normal_system_matches_scalar_reference(be, cube_model, qvga_camera):
     pose = cube_pose()
     ms = synthetic_measurements(cube_model, pose, qvga_camera)
     rng = np.random.default_rng(505)
-    Kb = qvga_camera.to_backend(be)
+    ref = ref_scalars(be)
     for _ in range(4):
         start = perturbed_pose(pose, np.radians(2.0), 3.0, rng)
         noisy = [ControlPoint(edge_index=m.edge_index, p=m.p, n=m.n, X=m.X,
                               match=tuple(float(v) for v in np.add(m.match, rng.normal(0, 1, 2))))
                  for m in ms]
-        bms = noisy if be is FLOAT else measurements_to_backend(noisy, be)
-        R = ref_exp_map(tuple(be.from_float(w) for w in start.omega), be)
-        t = [be.from_float(v) for v in start.t]
-        want = system_bits(ref_normal_system(bms, R, t, Kb, be))
-        assert system_bits(array_normal_system(bms, R, t, qvga_camera, be)) == want
+        R = ref_exp_map(tuple(ref.from_float(w) for w in start.omega), be)
+        t = [ref.from_float(v) for v in start.t]
+        want = system_bits(ref_normal_system(noisy, R, t, qvga_camera, be))
+        assert system_bits(array_normal_system(noisy, R, t, qvga_camera, be)) == want
 
 
 def identity_pose(be):
-    return ([[be.one, be.zero, be.zero], [be.zero, be.one, be.zero], [be.zero, be.zero, be.one]],
-            [be.zero, be.zero, be.zero])
+    """The identity rotation and a zero translation in reference scalars."""
+    one, zero = ref_scalars(be).one, ref_scalars(be).zero
+    return [[one, zero, zero], [zero, one, zero], [zero, zero, one]], [zero, zero, zero]
 
 
 def test_normal_system_overflow_raises_like_scalar(qvga_camera):
@@ -578,15 +567,13 @@ def test_normal_system_overflow_raises_like_scalar(qvga_camera):
     from edgetrack.realmath import MathOverflowError
 
     K = qvga_camera
-    Kb = K.to_backend(Q40)
     pts = [ControlPoint(edge_index=0, p=(0.0, 0.0), n=(0.6, 0.8), X=(x, 1.0, z), match=(100.0, 90.0))
            for x, z in ((10.0, 150.0), (-20.0, 140.0), (30.0, 0.002))]
-    bms = measurements_to_backend(pts, Q40)
     R, t = identity_pose(Q40)
     with pytest.raises(MathOverflowError):
-        ref_normal_system(bms, R, t, Kb, Q40)
+        ref_normal_system(pts, R, t, K, Q40)
     with pytest.raises(MathOverflowError):
-        array_normal_system(bms, R, t, K, Q40)
+        array_normal_system(pts, R, t, K, Q40)
 
 
 @pytest.mark.parametrize("be", [FLOAT, Q40, Q47], ids=["float", "q40_23", "q47_16"])
@@ -598,18 +585,17 @@ def test_point_behind_camera_rejects_trial(be, qvga_camera):
     K = qvga_camera
     pts = [ControlPoint(edge_index=0, p=(0.0, 0.0), n=(0.6, 0.8), X=(x, 1.0, z), match=(100.0, 90.0))
            for x, z in ((10.0, 150.0), (-20.0, -3.0), (30.0, 140.0))]
-    bms = pts if be is FLOAT else measurements_to_backend(pts, be)
     R, t = identity_pose(be)
     with pytest.raises(BehindCameraError):
-        ref_normal_system(bms, R, t, K.to_backend(be), be)
+        ref_normal_system(pts, R, t, K, be)
     with pytest.raises(BehindCameraError):
-        array_normal_system(bms, R, t, K, be)
-    stacked = _stack_columns(columns(bms, be), K.to_backend(be), be)
-    zero = be.words.word(be.zero)
+        array_normal_system(pts, R, t, K, be)
+    stacked = _stack_columns(columns(pts, be), K.to_backend(be), be)
+    zero = be.words.from_float(0)
     assert _trial(stacked, to_words(R, be), to_words(t, be), [zero] * 6, be) is None
     # The same step with the point moved in front is a trial with a cost.
-    bms[1].X = bms[2].X
-    stacked = _stack_columns(columns(bms, be), K.to_backend(be), be)
+    pts[1].X = pts[2].X
+    stacked = _stack_columns(columns(pts, be), K.to_backend(be), be)
     assert _trial(stacked, to_words(R, be), to_words(t, be), [zero] * 6, be) is not None
 
 
@@ -624,7 +610,7 @@ def to_float(x):
 
 
 def scalar_elimination(A, b, be):
-    """Gaussian elimination with partial pivoting on backend scalars
+    """Gaussian elimination with partial pivoting on reference scalars
     (FixedPoint or float); None when singular.  The reference for
     _solve_linear6."""
     aug = [list(A[i]) + [b[i]] for i in range(6)]
@@ -642,7 +628,7 @@ def scalar_elimination(A, b, be):
             factor = aug[r][col] / pivot
             for cc in range(col, 7):
                 aug[r][cc] = aug[r][cc] - factor * aug[col][cc]
-    x = [be.zero] * 6
+    x = [ref_scalars(be).zero] * 6
     for row in range(5, -1, -1):
         acc = aug[row][6]
         for cc in range(row + 1, 6):
@@ -663,13 +649,14 @@ def solve_outcome(solve, A, g, lam, be):
 
 
 def normal_system(J, r, be):
-    """JᵀJ and Jᵀr in backend scalars."""
-    return ([[be.from_float(v) for v in row] for row in (J.T @ J).tolist()],
-            [be.from_float(v) for v in (J.T @ r).tolist()])
+    """JᵀJ and Jᵀr in reference scalars."""
+    from_float = ref_scalars(be).from_float
+    return ([[from_float(v) for v in row] for row in (J.T @ J).tolist()],
+            [from_float(v) for v in (J.T @ r).tolist()])
 
 
 def damped_system(A, g, lam, be):
-    """A with its diagonal scaled by 1 + lam, and -g, in backend scalars:
+    """A with its diagonal scaled by 1 + lam, and -g, in reference scalars:
     the system _solve_linear6 damps and negates on words."""
     A = [list(row) for row in A]
     for i in range(6):
@@ -682,24 +669,25 @@ def reference_solve(A, g, lam, be):
 
 
 def words_solve(A, g, lam, be):
-    """_solve_linear6 on the words of backend scalars, its step as scalars."""
+    """_solve_linear6 on the words of reference scalars, its step as them."""
     from edgetrack.pose_estimation import _solve_linear6
 
     x = _solve_linear6(to_words(A, be), to_words(g, be), to_words(lam, be), be)
-    return None if x is None else [be.words.scalar(v) for v in x]
+    return None if x is None else [ref_scalars(be).scalar(v) for v in x]
 
 
 @pytest.mark.parametrize("be", [FLOAT, Q40, Q47], ids=["float", "q40_23", "q47_16"])
 def test_solve_linear6_matches_scalar_elimination(be):
     from edgetrack.realmath import MathOverflowError
 
+    ref = ref_scalars(be)
     rng = np.random.default_rng(512)
     solved = 0
     for _ in range(150):
         n = int(rng.integers(6, 40))
         J = rng.normal(0.0, 1.0, (n, 6)) * 10.0 ** rng.uniform(-2.0, 2.5, 6)
         A, g = normal_system(J, rng.normal(0.0, 2.0, n), be)
-        lam = be.from_float(10.0 ** rng.uniform(-3.0, 2.0))
+        lam = ref.from_float(10.0 ** rng.uniform(-3.0, 2.0))
         want = solve_outcome(reference_solve, A, g, lam, be)
         assert solve_outcome(words_solve, A, g, lam, be) == want
         solved += isinstance(want, list)
@@ -709,28 +697,30 @@ def test_solve_linear6_matches_scalar_elimination(be):
     J = rng.normal(0.0, 1.0, (20, 6))
     J[:, 4] = 0.0
     A, g = normal_system(J, rng.normal(0.0, 1.0, 20), be)
-    lam = be.from_float(1e-3)
+    lam = ref.from_float(1e-3)
     assert reference_solve(A, g, lam, be) is None and words_solve(A, g, lam, be) is None
-    zero = [[be.zero] * 6 for _ in range(6)]
+    zero = [[ref.zero] * 6 for _ in range(6)]
     assert reference_solve(zero, g, lam, be) is None and words_solve(zero, g, lam, be) is None
 
     # Elimination that leaves the 64-bit range: row 1 minus -1 times row 0
     # doubles an entry of 2**62 raw.  Float just carries the large value.
-    big = be.from_float(2.0 ** (62 - be.format.fraction_bits)) if be.is_fixed else 2.0 ** 62
-    A = [[be.one if i == j else be.zero for j in range(6)] for i in range(6)]
+    big = ref.from_float(2.0 ** (62 - be.format.fraction_bits)) if be.is_fixed else 2.0 ** 62
+    A = [[ref.one if i == j else ref.zero for j in range(6)] for i in range(6)]
     A[0][0], A[0][1], A[1][0], A[1][1] = big, big, -big, big
-    ones = [be.one] * 6
-    want = solve_outcome(reference_solve, A, ones, be.zero, be)
+    ones = [ref.one] * 6
+    want = solve_outcome(reference_solve, A, ones, ref.zero, be)
     assert (want is MathOverflowError) == be.is_fixed
-    assert solve_outcome(words_solve, A, ones, be.zero, be) == want
+    assert solve_outcome(words_solve, A, ones, ref.zero, be) == want
 
 
 @pytest.mark.parametrize("be", [FLOAT, Q40, Q47], ids=["float", "q40_23", "q47_16"])
 def test_mat_mul3_matches_scalar_sums(be):
     from edgetrack.pose_estimation import _mat_mul3
 
+    ref = ref_scalars(be)
+
     def words_product(A, B):
-        return [[be.words.scalar(v) for v in row]
+        return [[ref.scalar(v) for v in row]
                 for row in _mat_mul3(to_words(A, be), to_words(B, be), be)]
 
     def scalar_product(A, B):
@@ -740,14 +730,14 @@ def test_mat_mul3_matches_scalar_sums(be):
     for _ in range(50):
         A, B = (rng.normal(0.0, 1.0, (3, 3)) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(2))
         A[0, 0] = -0.0  # sum() starts from int 0, so -0.0 products turn to 0.0
-        A, B = ([[be.from_float(float(v)) for v in row] for row in M] for M in (A, B))
+        A, B = ([[ref.from_float(float(v)) for v in row] for row in M] for M in (A, B))
         want = [[scalar_bits(v) for v in row] for row in scalar_product(A, B)]
         assert [[scalar_bits(v) for v in row] for row in words_product(A, B)] == want
     if be.is_fixed:
         from edgetrack.realmath import MathOverflowError
 
-        big = [[be.from_float(2.0 ** (61 - be.format.fraction_bits))] * 3 for _ in range(3)]
+        big = [[ref.from_float(2.0 ** (61 - be.format.fraction_bits))] * 3 for _ in range(3)]
         with pytest.raises(MathOverflowError):
-            scalar_product(big, [[be.from_int(2)] * 3] * 3)
+            scalar_product(big, [[ref.from_int(2)] * 3] * 3)
         with pytest.raises(MathOverflowError):
-            words_product(big, [[be.from_int(2)] * 3] * 3)
+            words_product(big, [[ref.from_int(2)] * 3] * 3)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgetrack.realmath import (
     FixedArray,
@@ -88,7 +90,66 @@ def test_floor_to_int():
     assert FixedQ40_23.from_float(1.75).floor_to_int() == 1
     assert FixedQ40_23.from_float(-1.25).floor_to_int() == -2
     assert FixedQ40_23.from_float(3.0).floor_to_int() == 3
-    assert get_backend("float").floor_to_int(-1.25) == -2
+    assert get_backend("float").floor_array(np.array(-1.25)) == -2
+
+
+# ---------------------------------------------------------------------------
+# backend.array and words.from_float against FixedPoint.from_float.
+
+def numbers(fmt):
+    """Floats and ints at the edges of the rounding and the range of fmt:
+    exact ties (k + 1/2) 2**-F, values whose scaled magnitude is near 2**52
+    (where rounding stops), the ends of the word range, inf and NaN, ints,
+    and any float."""
+    ulp, top = 2.0 ** -fmt.fraction_bits, 2.0 ** fmt.integer_bits
+    sign = st.sampled_from([1.0, -1.0])
+    ties = st.integers(-(1 << 51), 1 << 51).map(lambda k: (k + 0.5) * ulp)
+    near_2_52 = st.builds(lambda s, k: s * (2.0 ** 52 + 0.5 * k) * ulp, sign, st.integers(-6, 6))
+    ends = st.builds(lambda s, d: float(np.nextafter(s * top, s * d * math.inf)) if d else s * top,
+                     sign, st.integers(-1, 1))
+    int_ends = st.builds(lambda s, d: int(s) * (1 << fmt.integer_bits) + d,
+                         sign, st.integers(-2, 2))
+    specials = st.sampled_from([math.inf, -math.inf, math.nan])
+    return st.one_of(ties, near_2_52, ends, int_ends, specials, st.integers(-(1 << 70), 1 << 70),
+                     st.integers(-1000, 1000), st.floats())
+
+
+def conversion(fn):
+    """What a conversion gives: its value, or the class of what it raised."""
+    try:
+        return fn()
+    except (MathOverflowError, MathDomainError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("fmt", [Q40_23, Q47_16], ids=str)
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_array_and_words_convert_as_from_float(fmt, data):
+    be, cls = FixedBackend(fmt), fixed_type(fmt)
+    value = data.draw(numbers(fmt))
+    want = conversion(lambda: cls.from_float(value).raw)
+    assert conversion(lambda: be.words.from_float(value)) == want
+    arr = conversion(lambda: be.array(value))
+    if isinstance(want, type):
+        assert arr is want
+    else:
+        assert arr.raw.shape == () and arr.raw.tolist() == want and arr.bound >= abs(want)
+
+    # Nested lists of such numbers, ints and floats mixed: the array of
+    # their shape, or the error of the first element that raises.
+    shape = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple))
+    flat = data.draw(st.lists(numbers(fmt), min_size=math.prod(shape), max_size=math.prod(shape)))
+    nested = np.array(flat, dtype=object).reshape(shape).tolist()
+    words = [conversion(lambda v=v: cls.from_float(v).raw) for v in flat]
+    want = next((w for w in words if isinstance(w, type)), None)
+    got = conversion(lambda: be.array(nested))
+    if want is not None:
+        assert got is want
+    else:
+        assert got.raw.shape == shape
+        assert got.raw.tolist() == np.array(words, dtype=np.int64).reshape(shape).tolist()
+        assert got.bound >= max(map(abs, words), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +316,10 @@ def test_trig_examples():
     for name in ("q40_23", "q47_16"):
         be = get_backend(name)
         w = be.words
-        assert w.sin(w.word(be.zero)) == 0
-        assert w.to_float(w.cos(w.word(be.zero))) == 1.0
-        assert abs(w.to_float(w.sin(w.word(be.from_float(math.pi / 2)))) - 1.0) <= 2.0 ** -16
-        assert abs(w.to_float(w.cos(w.word(be.from_float(math.pi)))) + 1.0) <= 2.0 ** -16
+        assert w.sin(w.from_float(0)) == 0
+        assert w.to_float(w.cos(w.from_float(0))) == 1.0
+        assert abs(w.to_float(w.sin(w.from_float(math.pi / 2))) - 1.0) <= 2.0 ** -16
+        assert abs(w.to_float(w.cos(w.from_float(math.pi))) + 1.0) <= 2.0 ** -16
 
 
 def test_sin_cos_accuracy_random():
@@ -269,7 +330,7 @@ def test_sin_cos_accuracy_random():
         w = be.words
         for _ in range(n // 2):
             x = float(rng.uniform(-math.pi, math.pi))
-            a = w.word(be.from_float(x))
+            a = w.from_float(x)
             xa = w.to_float(a)
             assert abs(w.to_float(w.sin(a)) - math.sin(xa)) <= 2.0 ** -16
             assert abs(w.to_float(w.cos(a)) - math.cos(xa)) <= 2.0 ** -16
@@ -278,7 +339,7 @@ def test_sin_cos_accuracy_random():
 def test_trig_bit_determinism():
     be1 = get_backend("q40_23")
     be2 = get_backend("q40_23")
-    x = be1.words.word(be1.from_float(0.7123))
+    x = be1.words.from_float(0.7123)
     assert be1.words.sin(x) == be2.words.sin(x)
     assert be1.words.cos(x) == be2.words.cos(x)
 
@@ -308,12 +369,17 @@ def test_float_backend_sqrt_domain():
 def test_backend_constants_consistent():
     for name in ("float", "q40_23", "q47_16"):
         be = get_backend(name)
-        assert be.to_float(be.one) == 1.0
-        assert be.to_float(be.zero) == 0.0
+        assert be.to_float(be.array(1)) == 1.0
+        assert be.to_float(be.array(0)) == 0.0
 
 
 # ---------------------------------------------------------------------------
-# FixedArray: the array half must match FixedPoint operation by operation.
+# FixedArray: arrays must match FixedPoint operation by operation.
+
+def point(cls, raw):
+    """A 0-d FixedArray holding the word raw."""
+    return FixedArray(np.array(raw, dtype=np.int64), cls)
+
 
 def random_raw_values(rng, count):
     """Raw words over every magnitude, both signs, and the range ends."""
@@ -363,8 +429,8 @@ def test_fixed_array_matches_scalar_per_element(cls):
                   for name, op in BINARY_OPS]
         cases += [(name + " rint", lambda op=op: op(k, cls(a)), lambda op=op: op(ka, fa))
                   for name, op in BINARY_OPS]
-        cases += [(name + " scalar", lambda op=op: op(cls(a), cls(b)), lambda op=op: op(fa, cls(b)))
-                  for name, op in BINARY_OPS]
+        cases += [(name + " 0-d", lambda op=op: op(cls(a), cls(b)),
+                   lambda op=op: op(fa, point(cls, b))) for name, op in BINARY_OPS]
         cases += [("neg", lambda: -cls(a), lambda: -fa), ("abs", lambda: abs(cls(a)), lambda: abs(fa)),
                   ("sqrt", lambda: cls(a).sqrt(), lambda: fa.sqrt())]
         for name, scalar, array in cases:
@@ -389,16 +455,16 @@ def test_fixed_array_matches_scalar_per_element(cls):
     got = FixedArray(np.array(values, dtype=np.int64), cls).sqrt()
     assert got.raw.tolist() == [cls(v).sqrt().raw for v in values]
     assert got.raw.tolist()[-len(roots):] == [k << cls.FRAC_BITS for k in roots]
-    assert be.sqrt(be.stack([cls(v) for v in values])).raw.tolist() == got.raw.tolist()
+    assert be.sqrt(be.words.array(values)).raw.tolist() == got.raw.tolist()
     with pytest.raises(MathDomainError):
         FixedArray(np.array([4, -1, 9], dtype=np.int64), cls).sqrt()
 
-    # where: per element the operand the mask picks, arrays or scalars.
+    # where: per element the operand the mask picks, of arrays or 0-d arrays.
     mask = rng.random(len(a_raw)) < 0.5
     fa = FixedArray(np.array(a_raw, dtype=np.int64), cls)
     fb = FixedArray(np.array(b_raw, dtype=np.int64), cls)
     assert be.where(mask, fa, fb).raw.tolist() == [x if m else y for m, x, y in zip(mask, a_raw, b_raw)]
-    assert be.where(mask, cls(a_raw[0]), fb).raw.tolist() == [
+    assert be.where(mask, point(cls, a_raw[0]), fb).raw.tolist() == [
         a_raw[0] if m else y for m, y in zip(mask, b_raw)]
     with pytest.raises(TypeError):
         be.where(mask, fa, 1.0)
@@ -428,14 +494,13 @@ def test_fixed_array_raises_where_any_element_does(cls):
 
 
 def test_fixed_array_truncates_negative_products_and_quotients():
-    cls = FixedQ40_23
-    a = FixedArray(np.array([-3, -1, 3, -(5 << 23)], dtype=np.int64), cls)
-    half = cls.from_float(0.5)
-    assert (a * half).raw.tolist() == [-1, 0, 1, -(5 << 22)]
+    be = FixedBackend(Q40_23)
+    a = FixedArray(np.array([-3, -1, 3, -(5 << 23)], dtype=np.int64), be.scalar_type)
+    assert (a * be.array(0.5)).raw.tolist() == [-1, 0, 1, -(5 << 22)]
     assert (a / 2).raw.tolist() == [-1, 0, 1, -(5 << 22)]
-    assert (a / cls.from_int(-3)).raw.tolist() == [1, 0, -1, (5 << 23) // 3]
+    assert (a / be.array(-3)).raw.tolist() == [1, 0, -1, (5 << 23) // 3]
     with pytest.raises(ZeroDivisionError):
-        a / cls(0)
+        a / be.array(0)
 
 
 def test_fixed_array_conversions_match_scalar():
@@ -444,11 +509,12 @@ def test_fixed_array_conversions_match_scalar():
     for cls in FIXED_CLASSES:
         be = FixedBackend(cls.FORMAT)
         scalars = [cls.from_float(float(v)) for v in values]
-        arr = be.stack(scalars)
+        arr = be.array(values)
         assert arr.raw.tolist() == [x.raw for x in scalars]
         assert arr.to_float().tolist() == [x.to_float() for x in scalars]
         assert be.floor_array(arr).tolist() == [x.floor_to_int() for x in scalars]
-        assert isinstance(arr[3], cls) and arr[3].raw == arr.raw[3]
+        assert isinstance(arr[3], FixedArray) and arr[3].raw.shape == ()
+        assert arr[3].raw == arr.raw[3]
         assert arr[2:5].raw.tolist() == arr.raw[2:5].tolist()
         assert be.stack([arr, arr]).raw.tolist() == [arr.raw.tolist()] * 2
 
@@ -464,6 +530,15 @@ def test_fixed_array_rejects_floats_and_other_formats():
         a + np.array([0.5, 0.5])
     with pytest.raises(TypeError):
         bool(a)
+    # Comparisons too, == and != included: neither gives a bare bool.
+    for other in (0.5, np.array([0.5, 1.0]), b, FixedQ40_23(1)):
+        for op in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+            with pytest.raises(TypeError):
+                getattr(a, op)(other)
+    with pytest.raises(TypeError):
+        a == 0.5  # noqa: B015
+    with pytest.raises(TypeError):
+        0.5 != a  # noqa: B015
 
 
 @pytest.mark.parametrize("cls", FIXED_CLASSES)
@@ -528,7 +603,7 @@ CHAIN_OPS = [  # (name, array op, scalar op on element i), operands x, y, s, k, 
     ("abs", lambda x, y, s, k, m: abs(x), lambda x, y, s, k, m, i: abs(x[i])),
     ("sqrt", lambda x, y, s, k, m: x.sqrt(), lambda x, y, s, k, m, i: x[i].sqrt()),
     ("slice", lambda x, y, s, k, m: x[::-1], lambda x, y, s, k, m, i: x[-1 - i]),
-    ("where", lambda x, y, s, k, m: FixedBackend(s.FORMAT).where(m, x, y),
+    ("where", lambda x, y, s, k, m: FixedBackend(x.FORMAT).where(m, x, y),
      lambda x, y, s, k, m, i: x[i] if m[i] else y[i]),
 ]
 
@@ -558,7 +633,7 @@ def test_fixed_array_bounds_hold_through_operation_chains(cls):
             want = expected_outcome([scalar_outcome(lambda i=i: scalar_op(xs, ys, s, k, mask, i))
                                      for i in range(size)])
             try:
-                got = array_op(x, y, s, k, mask)
+                got = array_op(x, y, point(cls, s.raw), k, mask)
             except (MathOverflowError, MathDomainError, ZeroDivisionError) as exc:
                 assert type(exc) is want, name
                 counts["raised"] += 1
@@ -587,19 +662,21 @@ def test_fixed_array_bounds_hold_through_operation_chains(cls):
 
     # True overflows raise where the scalar path raises.
     big = (1 << 62) + 1
-    for op in (lambda u: u + u, lambda u: u - (-u), lambda u: u * u, lambda u: u * 4,
-               lambda u: u / cls.from_float(0.25)):
+    quarter = cls.from_float(0.25)
+    for op in (lambda u, q: u + u, lambda u, q: u - (-u), lambda u, q: u * u, lambda u, q: u * 4,
+               lambda u, q: u / q):
         with pytest.raises(MathOverflowError):
-            op(cls(big))
+            op(cls(big), quarter)
         with pytest.raises(MathOverflowError):
-            op(FixedArray(np.array([3, big, -7], dtype=np.int64), cls))
+            op(FixedArray(np.array([3, big, -7], dtype=np.int64), cls), point(cls, quarter.raw))
 
 
 @pytest.mark.parametrize("cls", FIXED_CLASSES)
 def test_stack_bound_is_the_items_largest(cls):
-    # A stack carries the largest of its items' bounds (|raw| for a
-    # scalar), none when an item has none; its words, and the words and
-    # errors of operations on it, are those of the same stack scanned.
+    # A stack carries the largest of its items' bounds, none when an item
+    # has none; its words, and the words and errors of operations on it,
+    # are those of the same stack scanned.  The items are arrays, or 0-d
+    # arrays of single elements.
     from edgetrack.realmath import _max_abs
 
     be = FixedBackend(cls.FORMAT)
@@ -626,9 +703,8 @@ def test_stack_bound_is_the_items_largest(cls):
         items = items[:int(rng.integers(1, 4))]
         for stack_items in (items, [x[int(i)] for i in rng.integers(0, 5, 4)]):
             got = be.stack(stack_items)
-            assert got.raw.tolist() == [v.raw.tolist() if isinstance(v, FixedArray) else v.raw
-                                        for v in stack_items]
-            bounds = [v._bound if isinstance(v, FixedArray) else abs(v.raw) for v in stack_items]
+            assert got.raw.tolist() == [v.raw.tolist() for v in stack_items]
+            bounds = [v._bound for v in stack_items]
             assert got._bound == (None if None in bounds else max(bounds))
             assert got._bound is None or got._bound >= _max_abs(got.raw)
             scanned = FixedArray(got.raw.copy(), cls)

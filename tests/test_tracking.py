@@ -20,7 +20,7 @@ from edgetrack.tracking import (
     search_correspondence,
 )
 
-from conftest import mat_vec, ref_exp_map
+from conftest import mat_vec, ref_exp_map, ref_intrinsics, ref_scalars
 
 FLOAT = get_backend("float")
 Q40 = get_backend("q40_23")
@@ -38,11 +38,11 @@ def render_at(model, pose, K):
 
 
 def sample_control_points(segment, edge_index, cfg, backend):
-    """Control points of one projected segment, a pair of 2D points in
-    backend scalars, laid out by the tracker's array sampling."""
+    """Control points of one projected segment, a pair of 2D points given
+    as floats, laid out by the tracker's array sampling."""
     (ax, ay), (bx, by) = segment
     seg, _, (px, py), (nx, ny) = _sample_segments(
-        *(backend.stack([v]) for v in (ax, ay, bx, by)), cfg, backend)
+        *(backend.array([v]) for v in (ax, ay, bx, by)), cfg, backend)
     return [ControlPoint(edge_index=edge_index, p=(px[k], py[k]), n=(nx[k], ny[k]))
             for k in range(len(seg))]
 
@@ -125,11 +125,7 @@ def test_sampling_normals_unit_in_fixed_backends():
             b = rng.uniform(0.0, 320.0, 2)
             if np.hypot(*(b - a)) < 20.0:
                 continue
-            seg = (
-                (be.from_float(a[0]), be.from_float(a[1])),
-                (be.from_float(b[0]), be.from_float(b[1])),
-            )
-            pts = sample_control_points(seg, 0, default_cfg(), be)
+            pts = sample_control_points((tuple(a), tuple(b)), 0, default_cfg(), be)
             for cp in pts:
                 nn = cp.n[0] * cp.n[0] + cp.n[1] * cp.n[1]
                 assert abs(be.to_float(nn) - 1.0) < tol
@@ -262,8 +258,8 @@ def test_search_fixed_float_agree_on_step_edge():
     for be in (Q40, Q47):
         cp = ControlPoint(
             edge_index=0,
-            p=(be.from_float(97.0), be.from_float(50.0)),
-            n=(be.from_float(1.0), be.from_float(0.0)),
+            p=(be.array(97.0), be.array(50.0)),
+            n=(be.array(1.0), be.array(0.0)),
         )
         cp = search_correspondence(step_image(), cp, default_cfg(), be)
         assert cp.match is not None
@@ -375,12 +371,12 @@ def test_collect_fixed_backend_matches_float_counts(cube_model, qvga_camera):
 
 # ---------------------------------------------------------------------------
 # The array stage against per-point scalar references.  These are the
-# per-point loops the stage ran before it worked on arrays; every backend
-# must give the same bits.
+# per-point loops the stage ran before it worked on arrays, on reference
+# scalars (ref_scalars); every backend must give the same bits.
 
 def ref_bilinear_sample(gray, x, y, backend):
-    x0 = backend.floor_to_int(x)
-    y0 = backend.floor_to_int(y)
+    floor = ref_scalars(backend).floor_to_int
+    x0, y0 = floor(x), floor(y)
     if x0 < 0 or y0 < 0 or x0 + 1 >= gray.width or y0 + 1 >= gray.height:
         return None
     fx = x - x0
@@ -409,7 +405,7 @@ def ref_search(gray, p, n, cfg, backend):
         likelihood = abs(after - before) / 2
         if best_l is None or likelihood > best_l:
             best_l, best_s = likelihood, s
-    if best_l is not None and best_l >= backend.from_float(cfg.gradient_threshold):
+    if best_l is not None and best_l >= ref_scalars(backend).from_float(cfg.gradient_threshold):
         return (px + best_s * nx, py + best_s * ny), best_l
     return None, None
 
@@ -430,31 +426,33 @@ def ref_is_point_visible(p, edge_index, id_buffer):
 
 def ref_sample_control_points(segment, cfg, backend):
     """[(t, p)] of one segment, and its normal."""
+    ref = ref_scalars(backend)
     (ax, ay), (bx, by) = segment
     dx, dy = bx - ax, by - ay
-    length = backend.sqrt(dx * dx + dy * dy)
-    step = backend.from_float(cfg.sampling_step)
-    n = backend.floor_to_int(length / step)
+    length = ref.sqrt(dx * dx + dy * dy)
+    step = ref.from_float(cfg.sampling_step)
+    n = ref.floor_to_int(length / step)
     if n == 0:
         if not (length + length >= step):
             return [], None
         n = 1
     out = []
     for k in range(n):
-        t = backend.from_float(k + 0.5) / backend.from_int(n)
+        t = ref.from_float(k + 0.5) / ref.from_int(n)
         out.append((t, (ax + t * dx, ay + t * dy)))
     return out, (-(dy / length), dx / length)
 
 
 def _clip_unit_interval(constraints, backend, t_lo, t_hi):
     """Liang-Barsky style clip: keep t where fa + t*fd >= 0 for all pairs."""
+    zero = ref_scalars(backend).zero
     for fa, fd in constraints:
-        if fd == backend.zero:
-            if fa < backend.zero:
+        if fd == zero:
+            if fa < zero:
                 return None
             continue
         t_cross = -fa / fd
-        if fd > backend.zero:
+        if fd > zero:
             if t_cross > t_lo:
                 t_lo = t_cross
         else:
@@ -484,7 +482,8 @@ def ref_clip_box(a, d, lo, hi, backend):
     constraints = []
     for a_k, d_k, lo_k, hi_k in zip(a, d, lo, hi):
         constraints += [(a_k - lo_k, d_k), (hi_k - a_k, -d_k)]
-    return _clip_unit_interval(constraints, backend, backend.zero, backend.one)
+    ref = ref_scalars(backend)
+    return _clip_unit_interval(constraints, backend, ref.zero, ref.one)
 
 
 def ref_collect_measurements(model, pose, K, gray, id_buffer, cfg, be):
@@ -492,15 +491,16 @@ def ref_collect_measurements(model, pose, K, gray, id_buffer, cfg, be):
     from edgetrack.geometry import project_cam
     from edgetrack.rasterizer import NEAR_PLANE_MM
 
-    R = ref_exp_map(tuple(be.from_float(w) for w in pose.omega), be)
-    t = tuple(be.from_float(v) for v in pose.t)
-    Kb = K.to_backend(be)
-    near = be.from_float(NEAR_PLANE_MM)
-    lo, hi = (be.zero, be.zero), (be.from_int(K.width - 1), be.from_int(K.height - 1))
+    ref = ref_scalars(be)
+    R = ref_exp_map(tuple(ref.from_float(w) for w in pose.omega), be)
+    t = tuple(ref.from_float(v) for v in pose.t)
+    Kb = ref_intrinsics(K, be)
+    near = ref.from_float(NEAR_PLANE_MM)
+    lo, hi = (ref.zero, ref.zero), (ref.from_int(K.width - 1), ref.from_int(K.height - 1))
     matched, n_projected, n_sampled = [], 0, 0
     for i, e in enumerate(model.edges):
-        wa = tuple(be.from_float(c) for c in model.vertices[e[0]])
-        wb = tuple(be.from_float(c) for c in model.vertices[e[1]])
+        wa = tuple(ref.from_float(c) for c in model.vertices[e[0]])
+        wb = tuple(ref.from_float(c) for c in model.vertices[e[1]])
         ca, cb = mat_vec(R, wa), mat_vec(R, wb)
         ca = (ca[0] + t[0], ca[1] + t[1], ca[2] + t[2])
         cb = (cb[0] + t[0], cb[1] + t[1], cb[2] + t[2])
@@ -522,7 +522,7 @@ def ref_collect_measurements(model, pose, K, gray, id_buffer, cfg, be):
         samples, normal = ref_sample_control_points((a2, b2), cfg, be)
         n_projected += len(samples)
         for tk, p in samples:
-            if not ref_is_point_visible((be.to_float(p[0]), be.to_float(p[1])), i, id_buffer):
+            if not ref_is_point_visible((ref.to_float(p[0]), ref.to_float(p[1])), i, id_buffer):
                 continue
             n_sampled += 1
             t2 = t_lo + tk * (t_hi - t_lo)
@@ -536,8 +536,9 @@ def ref_collect_measurements(model, pose, K, gray, id_buffer, cfg, be):
 
 
 def bits(v):
-    """Exact identity of a backend scalar: the raw word or the float."""
-    return ("raw", v.raw) if hasattr(v, "raw") else ("float", float(v))
+    """Exact identity of a reference scalar or of a single backend value:
+    the raw word or the float."""
+    return ("raw", int(v.raw)) if hasattr(v, "raw") else ("float", float(v))
 
 
 def random_gray(rng, h=60, w=70):
@@ -551,8 +552,8 @@ def random_gray(rng, h=60, w=70):
 def test_clip_near_matches_scalar_reference(be):
     from edgetrack.geometry import clip_near
 
+    ref = ref_scalars(be)
     rng = np.random.default_rng(404)
-    near = be.from_float(1.0)
     # Depths on both sides of the plane and on it; the rows cover every
     # pair, so segments lie wholly behind, cross either way, end on the
     # plane or lie wholly in front.
@@ -560,11 +561,11 @@ def test_clip_near_matches_scalar_reference(be):
     rows = [(za, zb) for za in depths for zb in depths]
     a = [(*rng.uniform(-90.0, 90.0, 2), za, *rng.uniform(-90.0, 90.0, 3)) for za, _ in rows]
     b = [(*rng.uniform(-90.0, 90.0, 2), zb, *rng.uniform(-90.0, 90.0, 3)) for _, zb in rows]
-    a = [tuple(be.from_float(float(v)) for v in p) for p in a]
-    b = [tuple(be.from_float(float(v)) for v in p) for p in b]
-    live, ca, cb = clip_near(*(tuple(be.stack([p[j] for p in end]) for j in range(6)) for end in (a, b)),
-                             near, be)
-    want = [ref_clip_near(pa, pb, near, be) for pa, pb in zip(a, b)]
+    live, ca, cb = clip_near(*(tuple(be.array([p[j] for p in end]) for j in range(6))
+                               for end in (a, b)), be.array(1.0), be)
+    a = [tuple(ref.from_float(float(v)) for v in p) for p in a]
+    b = [tuple(ref.from_float(float(v)) for v in p) for p in b]
+    want = [ref_clip_near(pa, pb, ref.from_float(1.0), be) for pa, pb in zip(a, b)]
     assert live.tolist() == [i for i, w in enumerate(want) if w is not None]
     for k, i in enumerate(live.tolist()):
         for got, ref in zip((ca, cb), want[i]):
@@ -578,6 +579,7 @@ def test_clip_near_matches_scalar_reference(be):
 def test_clip_box_matches_scalar_reference(be):
     from edgetrack.geometry import clip_box
 
+    ref = ref_scalars(be)
     rng = np.random.default_rng(405)
     cases = [
         ((3.0, 2.0), (0.0, 3.0)),  # flat in x, inside
@@ -600,11 +602,12 @@ def test_clip_box_matches_scalar_reference(be):
     cases += [(tuple(rng.integers(-6, 25, 2) * 0.5), tuple(rng.integers(-16, 17, 2) * 0.5))
               for _ in range(400)]
     for lo, hi in (((0.0, 0.0), (9.0, 6.0)), ((-1.5, -1.5), (10.5, 7.5))):
-        lo_b, hi_b = tuple(be.from_float(v) for v in lo), tuple(be.from_float(v) for v in hi)
-        a = [tuple(be.from_float(v) for v in c[0]) for c in cases]
-        d = [tuple(be.from_float(v) for v in c[1]) for c in cases]
-        s0, s1, meets = clip_box(tuple(be.stack([p[j] for p in a]) for j in range(2)),
-                                 tuple(be.stack([p[j] for p in d]) for j in range(2)), lo_b, hi_b, be)
+        s0, s1, meets = clip_box(tuple(be.array([c[0][j] for c in cases]) for j in range(2)),
+                                 tuple(be.array([c[1][j] for c in cases]) for j in range(2)),
+                                 tuple(map(be.array, lo)), tuple(map(be.array, hi)), be)
+        lo_b, hi_b = tuple(ref.from_float(v) for v in lo), tuple(ref.from_float(v) for v in hi)
+        a = [tuple(ref.from_float(v) for v in c[0]) for c in cases]
+        d = [tuple(ref.from_float(v) for v in c[1]) for c in cases]
         spans = empty = 0
         for k, (pa, pd) in enumerate(zip(a, d)):
             want = ref_clip_box(pa, pd, lo_b, hi_b, be)
@@ -620,23 +623,26 @@ def test_clip_box_matches_scalar_reference(be):
 
 @pytest.mark.parametrize("be", [FLOAT, Q40, Q47], ids=["float", "q40_23", "q47_16"])
 def test_bilinear_and_search_match_scalar_reference(be):
+    ref = ref_scalars(be)
     rng = np.random.default_rng(401)
     gray = random_gray(rng)
     cfg = default_cfg()
     hits = misses = off = 0
     for _ in range(150):
         # Positions reach past the image so some samples fall off it.
-        x, y = (be.from_float(float(v)) for v in rng.uniform(-4.0, 74.0, 2))
+        xy = rng.uniform(-4.0, 74.0, 2).tolist()
+        x, y = map(ref.from_float, xy)
         want = ref_bilinear_sample(gray, x, y, be)
-        got = bilinear_sample(gray, x, y, be)
+        got = bilinear_sample(gray, *map(be.array, xy), be)
         assert (got is None) == (want is None)
         off += got is None
         if got is not None:
             assert bits(got) == bits(want)
         ang = rng.uniform(0.0, 2 * np.pi)
-        n = (be.from_float(float(np.cos(ang))), be.from_float(float(np.sin(ang))))
-        match, likelihood = ref_search(gray, (x, y), n, cfg, be)
-        cp = search_correspondence(gray, ControlPoint(edge_index=0, p=(x, y), n=n), cfg, be)
+        n = (float(np.cos(ang)), float(np.sin(ang)))
+        match, likelihood = ref_search(gray, (x, y), tuple(map(ref.from_float, n)), cfg, be)
+        cp = ControlPoint(edge_index=0, p=tuple(map(be.array, xy)), n=tuple(map(be.array, n)))
+        cp = search_correspondence(gray, cp, cfg, be)
         if match is None:
             assert cp.match is None and cp.likelihood is None
             misses += 1
@@ -656,10 +662,13 @@ def test_search_ties_prefer_nearest_then_negative_offset(be):
         row[22:30] = profile
         row[31:39] = profile[::-1]
         gray = GrayImage(pixels=np.tile(row, (40, 1)))
-        p, n = (be.from_float(30.0), be.from_float(20.0)), (be.from_float(1.0), be.from_float(0.0))
-        match, likelihood = ref_search(gray, p, n, default_cfg(), be)
-        cp = search_correspondence(gray, ControlPoint(edge_index=0, p=p, n=n), default_cfg(), be)
-        assert be.to_float(match[0]) < 30.0
+        p, n = (30.0, 20.0), (1.0, 0.0)
+        ref = ref_scalars(be)
+        match, likelihood = ref_search(gray, tuple(map(ref.from_float, p)),
+                                       tuple(map(ref.from_float, n)), default_cfg(), be)
+        cp = ControlPoint(edge_index=0, p=tuple(map(be.array, p)), n=tuple(map(be.array, n)))
+        cp = search_correspondence(gray, cp, default_cfg(), be)
+        assert ref.to_float(match[0]) < 30.0
         assert [bits(v) for v in cp.match] == [bits(v) for v in match]
         assert bits(cp.likelihood) == bits(likelihood)
 
@@ -758,6 +767,30 @@ def test_collect_at_read_pixels_matches_full_buffer(be, tmp_path, cube_model, qv
         got = collect_measurements(cube_model, pose, K, gray, render_at(cube_model, pose, K), cfg, be)
         assert measurement_bytes(got) == measurement_bytes(want)
         assert want.n_matched >= 6
+
+
+@pytest.mark.parametrize("name", ["q40_23", "q47_16"])
+def test_tracking_builds_no_fixed_point_scalar(name, tmp_path, cube_model, monkeypatch):
+    # Ten seed-5 standard frames: arrays and words carry every fixed-point
+    # number the tracker forms, and no path builds a FixedPoint, the
+    # tests' reference scalar.
+    from edgetrack import realmath
+    from edgetrack.harness import (
+        generate_sequence,
+        run_tracking,
+        standard_camera,
+        standard_trajectory,
+    )
+
+    K, traj = standard_camera(), standard_trajectory(10)
+    generate_sequence(cube_model, K, traj, sigma=2.0, out_dir=tmp_path, seed=5)
+    built = []
+    init = realmath.FixedPoint.__init__
+    monkeypatch.setattr(realmath.FixedPoint, "__init__",
+                        lambda self, raw: built.append(raw) or init(self, raw))
+    records = run_tracking(tmp_path, cube_model, K, TrackerConfig(backend=name), traj.pose(0))
+    assert [r.status for r in records] == ["ok"] * 10
+    assert built == []
 
 
 def perturbed_start(pose, rng):

@@ -14,8 +14,12 @@ Pair k uses one seed on both sides, and the side that runs first alternates
 from pair to pair; pairs cycle over the workloads so slow spells of the
 host spread across them. The report keeps, per workload and end-to-end
 metric of BENCHMARK.json, each side's median and quartiles, the pairs the
-change wins, the relative median gain and whether the change stays within
-the metric's bound, plus every run's metrics; its notes start empty.
+change wins, the relative median gain, whether the change stays within
+the metric's bound and whether that verdict is unresolved, plus every
+run's metrics; its notes start empty.  A metric is unresolved when the
+parent's own spread (its IQR) is wider than the bound, relative to the
+parent's median, unless every change run is better than every parent
+run: then a median inside the bound does not show that nothing changed.
 
 After the pairs, each side runs once more per workload with ``--trace 1``
 on the first pair's seed, one run at a time; the report keeps those runs'
@@ -89,6 +93,7 @@ def compare(spec: dict, parent: list, change: list) -> dict:
     p, c = quartiles(parent), quartiles(change)
     gain = sign * (c["median"] - p["median"])
     base = abs(p["median"])
+    every_run_better = all(sign * (b - a) > 0 for a in parent for b in change)
     return {
         "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
         "parent": p, "change": c,
@@ -97,6 +102,7 @@ def compare(spec: dict, parent: list, change: list) -> dict:
         "median_gain_rel": gain / base if base else 0.0,
         "median_gap_exceeds_parent_iqr": gain > p["iqr"],
         "within_bound": gain >= -spec["bound"] * base,
+        "unresolved": p["iqr"] > spec["bound"] * base and not every_run_better,
     }
 
 
@@ -164,7 +170,8 @@ def main(argv=None) -> int:
             "change is better in the metric's direction; median_gap_exceeds_parent_iqr asks "
             "whether the change's median is better than the parent's by more than the parent's "
             "IQR; within_bound asks whether it is no worse by more than the BENCHMARK.json bound, "
-            "relative to the parent's median; synth_ico uses seeds 0-9, whose frame digests "
+            "relative to the parent's median; unresolved marks a metric whose parent IQR exceeds "
+            "that bound unless every change run is better than every parent run; synth_ico uses seeds 0-9, whose frame digests "
             f"benchmarks/synth_digests.json holds; cube seeds start at {args.seed_base}"),
         "parent_commit": parent,
         "src_sha256": {side: sorted({r["host"].get("src_sha256") for w in workloads
@@ -172,6 +179,7 @@ def main(argv=None) -> int:
         "host": {key: first.get(key) for key in HOST_KEYS},
         "claim": None,
         "every_metric_within_bound": True,
+        "unresolved": [],
         "notes": [],
         "workloads": {},
     }
@@ -190,6 +198,8 @@ def main(argv=None) -> int:
             values = {side: [r["result"]["metrics"][m]["value"] for r in runs[w][side]] for side in SIDES}
             entry["metrics"][m] = summary = compare(spec, values["parent"], values["change"])
             report["every_metric_within_bound"] &= summary["within_bound"]
+            if summary["unresolved"]:
+                report["unresolved"].append(f"{w}:{m}")
         report["workloads"][w] = entry
     if args.claim:
         w, m = args.claim.split(":")
