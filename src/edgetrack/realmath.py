@@ -31,6 +31,7 @@ Rounding rules, fixed so runs are bit-reproducible:
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import partialmethod
@@ -403,20 +404,26 @@ def _nonzero(divisor):
     return divisor
 
 
+def _wide(words):
+    """int64 words as Python ints: an object array, or an int for 0-d words."""
+    return words.astype(object) if words.ndim else int(words)
+
+
+def _is_wide(words) -> bool:
+    """Python ints (an int or an object array), not int64 words."""
+    return isinstance(words, int) or words.dtype == object
+
+
 def _trunc_shift_array(p, shift: int):
-    """Elementwise p >> shift truncated toward zero; numpy's >> floors."""
-    if p.dtype == object:
-        return np.where(p < 0, -((-p) >> shift), p >> shift)
-    # int64: adding 2**shift - 1 to the negative words first makes the
-    # floor shift truncate, without a branch.
-    return (p + ((p >> 63) & ((1 << shift) - 1))) >> shift
+    """Elementwise p >> shift truncated toward zero: numpy's >> floors, so
+    2**shift - 1 is added to the negative words first, without a branch."""
+    return (p + (p < 0) * ((1 << shift) - 1)) >> shift
 
 
 def _trunc_div_array(a, b):
     """Elementwise a / b truncated toward zero; numpy's // floors."""
-    if (a if isinstance(a, np.ndarray) else b).dtype == object:
-        q = abs(a) // abs(b)
-        return np.where((a < 0) != (b < 0), -q, q)
+    if _is_wide(a):  # the divisor is then wide too
+        return abs(a) // abs(b) * (1 - 2 * ((a < 0) != (b < 0)))
     # int64: fmod leaves the remainder with a's sign, so a minus it is the
     # multiple of b next toward zero and the floor division is exact.
     return (a - np.fmod(a, b)) // b
@@ -444,8 +451,9 @@ class FixedArray:
 
     Operands are arrays of the same format, 0-d for a single number, ints
     and integer ndarrays (scaled by 2**F as plain ints are); floats are
-    rejected, by comparisons too.  Every index returns a FixedArray, 0-d
-    for an integer index.
+    rejected, by comparisons too, while == with a non-number such as None
+    is False, as for any Python object.  Every index returns a FixedArray,
+    0-d for an integer index.
     """
 
     __slots__ = ("raw", "scalar_type", "_bound", "_scanned")
@@ -480,8 +488,9 @@ class FixedArray:
         """Wrap an exact raw result with a bound on its magnitudes; a
         Python-int result is range-checked, which also gives its tight bound."""
         st = self.scalar_type
-        if raw.dtype != object:
-            return FixedArray(raw, st, bound)
+        if not _is_wide(raw):
+            return FixedArray(np.asarray(raw), st, bound)
+        raw = np.asarray(raw, dtype=object)
         lo, hi = (int(raw.min()), int(raw.max())) if raw.size else (0, 0)
         if lo < -_WORD_LIMIT or hi >= _WORD_LIMIT:
             raise MathOverflowError(f"raw value outside {st.FORMAT} range")
@@ -511,7 +520,7 @@ class FixedArray:
             raw = int(other) << st.FRAC_BITS
             if not -_WORD_LIMIT <= raw < _WORD_LIMIT:
                 raise MathOverflowError(f"int operand {other} outside {st.FORMAT} range")
-            bound = abs(raw)
+            raw, bound = np.int64(raw), abs(raw)
         elif isinstance(other, np.ndarray) and other.dtype.kind in "iu":
             lo, hi = (int(other.min()), int(other.max())) if other.size else (0, 0)
             if lo << st.FRAC_BITS < -_WORD_LIMIT or hi << st.FRAC_BITS >= _WORD_LIMIT:
@@ -523,15 +532,14 @@ class FixedArray:
         if n >= _WORD_LIMIT:
             n = need(self._scan(), bound if arr is None else arr._scan())
             if n >= _WORD_LIMIT:  # Python ints, in which nothing can wrap
-                wide = raw.astype(object) if isinstance(raw, np.ndarray) else raw
-                return self.raw.astype(object), wide, n
+                return _wide(self.raw), _wide(raw), n
         return self.raw, raw, n
 
     def _own_words(self, factor: int = 1):
         """The raw words as _words gives them, for an operation on this
         array alone whose intermediates reach factor times its magnitudes."""
         if factor * self.bound >= _WORD_LIMIT and factor * self._scan() >= _WORD_LIMIT:
-            return self.raw.astype(object)
+            return _wide(self.raw)
         return self.raw
 
     # -- conversion ---------------------------------------------------------
@@ -623,13 +631,15 @@ class FixedArray:
     def _compare(self, other, op):
         """Elementwise comparison with an array of this format or an int;
         ints compare exactly, with no range limit.  TypeError for any other
-        operand, so that == and != give no bare bool for a float."""
+        number or array, so that == and != give no bare bool for a float."""
         st = self.scalar_type
         if isinstance(other, FixedArray) and other.scalar_type is st:
             return op(self.raw, other.raw)
         if isinstance(other, (int, np.integer)):
             return op(self.raw, int(other) << st.FRAC_BITS)
-        raise TypeError(f"cannot compare a {st.FORMAT} array with {type(other).__name__}")
+        if isinstance(other, (numbers.Number, np.ndarray, FixedArray, FixedPoint)):
+            raise TypeError(f"cannot compare a {st.FORMAT} array with {type(other).__name__}")
+        return NotImplemented
 
     __eq__ = partialmethod(_compare, op=operator.eq)
     __ne__ = partialmethod(_compare, op=operator.ne)
@@ -791,9 +801,6 @@ class FixedBackend:
         of their shape, each element converted as ``words.from_float``
         converts it, so as FixedPoint.from_float does; its bound is the
         largest magnitude of its words."""
-        if isinstance(values, (int, float)):  # one number, without numpy's conversion
-            word = self.words.from_float(values)
-            return FixedArray(np.array(word, dtype=np.int64), self.scalar_type, abs(word))
         values = np.asarray(values)
         words = list(map(self.words.from_float, values.ravel().tolist()))
         return FixedArray(np.array(words, dtype=np.int64).reshape(values.shape), self.scalar_type,

@@ -1,6 +1,7 @@
 """Tests for the fixed-point scalar type and the two numeric backends."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -431,20 +432,48 @@ def test_fixed_array_matches_scalar_per_element(cls):
                   for name, op in BINARY_OPS]
         cases += [(name + " 0-d", lambda op=op: op(cls(a), cls(b)),
                    lambda op=op: op(fa, point(cls, b))) for name, op in BINARY_OPS]
+        # 0-d on both sides, and with ints: numpy gives bare Python ints for
+        # operations on 0-d object arrays, which the wide path must take.
+        pa, pb = point(cls, a), point(cls, b)
+        cases += [("0-d " + name, lambda op=op: op(cls(a), cls(b)), lambda op=op: op(pa, pb))
+                  for name, op in BINARY_OPS]
+        cases += [("0-d " + name + " int", lambda op=op: op(cls(a), k), lambda op=op: op(pa, k))
+                  for name, op in BINARY_OPS]
+        cases += [("0-d " + name + " rint", lambda op=op: op(k, cls(a)), lambda op=op: op(k, pa))
+                  for name, op in BINARY_OPS]
         cases += [("neg", lambda: -cls(a), lambda: -fa), ("abs", lambda: abs(cls(a)), lambda: abs(fa)),
-                  ("sqrt", lambda: cls(a).sqrt(), lambda: fa.sqrt())]
+                  ("sqrt", lambda: cls(a).sqrt(), lambda: fa.sqrt()),
+                  ("0-d neg", lambda: -cls(a), lambda: -pa), ("0-d abs", lambda: abs(cls(a)), lambda: abs(pa))]
         for name, scalar, array in cases:
             want = scalar_outcome(scalar)
             try:
-                got = array().raw.tolist()[0]
+                out = array()
             except (MathOverflowError, MathDomainError, ZeroDivisionError) as exc:
                 got = type(exc)
+            else:
+                assert out.raw.dtype == np.int64 and out.raw.shape == (() if name.startswith("0-d") else (1,))
+                got = out.raw.reshape(-1).tolist()[0]
             assert got == want, (name, a, b, k)
             raised += isinstance(want, type)
         for op in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__ne__"):
             assert getattr(fa, op)(fb).tolist() == [getattr(cls(a), op)(cls(b))]
             assert getattr(fa, op)(k).tolist() == [getattr(cls(a), op)(k)]
     assert raised > 1000  # the range ends were exercised
+
+    # 0-d operations whose intermediates pass 2**63: in range, and out of it.
+    big = (1 << (62 - cls.FRAC_BITS)) << cls.FRAC_BITS  # the int 2**(62 - F), as a word
+    for a, b, op in [(400 << cls.FRAC_BITS, 400 << cls.FRAC_BITS, operator.mul),
+                     ((1 << 39) << cls.FRAC_BITS, 3 << cls.FRAC_BITS, operator.truediv),
+                     (big, big, operator.add), (big, big, operator.mul), (-big, big, operator.sub),
+                     (big, 1, operator.truediv), (-(1 << 63), 0, lambda x, _: -x)]:
+        want = scalar_outcome(lambda: op(cls(a), cls(b)))
+        try:
+            got = op(point(cls, a), point(cls, b)).raw.tolist()
+        except MathOverflowError as exc:
+            got = type(exc)
+        assert got == want, (a, b)
+    assert (point(cls, 400 << cls.FRAC_BITS) * point(cls, 400 << cls.FRAC_BITS)).raw.tolist() == (
+        160000 << cls.FRAC_BITS)
 
     # sqrt over whole arrays: 0, perfect squares, the largest raw word, and
     # a raise when any element is negative.
@@ -539,6 +568,12 @@ def test_fixed_array_rejects_floats_and_other_formats():
         a == 0.5  # noqa: B015
     with pytest.raises(TypeError):
         0.5 != a  # noqa: B015
+    # A non-number is no operand: == and != fall back to identity, as for any
+    # Python object, and the orderings raise.
+    assert (a == None) is False and (a != None) is True  # noqa: E711
+    assert None != a  # noqa: E711
+    with pytest.raises(TypeError):
+        a < None  # noqa: B015
 
 
 @pytest.mark.parametrize("cls", FIXED_CLASSES)
