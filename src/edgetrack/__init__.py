@@ -23,7 +23,6 @@ from .rasterizer import (
     is_point_visible,
     render_depth_buffer,
     render_id_buffer,
-    visibility_oracle,
 )
 from .realmath import (
     BACKEND_NAMES,
@@ -78,5 +77,4 @@ __all__ = [
     "solve_lm",
     "to_gray",
     "track_frame",
-    "visibility_oracle",
 ]

@@ -269,19 +269,6 @@ def project_cam(c: Sequence, K) -> tuple:
     return K.fx * c[0] / c[2] + K.cx, K.fy * c[1] / c[2] + K.cy
 
 
-def project_np(points: np.ndarray, R: np.ndarray, t: np.ndarray, K: CameraIntrinsics):
-    """Vectorized float projection; returns (uv (N,2), depth (N,)), unclipped.
-
-    Depths may be non-positive; callers clip.  Rows with z <= 0 get NaN uv.
-    """
-    cam = transform_np(points, R, t)
-    z = cam[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        uv = np.stack(project_cam(cam.T, K), axis=1)
-    uv[~(z > 0.0)] = np.nan
-    return uv, z
-
-
 def transform_np(points: np.ndarray, R: np.ndarray, t: np.ndarray) -> np.ndarray:
     """World points to camera space, vectorized float path."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)

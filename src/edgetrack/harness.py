@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -318,10 +318,10 @@ class FrameRecord:
 
 
 def _sequence_frames(sequence_dir) -> list:
-    frames = sorted(Path(sequence_dir).glob("frame_*.pgm"))
-    frames += sorted(Path(sequence_dir).glob("frame_*.ppm"))
+    """The frame_*.pgm and frame_*.ppm files of a sequence, in name order."""
+    frames = sorted(Path(sequence_dir).glob("frame_*.p[gp]m"))
     if not frames:
-        raise FileNotFoundError(f"no frame_*.pgm files under {sequence_dir}")
+        raise FileNotFoundError(f"no frame_*.pgm or frame_*.ppm files under {sequence_dir}")
     return frames
 
 
@@ -448,13 +448,6 @@ class ProfileReport:
     mean_total_ms: float
     shares: dict  # stage -> percentage of mean total
 
-    def summary(self) -> str:
-        parts = [f"{k} {v:.1f}%" for k, v in self.shares.items()]
-        return (
-            f"{self.frames} frames; mean {self.mean_total_ms:.2f} ms/frame; "
-            + ", ".join(parts)
-        )
-
 
 def profile(records) -> ProfileReport:
     """Mean frame time and per-stage shares of the four pipeline stages."""
@@ -514,22 +507,13 @@ def parse_config(path=None, backend: str = "float") -> RunConfig:
         raise ValueError("lm_max_iter must be >= 1")
     if values.get("coast_frames", 0) < 0:
         raise ValueError("coast_frames must be >= 0")
-    cam = standard_camera()
-    camera = CameraIntrinsics(
-        fx=values.get("fx", cam.fx), fy=values.get("fy", cam.fy),
-        cx=values.get("cx", cam.cx), cy=values.get("cy", cam.cy),
-        width=values.get("width", cam.width), height=values.get("height", cam.height),
-    )
-    lm = LMSettings(
-        lambda0=values.get("lm_lambda0", 1e-3),
-        max_iterations=values.get("lm_max_iter", 50),
-    )
-    tracker = TrackerConfig(
-        sampling_step=values.get("sampling_step", 10.0),
-        search_range=values.get("search_range", 8),
-        gradient_threshold=values.get("gradient_threshold", 10.0),
-        backend=backend,
-        lm=lm,
-    )
-    return RunConfig(camera=camera, tracker=tracker,
-                     coast_frames=values.get("coast_frames", 3))
+
+    def given(*keys):
+        return {key: values[key] for key in keys if key in values}
+
+    camera = replace(standard_camera(), **given("fx", "fy", "cx", "cy", "width", "height"))
+    lm_fields = {"lambda0": "lm_lambda0", "max_iterations": "lm_max_iter"}
+    lm = LMSettings(**{f: values[k] for f, k in lm_fields.items() if k in values})
+    tracker = TrackerConfig(backend=backend, lm=lm,
+                            **given("sampling_step", "search_range", "gradient_threshold"))
+    return RunConfig(camera, tracker, **given("coast_frames"))

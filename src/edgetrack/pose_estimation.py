@@ -167,17 +167,6 @@ def _jacobian(f, v, z, n, focal, backend):
     return backend.stack([cross, minus_g[:3]]).reshape(6, -1)
 
 
-def residual_jacobian(X, R, t, K: CameraIntrinsics, n, backend):
-    """Row of ∂r/∂(rotation increment, translation) at the pose (R, t),
-    for the point X with the normal n, all given as floats and converted to
-    the backend: the Jacobian LM builds, on one-point columns."""
-    from_float = backend.words.from_float
-    X, n, focal = (backend.array(c)[:, None] for c in (X, n, (K.fx, K.fy)))
-    R = [list(map(from_float, row)) for row in R]
-    f, v, z = _project(X, R, list(map(from_float, t)), focal, backend)
-    return tuple(_jacobian(f, v, z, n, focal, backend)[:, 0])
-
-
 def _residuals(stacked, R, t, backend):
     """Residuals (N,) at the pose (R, t) on words, over the columns
     _stack_columns gives, and _project's outputs, from which _jacobian

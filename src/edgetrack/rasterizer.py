@@ -25,8 +25,7 @@ spacing of 8 between channel levels, black for background; it is applied
 only when a buffer becomes an image (`id_buffer_to_image`).
 
 A pixel's edge ID answers "is this control point visible" without GPU
-occlusion queries.  An independent ray-casting oracle (`visibility_oracle`)
-exists purely to cross-check the buffer-based test.
+occlusion queries.
 """
 
 from __future__ import annotations
@@ -63,27 +62,9 @@ class CapacityError(ValueError):
 # ---------------------------------------------------------------------------
 # Edge-ID codec.
 
-def encode_edge_id(i: int) -> tuple[int, int, int]:
-    """Pack edge index i into an (R, G, B) triple, channels multiples of 8."""
-    if not 0 <= i <= MAX_EDGE_ID:
-        raise CapacityError(f"edge index {i} outside [0, {MAX_EDGE_ID}]")
-    b_code = (i + 1) * 8
-    g_code = (b_code // 256) * 8
-    r_code = (g_code // 256) * 8
-    return (r_code % 256, g_code % 256, b_code % 256)
-
-
-def decode_edge_id(r: int, g: int, b: int) -> int:
-    """Inverse of encode_edge_id; black returns the BACKGROUND sentinel."""
-    if r == 0 and g == 0 and b == 0:
-        return BACKGROUND
-    rg = (r // 8) * 256 + g
-    rgb = (rg // 8) * 256 + b
-    return rgb // 8 - 1
-
-
 def encode_id_array(ids) -> np.ndarray:
-    """Vectorized encode_edge_id of an int array to (..., 3) uint8 colors."""
+    """Edge IDs to (..., 3) uint8 colors: ID i packs into B = (i + 1) * 8,
+    with each channel's overflow carried into the next as a multiple of 8."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() > MAX_EDGE_ID):
         raise CapacityError(f"edge index outside [0, {MAX_EDGE_ID}]")
@@ -91,17 +72,6 @@ def encode_id_array(ids) -> np.ndarray:
     g_code = (b_code // 256) * 8
     r_code = (g_code // 256) * 8
     return (np.stack([r_code, g_code, b_code], axis=-1) % 256).astype(np.uint8)
-
-
-def decode_id_array(rgb: np.ndarray) -> np.ndarray:
-    """Vectorized decode of an (h, w, 3) uint8 buffer to int32 IDs."""
-    r = rgb[..., 0].astype(np.int32)
-    g = rgb[..., 1].astype(np.int32)
-    b = rgb[..., 2].astype(np.int32)
-    rg = (r // 8) * 256 + g
-    ids = ((rg // 8) * 256 + b) // 8 - 1
-    ids[(r == 0) & (g == 0) & (b == 0)] = BACKGROUND
-    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -138,17 +108,6 @@ class IdBuffer:
     def __post_init__(self):
         if self.ids is None:
             self.ids = np.full((self.height, self.width), BACKGROUND, dtype=np.int16)
-
-    @property
-    def rgb(self) -> np.ndarray:
-        """The pixels of id_buffer_to_image, read-only: IDs are written to
-        ``ids``."""
-        rgb = id_buffer_to_image(self).pixels
-        rgb.flags.writeable = False
-        return rgb
-
-    def decode_at(self, x: int, y: int) -> int:
-        return int(self.ids[y, x])
 
 
 # ---------------------------------------------------------------------------
@@ -452,48 +411,6 @@ def points_visible(px, py, edges, id_buffer: IdBuffer) -> np.ndarray:
 def is_point_visible(p, edge_index: int, id_buffer: IdBuffer) -> bool:
     """True when the ID buffer credits pixel round(p) (or a 3x3 neighbor) to edge_index."""
     return bool(points_visible([p[0]], [p[1]], [edge_index], id_buffer)[0])
-
-
-def visibility_oracle(
-    model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics, p3d, tol: float = 1e-6
-) -> bool:
-    """Ray-cast visibility of a world point on a model edge.
-
-    Visible iff the open segment from the camera center to the point crosses
-    no model face strictly nearer than the point (relative tolerance excludes
-    the faces the edge itself lies on).
-    """
-    del K  # visibility is viewport-independent; kept for signature symmetry
-    center = pose.camera_center()
-    target = np.asarray(p3d, dtype=np.float64)
-    direction = target - center
-    dist = float(np.linalg.norm(direction))
-    if dist == 0.0:
-        return False
-    direction = direction / dist
-
-    v0 = model.vertices[model.faces[:, 0]]
-    e1 = model.vertices[model.faces[:, 1]] - v0
-    e2 = model.vertices[model.faces[:, 2]] - v0
-    # Moller-Trumbore, vectorized across faces.
-    pvec = np.cross(direction, e2)
-    det = np.einsum("ij,ij->i", e1, pvec)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_det = np.where(np.abs(det) > 1e-12, 1.0 / det, 0.0)
-        tvec = center - v0
-        u = np.einsum("ij,ij->i", tvec, pvec) * inv_det
-        qvec = np.cross(tvec, e1)
-        v = np.einsum("ij,j->i", qvec, direction) * inv_det
-        s = np.einsum("ij,ij->i", e2, qvec) * inv_det
-    hit = (
-        (np.abs(det) > 1e-12)
-        & (u >= -1e-9)
-        & (v >= -1e-9)
-        & (u + v <= 1.0 + 1e-9)
-        & (s > dist * tol)
-        & (s < dist * (1.0 - tol))
-    )
-    return not bool(hit.any())
 
 
 # ---------------------------------------------------------------------------

@@ -107,21 +107,6 @@ class MeasurementSet:
     def n_matched(self) -> int:
         return len(self.edge_index)
 
-    @property
-    def points(self) -> list:
-        """The matches as ControlPoints holding single backend values."""
-        return [
-            ControlPoint(
-                edge_index=int(e),
-                p=(self.p[0][k], self.p[1][k]),
-                n=(self.n[0][k], self.n[1][k]),
-                X=tuple(c[k] for c in self.X),
-                match=(self.match[0][k], self.match[1][k]),
-                likelihood=self.likelihood[k],
-            )
-            for k, e in enumerate(self.edge_index.tolist())
-        ]
-
 
 # ---------------------------------------------------------------------------
 # Sampling.

@@ -197,6 +197,84 @@ def pose_errors(pose_a, pose_b):
 
 
 # ---------------------------------------------------------------------------
+# A float projection and the one-point LM Jacobian, built on the program's
+# own functions, and two independent oracles: the edge-ID colour decoder
+# and ray-cast visibility.
+
+def project_np(points, R, t, K):
+    """Float image points (N, 2) and depths (N,) of world points at the pose
+    (R, t): transform_np, then project_cam on the columns.  No depth check;
+    callers test z."""
+    from edgetrack.geometry import project_cam, transform_np
+
+    cam = transform_np(points, R, t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uv = np.stack(project_cam(cam.T, K), axis=1)
+    return uv, cam[:, 2]
+
+
+def decode_ids(rgb):
+    """Edge IDs of (..., 3) uint8 colours in the ID-buffer colour code, -1
+    (the rasterizer's BACKGROUND) for black: the inverse of
+    rasterizer.encode_id_array, written from the code's definition."""
+    r, g, b = (np.asarray(rgb)[..., c].astype(np.int64) for c in range(3))
+    ids = (((r // 8) * 256 + g) // 8 * 256 + b) // 8 - 1
+    return np.where((r == 0) & (g == 0) & (b == 0), -1, ids)
+
+
+def visibility_oracle(model, pose, p3d, tol: float = 1e-6) -> bool:
+    """Ray-cast visibility of a world point on a model edge.
+
+    Visible iff the open segment from the camera center to the point crosses
+    no model face strictly nearer than the point (relative tolerance excludes
+    the faces the edge itself lies on).  Shares no code with the rasterizer.
+    """
+    center = pose.camera_center()
+    target = np.asarray(p3d, dtype=np.float64)
+    direction = target - center
+    dist = float(np.linalg.norm(direction))
+    if dist == 0.0:
+        return False
+    direction = direction / dist
+
+    v0 = model.vertices[model.faces[:, 0]]
+    e1 = model.vertices[model.faces[:, 1]] - v0
+    e2 = model.vertices[model.faces[:, 2]] - v0
+    # Moller-Trumbore, vectorized across faces.
+    pvec = np.cross(direction, e2)
+    det = np.einsum("ij,ij->i", e1, pvec)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_det = np.where(np.abs(det) > 1e-12, 1.0 / det, 0.0)
+        tvec = center - v0
+        u = np.einsum("ij,ij->i", tvec, pvec) * inv_det
+        qvec = np.cross(tvec, e1)
+        v = np.einsum("ij,j->i", qvec, direction) * inv_det
+        s = np.einsum("ij,ij->i", e2, qvec) * inv_det
+    hit = (
+        (np.abs(det) > 1e-12)
+        & (u >= -1e-9)
+        & (v >= -1e-9)
+        & (u + v <= 1.0 + 1e-9)
+        & (s > dist * tol)
+        & (s < dist * (1.0 - tol))
+    )
+    return not bool(hit.any())
+
+
+def residual_jacobian(X, R, t, K, n, backend):
+    """Row of d(residual)/d(rotation increment, translation) at the pose
+    (R, t), for the point X with the normal n, all given as floats and
+    converted to the backend: the Jacobian LM builds, on one-point columns."""
+    from edgetrack.pose_estimation import _jacobian, _project
+
+    from_float = backend.words.from_float
+    X, n, focal = (backend.array(c)[:, None] for c in (X, n, (K.fx, K.fy)))
+    R = [list(map(from_float, row)) for row in R]
+    f, v, z = _project(X, R, list(map(from_float, t)), focal, backend)
+    return tuple(_jacobian(f, v, z, n, focal, backend)[:, 0])
+
+
+# ---------------------------------------------------------------------------
 # Reference scalars: the oracle for the backends' arrays and words.
 
 def ref_scalars(backend) -> SimpleNamespace:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from edgetrack.geometry import exp_map_np, load_model, project_np
+from edgetrack.geometry import exp_map_np, load_model
 from edgetrack.harness import (
     GROUND_TRUTH_NAME,
     POSES_NAME,
@@ -28,11 +28,9 @@ from edgetrack.pose_estimation import LMSettings, solve_lm
 from edgetrack.rasterizer import (
     MAX_EDGE_ID,
     CapacityError,
-    decode_edge_id,
-    encode_edge_id,
+    encode_id_array,
     is_point_visible,
     render_id_buffer,
-    visibility_oracle,
 )
 from edgetrack.realmath import get_backend
 from edgetrack.tracking import TrackerConfig
@@ -40,11 +38,15 @@ from edgetrack.tracking import TrackerConfig
 from conftest import (
     columns,
     cube_model_text,
+    decode_ids,
     perturbed_pose,
     pose_errors,
+    project_np,
     random_convex_model,
     random_orbit_pose,
+    residual_jacobian,
     synthetic_measurements,
+    visibility_oracle,
 )
 from test_pose_estimation import numeric_row, random_configs
 
@@ -112,12 +114,13 @@ def q47_run(standard_seq, cube60, camera, work_dir):
 
 def test_criterion_01_codec_exhaustive():
     t0 = time.perf_counter()
-    for i in range(MAX_EDGE_ID + 1):
-        r, g, b = encode_edge_id(i)
-        assert r % 8 == 0 and g % 8 == 0 and b % 8 == 0
-        assert decode_edge_id(r, g, b) == i
-    with pytest.raises(CapacityError):
-        encode_edge_id(MAX_EDGE_ID + 1)
+    ids = np.arange(MAX_EDGE_ID + 1)
+    colors = encode_id_array(ids)
+    assert not (colors % 8).any()
+    assert np.array_equal(decode_ids(colors), ids)
+    for bad in (MAX_EDGE_ID + 1, -1):
+        with pytest.raises(CapacityError):
+            encode_id_array(bad)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     print(f"PASS criterion 1: {MAX_EDGE_ID + 1} ids round-trip, "
@@ -153,9 +156,7 @@ def test_criterion_02_visibility_oracle_agreement(camera):
                             and 3 <= v < camera.height - 3):
                         continue
                     total += 1
-                    agree += is_point_visible(uv[0], i, id_buf) == visibility_oracle(
-                        model, pose, camera, p3d
-                    )
+                    agree += is_point_visible(uv[0], i, id_buf) == visibility_oracle(model, pose, p3d)
     elapsed = time.perf_counter() - t0
     rate = agree / total
     assert total > 2000
@@ -169,8 +170,6 @@ def test_criterion_02_visibility_oracle_agreement(camera):
 # 3. Analytic Jacobian vs. finite differences.
 
 def test_criterion_03_jacobian_finite_differences():
-    from edgetrack.pose_estimation import residual_jacobian
-
     rng = np.random.default_rng(303)
     t0 = time.perf_counter()
     worst = 0.0

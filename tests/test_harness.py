@@ -14,6 +14,7 @@ from edgetrack.harness import (
     STATS_NAME,
     EvaluationReport,
     OrbitTrajectory,
+    RunConfig,
     evaluate,
     generate_sequence,
     load_pose_csv,
@@ -29,7 +30,7 @@ from edgetrack.harness import (
     _visible_runs,
 )
 from edgetrack.pose_estimation import LM_STOPS
-from edgetrack.rasterizer import BACKGROUND, decode_id_array, render_id_buffer
+from edgetrack.rasterizer import BACKGROUND, render_id_buffer
 from edgetrack.tracking import TrackerConfig
 
 from conftest import (
@@ -105,7 +106,7 @@ def test_frame_follows_id_buffer(cube_model, qvga_camera):
     for model, pose in scenes:
         dark = render_frame_gray(model, pose, K, sigma=0.0).pixels < 128
         id_buf = render_id_buffer(model, pose, K)
-        edge = decode_id_array(id_buf.rgb) != BACKGROUND
+        edge = id_buf.ids != BACKGROUND
         assert edge.any()
         assert dark[edge].all()
         padded = np.pad(edge, 2)
@@ -178,7 +179,7 @@ def test_trace_steps_only_near_the_image(cube_model, qvga_camera, monkeypatch):
             m.setattr(rasterizer, "_edge_pixels", full_trace)
             ref_id = render_id_buffer(model, scene_pose, K)
             ref_frame = render_frame_gray(model, scene_pose, K, sigma=0.0).pixels
-        assert np.array_equal(id_buf.rgb, ref_id.rgb)
+        assert np.array_equal(id_buf.ids, ref_id.ids)
         assert np.array_equal(frame, ref_frame)
 
 
@@ -563,14 +564,36 @@ def test_run_tracking_dumps_reference_buffers(tmp_path, cube_model, qvga_camera)
     buffers = tmp_path / "run" / "buffers"
     assert len(list(buffers.iterdir())) == 2 * len(records) == 6
     for r in records:
-        rgb, depth = reference_render(cube_model, r.pose, K)
-        assert decode_id_array(rgb).max() >= 0 and np.isfinite(depth).any()
-        ref_ids = IdBuffer(K.width, K.height, decode_id_array(rgb))
+        ids, depth = reference_render(cube_model, r.pose, K)
+        assert ids.max() >= 0 and np.isfinite(depth).any()
+        ref_ids = IdBuffer(K.width, K.height, ids)
         save_image(id_buffer_to_image(ref_ids), tmp_path / "id.ppm")
         save_image(depth_buffer_to_image(DepthBuffer(K.width, K.height, depth)), tmp_path / "depth.pgm")
         assert (buffers / f"frame_{r.frame:06d}_id.ppm").read_bytes() == (tmp_path / "id.ppm").read_bytes()
         assert (buffers / f"frame_{r.frame:06d}_depth.pgm").read_bytes() == (
             tmp_path / "depth.pgm").read_bytes()
+
+
+def test_run_tracking_reads_mixed_pgm_and_ppm_frames_in_name_order(tmp_path, cube_model,
+                                                                    qvga_camera):
+    # Frames 0 and 2 are colour PPMs and frame 1 a blank PGM: the run reads
+    # the files in name order, so record 1 alone coasts and records 0 and 2
+    # hold the poses of their own frames.
+    from edgetrack.imaging import RGB888, ColorImage, GrayImage, load_image, save_image
+
+    traj = standard_trajectory(3)
+    seq = tmp_path / "s"
+    generate_sequence(cube_model, qvga_camera, traj, sigma=0.0, out_dir=seq, seed=0)
+    for k in (0, 2):
+        pgm = seq / ("frame_%06d.pgm" % k)
+        gray = load_image(pgm).pixels
+        save_image(ColorImage(np.repeat(gray[..., None], 3, axis=2), RGB888), pgm.with_suffix(".ppm"))
+        pgm.unlink()
+    save_image(GrayImage(np.full((240, 320), 255, dtype=np.uint8)), seq / "frame_000001.pgm")
+    records = run_tracking(seq, cube_model, qvga_camera, TrackerConfig(), traj.pose(0))
+    assert [r.status for r in records] == ["ok", "coast", "ok"]
+    for k in (0, 2):
+        assert pose_errors(records[k].pose, traj.pose(k))[1] < 0.5
 
 
 def test_run_tracking_missing_frames_raises(tmp_path, cube_model, qvga_camera):
@@ -653,6 +676,9 @@ def test_parse_config_defaults():
     assert rc.tracker.gradient_threshold == 10.0
     assert rc.tracker.backend == "float"
     assert rc.coast_frames == 3
+    # With no file every value is the dataclasses' own default.
+    for b in ("float", "q40_23", "q47_16"):
+        assert parse_config(None, backend=b) == RunConfig(standard_camera(), TrackerConfig(backend=b))
 
 
 def test_parse_config_overrides_and_comments(tmp_path):

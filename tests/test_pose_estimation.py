@@ -19,7 +19,6 @@ from edgetrack.pose_estimation import (
     LMSettings,
     _sum_squares,
     residual,
-    residual_jacobian,
     solve_lm,
 )
 from edgetrack.realmath import get_backend
@@ -33,6 +32,7 @@ from conftest import (
     ref_exp_map,
     ref_intrinsics,
     ref_scalars,
+    residual_jacobian,
     synthetic_measurements,
     to_words,
 )

@@ -11,7 +11,6 @@ from edgetrack.geometry import (
     WireframeModel,
     look_at_pose,
     project_cam,
-    project_np,
     transform_np,
 )
 from edgetrack.imaging import ColorImage, GrayImage
@@ -22,70 +21,75 @@ from edgetrack.rasterizer import (
     NEAR_PLANE_MM,
     CapacityError,
     IdBuffer,
-    decode_edge_id,
-    decode_id_array,
     depth_buffer_to_image,
-    encode_edge_id,
     encode_id_array,
     id_buffer_to_image,
     is_point_visible,
     render_depth_buffer,
     render_id_buffer,
-    visibility_oracle,
     _face_depth,
     _triangles,
 )
 
-from conftest import random_convex_model, random_orbit_pose, silhouette_edge_ids
+from conftest import (
+    decode_ids,
+    project_np,
+    random_convex_model,
+    random_orbit_pose,
+    silhouette_edge_ids,
+    visibility_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
 # Codec.
 
 def test_encode_examples():
-    assert encode_edge_id(0) == (0, 0, 8)
-    assert encode_edge_id(31) == (0, 8, 0)
-    assert encode_edge_id(100) == (0, 24, 40)
-    assert encode_edge_id(32766) == (248, 248, 248)
+    ids = [0, 31, 100, 32766]
+    want = [(0, 0, 8), (0, 8, 0), (0, 24, 40), (248, 248, 248)]
+    assert encode_id_array(ids).tolist() == [list(c) for c in want]
+    assert encode_id_array(100).tolist() == [0, 24, 40]
 
 
 def test_encode_capacity():
-    with pytest.raises(CapacityError):
-        encode_edge_id(32767)
-    with pytest.raises(CapacityError):
-        encode_edge_id(-1)
+    for bad in (32767, -1):
+        with pytest.raises(CapacityError):
+            encode_id_array(bad)
+        with pytest.raises(CapacityError):
+            encode_id_array([3, bad])
+    assert encode_id_array(np.zeros(0, dtype=int)).shape == (0, 3)
 
 
-def test_decode_examples():
-    assert decode_edge_id(0, 0, 8) == 0
-    assert decode_edge_id(0, 0, 0) == BACKGROUND
-    assert decode_edge_id(248, 248, 248) == 32766
-
-
-def test_codec_round_trip_exhaustive():
-    for i in range(32767):
-        r, g, b = encode_edge_id(i)
-        assert r % 8 == 0 and g % 8 == 0 and b % 8 == 0
-        assert decode_edge_id(r, g, b) == i
+def _encode_scalar(i):
+    """One edge ID to an (R, G, B) colour, channel by channel in Python ints:
+    B = (i + 1) * 8, each channel's overflow carried into the next as a
+    multiple of 8."""
+    b = (i + 1) * 8
+    g = (b // 256) * 8
+    r = (g // 256) * 8
+    return (r % 256, g % 256, b % 256)
 
 
 def test_encode_id_array_matches_scalar():
     ids = np.arange(32767)
-    assert np.array_equal(encode_id_array(ids), np.array([encode_edge_id(i) for i in ids]))
+    assert np.array_equal(encode_id_array(ids), np.array([_encode_scalar(int(i)) for i in ids]))
     assert encode_id_array(np.zeros(0, dtype=int)).shape == (0, 3)
     for bad in (-1, 32767):
         with pytest.raises(CapacityError):
             encode_id_array([3, bad])
 
 
-def test_decode_id_array_matches_scalar():
-    rng = np.random.default_rng(51)
-    colors = rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
-    decoded = decode_id_array(colors)
-    for y in range(16):
-        for x in range(16):
-            r, g, b = (int(v) for v in colors[y, x])
-            assert decoded[y, x] == decode_edge_id(r, g, b)
+def test_decode_examples():
+    colors = np.array([(0, 0, 8), (0, 0, 0), (248, 248, 248)], dtype=np.uint8)
+    assert decode_ids(colors).tolist() == [0, BACKGROUND, 32766]
+
+
+def test_codec_round_trip_exhaustive():
+    ids = np.arange(MAX_EDGE_ID + 1)
+    colors = encode_id_array(ids)
+    assert colors.dtype == np.uint8 and colors.shape == (MAX_EDGE_ID + 1, 3)
+    assert not (colors % 8).any()
+    assert np.array_equal(decode_ids(colors), ids)
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +108,7 @@ def face_on_pose(distance=200.0):
 
 
 def present_ids(id_buf):
-    ids = decode_id_array(id_buf.rgb)
-    return set(int(i) for i in np.unique(ids)) - {BACKGROUND}
+    return set(int(i) for i in np.unique(id_buf.ids)) - {BACKGROUND}
 
 
 def test_single_triangle_all_edges_present(qvga_camera):
@@ -142,14 +145,14 @@ def test_all_rendered_ids_valid(cube_model, qvga_camera):
         ids = present_ids(id_buf)
         assert all(0 <= i < len(cube_model.edges) for i in ids)
         # Channel levels of drawn pixels are always multiples of 8.
-        assert not np.any(id_buf.rgb % 8)
+        assert not np.any(id_buffer_to_image(id_buf).pixels % 8)
 
 
 def test_render_deterministic(cube_model, qvga_camera):
     pose = random_orbit_pose(np.random.default_rng(53))
     a_id, b_id = (render_id_buffer(cube_model, pose, qvga_camera) for _ in range(2))
     a_depth, b_depth = (render_depth_buffer(cube_model, pose, qvga_camera) for _ in range(2))
-    assert np.array_equal(a_id.rgb, b_id.rgb)
+    assert np.array_equal(a_id.ids, b_id.ids)
     assert np.array_equal(a_depth.depth, b_depth.depth)
 
 
@@ -245,10 +248,10 @@ def reference_fill(model, cam, K):
 
 
 def reference_render(model, pose, K):
-    """ID and depth buffers from the full z-fill and a per-pixel edge loop."""
+    """Edge IDs and depths from the full z-fill and a per-pixel edge loop."""
     cam = transform_np(model.vertices, pose.rotation(), pose.t)
     depth, owner = reference_fill(model, cam, K)
-    rgb = np.zeros((K.height, K.width, 3), dtype=np.uint8)
+    ids = np.full((K.height, K.width), BACKGROUND)
     edge_depth = np.full((K.height, K.width), np.inf)
     for i, own_faces in enumerate(model.edge_faces):
         seg = clip_segment_near(cam[model.edges[i][0]], cam[model.edges[i][1]])
@@ -272,8 +275,8 @@ def reference_render(model, pose, K):
             passes = owner[y, x] in own_faces or z <= depth[y, x] * (1.0 + DEPTH_BIAS)
             if passes and z < edge_depth[y, x]:
                 edge_depth[y, x] = z
-                rgb[y, x] = encode_edge_id(i)
-    return rgb, depth
+                ids[y, x] = i
+    return ids, depth
 
 
 def reference_scenes(cube_model, rng):
@@ -301,8 +304,8 @@ def reference_scenes(cube_model, rng):
 
 def test_render_matches_per_pixel_reference(cube_model, qvga_camera):
     for model, pose in reference_scenes(cube_model, np.random.default_rng(56)):
-        rgb, depth = reference_render(model, pose, qvga_camera)
-        assert np.array_equal(render_id_buffer(model, pose, qvga_camera).rgb, rgb)
+        ids, depth = reference_render(model, pose, qvga_camera)
+        assert np.array_equal(render_id_buffer(model, pose, qvga_camera).ids, ids)
         assert np.array_equal(render_depth_buffer(model, pose, qvga_camera).depth, depth)
 
 
@@ -457,7 +460,7 @@ def test_render_at_no_traced_pixel_is_background(cube_model, qvga_camera):
     for pixels in (np.zeros(0, dtype=np.int64), untraced):
         buf = render_id_buffer(cube_model, pose, K, pixels)
         assert (buf.ids == BACKGROUND).all()
-        assert not buf.rgb.any()
+        assert not id_buffer_to_image(buf).pixels.any()
     # Untraced pixels next to traced ones change nothing.
     check_render_at(cube_model, pose, K, np.union1d(traced[::3], untraced))
 
@@ -498,7 +501,7 @@ def test_visible_point_on_front_edge(cube_model, qvga_camera):
     id_buf = render_id_buffer(cube_model, pose, qvga_camera)
     uv, mid, _ = edge_midpoint_px(cube_model, 0, pose, qvga_camera)
     assert is_point_visible(uv, 0, id_buf)
-    assert visibility_oracle(cube_model, pose, qvga_camera, mid)
+    assert visibility_oracle(cube_model, pose, mid)
 
 
 def test_background_point_not_visible(cube_model, qvga_camera):
@@ -519,7 +522,7 @@ def test_occluded_rear_edge_not_visible(cube_model, qvga_camera):
     id_buf = render_id_buffer(cube_model, pose, qvga_camera)
     uv, mid, _ = edge_midpoint_px(cube_model, 4, pose, qvga_camera)
     assert not is_point_visible(uv, 4, id_buf)
-    assert not visibility_oracle(cube_model, pose, qvga_camera, mid)
+    assert not visibility_oracle(cube_model, pose, mid)
 
 
 def test_occluding_plane_blocks_edge(qvga_camera):
@@ -541,7 +544,7 @@ def test_occluding_plane_blocks_edge(qvga_camera):
     mid = np.array([0.0, -15.0, 200.0])
     uv, _ = project_np(mid[None, :], pose.rotation(), pose.t, qvga_camera)
     assert not is_point_visible(uv[0], 0, id_buf)
-    assert not visibility_oracle(model, pose, qvga_camera, mid)
+    assert not visibility_oracle(model, pose, mid)
 
 
 def test_neighborhood_tolerance_absorbs_quantization(cube_model, qvga_camera):
@@ -578,9 +581,7 @@ def test_oracle_agreement_random_scenes(qvga_camera):
                     u, v = uv[0]
                     if not (z[0] > 1.0 and 3 <= u < 317 and 3 <= v < 237):
                         continue
-                    same = is_point_visible(uv[0], i, id_buf) == visibility_oracle(
-                        model, pose, qvga_camera, p3d
-                    )
+                    same = is_point_visible(uv[0], i, id_buf) == visibility_oracle(model, pose, p3d)
                     total_sil += 1
                     agree_sil += same
                     if i not in on_silhouette:
@@ -598,7 +599,17 @@ def test_id_buffer_dump(cube_model, qvga_camera):
     id_buf = render_id_buffer(cube_model, face_on_pose(), qvga_camera)
     img = id_buffer_to_image(id_buf)
     assert isinstance(img, ColorImage)
-    assert np.array_equal(img.pixels, id_buf.rgb)
+    assert img.pixels.shape == (qvga_camera.height, qvga_camera.width, 3)
+    assert np.array_equal(decode_ids(img.pixels), id_buf.ids)
+
+
+def test_id_buffer_image_codes_every_id():
+    buf = IdBuffer(4, 4)
+    buf.ids[2, 1] = 7
+    buf.ids[3, 3] = MAX_EDGE_ID  # the buffer's integers hold every ID
+    pixels = id_buffer_to_image(buf).pixels
+    assert np.array_equal(pixels[[2, 3], [1, 3]], encode_id_array([7, MAX_EDGE_ID]))
+    assert np.array_equal(decode_ids(pixels), buf.ids)
 
 
 def test_depth_buffer_dump(cube_model, qvga_camera):
@@ -615,14 +626,3 @@ def test_depth_dump_empty_buffer():
 
     img = depth_buffer_to_image(DepthBuffer(8, 8))
     assert np.all(img.pixels == 255)
-
-
-def test_id_buffer_decode_at():
-    buf = IdBuffer(4, 4)
-    buf.ids[2, 1] = 7
-    buf.ids[3, 3] = MAX_EDGE_ID  # the buffer's integers hold every ID
-    assert tuple(buf.rgb[2, 1]) == encode_edge_id(7)
-    assert tuple(buf.rgb[3, 3]) == encode_edge_id(MAX_EDGE_ID)
-    assert buf.decode_at(1, 2) == 7
-    assert buf.decode_at(3, 3) == MAX_EDGE_ID
-    assert buf.decode_at(0, 0) == BACKGROUND

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from edgetrack.geometry import exp_map_np, log_rotation_np, look_at_pose, project_np
+from edgetrack.geometry import exp_map_np, log_rotation_np, look_at_pose
 from edgetrack.imaging import GrayImage
 from edgetrack.rasterizer import render_id_buffer
 from edgetrack.realmath import get_backend
@@ -20,7 +20,7 @@ from edgetrack.tracking import (
     search_correspondence,
 )
 
-from conftest import mat_vec, ref_exp_map, ref_intrinsics, ref_scalars
+from conftest import decode_ids, mat_vec, project_np, ref_exp_map, ref_intrinsics, ref_scalars
 
 FLOAT = get_backend("float")
 Q40 = get_backend("q40_23")
@@ -287,11 +287,11 @@ def test_collect_measurements_counts_and_matches(cube_model, qvga_camera):
     )
     assert isinstance(ms, MeasurementSet)
     assert ms.n_projected >= ms.n_sampled >= ms.n_matched >= 6
-    assert len(ms.points) == ms.n_matched
+    columns = (ms.edge_index, *ms.p, *ms.n, *ms.X, *ms.match, ms.likelihood)
+    assert all(len(c) == ms.n_matched for c in columns)
+    assert np.isfinite(ms.match).all() and np.isfinite(ms.X).all()
     # most visible points should find the drawn edge under zero noise
     assert ms.n_matched >= 0.9 * ms.n_sampled
-    for cp in ms.points:
-        assert cp.match is not None and cp.X is not None
 
 
 def test_collect_world_points_reproject_onto_control_points(cube_model, qvga_camera):
@@ -304,11 +304,8 @@ def test_collect_world_points_reproject_onto_control_points(cube_model, qvga_cam
         cube_model, pose, qvga_camera, gray, render, default_cfg(), FLOAT
     )
     R = exp_map_np(pose.omega)
-    X = np.array([cp.X for cp in ms.points])
-    uv, _ = project_np(X, R, pose.t, qvga_camera)
-    for cp, (u, v) in zip(ms.points, uv):
-        assert u == pytest.approx(cp.p[0], abs=1e-6)
-        assert v == pytest.approx(cp.p[1], abs=1e-6)
+    uv, _ = project_np(np.stack(ms.X, axis=1), R, pose.t, qvga_camera)
+    assert uv == pytest.approx(np.stack(ms.p, axis=1), abs=1e-6)
 
 
 def test_collect_rear_edges_contribute_nothing(cube_model, qvga_camera):
@@ -321,7 +318,7 @@ def test_collect_rear_edges_contribute_nothing(cube_model, qvga_camera):
     ms = collect_measurements(
         cube_model, pose, qvga_camera, gray, render, default_cfg(), FLOAT
     )
-    assert {cp.edge_index for cp in ms.points}.isdisjoint({4, 5, 6, 7})
+    assert set(ms.edge_index.tolist()).isdisjoint({4, 5, 6, 7})
 
 
 def test_collect_blank_image_insufficient(cube_model, qvga_camera):
@@ -364,9 +361,9 @@ def test_collect_fixed_backend_matches_float_counts(cube_model, qvga_camera):
     assert abs(ms_q.n_matched - ms_f.n_matched) <= 2
     # clip and projection arithmetic round differently at 2^-23; a few 1e-4
     # of a pixel is far below the half-pixel matching scale
-    for cf, cq in zip(ms_f.points, ms_q.points):
-        assert Q40.to_float(cq.p[0]) == pytest.approx(cf.p[0], abs=1e-3)
-        assert Q40.to_float(cq.p[1]) == pytest.approx(cf.p[1], abs=1e-3)
+    n = min(ms_f.n_matched, ms_q.n_matched)
+    for pf, pq in zip(ms_f.p, ms_q.p):
+        assert Q40.to_float(pq[:n]) == pytest.approx(pf[:n], abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +416,7 @@ def ref_is_point_visible(p, edge_index, id_buffer):
         return False
     for ny in range(max(0, y - 1), min(id_buffer.height, y + 2)):
         for nx in range(max(0, x - 1), min(id_buffer.width, x + 2)):
-            if id_buffer.decode_at(nx, ny) == edge_index:
+            if id_buffer.ids[ny, nx] == edge_index:
                 return True
     return False
 
@@ -697,7 +694,7 @@ def test_visibility_matches_scalar_reference(cube_model, qvga_camera):
 
     # Random small buffers, points on the half-pixel grid: rounding ties of
     # both signs and every border neighbourhood.
-    from edgetrack.rasterizer import IdBuffer, encode_edge_id
+    from edgetrack.rasterizer import IdBuffer, id_buffer_to_image
 
     for _ in range(20):
         buf = IdBuffer(7, 5)
@@ -705,7 +702,7 @@ def test_visibility_matches_scalar_reference(cube_model, qvga_camera):
         for (y, x), i in np.ndenumerate(ids):
             if i >= 0:
                 buf.ids[y, x] = i
-                assert tuple(buf.rgb[y, x]) == encode_edge_id(int(i))
+        assert np.array_equal(decode_ids(id_buffer_to_image(buf).pixels), ids)
         pts = rng.integers(-5, 17, (60, 2)) * 0.5
         edges = rng.integers(0, 3, 60)
         want = [ref_is_point_visible(p, e, buf) for p, e in zip(pts, edges)]
@@ -734,11 +731,11 @@ def test_collect_measurements_matches_scalar_reference(be, cube_model, qvga_came
         render = render_at(model, start, qvga_camera)
         ms = collect_measurements(model, start, qvga_camera, gray, render, cfg, be)
         assert (ms.n_projected, ms.n_sampled, ms.n_matched) == (n_projected, n_sampled, len(want))
-        for got, ref in zip(ms.points, want):
-            assert got.edge_index == ref.edge_index
+        for k, ref in enumerate(want):
+            assert ms.edge_index[k] == ref.edge_index
             for field in ("p", "n", "X", "match"):
-                assert [bits(v) for v in getattr(got, field)] == [bits(v) for v in getattr(ref, field)]
-            assert bits(got.likelihood) == bits(ref.likelihood)
+                assert [bits(c[k]) for c in getattr(ms, field)] == [bits(v) for v in getattr(ref, field)]
+            assert bits(ms.likelihood[k]) == bits(ref.likelihood)
 
 
 def measurement_bytes(ms):
