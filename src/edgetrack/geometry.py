@@ -78,6 +78,25 @@ class WireframeModel:
             row[:len(fs)] = fs
         return table
 
+    @cached_property
+    def edge_ends(self) -> tuple:
+        """The vertices the edges use, ascending, as a (V,) index array, and
+        each edge's two ends as indices into it, an (E, 2) array."""
+        used, ends = np.unique(self.edges.ravel(), return_inverse=True)
+        return used, ends.reshape(-1, 2)
+
+    @cached_property
+    def _backend_forms(self) -> dict:
+        return {}
+
+    def used_vertices(self, backend):
+        """The vertices edge_ends names, as one (3, V) array of the backend,
+        converted by ``backend.array`` on the first call for the backend."""
+        forms = self._backend_forms
+        if backend.name not in forms:
+            forms[backend.name] = backend.array(self.vertices[self.edge_ends[0]].T)
+        return forms[backend.name]
+
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
@@ -96,19 +115,32 @@ class CameraIntrinsics:
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point outside the image")
 
+    @cached_property
+    def _backend_forms(self) -> dict:
+        return {}
+
     def to_backend(self, backend) -> "BackendIntrinsics":
-        v = backend.array([self.fx, self.fy, self.cx, self.cy])
-        return BackendIntrinsics(v[0], v[1], v[2], v[3])
+        """The intrinsics converted by ``backend.array``, on the first call
+        for the backend."""
+        forms = self._backend_forms
+        if backend.name not in forms:
+            v = backend.array([[self.fx], [self.fy], [self.cx], [self.cy]])
+            forms[backend.name] = BackendIntrinsics(v[0, 0], v[1, 0], v[2, 0], v[3, 0],
+                                                    v[:2], v[2:])
+        return forms[backend.name]
 
 
 @dataclass(frozen=True)
 class BackendIntrinsics:
-    """Intrinsics converted to one backend by ``backend.array``."""
+    """Intrinsics converted to one backend by ``backend.array``: each value,
+    and (fx, fy) and (cx, cy) as (2, 1) arrays for stacked points."""
 
     fx: object
     fy: object
     cx: object
     cy: object
+    focal: object
+    center: object
 
 
 @dataclass
@@ -318,8 +350,8 @@ def clip_box(a, d, lo, hi, backend):
     axes, so no division runs that a clip stopping at the first failed
     test would skip.
     """
-    s0 = backend.array(0)
-    s1 = one = backend.array(1)
+    s0 = backend.constant(0)
+    s1 = one = backend.constant(1)
     meets = True
     for a_k, d_k, lo_k, hi_k in zip(a, d, lo, hi):
         to_lo, to_hi = lo_k - a_k, hi_k - a_k

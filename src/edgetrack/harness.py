@@ -318,10 +318,18 @@ class FrameRecord:
 
 
 def _sequence_frames(sequence_dir) -> list:
-    """The frame_*.pgm and frame_*.ppm files of a sequence, in name order."""
+    """The frame_*.pgm and frame_*.ppm files of a sequence, in name order.
+
+    ValueError when a frame number has both files: the records would no
+    longer line up with the ground-truth rows.
+    """
     frames = sorted(Path(sequence_dir).glob("frame_*.p[gp]m"))
     if not frames:
         raise FileNotFoundError(f"no frame_*.pgm or frame_*.ppm files under {sequence_dir}")
+    twice = [a.stem[len("frame_"):] for a, b in zip(frames, frames[1:]) if a.stem == b.stem]
+    if twice:
+        raise ValueError(f"frame numbers {', '.join(twice)} under {sequence_dir} "
+                         "have both a .pgm and a .ppm file")
     return frames
 
 

@@ -129,8 +129,7 @@ def _stack_columns(columns, Kb, backend):
     columns (X, n, match) as (3, N), (2, N) and (2, N) backend arrays, and
     the focal lengths and the principal point as (2, 1) arrays."""
     X, n, q = (backend.stack(c) for c in columns)
-    focal, center = (backend.stack(pair)[:, None] for pair in ((Kb.fx, Kb.fy), (Kb.cx, Kb.cy)))
-    return X, n, q, focal, center
+    return X, n, q, Kb.focal, Kb.center
 
 
 def _project(X, R, t, focal, backend):

@@ -296,16 +296,18 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[first]
 
 
+_NO_RANK = np.iinfo(np.int64).max  # above every rank: a group with no entry
+
+
 def _nearest(group, z, rank, n: int):
     """For each group 0..n-1 the least z of its entries and, among the
     entries at that z, the lowest rank; +inf and -1 for an empty group."""
     z_min = np.full(n, np.inf)
     np.minimum.at(z_min, group, z)
     at_min = z == z_min[group]
-    none = np.iinfo(np.int64).max
-    best = np.full(n, none)
+    best = np.full(n, _NO_RANK)
     np.minimum.at(best, group[at_min], rank[at_min])
-    best[best == none] = -1
+    best[best == _NO_RANK] = -1
     return z_min, best
 
 
@@ -370,7 +372,7 @@ def render_depth_buffer(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsic
 _NEIGHBOURS = np.array([(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
 
 
-def _neighbourhoods(px, py, width: int, height: int) -> np.ndarray:
+def neighbourhoods(px, py, width: int, height: int) -> np.ndarray:
     """Per point, the flat indices y * width + x of the 3x3 neighbourhood of
     pixel round(p), (N, 9); -1 for a neighbour off the image, and for every
     neighbour of a point whose own pixel is off the image.
@@ -387,11 +389,18 @@ def _neighbourhoods(px, py, width: int, height: int) -> np.ndarray:
     return np.where(on_image, ny * width + nx, -1)
 
 
-def read_pixels(px, py, width: int, height: int) -> np.ndarray:
-    """The sorted distinct flat pixel indices points_visible reads for the
-    points (px, py): the pixels to pass to render_id_buffer."""
-    flat = _neighbourhoods(px, py, width, height)
+def read_pixels(flat: np.ndarray) -> np.ndarray:
+    """The sorted distinct flat pixel indices of the neighbourhoods flat
+    (``neighbourhoods``), which neighbourhoods_visible reads: the pixels to
+    pass to render_id_buffer."""
     return _distinct(np.sort(flat[flat >= 0]))
+
+
+def neighbourhoods_visible(flat: np.ndarray, edges, id_buffer: IdBuffer) -> np.ndarray:
+    """points_visible for the points whose neighbourhoods are flat
+    (``neighbourhoods``); only the pixels read_pixels names are read."""
+    ids = id_buffer.ids.reshape(-1)[np.maximum(flat, 0)]
+    return ((flat >= 0) & (ids == np.asarray(edges)[:, None])).any(axis=1)
 
 
 def points_visible(px, py, edges, id_buffer: IdBuffer) -> np.ndarray:
@@ -401,11 +410,10 @@ def points_visible(px, py, edges, id_buffer: IdBuffer) -> np.ndarray:
     Rounding is to the nearest pixel, ties away from zero; a point whose
     pixel is off the image is not visible.  The neighbourhood absorbs the
     quantization gap between sub-pixel control points and the
-    integer-rasterized buffer.  Only the pixels read_pixels names are read.
+    integer-rasterized buffer.
     """
-    flat = _neighbourhoods(px, py, id_buffer.width, id_buffer.height)
-    ids = id_buffer.ids.reshape(-1)[np.maximum(flat, 0)]
-    return ((flat >= 0) & (ids == np.asarray(edges)[:, None])).any(axis=1)
+    flat = neighbourhoods(px, py, id_buffer.width, id_buffer.height)
+    return neighbourhoods_visible(flat, edges, id_buffer)
 
 
 def is_point_visible(p, edge_index: int, id_buffer: IdBuffer) -> bool:

@@ -13,10 +13,18 @@ per-edge and per-point stages, which run once over all edges or points;
 plain numbers in an array (floats, or raw fixed-point words as Python
 ints), carry loops of many scalar steps: ``backend.words`` (``WordOps``)
 converts numbers to words and runs arithmetic, sqrt, sin and cos on them,
-and turns nested lists of them into arrays.  A ``FixedArray`` carries a
-bound on its raw magnitudes from operation to operation, and its words are
-scanned only where no bound was propagated or the propagated bounds fail
-to prove an operation exact.
+and turns nested lists of them into arrays.  Each fixed-point word
+operation is one call, with its truncation and range check inline.  A
+``FixedArray`` carries a bound on its raw magnitudes from operation to
+operation, and its words are scanned only where no bound was propagated or
+the propagated bounds fail to prove an operation exact.  An integer
+operand multiplies a ``FixedArray`` without a shift, since FixedPoint's
+x * k is exactly x k.
+
+What stays fixed over a run is converted once: `get_backend` builds one
+backend per name, ``backend.constant`` keeps the arrays of numbers such as
+the settings, and the camera and the model keep their own conversions
+(``CameraIntrinsics.to_backend``, ``WireframeModel.used_vertices``).
 
 ``FixedPoint`` is the fixed-point scalar: no tracker path builds one, and
 the tests compare arrays and words against it, operation by operation.
@@ -34,7 +42,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import partialmethod
+from functools import cache, partialmethod
 from math import isqrt
 from typing import Callable, ClassVar, NamedTuple
 
@@ -416,8 +424,16 @@ def _is_wide(words) -> bool:
 
 def _trunc_shift_array(p, shift: int):
     """Elementwise p >> shift truncated toward zero: numpy's >> floors, so
-    2**shift - 1 is added to the negative words first, without a branch."""
-    return (p + (p < 0) * ((1 << shift) - 1)) >> shift
+    2**shift - 1 is added to the negative words first, without a branch.
+
+    An int64 product is shifted in place, where p >> 63 is its sign mask;
+    Python ints (an int or an object array) get the formula, since on them
+    p >> 63 is no sign mask."""
+    if _is_wide(p):
+        return (p + (p < 0) * ((1 << shift) - 1)) >> shift
+    p += (p >> 63) & ((1 << shift) - 1)
+    p >>= shift
+    return p
 
 
 def _trunc_div_array(a, b):
@@ -488,7 +504,9 @@ class FixedArray:
         """Wrap an exact raw result with a bound on its magnitudes; a
         Python-int result is range-checked, which also gives its tight bound."""
         st = self.scalar_type
-        if not _is_wide(raw):
+        if type(raw) is np.ndarray and raw.dtype.kind == "i":  # int64 words
+            return FixedArray(raw, st, bound)
+        if not _is_wide(raw):  # an int64 scalar, from 0-d operands
             return FixedArray(np.asarray(raw), st, bound)
         raw = np.asarray(raw, dtype=object)
         lo, hi = (int(raw.min()), int(raw.max())) if raw.size else (0, 0)
@@ -509,31 +527,41 @@ class FixedArray:
         tight bounds and need is taken again; only when even those fail do
         the words come back as Python ints.
         """
-        st = self.scalar_type
         arr = None
         if type(other) is FixedArray:
-            if other.scalar_type is not st:
+            if other.scalar_type is not self.scalar_type:
                 return None
             raw, arr = other.raw, other
             bound = other._scan() if other._bound is None else other._bound
-        elif isinstance(other, (int, np.integer)):
-            raw = int(other) << st.FRAC_BITS
-            if not -_WORD_LIMIT <= raw < _WORD_LIMIT:
-                raise MathOverflowError(f"int operand {other} outside {st.FORMAT} range")
-            raw, bound = np.int64(raw), abs(raw)
-        elif isinstance(other, np.ndarray) and other.dtype.kind in "iu":
-            lo, hi = (int(other.min()), int(other.max())) if other.size else (0, 0)
-            if lo << st.FRAC_BITS < -_WORD_LIMIT or hi << st.FRAC_BITS >= _WORD_LIMIT:
-                raise MathOverflowError(f"int operand outside {st.FORMAT} range")
-            raw, bound = other.astype(np.int64) << st.FRAC_BITS, max(-lo, hi) << st.FRAC_BITS
         else:
-            return None
+            k = self._int_operand(other)
+            if k is None:
+                return None
+            shift = self.scalar_type.FRAC_BITS
+            raw, bound = k[0] << shift, k[1] << shift
         n = need(self._scan() if self._bound is None else self._bound, bound)
         if n >= _WORD_LIMIT:
             n = need(self._scan(), bound if arr is None else arr._scan())
             if n >= _WORD_LIMIT:  # Python ints, in which nothing can wrap
                 return _wide(self.raw), _wide(raw), n
         return self.raw, raw, n
+
+    def _int_operand(self, other):
+        """An int or integer-ndarray operand k as int64 words and max |k|;
+        None for any other operand.  MathOverflowError unless k << F, the
+        raw word FixedPoint makes of an int, lies in the word range."""
+        st = self.scalar_type
+        if isinstance(other, (int, np.integer)):
+            k = int(other)
+            if not -_WORD_LIMIT <= k << st.FRAC_BITS < _WORD_LIMIT:
+                raise MathOverflowError(f"int operand {other} outside {st.FORMAT} range")
+            return np.int64(k), abs(k)
+        if isinstance(other, np.ndarray) and other.dtype.kind in "iu":
+            lo, hi = (int(other.min()), int(other.max())) if other.size else (0, 0)
+            if lo << st.FRAC_BITS < -_WORD_LIMIT or hi << st.FRAC_BITS >= _WORD_LIMIT:
+                raise MathOverflowError(f"int operand outside {st.FORMAT} range")
+            return other.astype(np.int64, copy=False), max(-lo, hi)
+        return None
 
     def _own_words(self, factor: int = 1):
         """The raw words as _words gives them, for an operation on this
@@ -548,7 +576,10 @@ class FixedArray:
         return self.raw / (1 << self.scalar_type.FRAC_BITS)
 
     def __getitem__(self, key):
-        return FixedArray(np.asarray(self.raw[key]), self.scalar_type, self._bound)
+        raw = self.raw[key]
+        if type(raw) is not np.ndarray:  # an integer index gives an int64 scalar
+            raw = np.asarray(raw)
+        return FixedArray(raw, self.scalar_type, self._bound)
 
     def reshape(self, *shape) -> "FixedArray":
         return FixedArray(self.raw.reshape(*shape), self.scalar_type, self._bound)
@@ -582,6 +613,12 @@ class FixedArray:
         return self._new(b - a, bound)
 
     def __mul__(self, other):
+        if type(other) is not FixedArray:
+            k = self._int_operand(other)
+            # FixedPoint's x * k is (x (k << F)) >> F truncated, which is
+            # x k exactly: no shift, and int64 while bound * max|k| is.
+            if k is not None and self.bound * k[1] < _WORD_LIMIT:
+                return self._new(self.raw * k[0], self._bound * k[1])
         w = self._words(other, operator.mul)
         if w is None:
             return NotImplemented
@@ -695,17 +732,54 @@ def _float_sqrt(value: float) -> float:
 
 
 def _fixed_word_ops(st: type[FixedPoint]) -> WordOps:
-    """WordOps on the raw words of the format of st."""
+    """WordOps on the raw words of the format of st.
+
+    Each arithmetic operation is one call: it truncates toward zero and
+    range-checks inline, as _trunc_shift, _trunc_div and _word do for
+    FixedPoint, and raises the same errors.
+    """
     fmt, shift = st.FORMAT, st.FRAC_BITS
     scale = 1 << shift
+    lo, hi = -_WORD_LIMIT, _WORD_LIMIT
+
+    def overflow(raw: int):
+        return MathOverflowError(f"raw value {raw} outside the 64-bit word range")
+
+    def add(a: int, b: int) -> int:
+        r = a + b
+        if lo <= r < hi:
+            return r
+        raise overflow(r)
+
+    def sub(a: int, b: int) -> int:
+        r = a - b
+        if lo <= r < hi:
+            return r
+        raise overflow(r)
+
+    def neg(a: int) -> int:
+        r = -a
+        if lo <= r < hi:
+            return r
+        raise overflow(r)
 
     def mul(a: int, b: int) -> int:
-        return _word(_trunc_shift(a * b, shift))
+        p = a * b
+        r = p >> shift if p >= 0 else -(-p >> shift)
+        if lo <= r < hi:
+            return r
+        raise overflow(r)
 
     def div(a: int, b: int) -> int:
         if b == 0:
             raise ZeroDivisionError("fixed-point division by zero")
-        return _word(_trunc_div(a << shift, b))
+        n = a << shift
+        r = n // b
+        if r < 0 and r * b != n:  # floor division went below the quotient
+            r += 1
+        if lo <= r < hi:
+            return r
+        raise overflow(r)
 
     def sqrt(a: int) -> int:
         if a < 0:
@@ -721,9 +795,7 @@ def _fixed_word_ops(st: type[FixedPoint]) -> WordOps:
         return out
 
     return WordOps(from_float=lambda v: _float_word(v, fmt), to_float=lambda w: w / scale,
-                   array=array,
-                   add=lambda a, b: _word(a + b), sub=lambda a, b: _word(a - b),
-                   neg=lambda a: _word(-a), mul=mul, div=div, sqrt=sqrt,
+                   array=array, add=add, sub=sub, neg=neg, mul=mul, div=div, sqrt=sqrt,
                    sin=lambda a: _sin_raw(a, shift), cos=lambda a: _cos_raw(a, shift))
 
 
@@ -737,6 +809,10 @@ class FloatBackend:
     def array(values) -> np.ndarray:
         """A number (as a 0-d array), nested lists or an ndarray as float64."""
         return np.asarray(values, dtype=np.float64)
+
+    # A number fixed over a run (see FixedBackend.constant): converting a
+    # float costs no more than looking it up.
+    constant = array
 
     @staticmethod
     def to_float(values: np.ndarray) -> np.ndarray:
@@ -795,6 +871,14 @@ class FixedBackend:
         self.scalar_type = fixed_type(fmt)
         self.name = f"q{fmt.integer_bits}_{fmt.fraction_bits}"
         self.words = _fixed_word_ops(self.scalar_type)
+        self._constants = {}
+
+    def constant(self, value) -> FixedArray:
+        """array(value) for a number fixed over a run, such as a setting:
+        converted on its first use, then the same array."""
+        if value not in self._constants:
+            self._constants[value] = self.array(value)
+        return self._constants[value]
 
     def array(self, values) -> FixedArray:
         """A number (as a 0-d array), nested lists or an ndarray as an array
@@ -850,8 +934,11 @@ class FixedBackend:
 BACKEND_NAMES = ("float", "q40_23", "q47_16")
 
 
+@cache
 def get_backend(name: str):
-    """Backend instance for a CLI/config name: float, q40_23 or q47_16."""
+    """The backend instance for a CLI/config name: float, q40_23 or q47_16,
+    built on the first call for that name, so its run constants
+    (``constant``) are converted once."""
     if name == "float":
         return FloatBackend()
     if name == "q40_23":

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,7 +44,8 @@ from .rasterizer import (  # noqa: F401
     NEAR_PLANE_MM,
     IdBuffer,
     is_point_visible,
-    points_visible,
+    neighbourhoods,
+    neighbourhoods_visible,
     read_pixels,
 )
 from .realmath import BACKEND_NAMES, FixedArray
@@ -53,7 +55,7 @@ class InsufficientMeasurementsError(ValueError):
     """Fewer matched control points than the 6 pose degrees of freedom."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrackerConfig:
     sampling_step: float = 10.0
     search_range: int = 8
@@ -70,6 +72,14 @@ class TrackerConfig:
             raise ValueError("gradient_threshold must be finite and >= 0")
         if self.backend not in BACKEND_NAMES:
             raise ValueError(f"unknown backend {self.backend!r}")
+
+    @cached_property
+    def tie_order(self) -> np.ndarray:
+        """The search's 2 r + 1 offset columns, column c for offset
+        s = c - r, in the order ties go: smallest |s| first, the negative
+        side first at equal |s|."""
+        r = self.search_range
+        return np.array(sorted(range(2 * r + 1), key=lambda c: (abs(c - r), c - r)))
 
 
 @dataclass
@@ -137,7 +147,7 @@ def _sample_segments(ax, ay, bx, by, cfg: TrackerConfig, backend):
     """
     dx, dy = bx - ax, by - ay
     length = backend.sqrt(dx * dx + dy * dy)
-    step = backend.array(cfg.sampling_step)
+    step = backend.constant(cfg.sampling_step)
     counts = backend.floor_array(length / step)
     # length >= step/2, compared without dividing the step
     counts = np.where((counts == 0) & (length + length >= step), 1, counts)
@@ -200,12 +210,12 @@ def _search(gray: GrayImage, px, py, nx, ny, cfg: TrackerConfig, backend):
     valid = ok[:, 2:] & ok[:, :-2]
     # Likelihoods are >= 0, so -1 marks a site that cannot win; argmax takes
     # the first maximum in tie order.
-    order = np.array(sorted(range(2 * r + 1), key=lambda c: (abs(c - r), c - r)))
+    order = cfg.tie_order
     key = likelihood.raw if isinstance(likelihood, FixedArray) else likelihood
     best = order[np.argmax(np.where(valid, key, -1)[:, order], axis=1)]
     rows = np.arange(len(best))
     best_l = likelihood[rows, best]
-    hit = valid[rows, best] & (best_l >= backend.array(cfg.gradient_threshold))
+    hit = valid[rows, best] & (best_l >= backend.constant(cfg.gradient_threshold))
     return hit, xs[rows, best + 1][hit], ys[rows, best + 1][hit], best_l[hit]
 
 
@@ -255,13 +265,12 @@ def collect_measurements(
     # Camera and world coordinates of the edge ends, near-clipped together:
     # the clip parameter is valid in world space too, since the camera
     # transform is affine.
-    used, ends = np.unique(model.edges.ravel(), return_inverse=True)
-    ends = ends.reshape(-1, 2)
-    world = be.array(model.vertices[used].T)
+    ends = model.edge_ends[1]
+    world = model.used_vertices(be)
     _, cam = transform(world, R, t, be)
     points = tuple(c[i] for c in (cam, world) for i in range(3))
     edge, a, b = clip_near(tuple(c[ends[:, 0]] for c in points),
-                           tuple(c[ends[:, 1]] for c in points), be.array(NEAR_PLANE_MM), be)
+                           tuple(c[ends[:, 1]] for c in points), be.constant(NEAR_PLANE_MM), be)
     (ua, va), (ub, vb) = project_cam(a, Kb), project_cam(b, Kb)
     du, dv = ub - ua, vb - va
     t_lo, t_hi, hit = clip_box((ua, va), (du, dv), (0, 0), (K.width - 1, K.height - 1), be)
@@ -270,9 +279,8 @@ def collect_measurements(
     a, b = tuple(c[rows] for c in a), tuple(c[rows] for c in b)
     seg, tk, (px, py), (nx, ny) = _sample_segments(
         ua + t_lo * du, va + t_lo * dv, ua + t_hi * du, va + t_hi * dv, cfg, be)
-    px_f, py_f = be.to_float(px), be.to_float(py)
-    id_buffer = render_ids(read_pixels(px_f, py_f, K.width, K.height))
-    visible = points_visible(px_f, py_f, edge[seg], id_buffer)
+    flat = neighbourhoods(be.to_float(px), be.to_float(py), K.width, K.height)
+    visible = neighbourhoods_visible(flat, edge[seg], render_ids(read_pixels(flat)))
     seg, tk, px, py, nx, ny = (c[visible] for c in (seg, tk, px, py, nx, ny))
     # Parameter on the near-clipped projected segment, then the
     # perspective-correct parameter along the 3D segment.

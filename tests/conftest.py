@@ -294,10 +294,9 @@ def ref_scalars(backend) -> SimpleNamespace:
 
 
 def ref_intrinsics(K, backend):
-    """The intrinsics K as reference scalars, in a BackendIntrinsics."""
-    from edgetrack.geometry import BackendIntrinsics
-
-    return BackendIntrinsics(*map(ref_scalars(backend).from_float, (K.fx, K.fy, K.cx, K.cy)))
+    """The intrinsics K as reference scalars, under the names project_cam reads."""
+    fx, fy, cx, cy = map(ref_scalars(backend).from_float, (K.fx, K.fy, K.cx, K.cy))
+    return SimpleNamespace(fx=fx, fy=fy, cx=cx, cy=cy)
 
 
 # ---------------------------------------------------------------------------

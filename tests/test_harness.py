@@ -596,6 +596,47 @@ def test_run_tracking_reads_mixed_pgm_and_ppm_frames_in_name_order(tmp_path, cub
         assert pose_errors(records[k].pose, traj.pose(k))[1] < 0.5
 
 
+def duplicate_frame_sequence(seq, model, K):
+    """Frames 0-3 of the standard orbit as PGMs, with frames 1 and 2 also as PPMs."""
+    from edgetrack.imaging import RGB888, ColorImage, load_image, save_image
+
+    traj = standard_trajectory(4)
+    generate_sequence(model, K, traj, sigma=0.0, out_dir=seq, seed=0)
+    for k in (1, 2):
+        gray = load_image(seq / ("frame_%06d.pgm" % k)).pixels
+        save_image(ColorImage(np.repeat(gray[..., None], 3, axis=2), RGB888),
+                   seq / ("frame_%06d.ppm" % k))
+    return traj
+
+
+def test_run_tracking_rejects_a_frame_number_held_twice(tmp_path, cube_model, qvga_camera,
+                                                        monkeypatch):
+    # A frame number with both a PGM and a PPM would shift every later
+    # record off its ground-truth row: the run raises before tracking any
+    # frame, naming the numbers.
+    from edgetrack import harness
+
+    traj = duplicate_frame_sequence(tmp_path / "s", cube_model, qvga_camera)
+    monkeypatch.setattr(harness, "track_frame", lambda *args: pytest.fail("tracked a frame"))
+    with pytest.raises(ValueError, match="000001, 000002"):
+        run_tracking(tmp_path / "s", cube_model, qvga_camera, TrackerConfig(), traj.pose(0),
+                     out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_track_rejects_a_frame_number_held_twice(tmp_path, cube_model_path, capsys):
+    from edgetrack.cli import main
+
+    seq = tmp_path / "s"
+    duplicate_frame_sequence(seq, load_model(cube_model_path), standard_camera())
+    rc = main(["track", "--model", str(cube_model_path), "--sequence", str(seq),
+               "--init", str(seq / GROUND_TRUTH_NAME), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "000001, 000002" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_run_tracking_missing_frames_raises(tmp_path, cube_model, qvga_camera):
     (tmp_path / "empty").mkdir()
     with pytest.raises(FileNotFoundError):

@@ -5,7 +5,7 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgetrack.realmath import (
@@ -764,3 +764,104 @@ def test_word_array_bound_is_the_words_largest_magnitude(cls, monkeypatch):
     assert arr.raw.tolist() == words and arr.bound == 1 << 36
     assert (arr * arr).raw.tolist() == [[w.mul(v, v) for v in row] for row in words]
     assert w.array([5, -9]).bound == 9 and w.array([]).bound == 0
+
+
+# ---------------------------------------------------------------------------
+# Word operations, the integer-operand multiply and the in-place truncation
+# of int64 products, against FixedPoint.
+
+WORD_LIMIT = 1 << 63
+
+
+def raw_words():
+    """Raw words at every magnitude, of both signs, and at the range ends."""
+    ends = st.sampled_from([-WORD_LIMIT, -WORD_LIMIT + 1, WORD_LIMIT - 1, WORD_LIMIT - 2, 0, 1, -1])
+    sized = st.integers(0, 63).flatmap(lambda b: st.integers(-(1 << b), (1 << b) - 1))
+    return st.one_of(ends, sized)
+
+
+def outcome(fn):
+    """A word or array operation's words, or the class of what it raised."""
+    try:
+        out = fn()
+    except (MathOverflowError, ZeroDivisionError) as exc:
+        return type(exc)
+    return out.raw.tolist() if isinstance(out, FixedArray) else out
+
+
+WORD_OPS = [("add", operator.add), ("sub", operator.sub), ("mul", operator.mul),
+            ("div", operator.truediv)]
+
+
+@pytest.mark.parametrize("fmt", [Q40_23, Q47_16], ids=str)
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(a=raw_words(), b=raw_words())
+def test_word_operations_match_fixed_point(fmt, a, b):
+    # Each word operation gives FixedPoint's word and raises its error; the
+    # listed pairs truncate negative results and reach both range ends.
+    cls, w = fixed_type(fmt), FixedBackend(fmt).words
+    half, two = 1 << (fmt.fraction_bits - 1), 2 << fmt.fraction_bits
+    pairs = [(a, b), (-3, half), (3, -half), (-3, two), (3, -two), (-1, 1), (WORD_LIMIT - 1, 1),
+             (-WORD_LIMIT, 1), (-WORD_LIMIT, -1), (1 << 62, 1 << 62), (1 << 62, 1), (a, 0)]
+    for x, y in pairs:
+        for name, op in WORD_OPS:
+            want = scalar_outcome(lambda: op(cls(x), cls(y)))
+            assert outcome(lambda: getattr(w, name)(x, y)) == want, (name, x, y)
+        assert outcome(lambda: w.neg(x)) == scalar_outcome(lambda: -cls(x)), x
+
+
+def int_operands():
+    """Ints whose words lie in the range of either format, and ints at and
+    past its ends (k << F is a word for -2**I <= k < 2**I)."""
+    ends = [s * (1 << bits) + d for bits in (40, 47) for s in (1, -1) for d in (-1, 0, 1)]
+    return st.one_of(st.integers(-300, 300), st.integers(-(1 << 47), 1 << 47), st.sampled_from(ends))
+
+
+NEAR_LIMIT = (WORD_LIMIT - 1) // 3  # times 3 a product just below 2**63
+
+
+@pytest.mark.parametrize("fmt", [Q40_23, Q47_16], ids=str)
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(pairs=st.lists(st.tuples(raw_words(), int_operands()), min_size=1, max_size=5),
+       slack=st.sampled_from([0, 1, 1 << 40, WORD_LIMIT]))
+@example(pairs=[(NEAR_LIMIT, 3), (-NEAR_LIMIT, 3), (NEAR_LIMIT, -3), (-NEAR_LIMIT, -3)], slack=0)
+@example(pairs=[(1, 1 << 47), (1, 1 << 40)], slack=0)  # each past the range of one format
+def test_fixed_array_times_int_matches_fixed_point(fmt, pairs, slack):
+    # x * k for an int or an integer ndarray k: per element FixedPoint's
+    # word, MathOverflowError where an element or k's word overflows, and a
+    # propagated bound no smaller than the result's largest magnitude.  The
+    # operand carries a bound at or above its own, so that both the
+    # propagated bound and a rescan decide the path.
+    from edgetrack.realmath import _max_abs
+
+    cls = fixed_type(fmt)
+    raw, ks = (list(c) for c in zip(*pairs))
+    x = FixedArray(np.array(raw, dtype=np.int64), cls, _max_abs(np.array(raw)) + slack)
+    cases = [(ks[0], [scalar_outcome(lambda v=v: cls(v) * ks[0]) for v in raw]),
+             (np.array(ks), [scalar_outcome(lambda v=v, k=k: cls(v) * k) for v, k in zip(raw, ks)])]
+    for k, per_element in cases:
+        want = expected_outcome(per_element)
+        for got in (lambda: x * k, lambda: k * x):
+            assert outcome(got) == want, (raw, k)
+        if not isinstance(want, type):
+            out = x * k
+            assert out.raw.dtype == np.int64
+            assert out._bound is not None and out._bound >= _max_abs(out.raw)
+
+
+@pytest.mark.parametrize("fmt", [Q40_23, Q47_16], ids=str)
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(a=raw_words().map(abs).filter(lambda v: 0 < v < WORD_LIMIT), gap=st.integers(0, 1 << 20),
+       signs=st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+def test_int64_products_near_the_word_limit_truncate_toward_zero(fmt, a, gap, signs):
+    # Products of both signs within a little of 2**63 in magnitude run in
+    # int64 and are truncated in place: FixedPoint's words, for arrays and
+    # 0-d arrays.
+    cls = fixed_type(fmt)
+    b = max(1, (WORD_LIMIT - 1) // a - gap)  # a b < 2**63, near it when gap is small
+    x, y = signs[0] * a, signs[1] * b
+    want = [scalar_outcome(lambda v=v: cls(v) * cls(y)) for v in (x, -x, 0)]
+    fx = FixedArray(np.array([x, -x, 0], dtype=np.int64), cls)
+    fy = FixedArray(np.array([y, y, y], dtype=np.int64), cls)
+    assert (fx * fy).raw.tolist() == want
+    assert (point(cls, x) * point(cls, y)).raw.tolist() == want[0]

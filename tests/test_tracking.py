@@ -790,6 +790,36 @@ def test_tracking_builds_no_fixed_point_scalar(name, tmp_path, cube_model, monke
     assert built == []
 
 
+@pytest.mark.parametrize("name", ["q40_23", "q47_16"])
+def test_tracking_converts_run_constants_once(name, tmp_path, cube_model, monkeypatch):
+    # Ten seed-5 standard frames: the intrinsics, the model's vertices and
+    # the settings are converted to the backend once per run, on the first
+    # frame, so every later frame makes at most one FixedBackend.array
+    # call, for its sample counts.
+    from edgetrack import harness, realmath
+    from edgetrack.harness import generate_sequence, run_tracking, standard_camera, standard_trajectory
+
+    K, traj = standard_camera(), standard_trajectory(10)
+    generate_sequence(cube_model, K, traj, sigma=2.0, out_dir=tmp_path, seed=5)
+    calls, per_frame = [], []
+    array, track_frame = realmath.FixedBackend.array, harness.track_frame
+    monkeypatch.setattr(realmath.FixedBackend, "array",
+                        lambda self, values: calls.append(1) or array(self, values))
+
+    def counted_frame(*args):
+        start = len(calls)
+        try:
+            return track_frame(*args)
+        finally:
+            per_frame.append(len(calls) - start)
+
+    monkeypatch.setattr(harness, "track_frame", counted_frame)
+    records = run_tracking(tmp_path, cube_model, K, TrackerConfig(backend=name), traj.pose(0))
+    assert [r.status for r in records] == ["ok"] * 10
+    assert len(per_frame) == 10 and per_frame[0] <= 9
+    assert max(per_frame[1:]) <= 1
+
+
 def perturbed_start(pose, rng):
     from conftest import perturbed_pose
 
