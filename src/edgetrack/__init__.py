@@ -26,7 +26,6 @@ from .rasterizer import (
 )
 from .realmath import (
     BACKEND_NAMES,
-    FixedPoint,
     MathOverflowError,
     Q40_23,
     Q47_16,
@@ -50,7 +49,6 @@ __all__ = [
     "ColorImage",
     "ControlPoint",
     "DegenerateGeometryError",
-    "FixedPoint",
     "FrameSizeError",
     "FrameStats",
     "GrayImage",

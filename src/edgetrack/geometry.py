@@ -7,11 +7,13 @@ image y growing downward.
 
 The backend routines are written against the realmath backend protocol so
 they run identically in floating point and fixed point.  `exp_map` runs on
-the backend's words (``backend.words``); `transform` takes a pose on words
-and world points as one (3, N) backend array; `project_cam` takes backend
-arrays.  The segment clips (`clip_near`, `clip_box`) run on
-backend arrays only; the renderer and the tracker share them.  Bulk float
-paths use numpy directly.
+the backend's words (``backend.words``).  Everywhere else a point set is
+one (k, N) backend array, coordinates along axis 0: `transform` takes a
+pose on words and world points as one (3, N) array, `project_cam` maps
+(k, N) camera points to (2, N) image points, and the segment clips
+(`clip_near`, `clip_box`) take and return such arrays.  The renderer (on
+float arrays) and the tracker share all three.  Bulk float paths use
+numpy directly.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ class WireframeModel:
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
         self.faces = np.asarray(self.faces, dtype=np.int32).reshape(-1, 3)
         self.edges = np.asarray(self.edges, dtype=np.int32).reshape(-1, 2)
+        if not np.isfinite(self.vertices).all():
+            raise ModelFormatError("vertex coordinate is not finite")
         n = len(self.vertices)
         for name, idx in (("face", self.faces), ("edge", self.edges)):
             if idx.size and (idx.min() < 0 or idx.max() >= n):
@@ -125,20 +129,15 @@ class CameraIntrinsics:
         forms = self._backend_forms
         if backend.name not in forms:
             v = backend.array([[self.fx], [self.fy], [self.cx], [self.cy]])
-            forms[backend.name] = BackendIntrinsics(v[0, 0], v[1, 0], v[2, 0], v[3, 0],
-                                                    v[:2], v[2:])
+            forms[backend.name] = BackendIntrinsics(v[:2], v[2:])
         return forms[backend.name]
 
 
 @dataclass(frozen=True)
 class BackendIntrinsics:
-    """Intrinsics converted to one backend by ``backend.array``: each value,
-    and (fx, fy) and (cx, cy) as (2, 1) arrays for stacked points."""
+    """Intrinsics converted to one backend by ``backend.array``: (fx, fy)
+    and (cx, cy) as (2, 1) arrays, which broadcast over (2, N) points."""
 
-    fx: object
-    fy: object
-    cx: object
-    cy: object
     focal: object
     center: object
 
@@ -292,13 +291,15 @@ def transform(X, R: Sequence, t: Sequence, backend):
     return v, v + w.array(t)[:, None]
 
 
-def project_cam(c: Sequence, K) -> tuple:
-    """Pinhole image point (u, v) of camera-space point c; no depth check.
+def project_cam(c, K):
+    """Pinhole image points, a (2, N) array with u in row 0 and v in row 1,
+    of the camera-space points c, a (k, N) array with z in row 2 (rows past
+    it are ignored); no depth check.
 
-    K is CameraIntrinsics or BackendIntrinsics: plain operators let the same
-    expression run on floats, numpy arrays and backend arrays.
+    K is BackendIntrinsics of the backend of c: u = fx x / z + cx and
+    v = fy y / z + cy, each formed in that order.
     """
-    return K.fx * c[0] / c[2] + K.cx, K.fy * c[1] / c[2] + K.cy
+    return K.focal * c[:2] / c[2] + K.center
 
 
 def transform_np(points: np.ndarray, R: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -311,28 +312,27 @@ def transform_np(points: np.ndarray, R: np.ndarray, t: np.ndarray) -> np.ndarray
 # Segment clipping, on backend arrays.
 
 def clip_near(a, b, near, backend):
-    """Clip the segments a[i]-b[i] to the half-space z >= near.
+    """Clip the segments a[:, i]-b[:, i] to the half-space z >= near.
 
-    ``a`` and ``b`` are tuples of backend coordinate arrays with z at index
-    2; further components (say the world copy of a camera-space point) are
-    clipped with the same parameter.  Returns the indices of the segments
-    with an end in front of the plane and their clipped ends.  An end in
-    front is kept as it is; an end behind moves to a + s (b - a) with
-    s = (near - z_a) / (z_b - z_a), computed only where the segment crosses.
+    ``a`` and ``b`` are (k, N) backend arrays of points with z in row 2;
+    further rows (say the world copy of a camera-space point) are clipped
+    with the same parameter.  Returns the indices of the segments with an
+    end in front of the plane and their clipped ends, (k, M) arrays.  An
+    end in front is kept as it is; an end behind moves to a + s (b - a)
+    with s = (near - z_a) / (z_b - z_a), computed only where the segment
+    crosses.
     """
     a_in, b_in = a[2] >= near, b[2] >= near
     live = np.flatnonzero(a_in | b_in)
-    a, b = tuple(c[live] for c in a), tuple(c[live] for c in b)
+    a, b = a[:, live], b[:, live]
     a_in, b_in = a_in[live], b_in[live]
     cross = a_in != b_in
     if cross.any():
         at = np.flatnonzero(cross)
-        ca, cb = tuple(c[at] for c in a), tuple(c[at] for c in b)
+        ca, cb = a[:, at], b[:, at]
         s = (near - ca[2]) / (cb[2] - ca[2])
-        moved = tuple(x + s * (y - x) for x, y in zip(ca, cb))
-        row = np.maximum(np.cumsum(cross) - 1, 0)  # a crossing row's entry in moved
-        a = tuple(backend.where(a_in, x, m[row]) for x, m in zip(a, moved))
-        b = tuple(backend.where(b_in, x, m[row]) for x, m in zip(b, moved))
+        moved = (ca + s * (cb - ca))[:, np.maximum(np.cumsum(cross) - 1, 0)]  # per row of a
+        a, b = backend.where(a_in, a, moved), backend.where(b_in, b, moved)
     return live, a, b
 
 
@@ -340,20 +340,21 @@ def clip_box(a, d, lo, hi, backend):
     """Liang-Barsky clip of the segments a + s d, 0 <= s <= 1, to the box
     lo <= p <= hi.
 
-    ``a`` and ``d`` are tuples of per-axis backend arrays, ``lo`` and ``hi``
-    per-axis bounds that those arrays take as operands (ints, or arrays of
-    the backend).  Returns the span [s0, s1] of each segment inside the
-    box and whether the segment meets it (s0 <= s1, so a segment touching
-    the box gets an empty span).  On each axis the crossings are (lo - a) / d
-    and (hi - a) / d, swapped where d < 0; a flat axis (d == 0) is a
-    containment test.  A segment already outside divides by 1 on later
-    axes, so no division runs that a clip stopping at the first failed
-    test would skip.
+    ``a`` and ``d`` are (2, N) backend arrays of points and directions,
+    ``lo`` and ``hi`` per-axis bounds that their rows take as operands
+    (ints, or arrays of the backend).  Returns the span [s0, s1] of each
+    segment inside the box and whether the segment meets it (s0 <= s1, so
+    a segment touching the box gets an empty span).  On each axis the
+    crossings are (lo - a) / d and (hi - a) / d, swapped where d < 0; a
+    flat axis (d == 0) is a containment test.  A segment already outside
+    divides by 1 on later axes, so no division runs that a clip stopping at
+    the first failed test would skip.
     """
     s0 = backend.constant(0)
     s1 = one = backend.constant(1)
     meets = True
-    for a_k, d_k, lo_k, hi_k in zip(a, d, lo, hi):
+    for k, (lo_k, hi_k) in enumerate(zip(lo, hi)):
+        a_k, d_k = a[k], d[k]
         to_lo, to_hi = lo_k - a_k, hi_k - a_k
         flat = d_k == 0
         meets = meets & ~(flat & ((to_lo > 0) | (to_hi < 0)))

@@ -23,8 +23,8 @@ only settings.
 
 Everything runs on the realmath backend, so the same code path produces
 float results or bit-reproducible fixed-point results.  ``solve_lm``
-stacks the measurements once per solve, as (3, N) world points and (2, N)
-normals and matches; each trial then forms the residuals in a few
+takes the measurements as the tracker collects them, (3, N) world points
+and (2, N) normals and matches; each trial forms the residuals in a few
 operations on the backend's arrays, and only a pose LM continues from gets
 its (6, N) Jacobian and normal equations.  The pose, the damping, the
 convergence tests, the rotation update (``geometry.exp_map``) and the
@@ -101,13 +101,15 @@ class LMSettings:
 # Residual and Jacobian.
 
 def _check_unit_normals(n, backend):
-    """Raise ValueError unless every edge normal n is unit length.
+    """Raise ValueError unless every edge normal, a column of the (2, N)
+    array n, is unit length.
 
     Allows a few ulps of slack for fixed-point values: storing a unit
     vector at Q47.16 resolution already perturbs the squared norm by more
     than the float tolerance.
     """
-    nn = n[0] * n[0] + n[1] * n[1]
+    nn = n * n
+    nn = nn[0] + nn[1]
     tol = max(1e-6, 16.0 * backend.format.resolution) if backend.is_fixed else 1e-6
     if np.any(abs(backend.to_float(nn) - 1.0) > tol):
         raise ValueError("edge normal must be unit length")
@@ -122,14 +124,6 @@ def residual(p, q, n):
     """
     d = (q - p) * n
     return d[0] + d[1]
-
-
-def _stack_columns(columns, Kb, backend):
-    """The operands of every system build in one solve: the measurement
-    columns (X, n, match) as (3, N), (2, N) and (2, N) backend arrays, and
-    the focal lengths and the principal point as (2, 1) arrays."""
-    X, n, q = (backend.stack(c) for c in columns)
-    return X, n, q, Kb.focal, Kb.center
 
 
 def _project(X, R, t, focal, backend):
@@ -166,13 +160,14 @@ def _jacobian(f, v, z, n, focal, backend):
     return backend.stack([cross, minus_g[:3]]).reshape(6, -1)
 
 
-def _residuals(stacked, R, t, backend):
-    """Residuals (N,) at the pose (R, t) on words, over the columns
-    _stack_columns gives, and _project's outputs, from which _jacobian
+def _residuals(operands, R, t, backend):
+    """Residuals (N,) at the pose (R, t) on words, for the operands
+    (X, n, q, Kb): the measurements solve_lm takes and the intrinsics on
+    the backend.  Also returns _project's outputs, from which _jacobian
     forms their Jacobian when LM continues from this pose."""
-    X, n, q, focal, center = stacked
-    projected = _project(X, R, t, focal, backend)
-    return residual(projected[0] + center, q, n), projected
+    X, n, q, Kb = operands
+    projected = _project(X, R, t, Kb.focal, backend)
+    return residual(projected[0] + Kb.center, q, n), projected
 
 
 _UPPER = np.triu_indices(6)
@@ -258,7 +253,7 @@ def _pose_from_words(R, t, backend) -> PoseSE3:
 # ---------------------------------------------------------------------------
 # Levenberg-Marquardt.
 
-def _trial(stacked, R, t, delta, backend):
+def _trial(operands, R, t, delta, backend):
     """The pose (R, t) moved by the step delta, with its residuals,
     _project's outputs and cost; None when a point falls behind the
     camera.  The pose, the step and the cost are words."""
@@ -266,17 +261,18 @@ def _trial(stacked, R, t, delta, backend):
     R = _mat_mul3(exp_map(delta[:3], backend), R, backend)
     t = [w.add(t[i], delta[3 + i]) for i in range(3)]
     try:
-        rs, projected = _residuals(stacked, R, t, backend)
+        rs, projected = _residuals(operands, R, t, backend)
     except BehindCameraError:
         return None
     return R, t, rs, projected, _sum_squares(rs, backend)
 
 
-def solve_lm(columns, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSettings, backend):
+def solve_lm(measurements, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSettings, backend):
     """Minimize the squared edge-normal residuals over the 6 pose parameters.
 
-    ``columns`` are the measurements (X, n, match), each a tuple of backend
-    arrays with one entry per matched control point.  Returns (refined
+    ``measurements`` are (X, n, match): the world points, a (3, N) backend
+    array, and the unit normals and the matched image points, (2, N)
+    arrays, one column per matched control point.  Returns (refined
     pose, sum of absolute residuals, accepted steps, trial steps, stop
     reason); the trial count includes rejected steps, the honest measure of
     how hard the minimization worked, and the stop reason is one of
@@ -287,27 +283,28 @@ def solve_lm(columns, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSettings,
     be = backend
     w = be.words
     add, sub, mul = w.add, w.sub, w.mul
-    _check_unit_normals(columns[1], be)
+    X, n, q = measurements
+    _check_unit_normals(n, be)
 
     word = w.from_float
     tol_rel, tol_step = (word(v) for v in _TOLERANCES[be.is_fixed])
     scale, lam_max = word(_LAMBDA_SCALE), word(_LAMBDA_MAX)
     zero = word(0.0)
-    stacked = _stack_columns(columns, K.to_backend(be), be)
-    n, focal = stacked[1], stacked[3]
+    Kb = K.to_backend(be)
+    operands = (X, n, q, Kb)
     R = exp_map(tuple(word(v) for v in pose0.omega), be)
     t = [word(v) for v in pose0.t]
 
-    rs, projected = _residuals(stacked, R, t, be)
+    rs, projected = _residuals(operands, R, t, be)
     cost = _sum_squares(rs, be)
     lam = word(settings.lambda0)
     iterations = attempts = rejections = 0
     while iterations < settings.max_iterations and cost > zero:
         if rejections == 0:  # only a pose LM continues from needs its Jacobian
-            A, g = _normal_equations(rs, _jacobian(*projected, n, focal, be), be)
+            A, g = _normal_equations(rs, _jacobian(*projected, n, Kb.focal, be), be)
         attempts += 1
         delta = _solve_linear6(A, g, lam, be)
-        moved = None if delta is None else _trial(stacked, R, t, delta, be)
+        moved = None if delta is None else _trial(operands, R, t, delta, be)
         if moved is None or not moved[4] < cost:
             if moved is not None and sub(moved[4], cost) < mul(tol_rel, cost):
                 stop = "flat"  # the cost surface is flat at the tolerance here

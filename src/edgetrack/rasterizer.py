@@ -157,12 +157,13 @@ def _edge_pixels(a: np.ndarray, b: np.ndarray, K: CameraIntrinsics) -> EdgeTrace
     are neither de-duplicated nor bounds-checked.
     """
     n_edges = len(a)
-    live, a, b = clip_near(tuple(a.T), tuple(b.T), NEAR_PLANE_MM, _FLOAT)
-    (ua, va), (ub, vb) = project_cam(a, K), project_cam(b, K)
-    du, dv = ub - ua, vb - va
-    steps = np.maximum(1.0, np.ceil(np.maximum(np.abs(du), np.abs(dv)))).astype(np.int64)
-    s0, s1, hit = clip_box((ua, va), (du, dv), (_MARGIN_LO, _MARGIN_LO),
-                           (K.width + 0.5, K.height + 0.5), _FLOAT)
+    live, a, b = clip_near(a.T, b.T, NEAR_PLANE_MM, _FLOAT)
+    Kf = K.to_backend(_FLOAT)
+    pa, pb = project_cam(a, Kf), project_cam(b, Kf)
+    d = pb - pa
+    steps = np.maximum(1.0, np.ceil(np.maximum(*np.abs(d)))).astype(np.int64)
+    s0, s1, hit = clip_box(pa, d, (_MARGIN_LO, _MARGIN_LO), (K.width + 0.5, K.height + 0.5),
+                           _FLOAT)
     k0 = np.maximum(0.0, np.floor(s0 * steps)).astype(np.int64)
     k1 = np.minimum(steps, np.ceil(s1 * steps).astype(np.int64))
     counts = np.where(hit, k1 - k0 + 1, 0)
@@ -171,11 +172,12 @@ def _edge_pixels(a: np.ndarray, b: np.ndarray, K: CameraIntrinsics) -> EdgeTrace
     first = np.repeat(np.cumsum(counts) - counts - k0, counts)  # row of step 0
     at = np.repeat(np.arange(len(live)), counts)
     s = (np.arange(len(edge)) - first) / steps[at]
-    x = np.floor(ua[at] + s * du[at] + 0.5).astype(np.int64)
-    y = np.floor(va[at] + s * dv[at] + 0.5).astype(np.int64)
+    # np.take keeps the (2, K) steps row-major; pa[:, at] would lay them out
+    # step-major, and every ufunc below would then run two elements at a time.
+    x, y = np.floor(np.take(pa, at, axis=1) + s * np.take(d, at, axis=1) + 0.5).astype(np.int64)
 
     uv = np.full((n_edges, 2, 2), np.nan)
-    uv[live] = np.stack([ua, va, ub, vb], axis=-1).reshape(-1, 2, 2)
+    uv[live] = np.stack([pa.T, pb.T], axis=1)
     inv_z = np.full((n_edges, 2), np.nan)
     inv_z[live] = 1.0 / np.stack([a[2], b[2]], axis=-1)
     all_steps = np.zeros(n_edges, dtype=np.int64)
@@ -209,8 +211,8 @@ def _triangles(model: WireframeModel, cam: np.ndarray):
         return tris, faces
     a = pts[cross].reshape(-1, 3)
     b = pts[cross][:, [1, 2, 0]].reshape(-1, 3)
-    live, ca, cb = clip_near(tuple(a.T), tuple(b.T), NEAR_PLANE_MM, _FLOAT)
-    ends = np.stack([np.stack(ca, axis=-1), np.stack(cb, axis=-1)], axis=1)
+    live, ca, cb = clip_near(a.T, b.T, NEAR_PLANE_MM, _FLOAT)
+    ends = np.stack([ca.T, cb.T], axis=1)
     emit = np.stack([np.ones(len(live), dtype=bool), b[live, 2] < NEAR_PLANE_MM], axis=1)
     poly = ends[emit]  # the clipped polygons' points, face by face in order
     # A clipped triangle has 3 or 4 points: fan triangles (0, j, j + 1) of each.
@@ -237,7 +239,7 @@ def _face_depth(model: WireframeModel, cam: np.ndarray, K: CameraIntrinsics, pix
     depth +inf and face -1.
     """
     tris, faces = _triangles(model, cam)
-    u, v = project_cam(np.moveaxis(tris, -1, 0), K)
+    u, v = project_cam(tris.reshape(-1, 3).T, K.to_backend(_FLOAT)).reshape(2, -1, 3)
     (x0, x1, x2), (y0, y1, y2) = u.T, v.T
     area = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
     keep = area != 0.0

@@ -26,8 +26,11 @@ backend per name, ``backend.constant`` keeps the arrays of numbers such as
 the settings, and the camera and the model keep their own conversions
 (``CameraIntrinsics.to_backend``, ``WireframeModel.used_vertices``).
 
-``FixedPoint`` is the fixed-point scalar: no tracker path builds one, and
-the tests compare arrays and words against it, operation by operation.
+Arrays, word operations and backends carry their ``QFormat``, one of the
+module constants Q40_23 and Q47_16, and compare formats by identity.
+``FixedPoint`` is the fixed-point scalar: no tracker path builds one, the
+tests build its per-format subclasses and compare arrays and words against
+them, operation by operation.
 
 Rounding rules, fixed so runs are bit-reproducible:
 
@@ -221,8 +224,8 @@ def _cos_raw(raw: int, frac_bits: int) -> int:
 class FixedPoint:
     """Immutable 64-bit signed fixed-point number.
 
-    Use the concrete per-format subclasses (see :func:`fixed_type`); values of
-    different formats never mix in one expression.  Plain ints mix freely and
+    A concrete subclass per format sets ``FORMAT`` and ``FRAC_BITS``; values
+    of different formats never mix in one expression.  Plain ints mix freely and
     are converted exactly; floats are rejected so precision cannot leak in
     silently.
     """
@@ -368,33 +371,6 @@ class FixedPoint:
         return f"{type(self).__name__}({self.to_float()!r})"
 
 
-def _make_fixed_class(fmt: QFormat) -> type[FixedPoint]:
-    name = f"FixedQ{fmt.integer_bits}_{fmt.fraction_bits}"
-    return type(
-        name,
-        (FixedPoint,),
-        {
-            "__slots__": (),
-            "FORMAT": fmt,
-            "FRAC_BITS": fmt.fraction_bits,
-        },
-    )
-
-
-FixedQ40_23 = _make_fixed_class(Q40_23)
-FixedQ47_16 = _make_fixed_class(Q47_16)
-
-_FIXED_TYPES = {Q40_23: FixedQ40_23, Q47_16: FixedQ47_16}
-
-
-def fixed_type(fmt: QFormat) -> type[FixedPoint]:
-    """Concrete FixedPoint subclass for one of the two supported formats."""
-    try:
-        return _FIXED_TYPES[fmt]
-    except KeyError:
-        raise ValueError(f"unsupported fixed-point format {fmt}") from None
-
-
 # ---------------------------------------------------------------------------
 # Fixed-point arrays.
 
@@ -448,7 +424,8 @@ def _trunc_div_array(a, b):
 class FixedArray:
     """Array of fixed-point numbers with the per-element semantics of FixedPoint.
 
-    ``raw`` is an int64 ndarray of raw words in ``scalar_type``'s format.
+    ``raw`` is an int64 ndarray of raw words in the QFormat ``format``, one
+    of the module constants Q40_23 and Q47_16, compared by identity.
     Every operation gives, element by element, the raw word the FixedPoint
     operation gives, and raises MathOverflowError exactly when one of those
     would.  It computes in int64 only where the operands' magnitudes prove
@@ -472,21 +449,17 @@ class FixedArray:
     0-d for an integer index.
     """
 
-    __slots__ = ("raw", "scalar_type", "_bound", "_scanned")
+    __slots__ = ("raw", "format", "_bound", "_scanned")
 
     # ndarray OP FixedArray returns NotImplemented, so the reflected method
     # here runs instead of numpy building an object array of FixedPoints.
     __array_ufunc__ = None
 
-    def __init__(self, raw: np.ndarray, scalar_type: type[FixedPoint], bound=None):
+    def __init__(self, raw: np.ndarray, fmt: QFormat, bound=None):
         self.raw = raw
-        self.scalar_type = scalar_type
+        self.format = fmt
         self._bound = bound
         self._scanned = False
-
-    @property
-    def FORMAT(self) -> QFormat:
-        return self.scalar_type.FORMAT
 
     @property
     def bound(self) -> int:
@@ -503,16 +476,16 @@ class FixedArray:
     def _new(self, raw, bound) -> "FixedArray":
         """Wrap an exact raw result with a bound on its magnitudes; a
         Python-int result is range-checked, which also gives its tight bound."""
-        st = self.scalar_type
+        fmt = self.format
         if type(raw) is np.ndarray and raw.dtype.kind == "i":  # int64 words
-            return FixedArray(raw, st, bound)
+            return FixedArray(raw, fmt, bound)
         if not _is_wide(raw):  # an int64 scalar, from 0-d operands
-            return FixedArray(np.asarray(raw), st, bound)
+            return FixedArray(np.asarray(raw), fmt, bound)
         raw = np.asarray(raw, dtype=object)
         lo, hi = (int(raw.min()), int(raw.max())) if raw.size else (0, 0)
         if lo < -_WORD_LIMIT or hi >= _WORD_LIMIT:
-            raise MathOverflowError(f"raw value outside {st.FORMAT} range")
-        out = FixedArray(raw.astype(np.int64), st, max(-lo, hi))
+            raise MathOverflowError(f"raw value outside {fmt} range")
+        out = FixedArray(raw.astype(np.int64), fmt, max(-lo, hi))
         out._scanned = True
         return out
 
@@ -529,7 +502,7 @@ class FixedArray:
         """
         arr = None
         if type(other) is FixedArray:
-            if other.scalar_type is not self.scalar_type:
+            if other.format is not self.format:
                 return None
             raw, arr = other.raw, other
             bound = other._scan() if other._bound is None else other._bound
@@ -537,7 +510,7 @@ class FixedArray:
             k = self._int_operand(other)
             if k is None:
                 return None
-            shift = self.scalar_type.FRAC_BITS
+            shift = self.format.fraction_bits
             raw, bound = k[0] << shift, k[1] << shift
         n = need(self._scan() if self._bound is None else self._bound, bound)
         if n >= _WORD_LIMIT:
@@ -550,16 +523,17 @@ class FixedArray:
         """An int or integer-ndarray operand k as int64 words and max |k|;
         None for any other operand.  MathOverflowError unless k << F, the
         raw word FixedPoint makes of an int, lies in the word range."""
-        st = self.scalar_type
+        fmt = self.format
+        shift = fmt.fraction_bits
         if isinstance(other, (int, np.integer)):
             k = int(other)
-            if not -_WORD_LIMIT <= k << st.FRAC_BITS < _WORD_LIMIT:
-                raise MathOverflowError(f"int operand {other} outside {st.FORMAT} range")
+            if not -_WORD_LIMIT <= k << shift < _WORD_LIMIT:
+                raise MathOverflowError(f"int operand {other} outside {fmt} range")
             return np.int64(k), abs(k)
         if isinstance(other, np.ndarray) and other.dtype.kind in "iu":
             lo, hi = (int(other.min()), int(other.max())) if other.size else (0, 0)
-            if lo << st.FRAC_BITS < -_WORD_LIMIT or hi << st.FRAC_BITS >= _WORD_LIMIT:
-                raise MathOverflowError(f"int operand outside {st.FORMAT} range")
+            if lo << shift < -_WORD_LIMIT or hi << shift >= _WORD_LIMIT:
+                raise MathOverflowError(f"int operand outside {fmt} range")
             return other.astype(np.int64, copy=False), max(-lo, hi)
         return None
 
@@ -573,16 +547,16 @@ class FixedArray:
     # -- conversion ---------------------------------------------------------
 
     def to_float(self) -> np.ndarray:
-        return self.raw / (1 << self.scalar_type.FRAC_BITS)
+        return self.raw / (1 << self.format.fraction_bits)
 
     def __getitem__(self, key):
         raw = self.raw[key]
         if type(raw) is not np.ndarray:  # an integer index gives an int64 scalar
             raw = np.asarray(raw)
-        return FixedArray(raw, self.scalar_type, self._bound)
+        return FixedArray(raw, self.format, self._bound)
 
     def reshape(self, *shape) -> "FixedArray":
-        return FixedArray(self.raw.reshape(*shape), self.scalar_type, self._bound)
+        return FixedArray(self.raw.reshape(*shape), self.format, self._bound)
 
     def __bool__(self):
         raise TypeError("the truth value of a FixedArray is ambiguous")
@@ -623,7 +597,7 @@ class FixedArray:
         if w is None:
             return NotImplemented
         a, b, bound = w
-        shift = self.scalar_type.FRAC_BITS
+        shift = self.format.fraction_bits
         return self._new(_trunc_shift_array(a * b, shift), bound >> shift)
 
     __rmul__ = __mul__
@@ -632,7 +606,7 @@ class FixedArray:
     # __truediv__ and __rtruediv__ do; a quotient carries no bound.
 
     def __truediv__(self, other):
-        shift = self.scalar_type.FRAC_BITS
+        shift = self.format.fraction_bits
         w = self._words(other, lambda ba, bb: max(ba << shift, bb))
         if w is None:
             return NotImplemented
@@ -640,7 +614,7 @@ class FixedArray:
         return self._new(_trunc_div_array(a << shift, _nonzero(b)), None)
 
     def __rtruediv__(self, other):
-        shift = self.scalar_type.FRAC_BITS
+        shift = self.format.fraction_bits
         w = self._words(other, lambda bb, ba: max(ba << shift, bb))
         if w is None:
             return NotImplemented
@@ -657,11 +631,10 @@ class FixedArray:
         """Elementwise FixedPoint.sqrt; MathDomainError if any element is negative."""
         if np.any(self.raw < 0):
             raise MathDomainError("sqrt of negative fixed-point value")
-        shift = self.scalar_type.FRAC_BITS
+        shift = self.format.fraction_bits
         root = [isqrt(r << shift) for r in self.raw.ravel().tolist()]
         bound = None if self._bound is None else isqrt(self._bound << shift)
-        return FixedArray(np.array(root, dtype=np.int64).reshape(self.raw.shape),
-                          self.scalar_type, bound)
+        return FixedArray(np.array(root, dtype=np.int64).reshape(self.raw.shape), self.format, bound)
 
     # -- comparisons --------------------------------------------------------
 
@@ -669,13 +642,13 @@ class FixedArray:
         """Elementwise comparison with an array of this format or an int;
         ints compare exactly, with no range limit.  TypeError for any other
         number or array, so that == and != give no bare bool for a float."""
-        st = self.scalar_type
-        if isinstance(other, FixedArray) and other.scalar_type is st:
+        fmt = self.format
+        if isinstance(other, FixedArray) and other.format is fmt:
             return op(self.raw, other.raw)
         if isinstance(other, (int, np.integer)):
-            return op(self.raw, int(other) << st.FRAC_BITS)
+            return op(self.raw, int(other) << fmt.fraction_bits)
         if isinstance(other, (numbers.Number, np.ndarray, FixedArray, FixedPoint)):
-            raise TypeError(f"cannot compare a {st.FORMAT} array with {type(other).__name__}")
+            raise TypeError(f"cannot compare a {fmt} array with {type(other).__name__}")
         return NotImplemented
 
     __eq__ = partialmethod(_compare, op=operator.eq)
@@ -731,14 +704,14 @@ def _float_sqrt(value: float) -> float:
     return math.sqrt(value)
 
 
-def _fixed_word_ops(st: type[FixedPoint]) -> WordOps:
-    """WordOps on the raw words of the format of st.
+def _fixed_word_ops(fmt: QFormat) -> WordOps:
+    """WordOps on the raw words of the format fmt.
 
     Each arithmetic operation is one call: it truncates toward zero and
     range-checks inline, as _trunc_shift, _trunc_div and _word do for
     FixedPoint, and raises the same errors.
     """
-    fmt, shift = st.FORMAT, st.FRAC_BITS
+    shift = fmt.fraction_bits
     scale = 1 << shift
     lo, hi = -_WORD_LIMIT, _WORD_LIMIT
 
@@ -790,7 +763,7 @@ def _fixed_word_ops(st: type[FixedPoint]) -> WordOps:
         """The words as an array whose bound is their largest magnitude, taken
         over the Python ints, which is quicker than a scan of the array."""
         raw = np.array(words, dtype=np.int64)
-        out = FixedArray(raw, st, max(map(abs, raw.ravel().tolist()), default=0))
+        out = FixedArray(raw, fmt, max(map(abs, raw.ravel().tolist()), default=0))
         out._scanned = True
         return out
 
@@ -867,10 +840,14 @@ class FixedBackend:
     is_fixed = True
 
     def __init__(self, fmt: QFormat):
-        self.format = fmt
-        self.scalar_type = fixed_type(fmt)
+        """A backend for one of the formats Q40_23 and Q47_16; ValueError for
+        any other.  Its arrays carry the module constant itself, so that
+        arrays compare their formats by identity."""
+        if fmt not in (Q40_23, Q47_16):
+            raise ValueError(f"unsupported fixed-point format {fmt}")
+        self.format = fmt = Q40_23 if fmt == Q40_23 else Q47_16
         self.name = f"q{fmt.integer_bits}_{fmt.fraction_bits}"
-        self.words = _fixed_word_ops(self.scalar_type)
+        self.words = _fixed_word_ops(fmt)
         self._constants = {}
 
     def constant(self, value) -> FixedArray:
@@ -887,7 +864,7 @@ class FixedBackend:
         largest magnitude of its words."""
         values = np.asarray(values)
         words = list(map(self.words.from_float, values.ravel().tolist()))
-        return FixedArray(np.array(words, dtype=np.int64).reshape(values.shape), self.scalar_type,
+        return FixedArray(np.array(words, dtype=np.int64).reshape(values.shape), self.format,
                           max(map(abs, words), default=0))
 
     @staticmethod
@@ -907,20 +884,20 @@ class FixedBackend:
         bounds = [x._bound for x in items]
         bound = None if None in bounds else max(bounds, default=0)
         raw = np.array([x.raw for x in items], dtype=np.int64)
-        return FixedArray(raw, self.scalar_type, bound)
+        return FixedArray(raw, self.format, bound)
 
     @staticmethod
     def floor_array(values: FixedArray) -> np.ndarray:
-        return values.raw >> values.scalar_type.FRAC_BITS
+        return values.raw >> values.format.fraction_bits
 
     def where(self, mask, x, y) -> FixedArray:
         """Elementwise x where mask holds, else y; arrays of this format."""
-        st = self.scalar_type
+        fmt = self.format
         for v in (x, y):
-            if not (isinstance(v, FixedArray) and v.scalar_type is st):
-                raise TypeError(f"where needs {st.FORMAT} arrays, got {type(v).__name__}")
+            if not (isinstance(v, FixedArray) and v.format is fmt):
+                raise TypeError(f"where needs {fmt} arrays, got {type(v).__name__}")
         bound = None if None in (x._bound, y._bound) else max(x._bound, y._bound)
-        return FixedArray(np.where(mask, x.raw, y.raw), st, bound)
+        return FixedArray(np.where(mask, x.raw, y.raw), fmt, bound)
 
     @staticmethod
     def row_sums(values: FixedArray) -> list:

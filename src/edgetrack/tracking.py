@@ -12,8 +12,12 @@ consumes.
 All per-edge and per-point arithmetic goes through the realmath backend so
 fixed-point runs are bit-deterministic, and runs once per frame over all
 edges, then all points, on the backend's arrays; the edges are clipped by
-the renderer's near-plane and box clips.  Only the ID-buffer lookup
-converts to float (an exact conversion) to address pixels.
+the renderer's near-plane and box clips.  A point set is one backend
+array with its coordinates along axis 0: the edge ends as (6, N) camera
+and world coordinates, then (2, N) image points, normals and matches and
+(3, N) world points, which `MeasurementSet` hands to LM as they are.  Only
+the ID-buffer lookup converts to float (an exact conversion) to address
+pixels.
 """
 
 from __future__ import annotations
@@ -101,15 +105,16 @@ class ControlPoint:
 
 @dataclass
 class MeasurementSet:
-    """Matched control points as backend column arrays, plus the per-stage
-    counters the stats report.  Entry k of every column is the k-th match."""
+    """Matched control points as backend arrays, coordinates along axis 0,
+    plus the per-stage counters the stats report.  Column k of every array
+    is the k-th match."""
 
     edge_index: np.ndarray  # model edge of each point
-    p: tuple  # (x, y) control points
-    n: tuple  # (nx, ny) unit edge normals
-    X: tuple  # (x, y, z) world points that project to p
-    match: tuple  # (x, y) matched image points
-    likelihood: object  # gradient strength at each match
+    p: object  # (2, N) control points
+    n: object  # (2, N) unit edge normals
+    X: object  # (3, N) world points that project to p
+    match: object  # (2, N) matched image points
+    likelihood: object  # (N,) gradient strength at each match
     n_projected: int  # control points sampled on projected segments
     n_sampled: int  # of those, points passing the visibility test
 
@@ -136,43 +141,50 @@ def _sample_params(counts, backend):
     return slot, (2 * k + 1) / backend.array(2 * counts)[slot]
 
 
-def _sample_segments(ax, ay, bx, by, cfg: TrackerConfig, backend):
-    """Control points spread evenly along the projected segments a[i]-b[i],
-    given as backend arrays.
+# (dy, dx) / length times this is the unit normal (-dy, dx) / length; a
+# product with -1 or 1 is exact on every backend, as a negation is.
+_QUARTER_TURN = np.array([[-1], [1]])
+
+
+def _sample_segments(a, b, cfg: TrackerConfig, backend):
+    """Control points spread evenly along the projected segments
+    a[:, i]-b[:, i], given as (2, N) backend arrays.
 
     A segment gets floor(length / step) points, or one point when it is
     shorter than a step but at least half a step long; its points follow
-    _sample_params.  Returns, per point, the index of its segment, its t,
-    its position (x, y) and its segment's unit normal (nx, ny).
+    _sample_params.  Returns, per point, the index of its segment and its
+    t, and the points and their segments' unit normals as (2, M) arrays.
     """
-    dx, dy = bx - ax, by - ay
-    length = backend.sqrt(dx * dx + dy * dy)
+    d = b - a
+    dd = d * d
+    length = backend.sqrt(dd[0] + dd[1])
     step = backend.constant(cfg.sampling_step)
     counts = backend.floor_array(length / step)
     # length >= step/2, compared without dividing the step
     counts = np.where((counts == 0) & (length + length >= step), 1, counts)
     rows = np.flatnonzero(counts)
-    dx, dy, length = dx[rows], dy[rows], length[rows]
+    d, length = d[:, rows], length[rows]
     slot, t = _sample_params(counts[rows], backend)
     # Divide components directly: multiplying by a reciprocal doubles the
     # quantization error in fixed point and breaks the unit-normal contract.
-    nx, ny = -(dy / length), dx / length
+    n = d[::-1] / length * _QUARTER_TURN
     at = rows[slot]
-    return at, t, (ax[at] + t * dx[slot], ay[at] + t * dy[slot]), (nx[slot], ny[slot])
+    return at, t, a[:, at] + t * d[:, slot], n[:, slot]
 
 
 # ---------------------------------------------------------------------------
 # Moving-edges correspondence search.
 
-def _bilinear(gray: GrayImage, x, y, backend):
-    """Bilinear gray intensities at sub-pixel positions given as backend
-    arrays, and a mask of the positions whose 2x2 neighbourhood lies on the
-    image; masked-out entries hold meaningless values."""
-    x0 = backend.floor_array(x)
-    y0 = backend.floor_array(y)
+def _bilinear(gray: GrayImage, q, backend):
+    """Bilinear gray intensities at sub-pixel positions q, a backend array
+    with x in row 0 and y in row 1, and a mask of the positions whose 2x2
+    neighbourhood lies on the image; masked-out entries hold meaningless
+    values."""
+    q0 = backend.floor_array(q)
+    x0, y0 = q0
     ok = (x0 >= 0) & (y0 >= 0) & (x0 + 1 < gray.width) & (y0 + 1 < gray.height)
-    fx = x - x0
-    fy = y - y0
+    f = q - q0
+    fx, fy = f[0], f[1]
     x0 = np.where(ok, x0, 0)
     y0 = np.where(ok, y0, 0)
     px = gray.pixels
@@ -187,25 +199,24 @@ def _bilinear(gray: GrayImage, x, y, backend):
 
 def bilinear_sample(gray: GrayImage, x, y, backend):
     """Bilinear gray intensity at a sub-pixel position; None off the image."""
-    value, ok = _bilinear(gray, backend.stack([x]), backend.stack([y]), backend)
+    value, ok = _bilinear(gray, backend.stack([x, y])[:, None], backend)
     return value[0] if ok[0] else None
 
 
-def _search(gray: GrayImage, px, py, nx, ny, cfg: TrackerConfig, backend):
+def _search(gray: GrayImage, p, n, cfg: TrackerConfig, backend):
     """Scan integer offsets along each point's normal for the strongest gradient.
 
-    Positions and normals are backend arrays.  Likelihood at offset s is
-    |I(s+1) - I(s-1)| / 2, defined where both samples are on the image.  The
-    best site wins; ties prefer the smallest |s| (and the negative side at
-    equal distance), favoring the prediction.  Returns a mask of the points
-    whose best likelihood clears the threshold, and for those points only
-    the matched x, y and the likelihood.
+    Positions p and normals n are (2, N) backend arrays.  Likelihood at
+    offset s is |I(s+1) - I(s-1)| / 2, defined where both samples are on
+    the image.  The best site wins; ties prefer the smallest |s| (and the
+    negative side at equal distance), favoring the prediction.  Returns a
+    mask of the points whose best likelihood clears the threshold, and for
+    those points only the matched points, (2, M), and the likelihoods.
     """
     r = cfg.search_range
     offsets = np.arange(-r - 1, r + 2)
-    xs = px[:, None] + offsets * nx[:, None]
-    ys = py[:, None] + offsets * ny[:, None]
-    intensity, ok = _bilinear(gray, xs, ys, backend)
+    sites = p[:, :, None] + offsets * n[:, :, None]
+    intensity, ok = _bilinear(gray, sites, backend)
     likelihood = abs(intensity[:, 2:] - intensity[:, :-2]) / 2  # column c is s = c - r
     valid = ok[:, 2:] & ok[:, :-2]
     # Likelihoods are >= 0, so -1 marks a site that cannot win; argmax takes
@@ -216,7 +227,7 @@ def _search(gray: GrayImage, px, py, nx, ny, cfg: TrackerConfig, backend):
     rows = np.arange(len(best))
     best_l = likelihood[rows, best]
     hit = valid[rows, best] & (best_l >= backend.constant(cfg.gradient_threshold))
-    return hit, xs[rows, best + 1][hit], ys[rows, best + 1][hit], best_l[hit]
+    return hit, sites[:, rows[hit], best[hit] + 1], best_l[hit]
 
 
 def search_correspondence(gray: GrayImage, cp: ControlPoint, cfg: TrackerConfig, backend):
@@ -225,10 +236,10 @@ def search_correspondence(gray: GrayImage, cp: ControlPoint, cfg: TrackerConfig,
     Sets cp.match and cp.likelihood when the best gradient clears the
     threshold; below-threshold maxima leave match unset.
     """
-    columns = (backend.stack([v]) for v in (*cp.p, *cp.n))
-    hit, qx, qy, likelihood = _search(gray, *columns, cfg, backend)
+    p, n = (backend.stack(v)[:, None] for v in (cp.p, cp.n))
+    hit, q, likelihood = _search(gray, p, n, cfg, backend)
     if hit[0]:
-        cp.match = (qx[0], qy[0])
+        cp.match = (q[0, 0], q[1, 0])
         cp.likelihood = likelihood[0]
     return cp
 
@@ -262,43 +273,43 @@ def collect_measurements(
     t = list(map(from_float, pose.t))
     Kb: BackendIntrinsics = K.to_backend(be)
 
-    # Camera and world coordinates of the edge ends, near-clipped together:
-    # the clip parameter is valid in world space too, since the camera
-    # transform is affine.
+    # Camera and world coordinates of the edge ends, one (6, V) array
+    # near-clipped as one: the clip parameter is valid in world space too,
+    # since the camera transform is affine.
     ends = model.edge_ends[1]
     world = model.used_vertices(be)
     _, cam = transform(world, R, t, be)
-    points = tuple(c[i] for c in (cam, world) for i in range(3))
-    edge, a, b = clip_near(tuple(c[ends[:, 0]] for c in points),
-                           tuple(c[ends[:, 1]] for c in points), be.constant(NEAR_PLANE_MM), be)
-    (ua, va), (ub, vb) = project_cam(a, Kb), project_cam(b, Kb)
-    du, dv = ub - ua, vb - va
-    t_lo, t_hi, hit = clip_box((ua, va), (du, dv), (0, 0), (K.width - 1, K.height - 1), be)
+    points = be.stack([cam, world]).reshape(6, -1)
+    edge, a, b = clip_near(points[:, ends[:, 0]], points[:, ends[:, 1]],
+                           be.constant(NEAR_PLANE_MM), be)
+    pa = project_cam(a, Kb)
+    d = project_cam(b, Kb) - pa
+    t_lo, t_hi, hit = clip_box(pa, d, (0, 0), (K.width - 1, K.height - 1), be)
     rows = np.flatnonzero(hit)
-    edge, ua, va, du, dv, t_lo, t_hi = (c[rows] for c in (edge, ua, va, du, dv, t_lo, t_hi))
-    a, b = tuple(c[rows] for c in a), tuple(c[rows] for c in b)
-    seg, tk, (px, py), (nx, ny) = _sample_segments(
-        ua + t_lo * du, va + t_lo * dv, ua + t_hi * du, va + t_hi * dv, cfg, be)
-    flat = neighbourhoods(be.to_float(px), be.to_float(py), K.width, K.height)
+    edge, t_lo, t_hi, pa, d = edge[rows], t_lo[rows], t_hi[rows], pa[:, rows], d[:, rows]
+    seg, tk, p, n = _sample_segments(pa + t_lo * d, pa + t_hi * d, cfg, be)
+    flat = neighbourhoods(*be.to_float(p), K.width, K.height)
     visible = neighbourhoods_visible(flat, edge[seg], render_ids(read_pixels(flat)))
-    seg, tk, px, py, nx, ny = (c[visible] for c in (seg, tk, px, py, nx, ny))
+    seg, tk, p, n = seg[visible], tk[visible], p[:, visible], n[:, visible]
     # Parameter on the near-clipped projected segment, then the
     # perspective-correct parameter along the 3D segment.
-    t_lo, t_hi, za, zb = t_lo[seg], t_hi[seg], a[2][seg], b[2][seg]
+    a, b = a[:, rows[seg]], b[:, rows[seg]]
+    t_lo, t_hi, za, zb = t_lo[seg], t_hi[seg], a[2], b[2]
     t2 = t_lo + tk * (t_hi - t_lo)
     t3 = t2 * za / (zb + t2 * (za - zb))
-    X = tuple(wa[seg] + t3 * (wb[seg] - wa[seg]) for wa, wb in zip(a[3:], b[3:]))
-    hit, qx, qy, likelihood = _search(gray, px, py, nx, ny, cfg, be)
+    wa = a[3:]
+    X = wa + t3 * (b[3:] - wa)
+    hit, match, likelihood = _search(gray, p, n, cfg, be)
     if np.count_nonzero(hit) < 6:
         raise InsufficientMeasurementsError(
             f"only {np.count_nonzero(hit)} matched control points; pose needs 6"
         )
     return MeasurementSet(
         edge_index=edge[seg][hit],
-        p=(px[hit], py[hit]),
-        n=(nx[hit], ny[hit]),
-        X=tuple(c[hit] for c in X),
-        match=(qx, qy),
+        p=p[:, hit],
+        n=n[:, hit],
+        X=X[:, hit],
+        match=match,
         likelihood=likelihood,
         n_projected=len(visible),
         n_sampled=int(np.count_nonzero(visible)),

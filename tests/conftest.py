@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from edgetrack.geometry import CameraIntrinsics, WireframeModel, load_model, look_at_pose
+from edgetrack.realmath import Q40_23, Q47_16, FixedPoint
 
 CUBE_VERTICES = [
     (-1, -1, -1), (1, -1, -1), (1, 1, -1), (-1, 1, -1),
@@ -178,9 +179,10 @@ def synthetic_measurements(model, pose, K, step: float = 10.0):
 
 def columns(measurements, backend):
     """World points, normals and matches of ControlPoints holding floats, as
-    the backend column arrays (X, n, match) that solve_lm takes."""
+    the backend arrays (X, n, match) that solve_lm takes: (3, N), (2, N) and
+    (2, N), one column per point."""
     return tuple(
-        tuple(backend.array([getattr(m, name)[j] for m in measurements]) for j in range(dim))
+        backend.array([[getattr(m, name)[j] for m in measurements] for j in range(dim)])
         for name, dim in (("X", 3), ("n", 2), ("match", 2))
     )
 
@@ -201,15 +203,21 @@ def pose_errors(pose_a, pose_b):
 # own functions, and two independent oracles: the edge-ID colour decoder
 # and ray-cast visibility.
 
+def pinhole(c, K):
+    """Image point (u, v) of the camera-space point c = (x, y, z), or of
+    arrays of their coordinates: (fx x / z + cx, fy y / z + cy), each
+    formed in that order, as geometry.project_cam forms it."""
+    return K.fx * c[0] / c[2] + K.cx, K.fy * c[1] / c[2] + K.cy
+
+
 def project_np(points, R, t, K):
     """Float image points (N, 2) and depths (N,) of world points at the pose
-    (R, t): transform_np, then project_cam on the columns.  No depth check;
-    callers test z."""
-    from edgetrack.geometry import project_cam, transform_np
+    (R, t): transform_np, then pinhole.  No depth check; callers test z."""
+    from edgetrack.geometry import transform_np
 
     cam = transform_np(points, R, t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        uv = np.stack(project_cam(cam.T, K), axis=1)
+        uv = np.stack(pinhole(cam.T, K), axis=1)
     return uv, cam[:, 2]
 
 
@@ -277,6 +285,23 @@ def residual_jacobian(X, R, t, K, n, backend):
 # ---------------------------------------------------------------------------
 # Reference scalars: the oracle for the backends' arrays and words.
 
+def _fixed_class(fmt):
+    return type(f"FixedQ{fmt.integer_bits}_{fmt.fraction_bits}", (FixedPoint,),
+                {"__slots__": (), "FORMAT": fmt, "FRAC_BITS": fmt.fraction_bits})
+
+
+FixedQ40_23, FixedQ47_16 = _fixed_class(Q40_23), _fixed_class(Q47_16)
+
+
+def fixed_type(fmt):
+    """The FixedPoint subclass of one of the two formats, ValueError for
+    any other."""
+    for cls in (FixedQ40_23, FixedQ47_16):
+        if cls.FORMAT == fmt:
+            return cls
+    raise ValueError(f"unsupported fixed-point format {fmt}")
+
+
 def ref_scalars(backend) -> SimpleNamespace:
     """The reference scalars of a backend: FixedPoint values on fixed point,
     floats on float.  They convert and compute on their own, so a test can
@@ -287,14 +312,14 @@ def ref_scalars(backend) -> SimpleNamespace:
         return SimpleNamespace(from_float=float, from_int=float, zero=0.0, one=1.0,
                                sqrt=backend.words.sqrt, to_float=float, floor_to_int=math.floor,
                                word=float, scalar=float)
-    st = backend.scalar_type
+    st = fixed_type(backend.format)
     return SimpleNamespace(from_float=st.from_float, from_int=st.from_int, zero=st(0),
                            one=st.from_int(1), sqrt=st.sqrt, to_float=st.to_float,
                            floor_to_int=st.floor_to_int, word=attrgetter("raw"), scalar=st)
 
 
 def ref_intrinsics(K, backend):
-    """The intrinsics K as reference scalars, under the names project_cam reads."""
+    """The intrinsics K as reference scalars fx, fy, cx and cy."""
     fx, fy, cx, cy = map(ref_scalars(backend).from_float, (K.fx, K.fy, K.cx, K.cy))
     return SimpleNamespace(fx=fx, fy=fy, cx=cx, cy=cy)
 

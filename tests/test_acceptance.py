@@ -16,6 +16,7 @@ from edgetrack.geometry import exp_map_np, load_model
 from edgetrack.harness import (
     GROUND_TRUTH_NAME,
     POSES_NAME,
+    STATS_NAME,
     evaluate,
     generate_sequence,
     load_pose_csv,
@@ -348,3 +349,29 @@ def test_fixed_point_poses_match_golden_digests(q40_run, q47_run):
     for name, run in (("q40_23", q40_run), ("q47_16", q47_run)):
         digest = hashlib.sha256((run["out"] / POSES_NAME).read_bytes()).hexdigest()
         assert digest == GOLDEN_POSE_SHA256[name], name
+
+
+# sha256 of the non-timing columns of stats.csv of the same runs: the
+# measurement and LM counters, the residual sum and the status of every
+# frame.  The selected columns of each row are joined by commas, the rows
+# (header first) by newlines.
+STATS_DIGEST_COLUMNS = ("frame", "sampled", "matched", "err", "iters", "status", "projected",
+                        "attempts", "lm_stop")
+GOLDEN_STATS_SHA256 = {
+    "q40_23": "37f57b80fb86e3d48b5d51b75f92d1b7004994474e21a549eac7f9bf4736d9d5",
+    "q47_16": "f54cbe7a870a07e5e2235613e28c0380c805302fe189436f1a158f4b7f0ab6b6",
+}
+
+
+def stats_digest(path) -> str:
+    import hashlib
+
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    at = [rows[0].index(name) for name in STATS_DIGEST_COLUMNS]
+    text = "\n".join(",".join(row[i] for i in at) for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_fixed_point_stats_match_golden_digests(q40_run, q47_run):
+    for name, run in (("q40_23", q40_run), ("q47_16", q47_run)):
+        assert stats_digest(run["out"] / STATS_NAME) == GOLDEN_STATS_SHA256[name], name

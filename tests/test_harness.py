@@ -120,9 +120,10 @@ def test_frame_follows_id_buffer(cube_model, qvga_camera):
 def full_trace(a, b, K):
     """rasterizer._edge_pixels stepping every step of each projected
     segment, on the image or not: the reference for the cut trace."""
-    from edgetrack.geometry import project_cam
     from edgetrack.rasterizer import EdgeTrace
     from test_rasterizer import clip_segment_near
+
+    from conftest import pinhole
 
     uv, inv_z = np.full((len(a), 2, 2), np.nan), np.full((len(a), 2), np.nan)
     steps = np.zeros(len(a), dtype=np.int64)
@@ -131,7 +132,7 @@ def full_trace(a, b, K):
         ends = clip_segment_near(a[i], b[i])
         if ends is None:
             continue
-        uv[i] = project_cam(ends[0], K), project_cam(ends[1], K)
+        uv[i] = pinhole(ends[0], K), pinhole(ends[1], K)
         inv_z[i] = 1.0 / ends[0][2], 1.0 / ends[1][2]
         (ua, va), (ub, vb) = uv[i]
         steps[i] = max(1, math.ceil(max(abs(ub - ua), abs(vb - va))))
@@ -504,6 +505,35 @@ def test_run_tracking_survives_numeric_faults(tmp_path, cube_model, qvga_camera,
         else:
             assert projected == sampled == matched == r.attempts == 0 and r.lm_stop == ""
     assert len(load_pose_csv(tmp_path / "run" / POSES_NAME)) == 7
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_model_with_a_non_finite_vertex_is_a_typed_error(bad, tmp_path, cube_model, qvga_camera):
+    # A model built in code, not read by load_model, with one vertex
+    # coordinate that is not finite: building it raises ModelFormatError,
+    # so a tracking run on every backend and the synthesis meet that typed
+    # error instead of an untyped one from deep inside the renderer.
+    from edgetrack.geometry import ModelFormatError
+
+    vertices = np.array(CUBE_VERTICES, dtype=np.float64) * 30.0
+    vertices[6, 1] = bad
+    faces, edges = np.array(CUBE_FACES) - 1, np.array(CUBE_EDGES) - 1
+
+    def model():
+        return WireframeModel(vertices=vertices, faces=faces, edges=edges)
+
+    with pytest.raises(ModelFormatError, match="not finite"):
+        model()
+    traj = standard_trajectory(2)
+    generate_sequence(cube_model, qvga_camera, traj, sigma=2.0, out_dir=tmp_path / "s", seed=5)
+    for backend in ("float", "q40_23", "q47_16"):
+        with pytest.raises(ModelFormatError):
+            run_tracking(tmp_path / "s", model(), qvga_camera, TrackerConfig(backend=backend),
+                         traj.pose(0))
+    with pytest.raises(ModelFormatError):
+        render_frame_gray(model(), traj.pose(0), qvga_camera, sigma=2.0)
+    with pytest.raises(ModelFormatError):
+        generate_sequence(model(), qvga_camera, traj, sigma=2.0, out_dir=tmp_path / "t", seed=5)
 
 
 @pytest.mark.parametrize("backend", ["float", "q40_23", "q47_16"])

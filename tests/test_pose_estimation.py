@@ -68,7 +68,7 @@ def one_point_lm(n, be):
     matched at (cx + 1, cy + 1) with the normal n: returns the residual
     sum |r| at the start pose.  solve_lm checks the normals once on entry."""
     K = CameraIntrinsics(fx=500.0, fy=500.0, cx=160.0, cy=120.0, width=320, height=240)
-    cols = tuple(tuple(be.array([v]) for v in values)
+    cols = tuple(be.array([[v] for v in values])
                  for values in ((0.0, 0.0, 0.0), n, (K.cx + 1.0, K.cy + 1.0)))
     pose = PoseSE3(np.zeros(3), np.array([0.0, 0.0, 150.0]))
     _, err, iters, attempts, stop = solve_lm(cols, pose, K, LMSettings(max_iterations=0), be)
@@ -360,7 +360,7 @@ def flat_frame(name):
 
     data = json.loads((Path(__file__).parent / "data" / "lm_flat_frames.json").read_text())[name]
     be = get_backend(name)
-    cols = tuple(tuple(FixedArray(np.array(row, dtype=np.int64), be.scalar_type) for row in data[k])
+    cols = tuple(FixedArray(np.array(data[k], dtype=np.int64), be.format)
                  for k in ("X", "n", "match"))
     return cols, PoseSE3(np.array(data["omega"]), np.array(data["t"])), be
 
@@ -519,12 +519,13 @@ def ref_normal_system(measurements, R, t, K, be):
 def array_normal_system(measurements, R, t, K, be):
     """(cost, JᵀJ, Jᵀr) from the array build LM runs, as reference scalars,
     for the same inputs as ref_normal_system."""
-    from edgetrack.pose_estimation import _jacobian, _normal_equations, _residuals, _stack_columns
+    from edgetrack.pose_estimation import _jacobian, _normal_equations, _residuals
 
     scalar = ref_scalars(be).scalar
-    stacked = _stack_columns(columns(measurements, be), K.to_backend(be), be)
-    rs, projected = _residuals(stacked, to_words(R, be), to_words(t, be), be)
-    A, g = _normal_equations(rs, _jacobian(*projected, stacked[1], stacked[3], be), be)
+    X, n, q = columns(measurements, be)
+    Kb = K.to_backend(be)
+    rs, projected = _residuals((X, n, q, Kb), to_words(R, be), to_words(t, be), be)
+    A, g = _normal_equations(rs, _jacobian(*projected, n, Kb.focal, be), be)
     return (scalar(_sum_squares(rs, be)), [[scalar(v) for v in row] for row in A],
             [scalar(v) for v in g])
 
@@ -580,7 +581,7 @@ def test_normal_system_overflow_raises_like_scalar(qvga_camera):
 def test_point_behind_camera_rejects_trial(be, qvga_camera):
     # One point of three lies behind the camera: both forms raise, and the
     # LM trial reports the step as failed instead.
-    from edgetrack.pose_estimation import _stack_columns, _trial
+    from edgetrack.pose_estimation import _trial
 
     K = qvga_camera
     pts = [ControlPoint(edge_index=0, p=(0.0, 0.0), n=(0.6, 0.8), X=(x, 1.0, z), match=(100.0, 90.0))
@@ -590,13 +591,13 @@ def test_point_behind_camera_rejects_trial(be, qvga_camera):
         ref_normal_system(pts, R, t, K, be)
     with pytest.raises(BehindCameraError):
         array_normal_system(pts, R, t, K, be)
-    stacked = _stack_columns(columns(pts, be), K.to_backend(be), be)
+    operands = (*columns(pts, be), K.to_backend(be))
     zero = be.words.from_float(0)
-    assert _trial(stacked, to_words(R, be), to_words(t, be), [zero] * 6, be) is None
+    assert _trial(operands, to_words(R, be), to_words(t, be), [zero] * 6, be) is None
     # The same step with the point moved in front is a trial with a cost.
     pts[1].X = pts[2].X
-    stacked = _stack_columns(columns(pts, be), K.to_backend(be), be)
-    assert _trial(stacked, to_words(R, be), to_words(t, be), [zero] * 6, be) is not None
+    operands = (*columns(pts, be), K.to_backend(be))
+    assert _trial(operands, to_words(R, be), to_words(t, be), [zero] * 6, be) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from edgetrack.geometry import (
     PoseSE3,
     WireframeModel,
     look_at_pose,
-    project_cam,
     transform_np,
 )
 from edgetrack.imaging import ColorImage, GrayImage
@@ -33,6 +32,7 @@ from edgetrack.rasterizer import (
 
 from conftest import (
     decode_ids,
+    pinhole,
     project_np,
     random_convex_model,
     random_orbit_pose,
@@ -202,7 +202,7 @@ def clip_segment_near(a, b):
 def fill_triangle(depth, owner, face_index, pts, K):
     """Depth fill of one camera-space triangle, pixel centers at ints;
     ``owner`` records the face holding each pixel's nearest depth."""
-    uv = [project_cam(p, K) for p in pts]
+    uv = [pinhole(p, K) for p in pts]
     inv_z = [1.0 / p[2] for p in pts]
     (x0, y0), (x1, y1), (x2, y2) = uv
     area = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)

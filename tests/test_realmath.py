@@ -11,17 +11,16 @@ from hypothesis import strategies as st
 from edgetrack.realmath import (
     FixedArray,
     FixedBackend,
-    FixedQ40_23,
-    FixedQ47_16,
     FloatBackend,
     MathDomainError,
     MathOverflowError,
     Q40_23,
     Q47_16,
     QFormat,
-    fixed_type,
     get_backend,
 )
+
+from conftest import FixedQ40_23, FixedQ47_16, fixed_type
 
 FIXED_CLASSES = [FixedQ40_23, FixedQ47_16]
 
@@ -42,6 +41,13 @@ def test_qformat_resolution():
 def test_fixed_type_rejects_other_formats():
     with pytest.raises(ValueError):
         fixed_type(QFormat(integer_bits=31, fraction_bits=32))
+    with pytest.raises(ValueError):
+        FixedBackend(QFormat(integer_bits=31, fraction_bits=32))
+    # An equal format object gives arrays carrying the module constant, so
+    # format checks by identity accept them.
+    be = FixedBackend(QFormat(integer_bits=40, fraction_bits=23))
+    assert be.format is Q40_23 and be.array([1.0]).format is Q40_23
+    assert (be.array([1.0]) + get_backend("q40_23").array([2.0])).raw.tolist() == [3 << 23]
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +385,7 @@ def test_backend_constants_consistent():
 
 def point(cls, raw):
     """A 0-d FixedArray holding the word raw."""
-    return FixedArray(np.array(raw, dtype=np.int64), cls)
+    return FixedArray(np.array(raw, dtype=np.int64), cls.FORMAT)
 
 
 def random_raw_values(rng, count):
@@ -421,8 +427,8 @@ def test_fixed_array_matches_scalar_per_element(cls):
     ints = [int(v) for v in rng.integers(-(1 << 45), 1 << 45, 1500)]
     raised = 0
     for a, b, k in zip(a_raw, b_raw, ints):
-        fa = FixedArray(np.array([a], dtype=np.int64), cls)
-        fb = FixedArray(np.array([b], dtype=np.int64), cls)
+        fa = FixedArray(np.array([a], dtype=np.int64), cls.FORMAT)
+        fb = FixedArray(np.array([b], dtype=np.int64), cls.FORMAT)
         ka = np.array([k], dtype=np.int64)
         cases = [(name, lambda op=op: op(cls(a), cls(b)), lambda op=op: op(fa, fb))
                  for name, op in BINARY_OPS]
@@ -481,17 +487,17 @@ def test_fixed_array_matches_scalar_per_element(cls):
     roots = [0, 1, 3, 1000, (1 << 20) - 1]  # k * k fits both formats
     values = [0, 1, (1 << 63) - 1, *a_raw[:50]] + [(k * k) << cls.FRAC_BITS for k in roots]
     values = [v for v in values if v >= 0]
-    got = FixedArray(np.array(values, dtype=np.int64), cls).sqrt()
+    got = FixedArray(np.array(values, dtype=np.int64), cls.FORMAT).sqrt()
     assert got.raw.tolist() == [cls(v).sqrt().raw for v in values]
     assert got.raw.tolist()[-len(roots):] == [k << cls.FRAC_BITS for k in roots]
     assert be.sqrt(be.words.array(values)).raw.tolist() == got.raw.tolist()
     with pytest.raises(MathDomainError):
-        FixedArray(np.array([4, -1, 9], dtype=np.int64), cls).sqrt()
+        FixedArray(np.array([4, -1, 9], dtype=np.int64), cls.FORMAT).sqrt()
 
     # where: per element the operand the mask picks, of arrays or 0-d arrays.
     mask = rng.random(len(a_raw)) < 0.5
-    fa = FixedArray(np.array(a_raw, dtype=np.int64), cls)
-    fb = FixedArray(np.array(b_raw, dtype=np.int64), cls)
+    fa = FixedArray(np.array(a_raw, dtype=np.int64), cls.FORMAT)
+    fb = FixedArray(np.array(b_raw, dtype=np.int64), cls.FORMAT)
     assert be.where(mask, fa, fb).raw.tolist() == [x if m else y for m, x, y in zip(mask, a_raw, b_raw)]
     assert be.where(mask, point(cls, a_raw[0]), fb).raw.tolist() == [
         a_raw[0] if m else y for m, y in zip(mask, b_raw)]
@@ -499,7 +505,7 @@ def test_fixed_array_matches_scalar_per_element(cls):
         be.where(mask, fa, 1.0)
     other = FIXED_CLASSES[1] if cls is FIXED_CLASSES[0] else FIXED_CLASSES[0]
     with pytest.raises(TypeError):
-        be.where(mask, fa, FixedArray(fb.raw, other))
+        be.where(mask, fa, FixedArray(fb.raw, other.FORMAT))
 
 
 @pytest.mark.parametrize("cls", FIXED_CLASSES)
@@ -511,8 +517,8 @@ def test_fixed_array_raises_where_any_element_does(cls):
         size = int(rng.integers(1, 12))
         a = random_raw_values(rng, size)
         b = [v if v != 0 else 1 for v in random_raw_values(rng, size)]
-        fa = FixedArray(np.array(a, dtype=np.int64), cls)
-        fb = FixedArray(np.array(b, dtype=np.int64), cls)
+        fa = FixedArray(np.array(a, dtype=np.int64), cls.FORMAT)
+        fb = FixedArray(np.array(b, dtype=np.int64), cls.FORMAT)
         for _, op in BINARY_OPS:
             want = [scalar_outcome(lambda x=x, y=y: op(cls(x), cls(y))) for x, y in zip(a, b)]
             if MathOverflowError in want:
@@ -524,7 +530,7 @@ def test_fixed_array_raises_where_any_element_does(cls):
 
 def test_fixed_array_truncates_negative_products_and_quotients():
     be = FixedBackend(Q40_23)
-    a = FixedArray(np.array([-3, -1, 3, -(5 << 23)], dtype=np.int64), be.scalar_type)
+    a = FixedArray(np.array([-3, -1, 3, -(5 << 23)], dtype=np.int64), be.format)
     assert (a * be.array(0.5)).raw.tolist() == [-1, 0, 1, -(5 << 22)]
     assert (a / 2).raw.tolist() == [-1, 0, 1, -(5 << 22)]
     assert (a / be.array(-3)).raw.tolist() == [1, 0, -1, (5 << 23) // 3]
@@ -549,8 +555,8 @@ def test_fixed_array_conversions_match_scalar():
 
 
 def test_fixed_array_rejects_floats_and_other_formats():
-    a = FixedArray(np.array([1, 2], dtype=np.int64), FixedQ40_23)
-    b = FixedArray(np.array([1, 2], dtype=np.int64), FixedQ47_16)
+    a = FixedArray(np.array([1, 2], dtype=np.int64), FixedQ40_23.FORMAT)
+    b = FixedArray(np.array([1, 2], dtype=np.int64), FixedQ47_16.FORMAT)
     with pytest.raises(TypeError):
         a + b
     with pytest.raises(TypeError):
@@ -582,7 +588,7 @@ def test_row_sums_match_scalar_accumulation(cls):
     for size in (0, 1, 7, 80):
         rows = [random_raw_values(rng, size) for _ in range(4)]
         rows.append([(1 << 62)] * size)  # partial sums leave the range from the 2nd term
-        got = FixedArray(np.array(rows, dtype=np.int64).reshape(len(rows), size), cls)
+        got = FixedArray(np.array(rows, dtype=np.int64).reshape(len(rows), size), cls.FORMAT)
         for row in rows:
             acc = cls(0)
             try:
@@ -591,7 +597,7 @@ def test_row_sums_match_scalar_accumulation(cls):
                 want = acc.raw
             except MathOverflowError:
                 want = MathOverflowError
-            single = FixedArray(np.array(row, dtype=np.int64), cls)
+            single = FixedArray(np.array(row, dtype=np.int64), cls.FORMAT)
             try:
                 assert single.row_sums()[0] == want
             except MathOverflowError:
@@ -638,7 +644,7 @@ CHAIN_OPS = [  # (name, array op, scalar op on element i), operands x, y, s, k, 
     ("abs", lambda x, y, s, k, m: abs(x), lambda x, y, s, k, m, i: abs(x[i])),
     ("sqrt", lambda x, y, s, k, m: x.sqrt(), lambda x, y, s, k, m, i: x[i].sqrt()),
     ("slice", lambda x, y, s, k, m: x[::-1], lambda x, y, s, k, m, i: x[-1 - i]),
-    ("where", lambda x, y, s, k, m: FixedBackend(x.FORMAT).where(m, x, y),
+    ("where", lambda x, y, s, k, m: FixedBackend(x.format).where(m, x, y),
      lambda x, y, s, k, m, i: x[i] if m[i] else y[i]),
 ]
 
@@ -653,7 +659,7 @@ def test_fixed_array_bounds_hold_through_operation_chains(cls):
     def random_array(max_bits):
         bits = rng.integers(0, max_bits, size)
         raw = [int(rng.integers(-(1 << int(b)), 1 << int(b), endpoint=True)) for b in bits]
-        return FixedArray(np.array(raw, dtype=np.int64), cls)
+        return FixedArray(np.array(raw, dtype=np.int64), cls.FORMAT)
 
     counts = {"ok": 0, "raised": 0}
     for _ in range(60):
@@ -686,8 +692,8 @@ def test_fixed_array_bounds_hold_through_operation_chains(cls):
 
     # Propagated bounds past 2**63 on values that fit: a rescan finds the
     # tight bound and the words stay int64, as the scalar path gives them.
-    a = FixedArray(np.array([1 << 62, -(1 << 62), 5, 0], dtype=np.int64), cls)
-    b = FixedArray(np.array([-(1 << 62) + 3, (1 << 62) - 7, -5, 9], dtype=np.int64), cls)
+    a = FixedArray(np.array([1 << 62, -(1 << 62), 5, 0], dtype=np.int64), cls.FORMAT)
+    b = FixedArray(np.array([-(1 << 62) + 3, (1 << 62) - 7, -5, 9], dtype=np.int64), cls.FORMAT)
     c = a + b
     assert c.raw.tolist() == [3, -7, 0, 9] and c._bound > 1 << 62
     for got, op in ((c + c, lambda u, v: u + v), (c * c, lambda u, v: u * v),
@@ -703,7 +709,7 @@ def test_fixed_array_bounds_hold_through_operation_chains(cls):
         with pytest.raises(MathOverflowError):
             op(cls(big), quarter)
         with pytest.raises(MathOverflowError):
-            op(FixedArray(np.array([3, big, -7], dtype=np.int64), cls), point(cls, quarter.raw))
+            op(FixedArray(np.array([3, big, -7], dtype=np.int64), cls.FORMAT), point(cls, quarter.raw))
 
 
 @pytest.mark.parametrize("cls", FIXED_CLASSES)
@@ -726,7 +732,7 @@ def test_stack_bound_is_the_items_largest(cls):
     def random_array(max_bits, size=5):
         bits = rng.integers(0, max_bits, size)
         raw = [int(rng.integers(-(1 << int(b)), 1 << int(b), endpoint=True)) for b in bits]
-        return FixedArray(np.array(raw, dtype=np.int64), cls)
+        return FixedArray(np.array(raw, dtype=np.int64), cls.FORMAT)
 
     raised = 0
     for _ in range(150):
@@ -742,7 +748,7 @@ def test_stack_bound_is_the_items_largest(cls):
             bounds = [v._bound for v in stack_items]
             assert got._bound == (None if None in bounds else max(bounds))
             assert got._bound is None or got._bound >= _max_abs(got.raw)
-            scanned = FixedArray(got.raw.copy(), cls)
+            scanned = FixedArray(got.raw.copy(), cls.FORMAT)
             for op in (lambda a: a * a, lambda a: a + a, lambda a: a - a * 3, lambda a: -a):
                 want = outcome(lambda: op(scanned))
                 assert outcome(lambda: op(got)) == want
@@ -836,7 +842,7 @@ def test_fixed_array_times_int_matches_fixed_point(fmt, pairs, slack):
 
     cls = fixed_type(fmt)
     raw, ks = (list(c) for c in zip(*pairs))
-    x = FixedArray(np.array(raw, dtype=np.int64), cls, _max_abs(np.array(raw)) + slack)
+    x = FixedArray(np.array(raw, dtype=np.int64), cls.FORMAT, _max_abs(np.array(raw)) + slack)
     cases = [(ks[0], [scalar_outcome(lambda v=v: cls(v) * ks[0]) for v in raw]),
              (np.array(ks), [scalar_outcome(lambda v=v, k=k: cls(v) * k) for v, k in zip(raw, ks)])]
     for k, per_element in cases:
@@ -861,7 +867,7 @@ def test_int64_products_near_the_word_limit_truncate_toward_zero(fmt, a, gap, si
     b = max(1, (WORD_LIMIT - 1) // a - gap)  # a b < 2**63, near it when gap is small
     x, y = signs[0] * a, signs[1] * b
     want = [scalar_outcome(lambda v=v: cls(v) * cls(y)) for v in (x, -x, 0)]
-    fx = FixedArray(np.array([x, -x, 0], dtype=np.int64), cls)
-    fy = FixedArray(np.array([y, y, y], dtype=np.int64), cls)
+    fx = FixedArray(np.array([x, -x, 0], dtype=np.int64), cls.FORMAT)
+    fy = FixedArray(np.array([y, y, y], dtype=np.int64), cls.FORMAT)
     assert (fx * fy).raw.tolist() == want
     assert (point(cls, x) * point(cls, y)).raw.tolist() == want[0]

@@ -40,10 +40,9 @@ def render_at(model, pose, K):
 def sample_control_points(segment, edge_index, cfg, backend):
     """Control points of one projected segment, a pair of 2D points given
     as floats, laid out by the tracker's array sampling."""
-    (ax, ay), (bx, by) = segment
-    seg, _, (px, py), (nx, ny) = _sample_segments(
-        *(backend.array([v]) for v in (ax, ay, bx, by)), cfg, backend)
-    return [ControlPoint(edge_index=edge_index, p=(px[k], py[k]), n=(nx[k], ny[k]))
+    a, b = (backend.array([[x], [y]]) for x, y in segment)
+    seg, _, p, n = _sample_segments(a, b, cfg, backend)
+    return [ControlPoint(edge_index=edge_index, p=(p[0, k], p[1, k]), n=(n[0, k], n[1, k]))
             for k in range(len(seg))]
 
 
@@ -287,8 +286,9 @@ def test_collect_measurements_counts_and_matches(cube_model, qvga_camera):
     )
     assert isinstance(ms, MeasurementSet)
     assert ms.n_projected >= ms.n_sampled >= ms.n_matched >= 6
-    columns = (ms.edge_index, *ms.p, *ms.n, *ms.X, *ms.match, ms.likelihood)
-    assert all(len(c) == ms.n_matched for c in columns)
+    assert len(ms.edge_index) == len(ms.likelihood) == ms.n_matched
+    assert ms.p.shape == ms.n.shape == ms.match.shape == (2, ms.n_matched)
+    assert ms.X.shape == (3, ms.n_matched)
     assert np.isfinite(ms.match).all() and np.isfinite(ms.X).all()
     # most visible points should find the drawn edge under zero noise
     assert ms.n_matched >= 0.9 * ms.n_sampled
@@ -304,8 +304,8 @@ def test_collect_world_points_reproject_onto_control_points(cube_model, qvga_cam
         cube_model, pose, qvga_camera, gray, render, default_cfg(), FLOAT
     )
     R = exp_map_np(pose.omega)
-    uv, _ = project_np(np.stack(ms.X, axis=1), R, pose.t, qvga_camera)
-    assert uv == pytest.approx(np.stack(ms.p, axis=1), abs=1e-6)
+    uv, _ = project_np(ms.X.T, R, pose.t, qvga_camera)
+    assert uv == pytest.approx(ms.p.T, abs=1e-6)
 
 
 def test_collect_rear_edges_contribute_nothing(cube_model, qvga_camera):
@@ -485,7 +485,6 @@ def ref_clip_box(a, d, lo, hi, backend):
 
 def ref_collect_measurements(model, pose, K, gray, id_buffer, cfg, be):
     """(matched ControlPoints, n_projected, n_sampled) from the per-point loop."""
-    from edgetrack.geometry import project_cam
     from edgetrack.rasterizer import NEAR_PLANE_MM
 
     ref = ref_scalars(be)
@@ -507,8 +506,8 @@ def ref_collect_measurements(model, pose, K, gray, id_buffer, cfg, be):
         a, b = ends
         ca2, wa2, cb2, wb2 = a[:3], a[3:], b[:3], b[3:]
         za2, zb2 = ca2[2], cb2[2]
-        ua, va = project_cam(ca2, Kb)
-        ub, vb = project_cam(cb2, Kb)
+        ua, va = Kb.fx * ca2[0] / za2 + Kb.cx, Kb.fy * ca2[1] / za2 + Kb.cy
+        ub, vb = Kb.fx * cb2[0] / zb2 + Kb.cx, Kb.fy * cb2[1] / zb2 + Kb.cy
         du, dv = ub - ua, vb - va
         span = ref_clip_box((ua, va), (du, dv), lo, hi, be)
         if span is None:
@@ -558,7 +557,7 @@ def test_clip_near_matches_scalar_reference(be):
     rows = [(za, zb) for za in depths for zb in depths]
     a = [(*rng.uniform(-90.0, 90.0, 2), za, *rng.uniform(-90.0, 90.0, 3)) for za, _ in rows]
     b = [(*rng.uniform(-90.0, 90.0, 2), zb, *rng.uniform(-90.0, 90.0, 3)) for _, zb in rows]
-    live, ca, cb = clip_near(*(tuple(be.array([p[j] for p in end]) for j in range(6))
+    live, ca, cb = clip_near(*(be.array([[p[j] for p in end] for j in range(6)])
                                for end in (a, b)), be.array(1.0), be)
     a = [tuple(ref.from_float(float(v)) for v in p) for p in a]
     b = [tuple(ref.from_float(float(v)) for v in p) for p in b]
@@ -566,7 +565,7 @@ def test_clip_near_matches_scalar_reference(be):
     assert live.tolist() == [i for i, w in enumerate(want) if w is not None]
     for k, i in enumerate(live.tolist()):
         for got, ref in zip((ca, cb), want[i]):
-            assert [bits(c[k]) for c in got] == [bits(v) for v in ref]
+            assert [bits(got[j, k]) for j in range(6)] == [bits(v) for v in ref]
     # 4 depths lie behind the plane and 4 on or in front of it.
     assert sum(w is None for w in want) == 16
     assert sum(w is not None and w != (pa, pb) for w, pa, pb in zip(want, a, b)) == 32
@@ -599,8 +598,8 @@ def test_clip_box_matches_scalar_reference(be):
     cases += [(tuple(rng.integers(-6, 25, 2) * 0.5), tuple(rng.integers(-16, 17, 2) * 0.5))
               for _ in range(400)]
     for lo, hi in (((0.0, 0.0), (9.0, 6.0)), ((-1.5, -1.5), (10.5, 7.5))):
-        s0, s1, meets = clip_box(tuple(be.array([c[0][j] for c in cases]) for j in range(2)),
-                                 tuple(be.array([c[1][j] for c in cases]) for j in range(2)),
+        s0, s1, meets = clip_box(be.array([[c[0][j] for c in cases] for j in range(2)]),
+                                 be.array([[c[1][j] for c in cases] for j in range(2)]),
                                  tuple(map(be.array, lo)), tuple(map(be.array, hi)), be)
         lo_b, hi_b = tuple(ref.from_float(v) for v in lo), tuple(ref.from_float(v) for v in hi)
         a = [tuple(ref.from_float(v) for v in c[0]) for c in cases]
@@ -734,13 +733,14 @@ def test_collect_measurements_matches_scalar_reference(be, cube_model, qvga_came
         for k, ref in enumerate(want):
             assert ms.edge_index[k] == ref.edge_index
             for field in ("p", "n", "X", "match"):
-                assert [bits(c[k]) for c in getattr(ms, field)] == [bits(v) for v in getattr(ref, field)]
+                got, want_point = getattr(ms, field), getattr(ref, field)
+                assert [bits(got[j, k]) for j in range(len(want_point))] == list(map(bits, want_point))
             assert bits(ms.likelihood[k]) == bits(ref.likelihood)
 
 
 def measurement_bytes(ms):
     """Every column's words or floats as bytes, and the counters."""
-    columns = (ms.edge_index, *ms.p, *ms.n, *ms.X, *ms.match, ms.likelihood)
+    columns = (ms.edge_index, ms.p, ms.n, ms.X, ms.match, ms.likelihood)
     return [np.asarray(getattr(c, "raw", c)).tobytes() for c in columns], ms.n_projected, ms.n_sampled
 
 

@@ -20,6 +20,10 @@ run's metrics; its notes start empty.  A metric is unresolved when the
 parent's own spread (its IQR) is wider than the bound, relative to the
 parent's median, unless every change run is better than every parent
 run: then a median inside the bound does not show that nothing changed.
+A claim (``--claim``) is met when the change is better in nine pairs of
+ten, by more than the parent's IQR in the median, every run on the
+workload passed its checks, and the change failed no more operations
+there than the parent.
 
 After the pairs, each side runs once more per workload with ``--trace 1``
 on the first pair's seed, one run at a time; the report keeps those runs'
@@ -106,6 +110,40 @@ def compare(spec: dict, parent: list, change: list) -> dict:
     }
 
 
+def summarize(runs: dict, specs: dict) -> dict:
+    """One workload's runs, {side: [run_once result]}, as the report holds
+    them: whether every run passed its checks, each side's failed
+    operations, compare() of every end-to-end metric, and every run's
+    metrics."""
+    return {
+        "all_checks_passed": all(r["result"]["correct"] and r["exit"] == 0
+                                 for side in SIDES for r in runs[side]),
+        "failed": {side: sum(r["result"]["failed"] for r in runs[side]) for side in SIDES},
+        "metrics": {m: compare(spec, *([r["result"]["metrics"][m]["value"] for r in runs[side]]
+                                       for side in SIDES))
+                    for m, spec in specs.items()},
+        "runs": {side: [{m: r["result"]["metrics"][m]["value"] for m in specs}
+                        for r in runs[side]] for side in SIDES},
+    }
+
+
+def claim_verdict(entry: dict, metric: str) -> dict:
+    """Whether the change improves the metric on one summarized workload.
+
+    Met when the change is better in at least nine pairs of ten and its
+    median beats the parent's by more than the parent's IQR, and only if
+    every run on the workload passed its checks and the change failed no
+    more operations there than the parent: a gain does not count when more
+    operations fail."""
+    s = entry["metrics"][metric]
+    met = (s["change_better_pairs"] >= 0.9 * s["pairs"] and s["median_gap_exceeds_parent_iqr"]
+           and entry["all_checks_passed"] and entry["failed"]["change"] <= entry["failed"]["parent"])
+    return {"metric": metric,
+            **{k: s[k] for k in ("change_better_pairs", "pairs", "median_gain_rel",
+                                 "median_gap_exceeds_parent_iqr")},
+            "all_checks_passed": entry["all_checks_passed"], "failed": entry["failed"], "met": met}
+
+
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -184,32 +222,16 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     for w in workloads:
-        entry = {
-            "seeds": seeds[w],
-            "first": [SIDES[k % 2] for k in range(args.pairs)],
-            "all_checks_passed": all(r["result"]["correct"] and r["exit"] == 0
-                                     for side in SIDES for r in runs[w][side]),
-            "failed": {side: sum(r["result"]["failed"] for r in runs[w][side]) for side in SIDES},
-            "metrics": {},
-            "runs": {side: [{m: r["result"]["metrics"][m]["value"] for m in specs}
-                            for r in runs[w][side]] for side in SIDES},
-        }
-        for m, spec in specs.items():
-            values = {side: [r["result"]["metrics"][m]["value"] for r in runs[w][side]] for side in SIDES}
-            entry["metrics"][m] = summary = compare(spec, values["parent"], values["change"])
+        entry = {"seeds": seeds[w], "first": [SIDES[k % 2] for k in range(args.pairs)],
+                 **summarize(runs[w], specs)}
+        for m, summary in entry["metrics"].items():
             report["every_metric_within_bound"] &= summary["within_bound"]
             if summary["unresolved"]:
                 report["unresolved"].append(f"{w}:{m}")
         report["workloads"][w] = entry
     if args.claim:
         w, m = args.claim.split(":")
-        s = report["workloads"][w]["metrics"][m]
-        report["claim"] = {
-            "workload": w, "metric": m,
-            **{k: s[k] for k in ("change_better_pairs", "pairs", "median_gain_rel",
-                                 "median_gap_exceeds_parent_iqr")},
-            "met": s["change_better_pairs"] >= 0.9 * s["pairs"] and s["median_gap_exceeds_parent_iqr"],
-        }
+        report["claim"] = {"workload": w, **claim_verdict(report["workloads"][w], m)}
     report["traced"] = {
         "command": (f"python3 benchmarks/run.py --workload <w> --seed <first pair's seed> "
                     f"--seconds {seconds:g} --trace 1"),
