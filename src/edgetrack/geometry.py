@@ -194,7 +194,7 @@ def exp_map(omega: Sequence, backend) -> list:
     """
     w = backend.words
     add, sub, mul, div = w.add, w.sub, w.mul, w.div
-    one = w.from_float(1)
+    one = w.constant(1)
     two = add(one, one)
     wx, wy, wz = omega
     xx, yy, zz = mul(wx, wx), mul(wy, wy), mul(wz, wz)

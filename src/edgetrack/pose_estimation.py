@@ -286,10 +286,10 @@ def solve_lm(measurements, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSett
     X, n, q = measurements
     _check_unit_normals(n, be)
 
-    word = w.from_float
-    tol_rel, tol_step = (word(v) for v in _TOLERANCES[be.is_fixed])
-    scale, lam_max = word(_LAMBDA_SCALE), word(_LAMBDA_MAX)
-    zero = word(0.0)
+    const, word = w.constant, w.from_float
+    tol_rel, tol_step = map(const, _TOLERANCES[be.is_fixed])
+    scale, lam_max = const(_LAMBDA_SCALE), const(_LAMBDA_MAX)
+    zero = const(0.0)
     Kb = K.to_backend(be)
     operands = (X, n, q, Kb)
     R = exp_map(tuple(word(v) for v in pose0.omega), be)
@@ -297,7 +297,7 @@ def solve_lm(measurements, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSett
 
     rs, projected = _residuals(operands, R, t, be)
     cost = _sum_squares(rs, be)
-    lam = word(settings.lambda0)
+    lam = const(settings.lambda0)
     iterations = attempts = rejections = 0
     while iterations < settings.max_iterations and cost > zero:
         if rejections == 0:  # only a pose LM continues from needs its Jacobian

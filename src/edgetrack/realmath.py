@@ -23,7 +23,8 @@ x * k is exactly x k.
 
 What stays fixed over a run is converted once: `get_backend` builds one
 backend per name, ``backend.constant`` keeps the arrays of numbers such as
-the settings, and the camera and the model keep their own conversions
+the settings, ``words.constant`` the words of loop constants such as LM's
+tolerances, and the camera and the model keep their own conversions
 (``CameraIntrinsics.to_backend``, ``WireframeModel.used_vertices``).
 
 Arrays, word operations and backends carry their ``QFormat``, one of the
@@ -555,6 +556,13 @@ class FixedArray:
             raw = np.asarray(raw)
         return FixedArray(raw, self.format, self._bound)
 
+    def __iter__(self):
+        """The rows along axis 0, as ndarray iterates, each keeping the
+        bound; TypeError for a 0-d array."""
+        if self.raw.ndim == 0:
+            raise TypeError("iteration over a 0-d array")
+        return (self[k] for k in range(len(self.raw)))
+
     def reshape(self, *shape) -> "FixedArray":
         return FixedArray(self.raw.reshape(*shape), self.format, self._bound)
 
@@ -682,6 +690,7 @@ class WordOps(NamedTuple):
     loop of many scalar steps runs on words."""
 
     from_float: Callable  # number -> word, rounded as backend.array rounds it
+    constant: Callable  # from_float for a number fixed over a run: converted once
     to_float: Callable  # word -> float, as the backend's to_float gives it
     array: Callable  # nested lists of words -> backend array
     add: Callable
@@ -759,6 +768,13 @@ def _fixed_word_ops(fmt: QFormat) -> WordOps:
             raise MathDomainError("sqrt of negative fixed-point value")
         return isqrt(a << shift)
 
+    constants = {}
+
+    def constant(value) -> int:
+        if value not in constants:
+            constants[value] = _float_word(value, fmt)
+        return constants[value]
+
     def array(words) -> FixedArray:
         """The words as an array whose bound is their largest magnitude, taken
         over the Python ints, which is quicker than a scan of the array."""
@@ -767,8 +783,9 @@ def _fixed_word_ops(fmt: QFormat) -> WordOps:
         out._scanned = True
         return out
 
-    return WordOps(from_float=lambda v: _float_word(v, fmt), to_float=lambda w: w / scale,
-                   array=array, add=add, sub=sub, neg=neg, mul=mul, div=div, sqrt=sqrt,
+    return WordOps(from_float=lambda v: _float_word(v, fmt), constant=constant,
+                   to_float=lambda w: w / scale, array=array, add=add, sub=sub, neg=neg,
+                   mul=mul, div=div, sqrt=sqrt,
                    sin=lambda a: _sin_raw(a, shift), cos=lambda a: _cos_raw(a, shift))
 
 
@@ -798,7 +815,7 @@ class FloatBackend:
             raise MathDomainError("sqrt of negative value")
         return np.sqrt(values)
 
-    words = WordOps(from_float=float, to_float=_same,
+    words = WordOps(from_float=float, constant=float, to_float=_same,
                     array=lambda words: np.array(words, dtype=np.float64), add=operator.add,
                     sub=operator.sub, neg=operator.neg, mul=operator.mul, div=operator.truediv,
                     sqrt=_float_sqrt, sin=math.sin, cos=math.cos)

@@ -182,16 +182,17 @@ def _bilinear(gray: GrayImage, q, backend):
     values."""
     q0 = backend.floor_array(q)
     x0, y0 = q0
-    ok = (x0 >= 0) & (y0 >= 0) & (x0 + 1 < gray.width) & (y0 + 1 < gray.height)
+    width = gray.width
+    ok = (x0 >= 0) & (y0 >= 0) & (x0 + 1 < width) & (y0 + 1 < gray.height)
     f = q - q0
     fx, fy = f[0], f[1]
-    x0 = np.where(ok, x0, 0)
-    y0 = np.where(ok, y0, 0)
-    px = gray.pixels
-    i00 = px[y0, x0].astype(np.int64)
-    i10 = px[y0, x0 + 1].astype(np.int64)
-    i01 = px[y0 + 1, x0].astype(np.int64)
-    i11 = px[y0 + 1, x0 + 1].astype(np.int64)
+    # The 2x2 corners by their flat indices in the row-major image.
+    i = np.where(ok, y0 * width + x0, 0)
+    px = gray.pixels.reshape(-1)
+    i00 = px[i].astype(np.int64)
+    i10 = px[i + 1].astype(np.int64)
+    i01 = px[i + width].astype(np.int64)
+    i11 = px[i + (width + 1)].astype(np.int64)
     top = i00 + fx * (i10 - i00)
     bottom = i01 + fx * (i11 - i01)
     return top + fy * (bottom - top), ok
@@ -288,7 +289,7 @@ def collect_measurements(
     rows = np.flatnonzero(hit)
     edge, t_lo, t_hi, pa, d = edge[rows], t_lo[rows], t_hi[rows], pa[:, rows], d[:, rows]
     seg, tk, p, n = _sample_segments(pa + t_lo * d, pa + t_hi * d, cfg, be)
-    flat = neighbourhoods(*be.to_float(p), K.width, K.height)
+    flat = neighbourhoods(be.to_float(p), K.width, K.height)
     visible = neighbourhoods_visible(flat, edge[seg], render_ids(read_pixels(flat)))
     seg, tk, p, n = seg[visible], tk[visible], p[:, visible], n[:, visible]
     # Parameter on the near-clipped projected segment, then the

@@ -41,6 +41,13 @@ from conftest import (
 )
 
 
+def assert_same_bytes(got, want):
+    """got holds want's values bit for bit, want taken in got's dtype (the
+    reference fill keeps its owners as int32)."""
+    want = np.asarray(want).astype(got.dtype, copy=False)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Codec.
 
@@ -306,7 +313,7 @@ def test_render_matches_per_pixel_reference(cube_model, qvga_camera):
     for model, pose in reference_scenes(cube_model, np.random.default_rng(56)):
         ids, depth = reference_render(model, pose, qvga_camera)
         assert np.array_equal(render_id_buffer(model, pose, qvga_camera).ids, ids)
-        assert np.array_equal(render_depth_buffer(model, pose, qvga_camera).depth, depth)
+        assert_same_bytes(render_depth_buffer(model, pose, qvga_camera).depth, depth)
 
 
 def test_triangles_match_per_face_clip(cube_model, monkeypatch):
@@ -353,13 +360,15 @@ def test_triangles_match_per_face_clip(cube_model, monkeypatch):
         assert np.array_equal(tris, cam[cube_model.faces]) and faces.tolist() == list(range(12))
 
 
-def test_face_depth_owner_ties_go_to_lower_face():
-    # Coplanar faces at equal depth: a quad split along its diagonal (the
-    # diagonal's pixels lie in both halves), the same triangle listed twice
-    # with either winding, and a larger triangle in the same plane under
-    # both.  The depth query must give every pixel the nearest depth and,
-    # on a tie, the lower face index, as the ordered fill does.
-    K = CameraIntrinsics(fx=40.0, fy=40.0, cx=16.0, cy=12.0, width=32, height=24)
+# A 32x24 camera for the coplanar-tie scenes.
+TIE_CAMERA = CameraIntrinsics(fx=40.0, fy=40.0, cx=16.0, cy=12.0, width=32, height=24)
+
+
+def coplanar_tie_scenes():
+    """Coplanar faces at equal depth, seen from two poses: a quad split
+    along its diagonal (the diagonal's pixels lie in both halves), the same
+    triangle listed twice with either winding, and a larger triangle in the
+    same plane under both."""
     vertices = np.array([
         [-4.0, -3.0, 10.0], [4.0, -3.0, 10.0], [4.0, 3.0, 10.0], [-4.0, 3.0, 10.0],
         [-6.0, -5.0, 10.0], [6.0, -5.0, 10.0], [0.0, 5.0, 10.0],
@@ -367,13 +376,22 @@ def test_face_depth_owner_ties_go_to_lower_face():
     ])
     faces = np.array([[0, 1, 2], [0, 2, 3], [4, 5, 6], [1, 0, 2], [7, 8, 9], [3, 2, 0]])
     model = WireframeModel(vertices=vertices, faces=faces, edges=np.array([[0, 1], [1, 2]]))
-    for pose in (PoseSE3(omega=np.zeros(3), t=np.zeros(3)),
-                 PoseSE3(omega=np.array([0.1, -0.2, 0.05]), t=np.array([0.5, -0.3, 2.0]))):
+    return [(model, PoseSE3(omega=np.zeros(3), t=np.zeros(3))),
+            (model, PoseSE3(omega=np.array([0.1, -0.2, 0.05]), t=np.array([0.5, -0.3, 2.0])))]
+
+
+def test_face_depth_owner_ties_go_to_lower_face():
+    # The depth query must give every pixel of the coplanar-tie scenes the
+    # nearest depth and, on a tie, the lower face index, as the ordered
+    # fill does.
+    K = TIE_CAMERA
+    for model, pose in coplanar_tie_scenes():
+        vertices, faces = model.vertices, model.faces
         cam = transform_np(model.vertices, pose.rotation(), pose.t)
         depth, owner = reference_fill(model, cam, K)
         got_depth, got_owner = _face_depth(model, cam, K, np.arange(K.width * K.height))
-        assert np.array_equal(got_depth, depth.ravel())
-        assert np.array_equal(got_owner, owner.ravel())
+        assert_same_bytes(got_depth, depth.ravel())
+        assert_same_bytes(got_owner, owner.ravel())
         # Ties really occur: pixels where two faces reach the nearest depth.
         alone = [reference_fill(WireframeModel(vertices, faces[[fi]], np.zeros((0, 2))), cam, K)[0]
                  for fi in range(len(faces))]
@@ -482,8 +500,82 @@ def test_face_depth_at_sparse_rows_matches_depth_buffer(cube_model, qvga_camera)
                        np.unique(rng.integers(0, n, 300)),
                        np.array([rng.integers(0, n)])):
             got_depth, got_owner = _face_depth(model, cam, K, pixels)
-            assert np.array_equal(got_depth, depth[pixels])
-            assert np.array_equal(got_owner, owner[pixels])
+            assert_same_bytes(got_depth, depth[pixels])
+            assert_same_bytes(got_owner, owner[pixels])
+
+
+def face_depth_by(enumeration, model, pose, K, pixels, monkeypatch):
+    """_face_depth's (depth, owner) bytes with every query sent to one
+    enumeration: "mask" or "rows"."""
+    import edgetrack.rasterizer as rasterizer
+
+    monkeypatch.setattr(rasterizer, "_MASK_GRID", 1 << 62 if enumeration == "mask" else 0)
+    cam = transform_np(model.vertices, pose.rotation(), pose.t)
+    depth, owner = _face_depth(model, cam, K, pixels)
+    return depth.tobytes(), owner.tobytes()
+
+
+def test_face_depth_enumerations_agree(cube_model, qvga_camera, monkeypatch):
+    # The bounding-box mask and the row walk give the same depth and owner
+    # bytes on pixel sets on both sides of the size rule: one pixel, the
+    # rows of a sparse row set, a tracker's read pixels and a full image
+    # (of a quarter-size camera, which keeps the mask small).
+    import edgetrack.rasterizer as rasterizer
+    from test_harness import corridor_scene
+
+    rule = rasterizer._MASK_GRID
+    K = qvga_camera
+    small = CameraIntrinsics(fx=125.0, fy=125.0, cx=40.0, cy=30.0, width=80, height=60)
+    rng = np.random.default_rng(61)
+    n = K.width * K.height
+    scenes = reference_scenes(cube_model, rng) + [corridor_scene()]
+    sides = set()
+    for model, pose in scenes:
+        rows = np.sort(rng.choice(K.height, 12, replace=False))
+        in_rows = (np.arange(n) // K.width)[:, None] == rows
+        queries = [(K, np.array([rng.integers(0, n)])),
+                   (K, np.flatnonzero(in_rows.any(axis=1))),
+                   (small, np.arange(small.width * small.height)),
+                   (K, tracker_read_pixels(model, pose, K))]
+        for camera, pixels in queries:
+            assert (face_depth_by("mask", model, pose, camera, pixels, monkeypatch)
+                    == face_depth_by("rows", model, pose, camera, pixels, monkeypatch))
+            cam = transform_np(model.vertices, pose.rotation(), pose.t)
+            sides.add(len(_triangles(model, cam)[1]) * len(pixels) < rule)
+    for model, pose in coplanar_tie_scenes():
+        pixels = np.arange(TIE_CAMERA.width * TIE_CAMERA.height)
+        assert (face_depth_by("mask", model, pose, TIE_CAMERA, pixels, monkeypatch)
+                == face_depth_by("rows", model, pose, TIE_CAMERA, pixels, monkeypatch))
+    assert sides == {True, False}
+
+
+def test_size_rule_masks_cube_queries_and_walks_icosphere_rows(
+        cube_model, icosphere_model, qvga_camera, monkeypatch):
+    # The cube tracker's query (12 triangles by ~330 pixels) and a cube
+    # synthesis frame go to the mask; an icosphere synthesis frame (80
+    # triangles by ~3700 pixels) walks the box rows.
+    import edgetrack.rasterizer as rasterizer
+    from edgetrack.harness import render_frame_gray, standard_trajectory
+
+    used = []
+    for name in ("_box_mask_pairs", "_box_row_pairs"):
+        def wrapped(*args, _name=name, _f=getattr(rasterizer, name)):
+            used.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(rasterizer, name, wrapped)
+    pose = standard_trajectory().pose(0)
+
+    def enumerations(run):
+        used.clear()
+        run()
+        return set(used)
+
+    assert enumerations(lambda: tracker_read_pixels(cube_model, pose, qvga_camera)) == {
+        "_box_mask_pairs"}
+    assert enumerations(lambda: render_frame_gray(cube_model, pose, qvga_camera)) == {
+        "_box_mask_pairs"}
+    assert enumerations(lambda: render_frame_gray(icosphere_model, pose, qvga_camera)) == {
+        "_box_row_pairs"}
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,52 @@ def test_backend_constants_consistent():
         assert be.to_float(be.array(0)) == 0.0
 
 
+def test_word_constants_convert_as_from_float_once(monkeypatch):
+    # words.constant gives from_float's word; a fixed-point backend converts
+    # each value once and then returns its stored word.
+    import edgetrack.realmath as realmath
+
+    for name in ("float", "q40_23", "q47_16"):
+        w = get_backend(name).words
+        for v in (0.0, 1, 1e-4, -2.5, 1e4):
+            assert w.constant(v) == w.from_float(v)
+    be = FixedBackend(Q40_23)
+    converted, word = [], realmath._float_word
+    monkeypatch.setattr(realmath, "_float_word", lambda v, fmt: converted.append(v) or word(v, fmt))
+    assert [be.words.constant(v) for v in (0.125, 0.125, 3.0, 0.125)] == [1 << 20, 1 << 20,
+                                                                        3 << 23, 1 << 20]
+    assert converted == [0.125, 3.0]
+
+
+@pytest.mark.parametrize("name", ["q40_23", "q47_16"])
+def test_fixed_array_iterates_as_ndarray(name):
+    # Iteration yields the rows along axis 0 as the float backend's arrays
+    # do, each keeping the array's bound; a 0-d array raises TypeError, and
+    # unpacking the wrong number of rows raises numpy's ValueError.
+    fixed, flt = get_backend(name), get_backend("float")
+    for values in (1.5, [1.5, -2.0, 3.25], [[1.0, 2.0, 3.0], [-4.0, 5.5, 6.0]]):
+        a, f = fixed.array(values), flt.array(values)
+        if f.ndim == 0:
+            for arr in (a, f):
+                with pytest.raises(TypeError, match="iteration over a 0-d array"):
+                    list(arr)
+            continue
+        rows = list(a)
+        assert len(rows) == len(f)
+        for row, want in zip(rows, f):
+            assert type(row) is FixedArray and row.format is a.format and row.bound == a.bound
+            assert row.raw.shape == want.shape
+            assert row.to_float().tolist() == want.tolist()
+    a, f = fixed.array([[1.0, 2.0], [3.0, 4.0]]), flt.array([[1.0, 2.0], [3.0, 4.0]])
+    x, y = a
+    assert x.to_float().tolist() == [1.0, 2.0] and y.to_float().tolist() == [3.0, 4.0]
+    for arr in (a, f):
+        with pytest.raises(ValueError, match="not enough values to unpack"):
+            x, y, z = arr
+        with pytest.raises(ValueError, match="too many values to unpack"):
+            (x,) = arr
+
+
 # ---------------------------------------------------------------------------
 # FixedArray: arrays must match FixedPoint operation by operation.
 

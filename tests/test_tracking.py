@@ -795,29 +795,46 @@ def test_tracking_converts_run_constants_once(name, tmp_path, cube_model, monkey
     # Ten seed-5 standard frames: the intrinsics, the model's vertices and
     # the settings are converted to the backend once per run, on the first
     # frame, so every later frame makes at most one FixedBackend.array
-    # call, for its sample counts.
-    from edgetrack import harness, realmath
+    # call, for its sample counts.  solve_lm's loop constants (the two
+    # tolerances, the damping scale and cap, zero and lambda0) and
+    # exp_map's 1 are converted to words once per backend, so no later
+    # frame converts any of them; the two poses a frame still are.
+    from edgetrack import harness, pose_estimation, realmath
     from edgetrack.harness import generate_sequence, run_tracking, standard_camera, standard_trajectory
 
+    constants = {*pose_estimation._TOLERANCES[True], pose_estimation._LAMBDA_SCALE,
+                 pose_estimation._LAMBDA_MAX, 0.0, pose_estimation.LMSettings().lambda0, 1.0}
     K, traj = standard_camera(), standard_trajectory(10)
     generate_sequence(cube_model, K, traj, sigma=2.0, out_dir=tmp_path, seed=5)
-    calls, per_frame = [], []
-    array, track_frame = realmath.FixedBackend.array, harness.track_frame
-    monkeypatch.setattr(realmath.FixedBackend, "array",
-                        lambda self, values: calls.append(1) or array(self, values))
+    calls, words, per_frame = [], [], []
+    array, word, track_frame = realmath.FixedBackend.array, realmath._float_word, harness.track_frame
+
+    def counted_array(self, values):
+        calls.append(1)
+        start = len(words)
+        try:
+            return array(self, values)
+        finally:
+            del words[start:]  # counted as the array call, not as words
+
+    monkeypatch.setattr(realmath.FixedBackend, "array", counted_array)
+    monkeypatch.setattr(realmath, "_float_word", lambda v, fmt: words.append(v) or word(v, fmt))
 
     def counted_frame(*args):
-        start = len(calls)
+        start, first = len(calls), len(words)
         try:
             return track_frame(*args)
         finally:
-            per_frame.append(len(calls) - start)
+            per_frame.append((len(calls) - start, words[first:]))
 
     monkeypatch.setattr(harness, "track_frame", counted_frame)
     records = run_tracking(tmp_path, cube_model, K, TrackerConfig(backend=name), traj.pose(0))
     assert [r.status for r in records] == ["ok"] * 10
-    assert len(per_frame) == 10 and per_frame[0] <= 9
-    assert max(per_frame[1:]) <= 1
+    arrays = [n for n, _ in per_frame]
+    assert len(per_frame) == 10 and arrays[0] <= 9
+    assert max(arrays[1:]) <= 1
+    assert min(len(w) for _, w in per_frame) >= 12
+    assert [v for _, w in per_frame[1:] for v in w if v in constants] == []
 
 
 def perturbed_start(pose, rng):
