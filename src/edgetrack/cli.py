@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from .harness import (
     GROUND_TRUTH_NAME,
     POSES_NAME,
     STANDARD_SIGMA,
-    OrbitTrajectory,
     evaluate,
     generate_sequence,
     load_pose_csv,
@@ -104,13 +104,7 @@ def _cmd_synth(args) -> int:
         "phase_rad": args.phase,
         "aim_offset": args.aim,
     }
-    fields = {k: v for k, v in overrides.items() if v is not None}
-    if fields:
-        traj = OrbitTrajectory(frames=args.frames, **{
-            "radius_mm": traj.radius_mm, "rate_rad": traj.rate_rad,
-            "elevation_rad": traj.elevation_rad, "phase_rad": traj.phase_rad,
-            "aim_offset": traj.aim_offset, **fields,
-        })
+    traj = replace(traj, **{k: v for k, v in overrides.items() if v is not None})
     count = generate_sequence(model, run.camera, traj, sigma=args.noise,
                               out_dir=args.out, seed=args.seed,
                               occlusion_fraction=args.occlusion)

@@ -217,12 +217,20 @@ def exp_map(omega: Sequence, backend) -> list:
     ]
 
 
+def pose_words(pose: PoseSE3, backend) -> tuple:
+    """The pose (R, t) on the backend's words: ``exp_map`` of omega's words
+    and t's words, each number converted by ``words.from_float``."""
+    from_float = backend.words.from_float
+    return exp_map([from_float(v) for v in pose.omega], backend), [from_float(v) for v in pose.t]
+
+
 def exp_map_np(omega: np.ndarray) -> np.ndarray:
     """Float-path Rodrigues rotation as a numpy 3x3 array."""
     from .realmath import FloatBackend
 
     w = np.asarray(omega, dtype=np.float64).reshape(3)
-    return np.array(exp_map((w[0], w[1], w[2]), FloatBackend()), dtype=np.float64)
+    # Python floats: numpy scalars give the same bits at twice the cost.
+    return np.array(exp_map(w.tolist(), FloatBackend()), dtype=np.float64)
 
 
 def log_rotation_np(R: np.ndarray) -> np.ndarray:

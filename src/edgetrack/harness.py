@@ -4,8 +4,10 @@ The generator renders the model's visible edges as dark anti-aliased lines
 on a white background, every visible run of a frame in one array pass, adds
 sensor noise, and writes the ground-truth pose of every frame; the accuracy
 oracle is that pose file, never the images.  The runner replays a
-sequence through track_frame with a bounded coasting policy and records
-per-frame statistics; evaluation compares camera centers against the truth.
+sequence through track_frame with a bounded coasting policy; a frame's
+record (``FrameRecord``) is the FrameStats track_frame returns plus the
+runner's frame number, pose, status, frame time and gray-scaling time.
+Evaluation compares camera centers against the truth.
 """
 
 from __future__ import annotations
@@ -34,7 +36,13 @@ from .imaging import (
     save_image,
     to_gray,
 )
-from .pose_estimation import DegenerateGeometryError, FrameSizeError, LMSettings, track_frame
+from .pose_estimation import (
+    DegenerateGeometryError,
+    FrameSizeError,
+    FrameStats,
+    LMSettings,
+    track_frame,
+)
 from .rasterizer import (
     depth_buffer_to_image,
     id_buffer_to_image,
@@ -298,23 +306,21 @@ def generate_sequence(model: WireframeModel, K: CameraIntrinsics, traj,
 # ---------------------------------------------------------------------------
 # Tracking runs.
 
+# A failed frame's stats: no counts, no residual, no LM stop, no stage time.
+_NO_STATS = FrameStats(projected=0, sampled=0, matched=0, err=math.nan, iterations=0,
+                       attempts=0, lm_stop="", t_visible=0.0, t_me=0.0, t_pose=0.0)
+
+
 @dataclass
-class FrameRecord:
+class FrameRecord(FrameStats):
+    """One frame of a run: track_frame's FrameStats, ``_NO_STATS`` on a
+    failed frame, plus the runner's fields."""
+
     frame: int
     pose: PoseSE3
-    projected: int
-    sampled: int
-    matched: int
-    err: float
-    iters: int
-    attempts: int
-    t_total: float
-    t_visible: float
-    t_gray: float
-    t_me: float
-    t_pose: float
-    status: str
-    lm_stop: str = ""  # why LM stopped (pose_estimation.LM_STOPS); empty unless ok
+    status: str  # ok, coast or lost
+    t_total: float  # from the start of the image load to the end of the frame, seconds
+    t_gray: float  # colour-to-gray conversion, seconds
 
 
 def _sequence_frames(sequence_dir) -> list:
@@ -361,26 +367,14 @@ def run_tracking(sequence_dir, model: WireframeModel, K: CameraIntrinsics,
             pose, stats = track_frame(pose, gray, model, K, cfg)
             coasted = 0
             status = "ok"
-            projected, sampled, matched = stats.projected, stats.sampled, stats.matched
-            err, iters, attempts = stats.err, stats.iterations, stats.attempts
-            lm_stop = stats.lm_stop
-            t_visible, t_me, t_pose = stats.t_visible, stats.t_me, stats.t_pose
         except (OSError, ImageFormatError, FrameSizeError, InsufficientMeasurementsError,
                 DegenerateGeometryError, MathOverflowError, MathDomainError, BehindCameraError):
             coasted += 1
             status = "coast" if coasted <= coast_frames else "lost"
-            projected = sampled = matched = iters = attempts = 0
-            err, lm_stop = float("nan"), ""
-            t_visible = t_me = t_pose = 0.0
+            stats = _NO_STATS
         t_total = time.perf_counter() - t_start
-        records.append(
-            FrameRecord(
-                frame=idx, pose=pose.copy(), projected=projected, sampled=sampled, matched=matched,
-                err=err, iters=iters, attempts=attempts, t_total=t_total,
-                t_visible=t_visible, t_gray=t_gray, t_me=t_me, t_pose=t_pose,
-                status=status, lm_stop=lm_stop,
-            )
-        )
+        records.append(FrameRecord(**vars(stats), frame=idx, pose=pose.copy(), status=status,
+                                   t_total=t_total, t_gray=t_gray))
         if dump_buffers and out_dir is not None:
             bdir = Path(out_dir) / "buffers"
             bdir.mkdir(parents=True, exist_ok=True)
@@ -400,7 +394,7 @@ def write_run_outputs(out_dir, records):
     lines = [STATS_COLUMNS]
     for r in records:
         lines.append(
-            f"{r.frame},{r.sampled},{r.matched},{r.err:.6f},{r.iters},"
+            f"{r.frame},{r.sampled},{r.matched},{r.err:.6f},{r.iterations},"
             f"{r.t_total * 1e3:.3f},{r.t_visible * 1e3:.3f},{r.t_gray * 1e3:.3f},"
             f"{r.t_me * 1e3:.3f},{r.t_pose * 1e3:.3f},{r.status},{r.projected},{r.attempts},{r.lm_stop}"
         )

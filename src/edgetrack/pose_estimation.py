@@ -24,7 +24,9 @@ only settings.
 Everything runs on the realmath backend, so the same code path produces
 float results or bit-reproducible fixed-point results.  ``solve_lm``
 takes the measurements as the tracker collects them, (3, N) world points
-and (2, N) normals and matches; each trial forms the residuals in a few
+and (2, N) normals and matches, and starts from the prediction as words,
+which ``track_frame`` forms once (``geometry.pose_words``) for
+measurement and LM alike; each trial forms the residuals in a few
 operations on the backend's arrays, and only a pose LM continues from gets
 its (6, N) Jacobian and normal equations.  The pose, the damping, the
 convergence tests, the rotation update (``geometry.exp_map``) and the
@@ -46,6 +48,7 @@ from .geometry import (
     WireframeModel,
     exp_map,
     log_rotation_np,
+    pose_words,
     transform,
 )
 from .imaging import GrayImage
@@ -267,18 +270,19 @@ def _trial(operands, R, t, delta, backend):
     return R, t, rs, projected, _sum_squares(rs, backend)
 
 
-def solve_lm(measurements, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSettings, backend):
+def solve_lm(measurements, R: list, t: list, K: CameraIntrinsics, settings: LMSettings, backend):
     """Minimize the squared edge-normal residuals over the 6 pose parameters.
 
     ``measurements`` are (X, n, match): the world points, a (3, N) backend
     array, and the unit normals and the matched image points, (2, N)
-    arrays, one column per matched control point.  Returns (refined
-    pose, sum of absolute residuals, accepted steps, trial steps, stop
-    reason); the trial count includes rejected steps, the honest measure of
-    how hard the minimization worked, and the stop reason is one of
-    ``LM_STOPS``.  A run of rejections that ends on a singular normal
-    system raises DegenerateGeometryError, and a normal that is not unit
-    length raises ValueError.
+    arrays, one column per matched control point.  LM starts from the pose
+    (R, t) on the backend's words (``geometry.pose_words``).  Returns
+    (refined pose, sum of absolute residuals, accepted steps, trial steps,
+    stop reason); the trial count includes rejected steps, the honest
+    measure of how hard the minimization worked, and the stop reason is
+    one of ``LM_STOPS``.  A run of rejections that ends on a singular
+    normal system raises DegenerateGeometryError, and a normal that is not
+    unit length raises ValueError.
     """
     be = backend
     w = be.words
@@ -286,14 +290,12 @@ def solve_lm(measurements, pose0: PoseSE3, K: CameraIntrinsics, settings: LMSett
     X, n, q = measurements
     _check_unit_normals(n, be)
 
-    const, word = w.constant, w.from_float
+    const = w.constant
     tol_rel, tol_step = map(const, _TOLERANCES[be.is_fixed])
     scale, lam_max = const(_LAMBDA_SCALE), const(_LAMBDA_MAX)
     zero = const(0.0)
     Kb = K.to_backend(be)
     operands = (X, n, q, Kb)
-    R = exp_map(tuple(word(v) for v in pose0.omega), be)
-    t = [word(v) for v in pose0.t]
 
     rs, projected = _residuals(operands, R, t, be)
     cost = _sum_squares(rs, be)
@@ -363,11 +365,12 @@ def track_frame(prev_pose: PoseSE3, gray: GrayImage, model: WireframeModel,
                 K: CameraIntrinsics, cfg) -> tuple[PoseSE3, FrameStats]:
     """Refine the previous pose against one gray frame.
 
-    Collects matched control points at the prediction, rendering the ID
-    buffer there at the pixels the visibility test reads, and runs the LM
-    solver from the prediction.  Insufficient measurements, degenerate
-    geometry or a frame of the wrong size (FrameSizeError) propagate to the
-    caller, which owns the coast-or-abort policy.
+    Converts the prediction to words once (``pose_words``), collects
+    matched control points at it, rendering the ID buffer there at the
+    pixels the visibility test reads, and runs the LM solver from it.
+    Insufficient measurements, degenerate geometry or a frame of the wrong
+    size (FrameSizeError) propagate to the caller, which owns the
+    coast-or-abort policy.
     """
     from .tracking import collect_measurements
 
@@ -386,10 +389,11 @@ def track_frame(prev_pose: PoseSE3, gray: GrayImage, model: WireframeModel,
         return id_buf
 
     t1 = time.perf_counter()
-    ms = collect_measurements(model, prev_pose, K, gray, render_ids, cfg, be)
+    R, t = pose_words(prev_pose, be)
+    ms = collect_measurements(model, R, t, K, gray, render_ids, cfg, be)
     t2 = time.perf_counter()
     pose, err, iterations, attempts, lm_stop = solve_lm(
-        (ms.X, ms.n, ms.match), prev_pose, K, cfg.lm, be)
+        (ms.X, ms.n, ms.match), R, t, K, cfg.lm, be)
     t3 = time.perf_counter()
     stats = FrameStats(
         projected=ms.n_projected,

@@ -449,28 +449,23 @@ def read_pixels(flat: np.ndarray) -> np.ndarray:
 
 
 def neighbourhoods_visible(flat: np.ndarray, edges, id_buffer: IdBuffer) -> np.ndarray:
-    """points_visible for the points whose neighbourhoods are flat
-    (``neighbourhoods``); only the pixels read_pixels names are read."""
-    ids = id_buffer.ids.reshape(-1)[np.maximum(flat, 0)]
-    return ((flat >= 0) & (ids == np.asarray(edges)[:, None])).any(axis=1)
-
-
-def points_visible(px, py, edges, id_buffer: IdBuffer) -> np.ndarray:
     """Per point, whether the ID buffer credits pixel round(p) (or a 3x3
-    neighbour) to the point's edge.
+    neighbour) to the point's edge, for the points whose neighbourhoods are
+    flat (``neighbourhoods``); only the pixels read_pixels names are read.
 
     Rounding is to the nearest pixel, ties away from zero; a point whose
     pixel is off the image is not visible.  The neighbourhood absorbs the
     quantization gap between sub-pixel control points and the
     integer-rasterized buffer.
     """
-    flat = neighbourhoods([px, py], id_buffer.width, id_buffer.height)
-    return neighbourhoods_visible(flat, edges, id_buffer)
+    ids = id_buffer.ids.reshape(-1)[np.maximum(flat, 0)]
+    return ((flat >= 0) & (ids == np.asarray(edges)[:, None])).any(axis=1)
 
 
 def is_point_visible(p, edge_index: int, id_buffer: IdBuffer) -> bool:
     """True when the ID buffer credits pixel round(p) (or a 3x3 neighbor) to edge_index."""
-    return bool(points_visible([p[0]], [p[1]], [edge_index], id_buffer)[0])
+    flat = neighbourhoods([[p[0]], [p[1]]], id_buffer.width, id_buffer.height)
+    return bool(neighbourhoods_visible(flat, [edge_index], id_buffer)[0])
 
 
 # ---------------------------------------------------------------------------

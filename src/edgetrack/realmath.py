@@ -189,8 +189,10 @@ def _reduce_quadrant(x: int) -> tuple[int, int]:
     return x - k * _HALF_PI_G, k % 4
 
 
-def _sin_core(x: int) -> int:
+def _sin_core(x: int, quarter: int = 0) -> int:
+    """sin(x + quarter * pi/2); quarter 1 gives cos(x)."""
     r, q = _reduce_quadrant(x)
+    q = (q + quarter) % 4
     if q == 0:
         return _sin_poly(r)
     if q == 1:
@@ -200,23 +202,8 @@ def _sin_core(x: int) -> int:
     return -_cos_poly(r)
 
 
-def _cos_core(x: int) -> int:
-    r, q = _reduce_quadrant(x)
-    if q == 0:
-        return _cos_poly(r)
-    if q == 1:
-        return -_sin_poly(r)
-    if q == 2:
-        return -_cos_poly(r)
-    return _sin_poly(r)
-
-
-def _sin_raw(raw: int, frac_bits: int) -> int:
-    return _round_half_away(_sin_core(raw << (_G - frac_bits)), _G - frac_bits)
-
-
-def _cos_raw(raw: int, frac_bits: int) -> int:
-    return _round_half_away(_cos_core(raw << (_G - frac_bits)), _G - frac_bits)
+def _sin_raw(raw: int, frac_bits: int, quarter: int = 0) -> int:
+    return _round_half_away(_sin_core(raw << (_G - frac_bits), quarter), _G - frac_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +773,7 @@ def _fixed_word_ops(fmt: QFormat) -> WordOps:
     return WordOps(from_float=lambda v: _float_word(v, fmt), constant=constant,
                    to_float=lambda w: w / scale, array=array, add=add, sub=sub, neg=neg,
                    mul=mul, div=div, sqrt=sqrt,
-                   sin=lambda a: _sin_raw(a, shift), cos=lambda a: _cos_raw(a, shift))
+                   sin=lambda a: _sin_raw(a, shift), cos=lambda a: _sin_raw(a, shift, 1))
 
 
 class FloatBackend:

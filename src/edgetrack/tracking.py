@@ -1,13 +1,14 @@
 """Control-point sampling along projected edges and the 1D edge search.
 
-A predicted pose projects each model edge into the image and control
-points are spread evenly along the projected segment.  The edge-ID buffer
-is then rendered only at the pixels the visibility test reads, the 3x3
-neighbourhoods of those points (``rasterizer.read_pixels``), and filters
-them; each visible point searches for the strongest intensity gradient
-along its edge normal (a single-hypothesis moving-edges scan).  The
-surviving (point, match) pairs are the measurements the pose refiner
-consumes.
+A predicted pose, given on the backend's words as the pose refiner
+starts from it (``geometry.pose_words``), projects each model edge into
+the image and control points are spread evenly along the projected
+segment.  The edge-ID buffer is then rendered only at the pixels the
+visibility test reads, the 3x3 neighbourhoods of those points
+(``rasterizer.read_pixels``), and filters them; each visible point
+searches for the strongest intensity gradient along its edge normal (a
+single-hypothesis moving-edges scan).  The surviving (point, match)
+pairs are the measurements the pose refiner consumes.
 
 All per-edge and per-point arithmetic goes through the realmath backend so
 fixed-point runs are bit-deterministic, and runs once per frame over all
@@ -32,11 +33,9 @@ import numpy as np
 from .geometry import (
     BackendIntrinsics,
     CameraIntrinsics,
-    PoseSE3,
     WireframeModel,
     clip_box,
     clip_near,
-    exp_map,
     project_cam,
     transform,
 )
@@ -250,14 +249,17 @@ def search_correspondence(gray: GrayImage, cp: ControlPoint, cfg: TrackerConfig,
 
 def collect_measurements(
     model: WireframeModel,
-    pose: PoseSE3,
+    R: list,
+    t: list,
     K: CameraIntrinsics,
     gray: GrayImage,
     render_ids: Callable[[np.ndarray], IdBuffer],
     cfg: TrackerConfig,
     backend,
 ) -> MeasurementSet:
-    """Sample, visibility-filter, and match control points on every edge.
+    """Sample, visibility-filter, and match control points on every edge
+    at the predicted pose (R, t), given on the backend's words
+    (``geometry.pose_words``).
 
     Each step runs once per frame on backend arrays: over all edges the
     camera transform, the near-plane clip, the projection, the clip to the
@@ -269,9 +271,6 @@ def collect_measurements(
     when fewer than 6 points match: the pose has 6 degrees of freedom.
     """
     be = backend
-    from_float = be.words.from_float
-    R = exp_map(tuple(map(from_float, pose.omega)), be)
-    t = list(map(from_float, pose.t))
     Kb: BackendIntrinsics = K.to_backend(be)
 
     # Camera and world coordinates of the edge ends, one (6, V) array

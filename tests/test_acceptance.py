@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from edgetrack.geometry import exp_map_np, load_model
+from edgetrack.geometry import exp_map_np, load_model, pose_words
 from edgetrack.harness import (
     GROUND_TRUTH_NAME,
     POSES_NAME,
@@ -202,7 +202,8 @@ def test_criterion_04_exact_recovery(cube60, camera):
     ok = 0
     for _ in range(100):
         start = perturbed_pose(pose, np.radians(2.0), 3.0, rng)
-        out, _, _, _, _ = solve_lm(columns(ms, FLOAT), start, camera, LMSettings(), FLOAT)
+        out, _, _, _, _ = solve_lm(columns(ms, FLOAT), *pose_words(start, FLOAT),
+                                   camera, LMSettings(), FLOAT)
         ang, dist = pose_errors(out, pose)
         ok += ang < 1e-3 and dist < 1e-2
     elapsed = time.perf_counter() - t0

@@ -500,7 +500,7 @@ def test_run_tracking_survives_numeric_faults(tmp_path, cube_model, qvga_camera,
         assert projected == r.projected and int(row[header.index("attempts")]) == r.attempts
         assert row[header.index("lm_stop")] == r.lm_stop
         if r.status == "ok":
-            assert projected >= sampled >= matched >= 6 and r.attempts >= r.iters
+            assert projected >= sampled >= matched >= 6 and r.attempts >= r.iterations
             assert r.lm_stop in LM_STOPS
         else:
             assert projected == sampled == matched == r.attempts == 0 and r.lm_stop == ""
@@ -571,7 +571,7 @@ def test_run_tracking_coasts_over_bad_frames(tmp_path, cube_model, qvga_camera, 
     assert [r.frame for r in records] == list(range(13))
     assert [r.status for r in records] == statuses
     for r in records[10:12]:
-        assert r.projected == r.sampled == r.matched == r.iters == r.attempts == 0
+        assert r.projected == r.sampled == r.matched == r.iterations == r.attempts == 0
         assert np.isnan(r.err) and r.pose.t.tolist() == records[9].pose.t.tolist()
     stats = (tmp_path / "run" / STATS_NAME).read_text().splitlines()
     header = stats[0].split(",")
@@ -717,7 +717,8 @@ def test_profile_share_accounting():
 
     records = [
         FrameRecord(frame=k, pose=PoseSE3(np.zeros(3), np.zeros(3)),
-                    projected=60, sampled=50, matched=40, err=1.0, iters=3, attempts=4,
+                    projected=60, sampled=50, matched=40, err=1.0, iterations=3, attempts=4,
+                    lm_stop="rel_decrease",
                     t_total=0.010, t_visible=0.004, t_gray=0.001,
                     t_me=0.003, t_pose=0.001, status="ok")
         for k in range(5)

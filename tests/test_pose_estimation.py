@@ -13,6 +13,7 @@ from edgetrack.geometry import (
     exp_map_np,
     log_rotation_np,
     look_at_pose,
+    pose_words,
 )
 from edgetrack.pose_estimation import (
     DegenerateGeometryError,
@@ -71,7 +72,8 @@ def one_point_lm(n, be):
     cols = tuple(be.array([[v] for v in values])
                  for values in ((0.0, 0.0, 0.0), n, (K.cx + 1.0, K.cy + 1.0)))
     pose = PoseSE3(np.zeros(3), np.array([0.0, 0.0, 150.0]))
-    _, err, iters, attempts, stop = solve_lm(cols, pose, K, LMSettings(max_iterations=0), be)
+    _, err, iters, attempts, stop = solve_lm(cols, *pose_words(pose, be),
+                                             K, LMSettings(max_iterations=0), be)
     assert iters == attempts == 0 and stop == "max_iterations"
     return err
 
@@ -203,7 +205,8 @@ def test_solver_zero_residual_returns_immediately(qvga_camera):
         q = (K.fx * X[0] / z + K.cx, K.fy * X[1] / z + K.cy)
         n = (1.0, 0.0) if i % 2 else (0.0, 1.0)
         ms.append(ControlPoint(edge_index=0, p=q, n=n, X=X, match=q))
-    out, err, iters, _, stop = solve_lm(columns(ms, FLOAT), pose, qvga_camera, LMSettings(), FLOAT)
+    out, err, iters, _, stop = solve_lm(columns(ms, FLOAT), *pose_words(pose, FLOAT),
+                                        qvga_camera, LMSettings(), FLOAT)
     assert err == 0.0 and iters == 0 and stop == "zero_cost"
     ang, dist = pose_errors(out, pose)
     assert ang < 1e-12 and dist < 1e-12
@@ -215,7 +218,8 @@ def test_solver_already_converged_pose_stays_put(cube_model, qvga_camera):
     pose = cube_pose()
     ms = synthetic_measurements(cube_model, pose, qvga_camera)
     assert len(ms) >= 20
-    out, err, iters, _, _ = solve_lm(columns(ms, FLOAT), pose, qvga_camera, LMSettings(), FLOAT)
+    out, err, iters, _, _ = solve_lm(columns(ms, FLOAT), *pose_words(pose, FLOAT),
+                                     qvga_camera, LMSettings(), FLOAT)
     assert err < 1e-9
     ang, dist = pose_errors(out, pose)
     assert ang < 1e-9 and dist < 1e-9
@@ -227,7 +231,8 @@ def test_solver_recovers_perturbed_poses(cube_model, qvga_camera):
     rng = np.random.default_rng(909)
     for _ in range(25):
         start = perturbed_pose(pose, np.radians(2.0), 3.0, rng)
-        out, err, iters, _, _ = solve_lm(columns(ms, FLOAT), start, qvga_camera, LMSettings(), FLOAT)
+        out, err, iters, _, _ = solve_lm(columns(ms, FLOAT), *pose_words(start, FLOAT),
+                                         qvga_camera, LMSettings(), FLOAT)
         ang, dist = pose_errors(out, pose)
         assert ang < 1e-3 and dist < 1e-2
         assert iters >= 1
@@ -256,7 +261,8 @@ def test_solver_cost_decreases_with_iteration_budget(cube_model, qvga_camera, mo
     costs = []
     for budget in range(0, 9):
         out, _, iters, _, _ = solve_lm(
-            columns(ms, FLOAT), start, qvga_camera, LMSettings(max_iterations=budget), FLOAT
+            columns(ms, FLOAT), *pose_words(start, FLOAT), qvga_camera,
+            LMSettings(max_iterations=budget), FLOAT
         )
         assert iters <= budget
         costs.append(cost_at(out))
@@ -280,9 +286,9 @@ def test_solver_single_straight_edge_is_degenerate(qvga_camera):
                 edge_index=0, p=p, n=(1.0, 0.0), X=X, match=(p[0] + 0.5, p[1])
             )
         )
+    start = PoseSE3(np.zeros(3), np.array([0.0, 0.0, z]))
     with pytest.raises(DegenerateGeometryError):
-        solve_lm(columns(ms, FLOAT), PoseSE3(np.zeros(3), np.array([0.0, 0.0, z])), K,
-                 LMSettings(), FLOAT)
+        solve_lm(columns(ms, FLOAT), *pose_words(start, FLOAT), K, LMSettings(), FLOAT)
 
 
 def test_solver_result_insensitive_to_model_frame_choice(cube_model, qvga_camera):
@@ -311,8 +317,10 @@ def test_solver_result_insensitive_to_model_frame_choice(cube_model, qvga_camera
             )
         )
 
-    out1, err1, it1, _, _ = solve_lm(columns(ms, FLOAT), start, qvga_camera, LMSettings(), FLOAT)
-    out2, err2, it2, _, _ = solve_lm(columns(ms2, FLOAT), reframe(start), qvga_camera, LMSettings(), FLOAT)
+    out1, err1, it1, _, _ = solve_lm(columns(ms, FLOAT), *pose_words(start, FLOAT),
+                                     qvga_camera, LMSettings(), FLOAT)
+    out2, err2, it2, _, _ = solve_lm(columns(ms2, FLOAT), *pose_words(reframe(start), FLOAT),
+                                     qvga_camera, LMSettings(), FLOAT)
     assert err2 == pytest.approx(err1, abs=1e-9)
     assert it1 == it2
     # out2 should be the reframed out1
@@ -326,9 +334,11 @@ def test_solver_fixed_backends_land_near_float(cube_model, qvga_camera):
     ms = synthetic_measurements(cube_model, pose, qvga_camera)
     rng = np.random.default_rng(13)
     start = perturbed_pose(pose, np.radians(1.0), 2.0, rng)
-    out_f, _, _, _, _ = solve_lm(columns(ms, FLOAT), start, qvga_camera, LMSettings(), FLOAT)
+    out_f, _, _, _, _ = solve_lm(columns(ms, FLOAT), *pose_words(start, FLOAT),
+                                 qvga_camera, LMSettings(), FLOAT)
     for be, tol_mm in ((Q40, 0.1), (Q47, 0.5)):
-        out_b, _, _, _, _ = solve_lm(columns(ms, be), start, qvga_camera, LMSettings(), be)
+        out_b, _, _, _, _ = solve_lm(columns(ms, be), *pose_words(start, be),
+                                     qvga_camera, LMSettings(), be)
         ang, dist = pose_errors(out_b, out_f)
         assert dist < tol_mm
         assert ang < 2e-3
@@ -377,10 +387,11 @@ def test_lm_stops_at_first_flat_rejection(name, qvga_camera, monkeypatch):
     monkeypatch.setattr(pose_estimation, "_jacobian", lambda *a: jacobians.append(1) or jacobian(*a))
     cols, pose0, be = flat_frame(name)
     K = qvga_camera
-    out, err, iters, attempts, stop = solve_lm(cols, pose0, K, LMSettings(), be)
+    out, err, iters, attempts, stop = solve_lm(cols, *pose_words(pose0, be), K, LMSettings(), be)
     assert (stop, iters, attempts, len(jacobians)) == ("flat", 2, 3, 3)
     jacobians.clear()
-    two, err2, iters2, attempts2, stop2 = solve_lm(cols, pose0, K, LMSettings(max_iterations=2), be)
+    two, err2, iters2, attempts2, stop2 = solve_lm(cols, *pose_words(pose0, be),
+                                                   K, LMSettings(max_iterations=2), be)
     assert (stop2, iters2, attempts2, len(jacobians)) == ("max_iterations", 2, 2, 2)
     assert out.omega.tolist() == two.omega.tolist() and out.t.tolist() == two.t.tolist()
     assert err == err2
@@ -409,14 +420,14 @@ def test_lm_rejections_that_are_not_flat_raise_lambda(name, fault, qvga_camera, 
     monkeypatch.setattr(pose_estimation, "_solve_linear6", record_lambda)
     monkeypatch.setattr(pose_estimation, "_trial", faulty_trial)
     K = qvga_camera
-    out, _, iters, attempts, stop = solve_lm(cols, pose0, K, LMSettings(), be)
+    out, _, iters, attempts, stop = solve_lm(cols, *pose_words(pose0, be), K, LMSettings(), be)
     assert (stop, iters, attempts) == ("rejections", 0, pose_estimation._MAX_REJECTIONS + 1)
     expected = [w.from_float(1e-3)]
     cap, scale = (w.from_float(v) for v in (pose_estimation._LAMBDA_MAX, 10.0))
     while len(expected) < len(lams):
         expected.append(min(w.mul(expected[-1], scale), cap))
     assert lams == expected and lams[-1] == cap
-    start, *_ = solve_lm(cols, pose0, K, LMSettings(max_iterations=0), be)
+    start, *_ = solve_lm(cols, *pose_words(pose0, be), K, LMSettings(max_iterations=0), be)
     assert out.omega.tolist() == start.omega.tolist() and out.t.tolist() == start.t.tolist()
 
 

@@ -10,6 +10,7 @@ from edgetrack.geometry import (
     PoseSE3,
     WireframeModel,
     look_at_pose,
+    pose_words,
     transform_np,
 )
 from edgetrack.imaging import ColorImage, GrayImage
@@ -422,8 +423,9 @@ def tracker_read_pixels(model, pose, K):
         return render_id_buffer(model, pose, K, pixels)
 
     blank = GrayImage(np.full((K.height, K.width), 255, dtype=np.uint8))
+    be = get_backend("float")
     with pytest.raises(InsufficientMeasurementsError):  # a blank frame matches nothing
-        collect_measurements(model, pose, K, blank, render, TrackerConfig(), get_backend("float"))
+        collect_measurements(model, *pose_words(pose, be), K, blank, render, TrackerConfig(), be)
     assert len(asked) == 1
     return asked[0]
 

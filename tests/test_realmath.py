@@ -1,5 +1,6 @@
 """Tests for the fixed-point scalar type and the two numeric backends."""
 
+import hashlib
 import math
 import operator
 
@@ -349,6 +350,34 @@ def test_trig_bit_determinism():
     x = be1.words.from_float(0.7123)
     assert be1.words.sin(x) == be2.words.sin(x)
     assert be1.words.cos(x) == be2.words.cos(x)
+
+
+# sha256 of "sin:cos,..." over _trig_sweep's words, as text: the kernels'
+# words, which a change to how they are computed must keep.
+TRIG_SWEEP_SHA256 = {
+    "q40_23": "18863d6e15312ac9a9cf63caf224b4b102c08966dd88cc8d67b2b9086fbbcb3c",
+    "q47_16": "dfcc0fa2d60ce9ffedd1cb8ab322bcd012be05d3bfd026b2e148f5b4bcba9f5e",
+}
+
+
+def _trig_sweep(frac_bits):
+    """Words spread over [-13, 13] rad, about 20 000 of them, plus the two
+    words either side of every multiple of pi/4 in [-4 pi, 4 pi]: the
+    quadrant edges of the argument reduction."""
+    one = 1 << frac_bits
+    words = list(range(-13 * one, 13 * one + 1, (26 * one) // 20000))
+    for k in range(-16, 17):
+        edge = round(k * math.pi / 4 * one)
+        words += range(edge - 2, edge + 3)
+    return words
+
+
+@pytest.mark.parametrize("name", ["q40_23", "q47_16"])
+def test_trig_sweep_words_are_recorded(name):
+    w = get_backend(name).words
+    sweep = _trig_sweep(get_backend(name).format.fraction_bits)
+    text = ",".join(f"{w.sin(x)}:{w.cos(x)}" for x in sweep)
+    assert hashlib.sha256(text.encode()).hexdigest() == TRIG_SWEEP_SHA256[name]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from edgetrack.geometry import exp_map_np, log_rotation_np, look_at_pose
+from edgetrack.geometry import exp_map_np, log_rotation_np, look_at_pose, pose_words
 from edgetrack.imaging import GrayImage
 from edgetrack.rasterizer import render_id_buffer
 from edgetrack.realmath import get_backend
@@ -282,7 +282,7 @@ def test_collect_measurements_counts_and_matches(cube_model, qvga_camera):
     render = render_at(cube_model, pose, qvga_camera)
     gray = edge_drawn_image(cube_model, pose, qvga_camera)
     ms = collect_measurements(
-        cube_model, pose, qvga_camera, gray, render, default_cfg(), FLOAT
+        cube_model, *pose_words(pose, FLOAT), qvga_camera, gray, render, default_cfg(), FLOAT
     )
     assert isinstance(ms, MeasurementSet)
     assert ms.n_projected >= ms.n_sampled >= ms.n_matched >= 6
@@ -301,7 +301,7 @@ def test_collect_world_points_reproject_onto_control_points(cube_model, qvga_cam
     render = render_at(cube_model, pose, qvga_camera)
     gray = edge_drawn_image(cube_model, pose, qvga_camera)
     ms = collect_measurements(
-        cube_model, pose, qvga_camera, gray, render, default_cfg(), FLOAT
+        cube_model, *pose_words(pose, FLOAT), qvga_camera, gray, render, default_cfg(), FLOAT
     )
     R = exp_map_np(pose.omega)
     uv, _ = project_np(ms.X.T, R, pose.t, qvga_camera)
@@ -316,7 +316,7 @@ def test_collect_rear_edges_contribute_nothing(cube_model, qvga_camera):
     render = render_at(cube_model, pose, qvga_camera)
     gray = edge_drawn_image(cube_model, pose, qvga_camera)
     ms = collect_measurements(
-        cube_model, pose, qvga_camera, gray, render, default_cfg(), FLOAT
+        cube_model, *pose_words(pose, FLOAT), qvga_camera, gray, render, default_cfg(), FLOAT
     )
     assert set(ms.edge_index.tolist()).isdisjoint({4, 5, 6, 7})
 
@@ -329,7 +329,7 @@ def test_collect_blank_image_insufficient(cube_model, qvga_camera):
     blank = GrayImage(pixels=np.full((240, 320), 255, dtype=np.uint8))
     with pytest.raises(InsufficientMeasurementsError):
         collect_measurements(
-            cube_model, pose, qvga_camera, blank, render, default_cfg(), FLOAT
+            cube_model, *pose_words(pose, FLOAT), qvga_camera, blank, render, default_cfg(), FLOAT
         )
 
 
@@ -341,7 +341,7 @@ def test_collect_behind_camera_insufficient(cube_model, qvga_camera):
     gray = GrayImage(pixels=np.zeros((240, 320), dtype=np.uint8))
     with pytest.raises(InsufficientMeasurementsError):
         collect_measurements(
-            cube_model, pose, qvga_camera, gray, render, default_cfg(), FLOAT
+            cube_model, *pose_words(pose, FLOAT), qvga_camera, gray, render, default_cfg(), FLOAT
         )
 
 
@@ -352,10 +352,10 @@ def test_collect_fixed_backend_matches_float_counts(cube_model, qvga_camera):
     render = render_at(cube_model, pose, qvga_camera)
     gray = edge_drawn_image(cube_model, pose, qvga_camera)
     ms_f = collect_measurements(
-        cube_model, pose, qvga_camera, gray, render, default_cfg(), FLOAT
+        cube_model, *pose_words(pose, FLOAT), qvga_camera, gray, render, default_cfg(), FLOAT
     )
     ms_q = collect_measurements(
-        cube_model, pose, qvga_camera, gray, render, default_cfg(), Q40
+        cube_model, *pose_words(pose, Q40), qvga_camera, gray, render, default_cfg(), Q40
     )
     assert ms_q.n_sampled == ms_f.n_sampled
     assert abs(ms_q.n_matched - ms_f.n_matched) <= 2
@@ -670,7 +670,12 @@ def test_search_ties_prefer_nearest_then_negative_offset(be):
 
 
 def test_visibility_matches_scalar_reference(cube_model, qvga_camera):
-    from edgetrack.rasterizer import is_point_visible, points_visible
+    from edgetrack.rasterizer import is_point_visible, neighbourhoods, neighbourhoods_visible
+
+    def points_visible(pts, edges, id_buffer):
+        # The composition collect_measurements runs.
+        flat = neighbourhoods(pts.T, id_buffer.width, id_buffer.height)
+        return neighbourhoods_visible(flat, edges, id_buffer)
 
     rng = np.random.default_rng(402)
     pose = look_at_pose(np.array([40.0, -35.0, -130.0]), np.zeros(3), np.array([0.0, 1.0, 0.0]))
@@ -686,7 +691,7 @@ def test_visibility_matches_scalar_reference(cube_model, qvga_camera):
     edges += [0] * 6
     pts = np.array(pts)
     want = [ref_is_point_visible(p, e, id_buf) for p, e in zip(pts, edges)]
-    got = points_visible(pts[:, 0], pts[:, 1], np.array(edges), id_buf)
+    got = points_visible(pts, np.array(edges), id_buf)
     assert got.tolist() == want
     assert [is_point_visible(p, e, id_buf) for p, e in zip(pts, edges)] == want
     assert 100 < sum(want) < len(want) - 100
@@ -705,7 +710,7 @@ def test_visibility_matches_scalar_reference(cube_model, qvga_camera):
         pts = rng.integers(-5, 17, (60, 2)) * 0.5
         edges = rng.integers(0, 3, 60)
         want = [ref_is_point_visible(p, e, buf) for p, e in zip(pts, edges)]
-        assert points_visible(pts[:, 0], pts[:, 1], edges, buf).tolist() == want
+        assert points_visible(pts, edges, buf).tolist() == want
 
 
 @pytest.mark.parametrize("be", [FLOAT, Q40, Q47], ids=["float", "q40_23", "q47_16"])
@@ -728,7 +733,7 @@ def test_collect_measurements_matches_scalar_reference(be, cube_model, qvga_came
         want, n_projected, n_sampled = ref_collect_measurements(
             model, start, qvga_camera, gray, id_buf, cfg, be)
         render = render_at(model, start, qvga_camera)
-        ms = collect_measurements(model, start, qvga_camera, gray, render, cfg, be)
+        ms = collect_measurements(model, *pose_words(start, be), qvga_camera, gray, render, cfg, be)
         assert (ms.n_projected, ms.n_sampled, ms.n_matched) == (n_projected, n_sampled, len(want))
         for k, ref in enumerate(want):
             assert ms.edge_index[k] == ref.edge_index
@@ -760,8 +765,10 @@ def test_collect_at_read_pixels_matches_full_buffer(be, tmp_path, cube_model, qv
         gray = load_image(tmp_path / frame_filename(k))
         pose = traj.pose(max(k - 1, 0))
         full = render_id_buffer(cube_model, pose, K)
-        want = collect_measurements(cube_model, pose, K, gray, lambda pixels: full, cfg, be)
-        got = collect_measurements(cube_model, pose, K, gray, render_at(cube_model, pose, K), cfg, be)
+        R, t = pose_words(pose, be)
+        want = collect_measurements(cube_model, R, t, K, gray, lambda pixels: full, cfg, be)
+        render = render_at(cube_model, pose, K)
+        got = collect_measurements(cube_model, R, t, K, gray, render, cfg, be)
         assert measurement_bytes(got) == measurement_bytes(want)
         assert want.n_matched >= 6
 
@@ -798,7 +805,8 @@ def test_tracking_converts_run_constants_once(name, tmp_path, cube_model, monkey
     # call, for its sample counts.  solve_lm's loop constants (the two
     # tolerances, the damping scale and cap, zero and lambda0) and
     # exp_map's 1 are converted to words once per backend, so no later
-    # frame converts any of them; the two poses a frame still are.
+    # frame converts any of them: it converts only the prediction's six
+    # numbers, once for both measurement and LM.
     from edgetrack import harness, pose_estimation, realmath
     from edgetrack.harness import generate_sequence, run_tracking, standard_camera, standard_trajectory
 
@@ -833,7 +841,7 @@ def test_tracking_converts_run_constants_once(name, tmp_path, cube_model, monkey
     arrays = [n for n, _ in per_frame]
     assert len(per_frame) == 10 and arrays[0] <= 9
     assert max(arrays[1:]) <= 1
-    assert min(len(w) for _, w in per_frame) >= 12
+    assert [len(w) for _, w in per_frame[1:]] == [6] * 9
     assert [v for _, w in per_frame[1:] for v in w if v in constants] == []
 
 

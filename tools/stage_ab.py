@@ -41,7 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 STAGES = ("t_total", "t_visible", "t_me", "t_pose")
 # The per-frame record fields that both sides must reproduce exactly.
-COUNTERS = ("frame", "status", "projected", "sampled", "matched", "iters", "attempts",
+COUNTERS = ("frame", "status", "projected", "sampled", "matched", "iterations", "attempts",
             "lm_stop", "err")
 
 
@@ -107,7 +107,8 @@ class Side:
 def record_key(r) -> tuple:
     """A record's pose bytes and counters, which both sides must share."""
     pose = np.concatenate([np.asarray(r.pose.omega, np.float64), np.asarray(r.pose.t, np.float64)])
-    return (pose.tobytes(), *(repr(getattr(r, c)) for c in COUNTERS))
+    # A tree from before FrameRecord took FrameStats' fields calls `iterations` `iters`.
+    return (pose.tobytes(), *(repr(getattr(r, c if hasattr(r, c) else "iters")) for c in COUNTERS))
 
 
 def ms_median(per_pass: list) -> float:
