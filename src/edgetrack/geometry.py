@@ -25,6 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .realmath import FloatBackend
+
 MAX_EDGES = 32767  # edge IDs occupy 15 bits; index 32767 would encode to black
 
 
@@ -226,11 +228,8 @@ def pose_words(pose: PoseSE3, backend) -> tuple:
 
 def exp_map_np(omega: np.ndarray) -> np.ndarray:
     """Float-path Rodrigues rotation as a numpy 3x3 array."""
-    from .realmath import FloatBackend
-
-    w = np.asarray(omega, dtype=np.float64).reshape(3)
     # Python floats: numpy scalars give the same bits at twice the cost.
-    return np.array(exp_map(w.tolist(), FloatBackend()), dtype=np.float64)
+    return np.array(exp_map(np.asarray(omega, dtype=np.float64).tolist(), FloatBackend))
 
 
 def log_rotation_np(R: np.ndarray) -> np.ndarray:

@@ -79,7 +79,7 @@ def standard_camera() -> CameraIntrinsics:
 
 @dataclass
 class OrbitTrajectory:
-    """Camera circling a target at fixed radius and elevation.
+    """Camera circling the world origin at fixed radius and elevation.
 
     ``aim_offset`` shifts the look-at point away from the orbit center so
     the model can sit off-center (or partially out of frame) while the
@@ -91,7 +91,6 @@ class OrbitTrajectory:
     rate_rad: float = STANDARD_RATE_RAD
     elevation_rad: float = 0.45
     phase_rad: float = 0.35
-    target: tuple = (0.0, 0.0, 0.0)
     aim_offset: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
@@ -103,12 +102,10 @@ class OrbitTrajectory:
     def pose(self, index: int) -> PoseSE3:
         theta = self.phase_rad + self.rate_rad * index
         ce = math.cos(self.elevation_rad)
-        center = np.asarray(self.target, dtype=float)
-        camera = center + self.radius_mm * np.array(
+        camera = self.radius_mm * np.array(
             [ce * math.cos(theta), math.sin(self.elevation_rad), ce * math.sin(theta)]
         )
-        aim = center + np.asarray(self.aim_offset, dtype=float)
-        return look_at_pose(camera, aim, down=np.array([0.0, 1.0, 0.0]))
+        return look_at_pose(camera, self.aim_offset, down=np.array([0.0, 1.0, 0.0]))
 
 
 def standard_trajectory(frames: int = STANDARD_FRAMES) -> OrbitTrajectory:

@@ -8,18 +8,19 @@ Jacobian never differentiates through the exponential map at large angles.
 
 A trial solves (A + lambda*diag(A)) delta = -g, with A = JᵀJ and g = Jᵀr,
 starting at lambda = ``LMSettings.lambda0``.  A trial that lowers the cost
-is accepted and divides lambda by 10.  A trial whose cost is no lower but
-rose by less than the backend's relative tolerance (``_TOLERANCES``) times
-the cost ends LM at the current pose: the cost is flat there at the level
-at which an accepted step also ends LM, and on the fixed-point formats,
-whose cost is quantized, further trials there mostly find a cost no lower.
-Any other trial (a higher cost, a singular system, a point behind the
-camera) multiplies lambda by 10, up to 1e4.  LM also stops after
-``LMSettings.max_iterations`` accepted steps, at the 11th rejection in a
-row, or on an accepted step whose relative cost decrease or step norm is
-below the backend's tolerance or that leaves a zero cost; ``solve_lm``
-says which (``LM_STOPS``).  ``lambda0`` and ``max_iterations`` are the
-only settings.
+is accepted and divides lambda by 10, unless that gives the zero word on
+fixed point: lambda then stays, so the damping never reaches zero.  A
+trial whose cost is no lower but rose by less than the backend's relative
+tolerance (``_TOLERANCES``) times the cost ends LM at the current pose:
+the cost is flat there at the level at which an accepted step also ends
+LM, and on the fixed-point formats, whose cost is quantized, further
+trials there mostly find a cost no lower.  Any other trial (a higher
+cost, a singular system, a point behind the camera) multiplies lambda by
+10, up to 1e4.  LM also stops after ``LMSettings.max_iterations``
+accepted steps, at the 11th rejection in a row, or on an accepted step
+whose relative cost decrease or step norm is below the backend's
+tolerance or that leaves a zero cost; ``solve_lm`` says which
+(``LM_STOPS``).  ``lambda0`` and ``max_iterations`` are the only settings.
 
 Everything runs on the realmath backend, so the same code path produces
 float results or bit-reproducible fixed-point results.  ``solve_lm``
@@ -321,7 +322,7 @@ def solve_lm(measurements, R: list, t: list, K: CameraIntrinsics, settings: LMSe
                 break
             lam = min(mul(lam, scale), lam_max)
             continue
-        lam = w.div(lam, scale)
+        lam = w.div(lam, scale) or lam  # a zero word could never rise again (0 × 10 = 0)
         rejections = 0
         iterations += 1
         step_sq = zero

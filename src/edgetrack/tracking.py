@@ -17,8 +17,8 @@ the renderer's near-plane and box clips.  A point set is one backend
 array with its coordinates along axis 0: the edge ends as (6, N) camera
 and world coordinates, then (2, N) image points, normals and matches and
 (3, N) world points, which `MeasurementSet` hands to LM as they are.  Only
-the ID-buffer lookup converts to float (an exact conversion) to address
-pixels.
+the ID-buffer lookup, to address pixels, and the search, to rank its
+likelihoods, convert to float, and both conversions are exact.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .rasterizer import (  # noqa: F401
     neighbourhoods_visible,
     read_pixels,
 )
-from .realmath import BACKEND_NAMES, FixedArray
+from .realmath import BACKEND_NAMES
 
 
 class InsufficientMeasurementsError(ValueError):
@@ -220,10 +220,9 @@ def _search(gray: GrayImage, p, n, cfg: TrackerConfig, backend):
     likelihood = abs(intensity[:, 2:] - intensity[:, :-2]) / 2  # column c is s = c - r
     valid = ok[:, 2:] & ok[:, :-2]
     # Likelihoods are >= 0, so -1 marks a site that cannot win; argmax takes
-    # the first maximum in tie order.
+    # the first maximum in tie order, on floats: a likelihood is <= 127.5, exact as a float.
     order = cfg.tie_order
-    key = likelihood.raw if isinstance(likelihood, FixedArray) else likelihood
-    best = order[np.argmax(np.where(valid, key, -1)[:, order], axis=1)]
+    best = order[np.argmax(np.where(valid, backend.to_float(likelihood), -1)[:, order], axis=1)]
     rows = np.arange(len(best))
     best_l = likelihood[rows, best]
     hit = valid[rows, best] & (best_l >= backend.constant(cfg.gradient_threshold))

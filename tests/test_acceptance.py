@@ -264,6 +264,38 @@ def test_criterion_07_fixed_point_fidelity(float_run, q40_run, q47_run):
           f"error ratio Q47/Q40 {q47_err / q40_err:.4f}")
 
 
+def test_lm_damping_never_reaches_zero(standard_seq, cube60, camera, monkeypatch):
+    # On Q47.16 lambda0 = 1e-3 is the word 66, which two accepted steps
+    # divide to 6 and a third division would take to 0, a damping that no
+    # rejection could raise (0 x 10 = 0).  Frames 6 to 8 of the sequence
+    # solve a third time after two accepted steps: lambda stays at 6.
+    from edgetrack import pose_estimation
+    from edgetrack.imaging import load_image
+    from edgetrack.pose_estimation import track_frame
+
+    be = get_backend("q47_16")
+    lams = []
+    solve_linear6 = pose_estimation._solve_linear6
+
+    def record_lambda(A, g, lam, backend):
+        lams.append(lam)
+        return solve_linear6(A, g, lam, backend)
+
+    monkeypatch.setattr(pose_estimation, "_solve_linear6", record_lambda)
+    cfg = TrackerConfig(backend="q47_16")
+    pose = standard_seq["traj"].pose(0)
+    per_frame = []
+    for path in sorted(standard_seq["dir"].glob("*.pgm"))[:9]:
+        start = len(lams)
+        pose, _ = track_frame(pose, load_image(path), cube60, camera, cfg)
+        per_frame.append(lams[start:])
+    w = be.words
+    assert w.from_float(1e-3) == 66 and w.div(6, w.from_float(10.0)) == 0
+    assert all(run[:2] == [66, 6] for run in per_frame)
+    assert per_frame[6:] == [[66, 6, 6]] * 3
+    assert 0 not in lams
+
+
 # ---------------------------------------------------------------------------
 # 8. Performance envelope.
 
@@ -340,7 +372,7 @@ def test_criterion_10_determinism(standard_seq, cube60, camera, work_dir,
 # depend on the platform's libm throughout and have no digest.
 GOLDEN_POSE_SHA256 = {
     "q40_23": "84a4161803f14277c9331de27d093507be028149442cdbdfd6f7713f52b6c6d8",
-    "q47_16": "8207db1f78fa8276ff434452964f42506f712271e2b482cbb73dbcebc4a7c647",
+    "q47_16": "d85e50da7fc614a4b1155a35acee00cdf62e7d6c48e73b71a532809100131006",
 }
 
 
@@ -360,7 +392,7 @@ STATS_DIGEST_COLUMNS = ("frame", "sampled", "matched", "err", "iters", "status",
                         "attempts", "lm_stop")
 GOLDEN_STATS_SHA256 = {
     "q40_23": "37f57b80fb86e3d48b5d51b75f92d1b7004994474e21a549eac7f9bf4736d9d5",
-    "q47_16": "f54cbe7a870a07e5e2235613e28c0380c805302fe189436f1a158f4b7f0ab6b6",
+    "q47_16": "ac19addc751ee3e6c1553da8a7227e692662ecfe0ec80b2448ab70471415c91b",
 }
 
 

@@ -4,6 +4,9 @@ Every public top-level function or class of a module of src/edgetrack is
 referenced by some module of src/ other than through its own definition,
 or is named by the benchmark driver, which wraps and counts program
 functions by name.  A definition that only tests call belongs in the tests.
+
+Fixed-point words stay inside realmath: no other module names a
+fixed-point type or reads the ``.raw`` words of an array.
 """
 
 import ast
@@ -58,3 +61,39 @@ def test_reference_scan_sees_names_attributes_and_imports():
     names = referenced_names(tree.body)
     assert {"clip_near", "numpy", "points_visible", "rasterizer", "helper", "x"} <= names
     assert "f" not in names
+
+
+FIXED_POINT_NAMES = {"FixedArray", "FixedBackend", "FixedPoint", "QFormat"}
+
+
+def fixed_point_uses(tree) -> list:
+    """Where the tree names a fixed-point type or reads a ``.raw`` word:
+    (line, name) pairs."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            uses += [(node.lineno, a.name) for a in node.names if a.name in FIXED_POINT_NAMES]
+        elif isinstance(node, ast.Name) and node.id in FIXED_POINT_NAMES:
+            uses.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in FIXED_POINT_NAMES | {"raw"}:
+            uses.append((node.lineno, node.attr))
+    return uses
+
+
+def test_fixed_point_words_stay_inside_realmath():
+    # Every stage outside realmath runs on the backend protocol: it neither
+    # names the fixed-point types nor reads their words.
+    found = [f"{path.name}:{line}:{name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name not in ("realmath.py", "__init__.py")
+             for line, name in fixed_point_uses(ast.parse(path.read_text()))]
+    assert not found, f"fixed-point types or words outside realmath: {found}"
+
+
+def test_fixed_point_scan_sees_imports_names_and_raw_reads():
+    tree = ast.parse(
+        "from .realmath import FixedArray, get_backend\n"
+        "def f(x, be):\n"
+        "    return x.raw if isinstance(x, realmath.QFormat) else be.to_float(x)\n"
+    )
+    assert sorted(name for _, name in fixed_point_uses(tree)) == ["FixedArray", "QFormat", "raw"]
