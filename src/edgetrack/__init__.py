@@ -14,7 +14,7 @@ from .pose_estimation import (
     DegenerateGeometryError,
     FrameSizeError,
     FrameStats,
-    LMSettings,
+    TrackerConfig,
     solve_lm,
     track_frame,
 )
@@ -35,7 +35,6 @@ from .tracking import (
     ControlPoint,
     InsufficientMeasurementsError,
     MeasurementSet,
-    TrackerConfig,
     collect_measurements,
 )
 
@@ -54,7 +53,6 @@ __all__ = [
     "GrayImage",
     "ImageFormatError",
     "InsufficientMeasurementsError",
-    "LMSettings",
     "MathOverflowError",
     "MeasurementSet",
     "ModelFormatError",

@@ -40,7 +40,7 @@ from .pose_estimation import (
     DegenerateGeometryError,
     FrameSizeError,
     FrameStats,
-    LMSettings,
+    TrackerConfig,
     track_frame,
 )
 from .rasterizer import (
@@ -50,7 +50,7 @@ from .rasterizer import (
     render_id_buffer,
 )
 from .realmath import MathDomainError, MathOverflowError
-from .tracking import InsufficientMeasurementsError, TrackerConfig
+from .tracking import InsufficientMeasurementsError
 
 GROUND_TRUTH_NAME = "ground_truth.csv"
 POSES_NAME = "poses.csv"
@@ -485,7 +485,7 @@ class RunConfig:
 
 def parse_config(path=None, backend: str = "float") -> RunConfig:
     """Key = value config file over the standard defaults; unknown keys fail."""
-    values = {}
+    values, lines = {}, {}
     if path is not None:
         for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
             body = line.split("#", 1)[0].strip()
@@ -501,6 +501,7 @@ def parse_config(path=None, backend: str = "float") -> RunConfig:
                 values[key] = CONFIG_KEYS[key](raw.strip())
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: bad value for {key}: {raw.strip()!r}") from exc
+            lines[key] = lineno
     if values.get("lm_max_iter", 1) < 1:
         # with no LM step every frame would report ok at the predicted pose
         raise ValueError("lm_max_iter must be >= 1")
@@ -511,8 +512,10 @@ def parse_config(path=None, backend: str = "float") -> RunConfig:
         return {key: values[key] for key in keys if key in values}
 
     camera = replace(standard_camera(), **given("fx", "fy", "cx", "cy", "width", "height"))
-    lm_fields = {"lambda0": "lm_lambda0", "max_iterations": "lm_max_iter"}
-    lm = LMSettings(**{f: values[k] for f, k in lm_fields.items() if k in values})
-    tracker = TrackerConfig(backend=backend, lm=lm,
-                            **given("sampling_step", "search_range", "gradient_threshold"))
+    # Every offset past width + height lies off the image, yet the search would allocate it.
+    limit = camera.width + camera.height
+    if values.get("search_range", 0) > limit:
+        raise ValueError(f"line {lines['search_range']}: search_range must be <= {limit} px")
+    tracker = TrackerConfig(backend=backend, **given(
+        "sampling_step", "search_range", "gradient_threshold", "lm_lambda0", "lm_max_iter"))
     return RunConfig(camera, tracker, **given("coast_frames"))

@@ -7,20 +7,20 @@ parameters, with the rotation updated incrementally on the left so the
 Jacobian never differentiates through the exponential map at large angles.
 
 A trial solves (A + lambda*diag(A)) delta = -g, with A = JᵀJ and g = Jᵀr,
-starting at lambda = ``LMSettings.lambda0``.  A trial that lowers the cost
-is accepted and divides lambda by 10, unless that gives the zero word on
-fixed point: lambda then stays, so the damping never reaches zero.  A
-trial whose cost is no lower but rose by less than the backend's relative
-tolerance (``_TOLERANCES``) times the cost ends LM at the current pose:
-the cost is flat there at the level at which an accepted step also ends
-LM, and on the fixed-point formats, whose cost is quantized, further
-trials there mostly find a cost no lower.  Any other trial (a higher
-cost, a singular system, a point behind the camera) multiplies lambda by
-10, up to 1e4.  LM also stops after ``LMSettings.max_iterations``
-accepted steps, at the 11th rejection in a row, or on an accepted step
-whose relative cost decrease or step norm is below the backend's
-tolerance or that leaves a zero cost; ``solve_lm`` says which
-(``LM_STOPS``).  ``lambda0`` and ``max_iterations`` are the only settings.
+starting at lambda = ``TrackerConfig.lm_lambda0``.  A trial that lowers
+the cost is accepted and divides lambda by 10, unless that gives the zero
+word on fixed point: lambda then stays, so the damping never reaches zero.
+A trial whose cost is no lower but rose by less than the backend's
+relative tolerance (``_TOLERANCES``) times the cost ends LM at the current
+pose: the cost is flat there at the level at which an accepted step also
+ends LM, and on the fixed-point formats, whose cost is quantized, further
+trials there mostly find a cost no lower.  Any other trial (a higher cost,
+a singular system, a point behind the camera) multiplies lambda by 10, up
+to 1e4.  LM also stops after ``TrackerConfig.lm_max_iter`` accepted steps,
+at the 11th rejection in a row, or on an accepted step whose relative cost
+decrease or step norm is below the backend's tolerance or that leaves a
+zero cost; ``solve_lm`` says which (``LM_STOPS``).  ``lm_lambda0`` and
+``lm_max_iter`` are LM's only settings.
 
 Everything runs on the realmath backend, so the same code path produces
 float results or bit-reproducible fixed-point results.  ``solve_lm``
@@ -37,11 +37,14 @@ loop builds no array per scalar step.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+# track_frame calls tracking.collect_measurements, the name benchmarks/run.py wraps.
+from . import tracking
 from .geometry import (
     BehindCameraError,
     CameraIntrinsics,
@@ -54,7 +57,7 @@ from .geometry import (
 )
 from .imaging import GrayImage
 from .rasterizer import render_id_buffer
-from .realmath import FloatBackend, get_backend
+from .realmath import BACKEND_NAMES, FloatBackend, get_backend
 
 # Relative pivot size below which the damped normal system counts as singular.
 _PIVOT_RTOL = 1e-12
@@ -84,21 +87,6 @@ class DegenerateGeometryError(ValueError):
 
 class FrameSizeError(ValueError):
     """A frame's size differs from the camera's image size."""
-
-
-@dataclass
-class LMSettings:
-    """The two settable values of the pose solver: the starting damping and
-    the budget of accepted steps."""
-
-    lambda0: float = 1e-3
-    max_iterations: int = 50
-
-    def __post_init__(self):
-        if not 0 < self.lambda0 <= _LAMBDA_MAX:
-            raise ValueError(f"lambda0 must lie in (0, {_LAMBDA_MAX:g}]")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -271,19 +259,20 @@ def _trial(operands, R, t, delta, backend):
     return R, t, rs, projected, _sum_squares(rs, backend)
 
 
-def solve_lm(measurements, R: list, t: list, K: CameraIntrinsics, settings: LMSettings, backend):
+def solve_lm(measurements, R: list, t: list, K: CameraIntrinsics, cfg: TrackerConfig, backend):
     """Minimize the squared edge-normal residuals over the 6 pose parameters.
 
     ``measurements`` are (X, n, match): the world points, a (3, N) backend
     array, and the unit normals and the matched image points, (2, N)
     arrays, one column per matched control point.  LM starts from the pose
-    (R, t) on the backend's words (``geometry.pose_words``).  Returns
-    (refined pose, sum of absolute residuals, accepted steps, trial steps,
-    stop reason); the trial count includes rejected steps, the honest
-    measure of how hard the minimization worked, and the stop reason is
-    one of ``LM_STOPS``.  A run of rejections that ends on a singular
-    normal system raises DegenerateGeometryError, and a normal that is not
-    unit length raises ValueError.
+    (R, t) on the backend's words (``geometry.pose_words``) at the damping
+    ``cfg.lm_lambda0``, for at most ``cfg.lm_max_iter`` accepted steps.
+    Returns (refined pose, sum of absolute residuals, accepted steps, trial
+    steps, stop reason); the trial count includes rejected steps, the
+    honest measure of how hard the minimization worked, and the stop
+    reason is one of ``LM_STOPS``.  A run of rejections that ends on a
+    singular normal system raises DegenerateGeometryError, and a normal
+    that is not unit length raises ValueError.
     """
     be = backend
     w = be.words
@@ -300,9 +289,9 @@ def solve_lm(measurements, R: list, t: list, K: CameraIntrinsics, settings: LMSe
 
     rs, projected = _residuals(operands, R, t, be)
     cost = _sum_squares(rs, be)
-    lam = const(settings.lambda0)
+    lam = const(cfg.lm_lambda0)
     iterations = attempts = rejections = 0
-    while iterations < settings.max_iterations and cost > zero:
+    while iterations < cfg.lm_max_iter and cost > zero:
         if rejections == 0:  # only a pose LM continues from needs its Jacobian
             A, g = _normal_equations(rs, _jacobian(*projected, n, Kb.focal, be), be)
         attempts += 1
@@ -346,6 +335,32 @@ def solve_lm(measurements, R: list, t: list, K: CameraIntrinsics, settings: LMSe
 # ---------------------------------------------------------------------------
 # Per-frame pipeline.
 
+@dataclass(frozen=True)
+class TrackerConfig:
+    """The tracker's settings, named as the config-file keys."""
+
+    sampling_step: float = 10.0
+    search_range: int = 8
+    gradient_threshold: float = 10.0
+    lm_lambda0: float = 1e-3
+    lm_max_iter: int = 50
+    backend: str = "float"
+
+    def __post_init__(self):
+        if not 2 <= self.sampling_step < math.inf:
+            raise ValueError("sampling_step must be finite and >= 2 px")
+        if self.search_range < 1:
+            raise ValueError("search_range must be >= 1 px")
+        if not 0 <= self.gradient_threshold < math.inf:
+            raise ValueError("gradient_threshold must be finite and >= 0")
+        if not 0 < self.lm_lambda0 <= _LAMBDA_MAX:
+            raise ValueError(f"lm_lambda0 must lie in (0, {_LAMBDA_MAX:g}]")
+        if self.lm_max_iter < 0:
+            raise ValueError("lm_max_iter must be >= 0")
+        if self.backend not in BACKEND_NAMES:
+            raise ValueError(f"unknown backend {self.backend!r}")
+
+
 @dataclass
 class FrameStats:
     """Counters and stage timings for one tracked frame."""
@@ -363,7 +378,7 @@ class FrameStats:
 
 
 def track_frame(prev_pose: PoseSE3, gray: GrayImage, model: WireframeModel,
-                K: CameraIntrinsics, cfg) -> tuple[PoseSE3, FrameStats]:
+                K: CameraIntrinsics, cfg: TrackerConfig) -> tuple[PoseSE3, FrameStats]:
     """Refine the previous pose against one gray frame.
 
     Converts the prediction to words once (``pose_words``), collects
@@ -373,8 +388,6 @@ def track_frame(prev_pose: PoseSE3, gray: GrayImage, model: WireframeModel,
     size (FrameSizeError) propagate to the caller, which owns the
     coast-or-abort policy.
     """
-    from .tracking import collect_measurements
-
     if (gray.width, gray.height) != (K.width, K.height):
         raise FrameSizeError(
             f"frame is {gray.width}x{gray.height}, the camera {K.width}x{K.height}"
@@ -391,10 +404,10 @@ def track_frame(prev_pose: PoseSE3, gray: GrayImage, model: WireframeModel,
 
     t1 = time.perf_counter()
     R, t = pose_words(prev_pose, be)
-    ms = collect_measurements(model, R, t, K, gray, render_ids, cfg, be)
+    ms = tracking.collect_measurements(model, R, t, K, gray, render_ids, cfg, be)
     t2 = time.perf_counter()
     pose, err, iterations, attempts, lm_stop = solve_lm(
-        (ms.X, ms.n, ms.match), R, t, K, cfg.lm, be)
+        (ms.X, ms.n, ms.match), R, t, K, cfg, be)
     t3 = time.perf_counter()
     stats = FrameStats(
         projected=ms.n_projected,

@@ -19,13 +19,15 @@ and world coordinates, then (2, N) image points, normals and matches and
 (3, N) world points, which `MeasurementSet` hands to LM as they are.  Only
 the ID-buffer lookup, to address pixels, and the search, to rank its
 likelihoods, convert to float, and both conversions are exact.
+
+The settings are the ``TrackerConfig`` that ``track_frame`` hands on as
+``cfg``; this module imports nothing from the pose refiner.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,7 +42,6 @@ from .geometry import (
     transform,
 )
 from .imaging import GrayImage
-from .pose_estimation import LMSettings
 # Nothing here calls is_point_visible; benchmarks/run.py wraps the name
 # tracking.is_point_visible in its traced run.
 from .rasterizer import (  # noqa: F401
@@ -51,38 +52,10 @@ from .rasterizer import (  # noqa: F401
     neighbourhoods_visible,
     read_pixels,
 )
-from .realmath import BACKEND_NAMES
 
 
 class InsufficientMeasurementsError(ValueError):
     """Fewer matched control points than the 6 pose degrees of freedom."""
-
-
-@dataclass(frozen=True)
-class TrackerConfig:
-    sampling_step: float = 10.0
-    search_range: int = 8
-    gradient_threshold: float = 10.0
-    backend: str = "float"
-    lm: LMSettings = field(default_factory=LMSettings)
-
-    def __post_init__(self):
-        if not 2 <= self.sampling_step < math.inf:
-            raise ValueError("sampling_step must be finite and >= 2 px")
-        if self.search_range < 1:
-            raise ValueError("search_range must be >= 1 px")
-        if not 0 <= self.gradient_threshold < math.inf:
-            raise ValueError("gradient_threshold must be finite and >= 0")
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(f"unknown backend {self.backend!r}")
-
-    @cached_property
-    def tie_order(self) -> np.ndarray:
-        """The search's 2 r + 1 offset columns, column c for offset
-        s = c - r, in the order ties go: smallest |s| first, the negative
-        side first at equal |s|."""
-        r = self.search_range
-        return np.array(sorted(range(2 * r + 1), key=lambda c: (abs(c - r), c - r)))
 
 
 @dataclass
@@ -145,7 +118,7 @@ def _sample_params(counts, backend):
 _QUARTER_TURN = np.array([[-1], [1]])
 
 
-def _sample_segments(a, b, cfg: TrackerConfig, backend):
+def _sample_segments(a, b, cfg, backend):
     """Control points spread evenly along the projected segments
     a[:, i]-b[:, i], given as (2, N) backend arrays.
 
@@ -173,6 +146,16 @@ def _sample_segments(a, b, cfg: TrackerConfig, backend):
 
 # ---------------------------------------------------------------------------
 # Moving-edges correspondence search.
+
+@cache
+def _tie_order(r: int) -> np.ndarray:
+    """The search's 2 r + 1 offset columns, column c for offset s = c - r,
+    in the order ties go: smallest |s| first, the negative side first at
+    equal |s|.  Read-only, since every search shares it."""
+    order = np.array(sorted(range(2 * r + 1), key=lambda c: (abs(c - r), c - r)))
+    order.flags.writeable = False
+    return order
+
 
 def _bilinear(gray: GrayImage, q, backend):
     """Bilinear gray intensities at sub-pixel positions q, a backend array
@@ -203,7 +186,7 @@ def bilinear_sample(gray: GrayImage, x, y, backend):
     return value[0] if ok[0] else None
 
 
-def _search(gray: GrayImage, p, n, cfg: TrackerConfig, backend):
+def _search(gray: GrayImage, p, n, cfg, backend):
     """Scan integer offsets along each point's normal for the strongest gradient.
 
     Positions p and normals n are (2, N) backend arrays.  Likelihood at
@@ -221,7 +204,7 @@ def _search(gray: GrayImage, p, n, cfg: TrackerConfig, backend):
     valid = ok[:, 2:] & ok[:, :-2]
     # Likelihoods are >= 0, so -1 marks a site that cannot win; argmax takes
     # the first maximum in tie order, on floats: a likelihood is <= 127.5, exact as a float.
-    order = cfg.tie_order
+    order = _tie_order(r)
     best = order[np.argmax(np.where(valid, backend.to_float(likelihood), -1)[:, order], axis=1)]
     rows = np.arange(len(best))
     best_l = likelihood[rows, best]
@@ -229,7 +212,7 @@ def _search(gray: GrayImage, p, n, cfg: TrackerConfig, backend):
     return hit, sites[:, rows[hit], best[hit] + 1], best_l[hit]
 
 
-def search_correspondence(gray: GrayImage, cp: ControlPoint, cfg: TrackerConfig, backend):
+def search_correspondence(gray: GrayImage, cp: ControlPoint, cfg, backend):
     """Moving-edges scan for one control point (see _search).
 
     Sets cp.match and cp.likelihood when the best gradient clears the
@@ -253,7 +236,7 @@ def collect_measurements(
     K: CameraIntrinsics,
     gray: GrayImage,
     render_ids: Callable[[np.ndarray], IdBuffer],
-    cfg: TrackerConfig,
+    cfg,
     backend,
 ) -> MeasurementSet:
     """Sample, visibility-filter, and match control points on every edge

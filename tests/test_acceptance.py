@@ -25,7 +25,7 @@ from edgetrack.harness import (
     standard_camera,
     standard_trajectory,
 )
-from edgetrack.pose_estimation import LMSettings, solve_lm
+from edgetrack.pose_estimation import TrackerConfig, solve_lm
 from edgetrack.rasterizer import (
     MAX_EDGE_ID,
     CapacityError,
@@ -34,7 +34,6 @@ from edgetrack.rasterizer import (
     render_id_buffer,
 )
 from edgetrack.realmath import get_backend
-from edgetrack.tracking import TrackerConfig
 
 from conftest import (
     columns,
@@ -203,7 +202,7 @@ def test_criterion_04_exact_recovery(cube60, camera):
     for _ in range(100):
         start = perturbed_pose(pose, np.radians(2.0), 3.0, rng)
         out, _, _, _, _ = solve_lm(columns(ms, FLOAT), *pose_words(start, FLOAT),
-                                   camera, LMSettings(), FLOAT)
+                                   camera, TrackerConfig(), FLOAT)
         ang, dist = pose_errors(out, pose)
         ok += ang < 1e-3 and dist < 1e-2
     elapsed = time.perf_counter() - t0

@@ -29,9 +29,8 @@ from edgetrack.harness import (
     _draw_runs,
     _visible_runs,
 )
-from edgetrack.pose_estimation import LM_STOPS
+from edgetrack.pose_estimation import LM_STOPS, TrackerConfig
 from edgetrack.rasterizer import BACKGROUND, render_id_buffer
-from edgetrack.tracking import TrackerConfig
 
 from conftest import (
     CUBE_EDGES,
@@ -770,7 +769,7 @@ def test_parse_config_overrides_and_comments(tmp_path):
     assert rc.camera.fy == standard_camera().fy
     assert rc.tracker.sampling_step == 8.0
     assert rc.tracker.search_range == 12
-    assert rc.tracker.lm.max_iterations == 25
+    assert rc.tracker.lm_max_iter == 25
     assert rc.tracker.backend == "q40_23"
     assert rc.coast_frames == 5
 
@@ -793,11 +792,23 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
     ("lm_max_iter = -3", "lm_max_iter"), ("lm_max_iter = 0", "lm_max_iter"),
     ("coast_frames = -1", "coast_frames"), ("fx = nan", "focal"),
     ("sampling_step = nan", "sampling_step"), ("gradient_threshold = nan", "gradient_threshold"),
+    ("search_range = 561", "line 1: search_range must be <= 560 px"),
+    ("fx = 500\nsearch_range = 1000000000", "line 2: search_range must be <= 560 px"),
 ])
 def test_parse_config_rejects_unusable_values(line, match, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
     with pytest.raises(ValueError, match=match):
+        parse_config(cfg)
+
+
+def test_parse_config_bounds_search_range_by_its_own_image_size(tmp_path):
+    # The bound is the configured width + height, wherever the file sets them.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("search_range = 540\nwidth = 300\n")
+    assert parse_config(cfg).tracker.search_range == 540
+    cfg.write_text("search_range = 541\nwidth = 300\n")
+    with pytest.raises(ValueError, match="line 1: search_range must be <= 540 px"):
         parse_config(cfg)
 
 
@@ -909,3 +920,26 @@ def test_cli_init_literal(tmp_path, cube_model_path, capsys):
                  f"--init={lit}", "--out", str(run)]) == 0
     rep = evaluate(run / POSES_NAME, seq / GROUND_TRUTH_NAME)
     assert rep.mean_distance < 1.5
+
+
+def test_cli_track_rejects_a_search_range_past_the_image(tmp_path, cube_model_path, capsys,
+                                                          monkeypatch):
+    from edgetrack import cli
+
+    seq = tmp_path / "seq"
+    assert cli.main(["synth", "--model", str(cube_model_path), "--frames", "1",
+                     "--out", str(seq), "--noise", "0"]) == 0
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("search_range = 1000000000\n")
+
+    def no_tracking(*args, **kwargs):  # the search would allocate 2e9 sites per point
+        raise AssertionError("tracking started with an unbounded search range")
+
+    monkeypatch.setattr(cli, "run_tracking", no_tracking)
+    out = tmp_path / "out"
+    rc = cli.main(["track", "--model", str(cube_model_path), "--config", str(cfg),
+                   "--sequence", str(seq), "--init", str(seq / GROUND_TRUTH_NAME),
+                   "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: line 1: search_range must be <=")
+    assert not out.exists()

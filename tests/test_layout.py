@@ -7,6 +7,9 @@ functions by name.  A definition that only tests call belongs in the tests.
 
 Fixed-point words stay inside realmath: no other module names a
 fixed-point type or reads the ``.raw`` words of an array.
+
+Every import of src/edgetrack is at module level, and the modules' imports
+of one another form no cycle, so no function defers an import to break one.
 """
 
 import ast
@@ -97,3 +100,73 @@ def test_fixed_point_scan_sees_imports_names_and_raw_reads():
         "    return x.raw if isinstance(x, realmath.QFormat) else be.to_float(x)\n"
     )
     assert sorted(name for _, name in fixed_point_uses(tree)) == ["FixedArray", "QFormat", "raw"]
+
+
+def function_imports(tree) -> list:
+    """(line, function) of every import statement inside a function body."""
+    return sorted({(node.lineno, fn.name)
+                   for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def sibling_imports(tree) -> set:
+    """The modules of the package that the tree imports anywhere in it:
+    ``from .x import`` and ``from . import x``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module.split(".")[0]] if node.module else (a.name for a in node.names))
+    return found
+
+
+def import_cycle(graph: dict) -> list:
+    """A cycle of the module graph, its first module repeated at the end;
+    [] when there is none."""
+    done, path = set(), []
+
+    def visit(module):
+        path.append(module)
+        for dep in sorted(graph.get(module, ())):
+            if dep in path:
+                return path[path.index(dep):] + [dep]
+            if dep not in done and (cycle := visit(dep)):
+                return cycle
+        done.add(path.pop())
+        return []
+
+    for module in sorted(graph):
+        if module not in done and (cycle := visit(module)):
+            return cycle
+    return []
+
+
+def package_trees() -> dict:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_no_function_in_src_imports():
+    found = [f"{module}.py:{line}:{fn}"
+             for module, tree in package_trees().items() for line, fn in function_imports(tree)]
+    assert not found, f"imports inside functions: {found}"
+
+
+def test_src_modules_import_one_another_without_a_cycle():
+    cycle = import_cycle({module: sibling_imports(tree) for module, tree in package_trees().items()})
+    assert not cycle, f"import cycle: {' -> '.join(cycle)}"
+
+
+def test_import_scans_see_function_imports_and_cycles():
+    tree = ast.parse(
+        "from . import tracking\n"
+        "from .geometry import clip_near\n"
+        "import numpy\n"
+        "def f(x):\n"
+        "    def g():\n"
+        "        from .tracking import collect_measurements\n"
+        "    import math\n"
+    )
+    assert function_imports(tree) == [(6, "f"), (6, "g"), (7, "f")]
+    assert sibling_imports(tree) == {"tracking", "geometry"}
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) == []
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"b"}}) == ["b", "c", "b"]
+    assert import_cycle({"a": {"a"}}) == ["a", "a"]

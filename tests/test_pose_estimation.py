@@ -17,7 +17,7 @@ from edgetrack.geometry import (
 )
 from edgetrack.pose_estimation import (
     DegenerateGeometryError,
-    LMSettings,
+    TrackerConfig,
     _sum_squares,
     residual,
     solve_lm,
@@ -73,7 +73,7 @@ def one_point_lm(n, be):
                  for values in ((0.0, 0.0, 0.0), n, (K.cx + 1.0, K.cy + 1.0)))
     pose = PoseSE3(np.zeros(3), np.array([0.0, 0.0, 150.0]))
     _, err, iters, attempts, stop = solve_lm(cols, *pose_words(pose, be),
-                                             K, LMSettings(max_iterations=0), be)
+                                             K, TrackerConfig(lm_max_iter=0), be)
     assert iters == attempts == 0 and stop == "max_iterations"
     return err
 
@@ -206,7 +206,7 @@ def test_solver_zero_residual_returns_immediately(qvga_camera):
         n = (1.0, 0.0) if i % 2 else (0.0, 1.0)
         ms.append(ControlPoint(edge_index=0, p=q, n=n, X=X, match=q))
     out, err, iters, _, stop = solve_lm(columns(ms, FLOAT), *pose_words(pose, FLOAT),
-                                        qvga_camera, LMSettings(), FLOAT)
+                                        qvga_camera, TrackerConfig(), FLOAT)
     assert err == 0.0 and iters == 0 and stop == "zero_cost"
     ang, dist = pose_errors(out, pose)
     assert ang < 1e-12 and dist < 1e-12
@@ -219,7 +219,7 @@ def test_solver_already_converged_pose_stays_put(cube_model, qvga_camera):
     ms = synthetic_measurements(cube_model, pose, qvga_camera)
     assert len(ms) >= 20
     out, err, iters, _, _ = solve_lm(columns(ms, FLOAT), *pose_words(pose, FLOAT),
-                                     qvga_camera, LMSettings(), FLOAT)
+                                     qvga_camera, TrackerConfig(), FLOAT)
     assert err < 1e-9
     ang, dist = pose_errors(out, pose)
     assert ang < 1e-9 and dist < 1e-9
@@ -232,7 +232,7 @@ def test_solver_recovers_perturbed_poses(cube_model, qvga_camera):
     for _ in range(25):
         start = perturbed_pose(pose, np.radians(2.0), 3.0, rng)
         out, err, iters, _, _ = solve_lm(columns(ms, FLOAT), *pose_words(start, FLOAT),
-                                         qvga_camera, LMSettings(), FLOAT)
+                                         qvga_camera, TrackerConfig(), FLOAT)
         ang, dist = pose_errors(out, pose)
         assert ang < 1e-3 and dist < 1e-2
         assert iters >= 1
@@ -262,7 +262,7 @@ def test_solver_cost_decreases_with_iteration_budget(cube_model, qvga_camera, mo
     for budget in range(0, 9):
         out, _, iters, _, _ = solve_lm(
             columns(ms, FLOAT), *pose_words(start, FLOAT), qvga_camera,
-            LMSettings(max_iterations=budget), FLOAT
+            TrackerConfig(lm_max_iter=budget), FLOAT
         )
         assert iters <= budget
         costs.append(cost_at(out))
@@ -288,7 +288,7 @@ def test_solver_single_straight_edge_is_degenerate(qvga_camera):
         )
     start = PoseSE3(np.zeros(3), np.array([0.0, 0.0, z]))
     with pytest.raises(DegenerateGeometryError):
-        solve_lm(columns(ms, FLOAT), *pose_words(start, FLOAT), K, LMSettings(), FLOAT)
+        solve_lm(columns(ms, FLOAT), *pose_words(start, FLOAT), K, TrackerConfig(), FLOAT)
 
 
 def test_solver_result_insensitive_to_model_frame_choice(cube_model, qvga_camera):
@@ -318,9 +318,9 @@ def test_solver_result_insensitive_to_model_frame_choice(cube_model, qvga_camera
         )
 
     out1, err1, it1, _, _ = solve_lm(columns(ms, FLOAT), *pose_words(start, FLOAT),
-                                     qvga_camera, LMSettings(), FLOAT)
+                                     qvga_camera, TrackerConfig(), FLOAT)
     out2, err2, it2, _, _ = solve_lm(columns(ms2, FLOAT), *pose_words(reframe(start), FLOAT),
-                                     qvga_camera, LMSettings(), FLOAT)
+                                     qvga_camera, TrackerConfig(), FLOAT)
     assert err2 == pytest.approx(err1, abs=1e-9)
     assert it1 == it2
     # out2 should be the reframed out1
@@ -335,10 +335,10 @@ def test_solver_fixed_backends_land_near_float(cube_model, qvga_camera):
     rng = np.random.default_rng(13)
     start = perturbed_pose(pose, np.radians(1.0), 2.0, rng)
     out_f, _, _, _, _ = solve_lm(columns(ms, FLOAT), *pose_words(start, FLOAT),
-                                 qvga_camera, LMSettings(), FLOAT)
+                                 qvga_camera, TrackerConfig(), FLOAT)
     for be, tol_mm in ((Q40, 0.1), (Q47, 0.5)):
         out_b, _, _, _, _ = solve_lm(columns(ms, be), *pose_words(start, be),
-                                     qvga_camera, LMSettings(), be)
+                                     qvga_camera, TrackerConfig(), be)
         ang, dist = pose_errors(out_b, out_f)
         assert dist < tol_mm
         assert ang < 2e-3
@@ -346,11 +346,11 @@ def test_solver_fixed_backends_land_near_float(cube_model, qvga_camera):
 
 def test_lm_settings_validation():
     for lambda0 in (0.0, -1e-3, float("nan"), float("inf"), 1e5):
-        with pytest.raises(ValueError, match="lambda0"):
-            LMSettings(lambda0=lambda0)
-    with pytest.raises(ValueError, match="max_iterations"):
-        LMSettings(max_iterations=-1)
-    assert LMSettings(lambda0=1e4, max_iterations=0).lambda0 == 1e4
+        with pytest.raises(ValueError, match="lm_lambda0"):
+            TrackerConfig(lm_lambda0=lambda0)
+    with pytest.raises(ValueError, match="lm_max_iter"):
+        TrackerConfig(lm_max_iter=-1)
+    assert TrackerConfig(lm_lambda0=1e4, lm_max_iter=0).lm_lambda0 == 1e4
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +387,11 @@ def test_lm_stops_at_first_flat_rejection(name, qvga_camera, monkeypatch):
     monkeypatch.setattr(pose_estimation, "_jacobian", lambda *a: jacobians.append(1) or jacobian(*a))
     cols, pose0, be = flat_frame(name)
     K = qvga_camera
-    out, err, iters, attempts, stop = solve_lm(cols, *pose_words(pose0, be), K, LMSettings(), be)
+    out, err, iters, attempts, stop = solve_lm(cols, *pose_words(pose0, be), K, TrackerConfig(), be)
     assert (stop, iters, attempts, len(jacobians)) == ("flat", 2, 3, 3)
     jacobians.clear()
     two, err2, iters2, attempts2, stop2 = solve_lm(cols, *pose_words(pose0, be),
-                                                   K, LMSettings(max_iterations=2), be)
+                                                   K, TrackerConfig(lm_max_iter=2), be)
     assert (stop2, iters2, attempts2, len(jacobians)) == ("max_iterations", 2, 2, 2)
     assert out.omega.tolist() == two.omega.tolist() and out.t.tolist() == two.t.tolist()
     assert err == err2
@@ -420,14 +420,14 @@ def test_lm_rejections_that_are_not_flat_raise_lambda(name, fault, qvga_camera, 
     monkeypatch.setattr(pose_estimation, "_solve_linear6", record_lambda)
     monkeypatch.setattr(pose_estimation, "_trial", faulty_trial)
     K = qvga_camera
-    out, _, iters, attempts, stop = solve_lm(cols, *pose_words(pose0, be), K, LMSettings(), be)
+    out, _, iters, attempts, stop = solve_lm(cols, *pose_words(pose0, be), K, TrackerConfig(), be)
     assert (stop, iters, attempts) == ("rejections", 0, pose_estimation._MAX_REJECTIONS + 1)
     expected = [w.from_float(1e-3)]
     cap, scale = (w.from_float(v) for v in (pose_estimation._LAMBDA_MAX, 10.0))
     while len(expected) < len(lams):
         expected.append(min(w.mul(expected[-1], scale), cap))
     assert lams == expected and lams[-1] == cap
-    start, *_ = solve_lm(cols, *pose_words(pose0, be), K, LMSettings(max_iterations=0), be)
+    start, *_ = solve_lm(cols, *pose_words(pose0, be), K, TrackerConfig(lm_max_iter=0), be)
     assert out.omega.tolist() == start.omega.tolist() and out.t.tolist() == start.t.tolist()
 
 
@@ -437,7 +437,6 @@ def test_lm_rejections_that_are_not_flat_raise_lambda(name, fault, qvga_camera, 
 def test_track_frame_is_stationary_on_its_own_render(cube_model, qvga_camera):
     from edgetrack.harness import render_frame_gray
     from edgetrack.pose_estimation import track_frame
-    from edgetrack.tracking import TrackerConfig
 
     pose = cube_pose()
     gray = render_frame_gray(cube_model, pose, qvga_camera, sigma=0.0)
@@ -454,7 +453,6 @@ def test_track_frame_is_stationary_on_its_own_render(cube_model, qvga_camera):
 def test_track_frame_rejects_wrong_image_size(cube_model, qvga_camera):
     from edgetrack.imaging import GrayImage
     from edgetrack.pose_estimation import FrameSizeError, track_frame
-    from edgetrack.tracking import TrackerConfig
 
     gray = GrayImage(pixels=np.zeros((120, 160), dtype=np.uint8))
     with pytest.raises(FrameSizeError, match="160x120"):
@@ -465,7 +463,7 @@ def test_track_frame_rejects_wrong_image_size(cube_model, qvga_camera):
 def test_track_frame_blank_image_raises_insufficient(cube_model, qvga_camera):
     from edgetrack.imaging import GrayImage
     from edgetrack.pose_estimation import track_frame
-    from edgetrack.tracking import InsufficientMeasurementsError, TrackerConfig
+    from edgetrack.tracking import InsufficientMeasurementsError
 
     gray = GrayImage(pixels=np.full((240, 320), 200, dtype=np.uint8))
     with pytest.raises(InsufficientMeasurementsError):

@@ -414,7 +414,8 @@ def traced_pixels(id_buf, K):
 def tracker_read_pixels(model, pose, K):
     """The pixels collect_measurements asks its one ID render for at pose."""
     from edgetrack.realmath import get_backend
-    from edgetrack.tracking import InsufficientMeasurementsError, TrackerConfig, collect_measurements
+    from edgetrack.pose_estimation import TrackerConfig
+    from edgetrack.tracking import InsufficientMeasurementsError, collect_measurements
 
     asked = []
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -102,7 +103,8 @@ def test_floor_to_int():
 
 
 # ---------------------------------------------------------------------------
-# backend.array and words.from_float against FixedPoint.from_float.
+# backend.array, words.from_float and FixedPoint.from_float against exact
+# rational rounding.
 
 def numbers(fmt):
     """Floats and ints at the edges of the rounding and the range of fmt:
@@ -130,13 +132,43 @@ def conversion(fn):
         return type(exc)
 
 
+def exact_word(value, fmt):
+    """What converting value to a word of fmt must give, from rational
+    arithmetic alone: value * 2**F rounded half away from zero, or
+    MathDomainError for inf and NaN and MathOverflowError for a word
+    outside the signed 64-bit range."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return MathDomainError
+    scaled = Fraction(value) * 2 ** fmt.fraction_bits
+    word = math.floor(abs(scaled) + Fraction(1, 2)) * (1 if scaled >= 0 else -1)
+    return word if -(1 << 63) <= word < 1 << 63 else MathOverflowError
+
+
+@pytest.mark.parametrize("fmt", [Q40_23, Q47_16], ids=str)
+def test_conversions_round_as_exact_arithmetic(fmt):
+    # Scaled magnitudes around 2**52, where a float can no longer hold
+    # x + 1/2 exactly, next to ties, the word range's ends and small values.
+    ulp = 2.0 ** -fmt.fraction_bits
+    values = [(2 ** 52 + k) * ulp for k in range(-3, 4)] + [(k + 0.5) * ulp for k in (0, 1, 2, -3)]
+    values += [2.0 ** fmt.integer_bits, 2.0 ** fmt.integer_bits - ulp, -2.0 ** fmt.integer_bits,
+               0.1, -0.1, 1 / 3, 7]
+    be, cls = FixedBackend(fmt), fixed_type(fmt)
+    for value in values + [-v for v in values]:
+        want = exact_word(value, fmt)
+        assert conversion(lambda: be.words.from_float(value)) == want, value
+        assert conversion(lambda: cls.from_float(value).raw) == want, value
+        arr = conversion(lambda: be.array(value))
+        assert (arr if isinstance(want, type) else arr.raw.tolist()) == want, value
+
+
 @pytest.mark.parametrize("fmt", [Q40_23, Q47_16], ids=str)
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(data=st.data())
 def test_array_and_words_convert_as_from_float(fmt, data):
     be, cls = FixedBackend(fmt), fixed_type(fmt)
     value = data.draw(numbers(fmt))
-    want = conversion(lambda: cls.from_float(value).raw)
+    want = exact_word(value, fmt)
+    assert conversion(lambda: cls.from_float(value).raw) == want
     assert conversion(lambda: be.words.from_float(value)) == want
     arr = conversion(lambda: be.array(value))
     if isinstance(want, type):
@@ -149,7 +181,8 @@ def test_array_and_words_convert_as_from_float(fmt, data):
     shape = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple))
     flat = data.draw(st.lists(numbers(fmt), min_size=math.prod(shape), max_size=math.prod(shape)))
     nested = np.array(flat, dtype=object).reshape(shape).tolist()
-    words = [conversion(lambda v=v: cls.from_float(v).raw) for v in flat]
+    words = [exact_word(v, fmt) for v in flat]
+    assert [conversion(lambda v=v: cls.from_float(v).raw) for v in flat] == words
     want = next((w for w in words if isinstance(w, type)), None)
     got = conversion(lambda: be.array(nested))
     if want is not None:

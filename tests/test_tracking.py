@@ -7,13 +7,13 @@ import pytest
 
 from edgetrack.geometry import exp_map_np, log_rotation_np, look_at_pose, pose_words
 from edgetrack.imaging import GrayImage
+from edgetrack.pose_estimation import TrackerConfig
 from edgetrack.rasterizer import render_id_buffer
 from edgetrack.realmath import get_backend
 from edgetrack.tracking import (
     ControlPoint,
     InsufficientMeasurementsError,
     MeasurementSet,
-    TrackerConfig,
     _sample_segments,
     bilinear_sample,
     collect_measurements,
@@ -811,7 +811,7 @@ def test_tracking_converts_run_constants_once(name, tmp_path, cube_model, monkey
     from edgetrack.harness import generate_sequence, run_tracking, standard_camera, standard_trajectory
 
     constants = {*pose_estimation._TOLERANCES[True], pose_estimation._LAMBDA_SCALE,
-                 pose_estimation._LAMBDA_MAX, 0.0, pose_estimation.LMSettings().lambda0, 1.0}
+                 pose_estimation._LAMBDA_MAX, 0.0, pose_estimation.TrackerConfig().lm_lambda0, 1.0}
     K, traj = standard_camera(), standard_trajectory(10)
     generate_sequence(cube_model, K, traj, sigma=2.0, out_dir=tmp_path, seed=5)
     calls, words, per_frame = [], [], []

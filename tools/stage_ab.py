@@ -46,14 +46,14 @@ COUNTERS = ("frame", "status", "projected", "sampled", "matched", "iterations", 
 
 
 def load_package(alias: str, pkg_dir: Path):
-    """The package in pkg_dir imported as ``alias``, with its harness,
-    geometry and tracking modules."""
+    """The package in pkg_dir imported as ``alias``, with its harness and
+    geometry modules."""
     spec = importlib.util.spec_from_file_location(
         alias, pkg_dir / "__init__.py", submodule_search_locations=[str(pkg_dir)])
     package = importlib.util.module_from_spec(spec)
     sys.modules[alias] = package
     spec.loader.exec_module(package)
-    for name in ("harness", "geometry", "tracking"):
+    for name in ("harness", "geometry"):
         importlib.import_module(f"{alias}.{name}")
     return package
 
@@ -80,12 +80,12 @@ class Side:
     def __init__(self, package, model_files: dict):
         self.h = package.harness
         self.geometry = package.geometry
-        self.tracking = package.tracking
+        self.config = package.TrackerConfig  # the top-level name, wherever the class lives
         self.models = {name: self.geometry.load_model(path) for name, path in model_files.items()}
         self.camera = self.h.standard_camera()
 
     def track(self, seq: Path, backend: str, init):
-        cfg = self.tracking.TrackerConfig(backend=backend)
+        cfg = self.config(backend=backend)
         pose = self.geometry.PoseSE3(np.array(init.omega), np.array(init.t))
         return self.h.run_tracking(seq, self.models["cube"], self.camera, cfg, pose)
 
@@ -107,8 +107,7 @@ class Side:
 def record_key(r) -> tuple:
     """A record's pose bytes and counters, which both sides must share."""
     pose = np.concatenate([np.asarray(r.pose.omega, np.float64), np.asarray(r.pose.t, np.float64)])
-    # A tree from before FrameRecord took FrameStats' fields calls `iterations` `iters`.
-    return (pose.tobytes(), *(repr(getattr(r, c if hasattr(r, c) else "iters")) for c in COUNTERS))
+    return (pose.tobytes(), *(repr(getattr(r, c)) for c in COUNTERS))
 
 
 def ms_median(per_pass: list) -> float:
