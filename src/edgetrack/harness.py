@@ -131,8 +131,8 @@ def _visible_runs(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics):
     id_buf = render_id_buffer(model, pose, K)
     tr = id_buf.trace
     inside = (tr.x >= 0) & (tr.x < K.width) & (tr.y >= 0) & (tr.y < K.height)
-    owned = np.zeros(len(tr.s), dtype=bool)
-    owned[inside] = id_buf.ids[tr.y[inside], tr.x[inside]] == tr.edge[inside]
+    flat = np.where(inside, tr.y * K.width + tr.x, 0)  # off-image steps read pixel 0
+    owned = inside & (np.take(id_buf.ids.reshape(-1), flat) == tr.edge)
     # A run starts at an owned step whose predecessor in the same edge is
     # not owned, and ends at one whose successor is not.
     chained = owned[1:] & owned[:-1] & (tr.edge[1:] == tr.edge[:-1])
@@ -504,18 +504,47 @@ def parse_config(path=None, backend: str = "float") -> RunConfig:
             lines[key] = lineno
     if values.get("lm_max_iter", 1) < 1:
         # with no LM step every frame would report ok at the predicted pose
-        raise ValueError("lm_max_iter must be >= 1")
+        raise ValueError(f"line {lines['lm_max_iter']}: lm_max_iter must be >= 1")
     if values.get("coast_frames", 0) < 0:
-        raise ValueError("coast_frames must be >= 0")
+        raise ValueError(f"line {lines['coast_frames']}: coast_frames must be >= 0")
 
     def given(*keys):
         return {key: values[key] for key in keys if key in values}
 
-    camera = replace(standard_camera(), **given("fx", "fy", "cx", "cy", "width", "height"))
+    camera = _replace_named(standard_camera(), given("fx", "fy", "cx", "cy", "width", "height"),
+                            lines)
     # Every offset past width + height lies off the image, yet the search would allocate it.
     limit = camera.width + camera.height
     if values.get("search_range", 0) > limit:
         raise ValueError(f"line {lines['search_range']}: search_range must be <= {limit} px")
-    tracker = TrackerConfig(backend=backend, **given(
-        "sampling_step", "search_range", "gradient_threshold", "lm_lambda0", "lm_max_iter"))
+    tracker = _replace_named(TrackerConfig(backend=backend), given(
+        "sampling_step", "search_range", "gradient_threshold", "lm_lambda0", "lm_max_iter"), lines)
     return RunConfig(camera, tracker, **given("coast_frames"))
+
+
+def _replace_named(base, values: dict, lines: dict):
+    """replace(base, **values), where a ValueError the dataclass raises
+    names the config line of the value at fault: the first, in file order,
+    that it rejects on its own, or else (a check across values, such as a
+    principal point outside a configured image) the last whose default
+    clears the error."""
+    try:
+        return replace(base, **values)
+    except ValueError as exc:
+        order = sorted(values, key=lines.__getitem__)
+        for key in order:
+            alone = _rejection(base, {key: values[key]})
+            if alone is not None:
+                raise ValueError(f"line {lines[key]}: {alone}") from exc
+        needed = [key for key in order
+                  if _rejection(base, {k: v for k, v in values.items() if k != key}) is None]
+        raise ValueError(f"line {lines[(needed or order)[-1]]}: {exc}") from exc
+
+
+def _rejection(base, values: dict) -> Optional[ValueError]:
+    """The ValueError replace(base, **values) raises, or None."""
+    try:
+        replace(base, **values)
+    except ValueError as exc:
+        return exc
+    return None

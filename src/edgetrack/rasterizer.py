@@ -6,17 +6,21 @@ edges are line-stepped in one array pass.  At each distinct on-image pixel
 of that trace, every triangle of the near-clipped, fan-triangulated faces is
 tested (bounding box and three edge functions, depth perspective-correct
 via linear 1/z interpolation) and the nearest face wins, on a tie the lower
-face index.  The (triangle, pixel) pairs in the bounding boxes come from
-one of two enumerations with the same result, chosen by the size of the
+face index.  The (triangle, pixel) pairs to test come from one of two
+enumerations with the same result, chosen by the size of the
 triangles-by-pixels grid (_MASK_GRID): a small grid, such as a cube's, is
-masked as a whole, which costs a few array operations; a large one, such
-as an icosphere's, walks the box rows, which tests only the pixels of rows
-a box spans.  The mask is the faster of the two on the cube, the row walk
-on the icosphere.  Each edge's ID is then written wherever it survives the
-hidden-line test: the frontmost face at the pixel is one of the edge's own
-faces, or no face covers it, or the line depth is within a small relative
-bias of the face depth; among surviving edges the nearest wins.  The buffer
-is the one a full-image z-fill of every face would give.
+masked as a whole, which takes every pair in the bounding boxes in a few
+array operations; a large one, such as an icosphere's, walks each
+triangle's scanline spans, the columns of a box row that the triangle's
+edges bound, as a hardware rasterizer does, widened by a stated float
+error bound so that no pixel the exact test passes is missed.  The mask is
+the faster of the two on the cube; on an icosphere frame of the standard
+orbit the boxes hold about 17,000 pairs, and the span walk tests about
+7,050, the pairs that pass.  Each edge's ID is then written wherever it
+survives the hidden-line test: the frontmost face at the pixel is one of
+the edge's own faces, or no face covers it, or the line depth is within a
+small relative bias of the face depth; among surviving edges the nearest
+wins.  The buffer is the one a full-image z-fill of every face would give.
 
 A pixel's ID depends only on its own trace steps and face depth, so
 `render_id_buffer` can also render just the pixels a caller will read: the
@@ -196,19 +200,34 @@ def _edge_pixels(a: np.ndarray, b: np.ndarray, K: CameraIntrinsics) -> EdgeTrace
 
 # A query of fewer (triangle, pixel) pairs than this takes the pairs in the
 # triangles' bounding boxes from one mask over the whole grid, at most this
-# many booleans; a larger one walks the box rows.  At cube scale the mask is
-# a few array operations where the walk spends its time on per-row
-# bookkeeping; at icosphere scale a triangle's box holds a few percent of
-# the pixels, and masking the whole grid costs more than the walk saves.
-# Per query on the standard orbit (Xeon, Python 3.11, numpy 2.4; mask
-# against walk): cube tracker, 12 x ~330, 0.22 against 0.32 ms; cube
-# synthesis, 12 x ~1100, 0.44 against 0.52 ms; icosphere synthesis,
-# 80 x ~3650, 2.43 against 1.74 ms.
+# many booleans; a larger one walks the triangles' scanline spans.  At cube
+# scale the mask is a few array operations where the walk spends its time
+# on per-row bookkeeping; at icosphere scale a triangle covers a few percent
+# of the pixels, and masking the whole grid costs more than the walk saves.
+# Median per query on the standard orbit (2-vCPU Xeon, Python 3.11, numpy
+# 2.4; mask against span walk): cube tracker, 12 x ~360, 0.22 against 0.35
+# ms; cube synthesis, 12 x ~1100, 0.39 against 0.42 ms; icosphere
+# synthesis, 80 x ~3650, 2.99 against 1.08 ms.
 _MASK_GRID = 1 << 15
 
-# A row walk tests at most this many pixel-triangle pairs at once, which
-# bounds its temporaries.
-_PAIR_CHUNK = 1 << 12
+# A span walk tests at most this many pixel-triangle pairs at once, which
+# bounds its temporaries.  An icosphere synthesis query then peaks at about
+# 700 KB (tracemalloc).  At 1 << 12 it peaked at about 950 KB, and in a
+# synthesis run the process handed that heap back after the query and took
+# about 100 minor page faults a frame to map it again.
+_PAIR_CHUNK = 1 << 11
+
+# An edge whose rise |dy| is below this many pixels is nearly horizontal and
+# bounds no span; above it the bound's quotient stays far from overflow.
+_FLAT_DY = 2.0 ** -20
+
+# A triangle with a projected coordinate beyond this many pixels bounds no
+# span; below it no product of the per-pair test comes near overflow.
+_SPAN_COORD = 2.0 ** 60
+
+# The relative margin of a span bound, twice the float error of the
+# per-pair edge test and of the bound itself (_face_depth).
+_SPAN_EPS = 2.0 ** -49
 
 
 def _triangles(model: WireframeModel, cam: np.ndarray):
@@ -243,66 +262,104 @@ def _triangles(model: WireframeModel, cam: np.ndarray):
     return np.concatenate([tris, corners]), np.concatenate([faces, cross[fan]])
 
 
+# Edge k of a triangle, opposite vertex k, runs from vertex _REF[k] to
+# vertex _NEXT[k]; its edge function is vertex k's barycentric weight times
+# the area.
+_REF, _NEXT = [1, 2, 0], [2, 0, 1]
+
+
 def _face_depth(model: WireframeModel, cam: np.ndarray, K: CameraIntrinsics, pixels):
     """Nearest face depth and its face index at each of ``pixels``, sorted
     distinct flat indices y * width + x of pixel centers.
 
     A pixel belongs to a triangle when it lies in the triangle's bounding
     box and all three edge functions share the sign of its area, zero
-    included.  The depth there is perspective-correct: 1/z is interpolated
-    linearly with the barycentric weights of the edge functions.  Among the
+    included.  Edge k, from vertex r to vertex n, has the edge function
+    dx * (y - y_r) - dy * (x - x_r), with dx = x_n - x_r and dy = y_n - y_r.
+    The depth there is perspective-correct: 1/z is interpolated linearly
+    with the barycentric weights of the edge functions.  Among the
     triangles holding a pixel the nearest wins, on equal depth the lowest
     face index, so the result is that of filling the faces into a depth
     buffer in order with a strict less-than test.  Pixels no face holds get
     depth +inf and face -1.
 
-    The (triangle, pixel) pairs in the bounding boxes are enumerated in one
-    of two ways, which give the same pairs in the same order (by triangle,
-    then pixel): a grid of fewer than _MASK_GRID pairs, such as a cube's,
-    is masked as a whole (_box_mask_pairs); a larger one, such as an
-    icosphere's or a full-image query, walks the box rows
-    (_box_row_pairs).  Each is the faster one at its scale: the mask on the
-    cube, where the walk's per-row bookkeeping dominates, the row walk on
-    the icosphere, whose boxes each hold few of the pixels.  Both feed the
-    same per-pair test.
+    The (triangle, pixel) pairs to test are enumerated in one of two ways,
+    which give the same result: a grid of fewer than _MASK_GRID pairs,
+    such as a cube's, takes every pair in the bounding boxes from one mask
+    (_box_mask_pairs); a larger one, such as an icosphere's or a full-image
+    query, walks each triangle's scanline spans (_span_pairs).  Each is the
+    faster one at its scale: the mask on the cube, where the walk's per-row
+    bookkeeping dominates, the span walk on the icosphere, whose triangles
+    each cover few of the pixels.  Both feed the same per-pair test.
+
+    A span is the part of a box row that the edges leave open.  In float
+    arithmetic, as in exact, an edge function is monotone in x along a row
+    (each of its roundings is), so the pixels of a row that pass the three
+    edge tests form one interval.  On row y, an edge with sign(area) * dy
+    > 0 passes only x <= x_r + t and one with sign(area) * dy < 0 only
+    x >= x_r + t, where t = dx * (y - y_r) / dy.  The error bound: with
+    u = 2**-53 and float dx and dy, the float edge function differs from
+    the exact one by at most 3u (|dx (y - y_r)| + |dy (x - x_r)|) / (1 -
+    3u), and the float bound x_r + t (three roundings for t, one for the
+    sum) from the exact one by at most 3u |t| + u (|x_r| + |t|) to first
+    order.  For x in [0, width) and |t| <= q = |dx| h / |dy|, h the
+    triangle's height, a pixel column passing the test thus lies within
+    about 7u q + 4u |x_r| + 3u width of the float bound, 8u (q + |x_r| +
+    width) with the rounding of the widened bound; each span bound widens
+    by twice that, _SPAN_EPS = 2**-49 times the sum.  The bound holds only
+    while no product of the test can overflow, and while a quotient by dy
+    keeps any underflow far below the margin: a triangle with a coordinate
+    beyond _SPAN_COORD px and an edge with |dy| below _FLAT_DY px bound
+    nothing, and their rows keep the box's columns.  The span walk thus
+    drops only pairs that fail the per-pair test, which still filters
+    every pair, so both enumerations give the same bytes.
     """
     tris, faces = _triangles(model, cam)
     u, v = project_cam(tris.reshape(-1, 3).T, K.to_backend(_FLOAT)).reshape(2, -1, 3)
     (x0, x1, x2), (y0, y1, y2) = u.T, v.T
     area = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
     keep = area != 0.0
-    coef = np.stack([x0, y0, x1, y1, x2, y2, *(1.0 / tris[..., 2]).T, area], axis=1)[keep]
-    u, v, faces = u[keep], v[keep], faces[keep]
-    box = (np.maximum(0.0, np.ceil(u.min(axis=1))),
-           np.minimum(K.width - 1.0, np.floor(u.max(axis=1))),
-           np.maximum(0.0, np.ceil(v.min(axis=1))),
-           np.minimum(K.height - 1.0, np.floor(v.max(axis=1))))
-    xs, ys = (pixels % K.width).astype(np.float64), (pixels // K.width).astype(np.float64)
+    u, v, faces, area = u[keep].T, v[keep].T, faces[keep], area[keep]
+    dx, dy = u[_NEXT] - u[_REF], v[_NEXT] - v[_REF]
+    # The per-pair test's constants, a row each: dy, x_r and 1/z of each
+    # edge, then the sign of the area and the area.
+    coef = np.concatenate([dy, u[_REF], 1.0 / tris[keep, :, 2].T, [np.sign(area), area]])
+    box = (np.maximum(0.0, np.ceil(u.min(axis=0))),
+           np.minimum(K.width - 1.0, np.floor(u.max(axis=0))),
+           np.maximum(0.0, np.ceil(v.min(axis=0))),
+           np.minimum(K.height - 1.0, np.floor(v.max(axis=0))))
+    xs = (pixels % K.width).astype(np.float64)
     if len(faces) * len(pixels) < _MASK_GRID:
-        pairs = [_box_mask_pairs(box, xs, ys)]
+        ys = (pixels // K.width).astype(np.float64)
+        t, p = _box_mask_pairs(box, xs, ys)
+        pairs = [(t, p, np.take(dx, t, axis=1) * (ys[p] - np.take(v[_REF], t, axis=1)))]
     else:
-        pairs = _box_row_pairs(box, pixels, K.width)
+        pairs = _span_pairs(box, dx, dy, u, v, coef[9], pixels, K.width)
 
-    hits_p, hits_z, hits_f = [], [], []
-    for t, p in pairs:
-        x, y = xs[p], ys[p]
-        x0, y0, x1, y1, x2, y2, iz0, iz1, iz2, area = coef[t].T
-        e12 = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)  # barycentric of v0
-        e20 = (x0 - x2) * (y - y2) - (y0 - y2) * (x - x2)  # barycentric of v1
-        e01 = (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)  # barycentric of v2
-        sign = np.sign(area)  # flipping a sign is exact, so the tests are too
-        inside = (e12 * sign >= 0.0) & (e20 * sign >= 0.0) & (e01 * sign >= 0.0)
-        with np.errstate(divide="ignore"):
-            z = 1.0 / ((e12 * iz0 + e20 * iz1 + e01 * iz2) / area)
-        inside &= z < np.inf
-        hits_p.append(p[inside])
-        hits_z.append(z[inside])
-        hits_f.append(faces[t[inside]])
-
-    if not hits_p:
+    hits = [_pair_hits(coef, xs, faces, t, p, terms) for t, p, terms in pairs]
+    if not hits:
         return np.full(len(pixels), np.inf), np.full(len(pixels), -1)
-    return _nearest(np.concatenate(hits_p), np.concatenate(hits_z),
-                    np.concatenate(hits_f), len(pixels))
+    return _nearest(*(np.concatenate(h) for h in zip(*hits)), len(pixels))
+
+
+def _pair_hits(coef, xs: np.ndarray, faces: np.ndarray, t, p, terms):
+    """The pixels, depths and faces of the pairs of triangles t and pixels p
+    that pass the per-pair test; coef holds _face_depth's per-triangle
+    constants and terms the pairs' row terms, which this overwrites.
+
+    A chunk's temporaries live only in this call, so a walk's peak memory
+    is that of one chunk."""
+    c = np.take(coef, t, axis=1)
+    e = np.subtract(np.take(xs, p), c[3:6])
+    e *= c[0:3]
+    e = np.subtract(terms, e, out=terms)  # the three edge functions
+    # Flipping a sign is exact, so the tests are too.
+    inside = (e * c[9] >= 0.0).all(axis=0)
+    w = np.multiply(e, c[6:9], out=c[6:9])
+    with np.errstate(divide="ignore"):
+        z = 1.0 / ((w[0] + w[1] + w[2]) / c[10])
+    inside &= z < np.inf
+    return p[inside], z[inside], faces[t[inside]]
 
 
 def _box_mask_pairs(box, xs: np.ndarray, ys: np.ndarray):
@@ -313,30 +370,60 @@ def _box_mask_pairs(box, xs: np.ndarray, ys: np.ndarray):
     return np.nonzero((xs >= x_lo) & (xs <= x_hi) & (ys >= y_lo) & (ys <= y_hi))
 
 
-def _box_row_pairs(box, pixels: np.ndarray, width: int):
-    """The pairs of _box_mask_pairs for the sorted flat pixel indices
-    pixels, in the same order, in chunks of about _PAIR_CHUNK pairs.
+def _span_pairs(box, dx, dy, u, v, sign, pixels: np.ndarray, width: int):
+    """The (triangle, pixel) pairs of the triangles' scanline spans over the
+    sorted flat pixel indices pixels, with the row terms dx * (y - y_r) of
+    their three edge functions, (3, pairs), by triangle, then pixel, in
+    chunks of about _PAIR_CHUNK pairs.
 
-    The pixels are sorted by row, then column, so the pixels of one row of
-    a bounding box are one slice [lo, hi) of them.  Only the box rows that
-    hold a pixel are enumerated.
+    u and v are the triangles' vertex coordinates, dx and dy the edges'
+    (_face_depth), each (3, T), and sign the sign of each area.
     """
-    x_lo, x_hi, y_lo, y_hi = box
-    rows = _distinct(pixels // width)
-    r_lo = np.searchsorted(rows, y_lo)
-    height = np.maximum(np.searchsorted(rows, y_hi, side="right") - r_lo, 0)
-    tri = np.repeat(np.arange(len(x_lo)), height)
-    row = rows[r_lo[tri] + (np.arange(len(tri)) - np.repeat(np.cumsum(height) - height, height))]
-    lo = np.searchsorted(pixels, row * width + x_lo[tri])
-    n = np.maximum(np.searchsorted(pixels, row * width + x_hi[tri], side="right") - lo, 0)
+    tri, start, n, terms = _spans(box, dx, dy, u, v, sign, pixels, width)
     ends = np.cumsum(n)
     r0 = 0
     while r0 < len(tri):
         r1 = max(r0 + 1, int(np.searchsorted(ends, ends[r0] - n[r0] + _PAIR_CHUNK, side="right")))
         c = n[r0:r1]
         t = np.repeat(tri[r0:r1], c)
-        yield t, np.arange(len(t)) + np.repeat(lo[r0:r1] - (np.cumsum(c) - c), c)
+        yield t, np.arange(len(t)) + np.repeat(start[r0:r1] - (np.cumsum(c) - c), c), np.repeat(
+            terms[:, r0:r1], c, axis=1)
         r0 = r1
+
+
+def _spans(box, dx, dy, u, v, sign, pixels: np.ndarray, width: int):
+    """_span_pairs' spans: each one's triangle, first pixel (an index into
+    pixels) and pixel count, and the row terms of its edge functions,
+    (3, spans).  Only the box rows that hold a pixel have a span; the
+    pixels of a span are one slice of pixels, which are sorted by row, then
+    column."""
+    x_lo, x_hi, y_lo, y_hi = box
+    x_r, y_r = u[_REF], v[_REF]
+    side = dy * sign  # > 0: the edge bounds x from above; < 0: from below
+    side[np.abs(dy) < _FLAT_DY] = 0.0
+    side[:, ~((np.abs(u) < _SPAN_COORD) & (np.abs(v) < _SPAN_COORD)).all(axis=0)] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margin = _SPAN_EPS * (np.abs(dx) * (v.max(axis=0) - v.min(axis=0)) / np.abs(dy)
+                              + np.abs(x_r) + width)
+    above, below = np.where(side > 0.0, margin, np.inf), np.where(side < 0.0, margin, np.inf)
+
+    rows = _distinct(pixels // width)
+    r_lo = np.searchsorted(rows, y_lo)
+    height = np.maximum(np.searchsorted(rows, y_hi, side="right") - r_lo, 0)
+    tri = np.repeat(np.arange(len(x_lo)), height)
+    row = rows[r_lo[tri] + (np.arange(len(tri)) - np.repeat(np.cumsum(height) - height, height))]
+    terms = np.repeat(dx, height, axis=1) * (row - np.repeat(y_r, height, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        at = np.repeat(x_r, height, axis=1) + terms / np.repeat(dy, height, axis=1)
+        # A span bound that is not a number (an edge that bounds nothing) is
+        # dropped; a box bound that is not one drops the span, as in the mask.
+        lo = np.maximum(x_lo[tri], np.fmax.reduce(np.ceil(at - np.repeat(below, height, axis=1)),
+                                                  initial=-np.inf))
+        hi = np.minimum(x_hi[tri], np.fmin.reduce(np.floor(at + np.repeat(above, height, axis=1)),
+                                                  initial=np.inf))
+    start = np.searchsorted(pixels, row * width + lo)
+    n = np.maximum(np.searchsorted(pixels, row * width + hi, side="right") - start, 0)
+    return tri, start, n, terms
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -398,10 +485,13 @@ def render_id_buffer(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics,
     # within the relative bias of the face depth.  The adjacency clause
     # covers steep faces whose pixel-center depth sits well in front of the
     # exact edge depth, where any fixed bias would misjudge.
-    inv_za, inv_zb = trace.inv_z[e, 0], trace.inv_z[e, 1]
+    # Gathers along the rows of the transposed tables give row-major (k, n)
+    # results; edge_faces[e] would give (n, k), which the comparison and
+    # any() then walk k elements at a time.
+    inv_za, inv_zb = np.take(trace.inv_z.T, e, axis=1)
     z = 1.0 / (inv_za + s * (inv_zb - inv_za))
-    passes = z <= depth[at] * (1.0 + DEPTH_BIAS)
-    passes |= (model.edge_faces[e] == owner[at][:, None]).any(axis=1)
+    passes = z <= np.take(depth, at) * (1.0 + DEPTH_BIAS)
+    passes |= (np.take(model.edge_faces.T, e, axis=1) == np.take(owner, at)).any(axis=0)
     # Among edges crossing one pixel the nearest wins, ties to the lower ID.
     _, edge = _nearest(at[passes], z[passes], e[passes], len(drawn_at))
     id_buf.ids.reshape(-1)[drawn_at] = edge

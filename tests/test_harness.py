@@ -785,6 +785,11 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
     cfg.write_text("width = wide\n")
     with pytest.raises(ValueError, match="line 1"):
         parse_config(cfg)
+    # A check across values names the last value without which it passes,
+    # not a later line that plays no part.
+    cfg.write_text("cx = 300\nwidth = 200\nfx = 400\n")
+    with pytest.raises(ValueError, match="line 2: principal point outside the image"):
+        parse_config(cfg)
 
 
 @pytest.mark.parametrize("line, match", [
@@ -794,12 +799,16 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
     ("sampling_step = nan", "sampling_step"), ("gradient_threshold = nan", "gradient_threshold"),
     ("search_range = 561", "line 1: search_range must be <= 560 px"),
     ("fx = 500\nsearch_range = 1000000000", "line 2: search_range must be <= 560 px"),
+    ("fx = 500\nsampling_step = nan", "sampling_step"), ("width = 100", "principal point"),
+    ("fx = 400\ncx = 300\nwidth = 200", "principal point"),
 ])
 def test_parse_config_rejects_unusable_values(line, match, tmp_path):
+    # Every rejected value names its line, here the file's last.
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=match) as err:
         parse_config(cfg)
+    assert str(err.value).startswith(f"line {line.count(chr(10)) + 1}: ")
 
 
 def test_parse_config_bounds_search_range_by_its_own_image_size(tmp_path):

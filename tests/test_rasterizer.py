@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import edgetrack.rasterizer as rasterizer
 from edgetrack.geometry import (
     CameraIntrinsics,
     PoseSE3,
     WireframeModel,
     look_at_pose,
     pose_words,
+    project_cam,
     transform_np,
 )
 from edgetrack.imaging import ColorImage, GrayImage
@@ -30,6 +34,7 @@ from edgetrack.rasterizer import (
     _face_depth,
     _triangles,
 )
+from edgetrack.realmath import FloatBackend
 
 from conftest import (
     decode_ids,
@@ -322,7 +327,6 @@ def test_triangles_match_per_face_clip(cube_model, monkeypatch):
     # random models: the crossing faces, clipped in one array call, give
     # the triangles of a per-face Sutherland-Hodgman clip and fan, value
     # for value and in order.
-    import edgetrack.rasterizer as rasterizer
     from test_harness import corridor_scene
 
     rng = np.random.default_rng(57)
@@ -509,21 +513,88 @@ def test_face_depth_at_sparse_rows_matches_depth_buffer(cube_model, qvga_camera)
 
 def face_depth_by(enumeration, model, pose, K, pixels, monkeypatch):
     """_face_depth's (depth, owner) bytes with every query sent to one
-    enumeration: "mask" or "rows"."""
-    import edgetrack.rasterizer as rasterizer
-
+    enumeration: "mask" or "spans"."""
     monkeypatch.setattr(rasterizer, "_MASK_GRID", 1 << 62 if enumeration == "mask" else 0)
     cam = transform_np(model.vertices, pose.rotation(), pose.t)
     depth, owner = _face_depth(model, cam, K, pixels)
     return depth.tobytes(), owner.tobytes()
 
 
-def test_face_depth_enumerations_agree(cube_model, qvga_camera, monkeypatch):
-    # The bounding-box mask and the row walk give the same depth and owner
-    # bytes on pixel sets on both sides of the size rule: one pixel, the
-    # rows of a sparse row set, a tracker's read pixels and a full image
-    # (of a quarter-size camera, which keeps the mask small).
-    import edgetrack.rasterizer as rasterizer
+# A 64x48 camera whose projections of points at z = 250, 500 or 1000 mm
+# are exact: u = 500 x / z + 32 is x doubled, kept or halved, shifted.
+EXACT_CAMERA = CameraIntrinsics(fx=500.0, fy=500.0, cx=32.0, cy=24.0, width=64, height=48)
+
+
+def exact_triangles(corners, depths):
+    """A model of one triangle per entry of corners, whose projections
+    through EXACT_CAMERA at the identity pose are the given (u, v) image
+    points, at the given depths."""
+    K = EXACT_CAMERA
+    vertices = [[(u - K.cx) * z / K.fx, (v - K.cy) * z / K.fy, z]
+                for tri, z in zip(corners, depths) for u, v in tri]
+    faces = np.arange(len(vertices)).reshape(-1, 3)
+    model = WireframeModel(vertices=np.array(vertices), faces=faces,
+                           edges=np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]]]))
+    cam = transform_np(model.vertices, np.eye(3), np.zeros(3))
+    u, v = project_cam(cam.T, K.to_backend(FloatBackend()))
+    assert np.array_equal(u, np.ravel(corners)[0::2]) and np.array_equal(v, np.ravel(corners)[1::2])
+    return model, PoseSE3(omega=np.zeros(3), t=np.zeros(3))
+
+
+def sliver_scene():
+    """Thin and nearly degenerate triangles over a few wide ones: one px or
+    less tall across the image, 1/128 px wide down it, nearly collinear,
+    and with every vertex on a pixel center, so edge functions vanish
+    exactly at pixels; then triangles whose span bounds need their float
+    margin."""
+    corners = [
+        [(2.0, 10.0), (60.0, 10.5), (30.0, 11.0)],
+        [(1.0, 20.0), (62.0, 21.0), (62.0, 20.0)],
+        [(5.0, 1.0), (5.0 + 2.0 ** -7, 46.0), (5.0, 46.0)],
+        [(40.0, 2.0), (40.0, 45.0), (40.0 + 2.0 ** -30, 23.5)],
+        [(0.0, 0.0), (63.0, 47.0), (31.5, 23.5 + 2.0 ** -40)],
+        [(3.0, 3.0), (60.0, 30.0), (9.0, 40.0)],
+        [(62.0, 1.0), (10.0, 12.0), (33.0, 46.0)],
+        [(10.0, 30.0), (50.0, 30.0), (30.0, 30.0 + 2.0 ** -44)],
+        # On one row each, the float bound of an edge falls a few ulp
+        # inside a vertex's pixel, which the test passes with a zero edge
+        # function; only the widening keeps that pixel in the span.
+        [(1.0, 25.0), (33.0, 27.0), (64.0 / 3.0, 12.0000000000001)],
+        [(13.99999999999909, 23.1), (0.0, 29.0), (39.0, 24.0)],
+        [(32.00000000000091, 18.1), (9.0, 47.0), (6.0, 35.0)],
+        [(37.7, 22.7), (19.0, 37.0), (42.0, 14.0)],
+    ]
+    return exact_triangles(corners, [500.0, 250.0, 1000.0, 500.0, 250.0, 1000.0, 500.0, 250.0]
+                           + [500.0] * 4)
+
+
+def flat_edge_scenes():
+    """Triangles with one edge whose rise |dy| lies at, just inside and
+    just outside the span walk's cutoff for nearly horizontal edges, and
+    at twice and half of it, with the edge on a pixel row or across one,
+    in either winding."""
+    cut = rasterizer._FLAT_DY
+    rises = [cut, np.nextafter(cut, 0.0), np.nextafter(cut, 1.0), 2.0 * cut, 0.5 * cut, 0.0]
+    scenes = []
+    for y0 in (20.0, 20.0 - cut / 2.0):
+        corners = []
+        for d in rises:
+            corners += [[(4.0, y0), (61.0, y0 + d), (30.0, 40.0)],
+                        [(61.0, y0 - d), (4.0, y0), (20.0, 3.0)]]
+        scenes.append(exact_triangles(corners, [500.0, 250.0] * len(rises)))
+    return scenes
+
+
+def test_face_depth_enumerations_agree(cube_model, icosphere_model, qvga_camera, monkeypatch):
+    # The bounding-box mask is the oracle of the span walk: both give the
+    # same depth and owner bytes on pixel sets on both sides of the size
+    # rule: one pixel, the rows of a sparse row set, a tracker's read
+    # pixels and a full image (of a quarter-size camera, which keeps the
+    # mask small); on every icosphere synthesis query of the standard
+    # orbit; and on full images of slivers, of edges with |dy| around the
+    # walk's cutoff, of the near-plane-crossing corridor and of the
+    # coplanar-tie scenes.
+    from edgetrack.harness import standard_trajectory
     from test_harness import corridor_scene
 
     rule = rasterizer._MASK_GRID
@@ -542,26 +613,107 @@ def test_face_depth_enumerations_agree(cube_model, qvga_camera, monkeypatch):
                    (K, tracker_read_pixels(model, pose, K))]
         for camera, pixels in queries:
             assert (face_depth_by("mask", model, pose, camera, pixels, monkeypatch)
-                    == face_depth_by("rows", model, pose, camera, pixels, monkeypatch))
+                    == face_depth_by("spans", model, pose, camera, pixels, monkeypatch))
             cam = transform_np(model.vertices, pose.rotation(), pose.t)
             sides.add(len(_triangles(model, cam)[1]) * len(pixels) < rule)
-    for model, pose in coplanar_tie_scenes():
-        pixels = np.arange(TIE_CAMERA.width * TIE_CAMERA.height)
-        assert (face_depth_by("mask", model, pose, TIE_CAMERA, pixels, monkeypatch)
-                == face_depth_by("rows", model, pose, TIE_CAMERA, pixels, monkeypatch))
     assert sides == {True, False}
 
+    traj = standard_trajectory()
+    for k in range(traj.frames):
+        pose = traj.pose(k)
+        pixels = traced_pixels(render_id_buffer(icosphere_model, pose, K), K)
+        assert (face_depth_by("mask", icosphere_model, pose, K, pixels, monkeypatch)
+                == face_depth_by("spans", icosphere_model, pose, K, pixels, monkeypatch))
 
-def test_size_rule_masks_cube_queries_and_walks_icosphere_rows(
+    exact = [(EXACT_CAMERA, scene) for scene in [sliver_scene()] + flat_edge_scenes()]
+    whole = [(small, corridor_scene())] + [(TIE_CAMERA, scene) for scene in coplanar_tie_scenes()]
+    for camera, (model, pose) in exact + whole:
+        pixels = np.arange(camera.width * camera.height)
+        assert (face_depth_by("mask", model, pose, camera, pixels, monkeypatch)
+                == face_depth_by("spans", model, pose, camera, pixels, monkeypatch))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), inside=st.booleans(), share=st.floats(0.02, 1.0))
+def test_face_depth_spans_match_mask_on_random_models(seed, inside, share):
+    # Random convex models seen from outside (orbit poses) or from a camera
+    # inside or beside them, whose faces cross the near plane; the query is
+    # a random share of a 64x48 image.
+    rule = rasterizer._MASK_GRID
+    rng = np.random.default_rng(seed)
+    model = random_convex_model(rng, n_points=int(rng.integers(6, 30)))
+    if inside:
+        center = rng.normal(size=3)
+        center *= rng.uniform(2.0, 40.0) / np.linalg.norm(center)
+        pose = look_at_pose(center, rng.normal(size=3), down=rng.normal(size=3))
+    else:
+        pose = random_orbit_pose(rng, (40.0, 300.0))
+    K = EXACT_CAMERA
+    pixels = np.flatnonzero(rng.random(K.width * K.height) < share)
+    cam = transform_np(model.vertices, pose.rotation(), pose.t)
+    got = []
+    for grid in (1 << 62, 0):  # the mask, then the span walk
+        rasterizer._MASK_GRID = grid
+        try:
+            depth, owner = _face_depth(model, cam, K, pixels)
+        finally:
+            rasterizer._MASK_GRID = rule
+        got.append((depth.tobytes(), owner.tobytes()))
+    assert got[0] == got[1]
+
+
+def pairs_tested(enumeration, model, pose, K, pixels, monkeypatch):
+    """The (triangle, pixel) pairs _face_depth tests when every query goes
+    to one enumeration: "mask" or "spans"."""
+    count = []
+    if enumeration == "mask":
+        mask = rasterizer._box_mask_pairs
+
+        def counted(*args):
+            t, p = mask(*args)
+            count.append(len(t))
+            return t, p
+        monkeypatch.setattr(rasterizer, "_box_mask_pairs", counted)
+    else:
+        spans = rasterizer._span_pairs
+
+        def counted(*args):
+            for t, p, terms in spans(*args):
+                count.append(len(t))
+                yield t, p, terms
+        monkeypatch.setattr(rasterizer, "_span_pairs", counted)
+    face_depth_by(enumeration, model, pose, K, pixels, monkeypatch)
+    monkeypatch.undo()
+    return sum(count)
+
+
+def test_span_walk_tests_only_covered_pixels(icosphere_model, qvga_camera, monkeypatch):
+    # On icosphere synthesis frames of the standard orbit the boxes hold
+    # about 17,000 pairs a frame and about 7,050 pass; the span walk tests
+    # those and at most a few more, at float margins.
+    from edgetrack.harness import standard_trajectory
+
+    traj = standard_trajectory()
+    frames = range(0, traj.frames, 6)
+    box = spans = 0
+    for k in frames:
+        pose = traj.pose(k)
+        pixels = traced_pixels(render_id_buffer(icosphere_model, pose, qvga_camera), qvga_camera)
+        box += pairs_tested("mask", icosphere_model, pose, qvga_camera, pixels, monkeypatch)
+        spans += pairs_tested("spans", icosphere_model, pose, qvga_camera, pixels, monkeypatch)
+    assert 16_000 < box / len(frames) < 18_000
+    assert 6_900 < spans / len(frames) < 7_200
+
+
+def test_size_rule_masks_cube_queries_and_walks_icosphere_spans(
         cube_model, icosphere_model, qvga_camera, monkeypatch):
     # The cube tracker's query (12 triangles by ~330 pixels) and a cube
     # synthesis frame go to the mask; an icosphere synthesis frame (80
-    # triangles by ~3700 pixels) walks the box rows.
-    import edgetrack.rasterizer as rasterizer
+    # triangles by ~3700 pixels) walks the scanline spans.
     from edgetrack.harness import render_frame_gray, standard_trajectory
 
     used = []
-    for name in ("_box_mask_pairs", "_box_row_pairs"):
+    for name in ("_box_mask_pairs", "_span_pairs"):
         def wrapped(*args, _name=name, _f=getattr(rasterizer, name)):
             used.append(_name)
             return _f(*args)
@@ -578,7 +730,7 @@ def test_size_rule_masks_cube_queries_and_walks_icosphere_rows(
     assert enumerations(lambda: render_frame_gray(cube_model, pose, qvga_camera)) == {
         "_box_mask_pairs"}
     assert enumerations(lambda: render_frame_gray(icosphere_model, pose, qvga_camera)) == {
-        "_box_row_pairs"}
+        "_span_pairs"}
 
 
 # ---------------------------------------------------------------------------
