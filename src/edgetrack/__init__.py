@@ -20,7 +20,6 @@ from .pose_estimation import (
 )
 from .rasterizer import (
     CapacityError,
-    is_point_visible,
     render_depth_buffer,
     render_id_buffer,
 )
@@ -32,7 +31,6 @@ from .realmath import (
     get_backend,
 )
 from .tracking import (
-    ControlPoint,
     InsufficientMeasurementsError,
     MeasurementSet,
     collect_measurements,
@@ -46,7 +44,6 @@ __all__ = [
     "CameraIntrinsics",
     "CapacityError",
     "ColorImage",
-    "ControlPoint",
     "DegenerateGeometryError",
     "FrameSizeError",
     "FrameStats",
@@ -63,7 +60,6 @@ __all__ = [
     "WireframeModel",
     "collect_measurements",
     "get_backend",
-    "is_point_visible",
     "load_image",
     "load_model",
     "look_at_pose",

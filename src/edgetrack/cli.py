@@ -112,10 +112,16 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_track(args) -> int:
+def _tracking_inputs(args, default_init=None):
+    """The config, model and initial pose of a track or bench command, read
+    in that order, so that a bad one exits before anything is written."""
     run = parse_config(args.config, backend=args.backend)
     model = load_model(args.model)
-    init = _init_pose_from(args.init)
+    return run, model, _init_pose_from(args.init if args.init is not None else default_init)
+
+
+def _cmd_track(args) -> int:
+    run, model, init = _tracking_inputs(args)
     records = run_tracking(args.sequence, model, run.camera, run.tracker, init,
                            coast_frames=run.coast_frames, out_dir=args.out,
                            dump_buffers=args.dump_buffers)
@@ -133,12 +139,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    run = parse_config(args.config, backend=args.backend)
-    model = load_model(args.model)
-    if args.init is not None:
-        init = _init_pose_from(args.init)
-    else:
-        init = _init_pose_from(str(Path(args.sequence) / GROUND_TRUTH_NAME))
+    run, model, init = _tracking_inputs(args, str(Path(args.sequence) / GROUND_TRUTH_NAME))
     records = run_tracking(args.sequence, model, run.camera, run.tracker, init,
                            coast_frames=run.coast_frames)
     report = profile(records)

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import get_type_hints
 
 import numpy as np
 
@@ -468,23 +468,53 @@ def profile(records) -> ProfileReport:
 # ---------------------------------------------------------------------------
 # Config files.
 
-CONFIG_KEYS = {
-    "fx": float, "fy": float, "cx": float, "cy": float,
-    "width": int, "height": int,
-    "sampling_step": float, "search_range": int, "gradient_threshold": float,
-    "lm_max_iter": int, "lm_lambda0": float, "coast_frames": int,
-}
-
-
 @dataclass
 class RunConfig:
+    """A run's settings; the config keys are the fields of its settings
+    dataclasses and its own (CONFIG_KEYS)."""
+
     camera: CameraIntrinsics
     tracker: TrackerConfig
     coast_frames: int = 3
 
+    def __post_init__(self):
+        if self.coast_frames < 0:
+            raise ValueError("coast_frames must be >= 0")
+
+
+def _field_types(cls) -> dict:
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+# The settings dataclasses a RunConfig holds, by field, each as {field: type}.
+_SECTIONS = {name: _field_types(kind) for name, kind in _field_types(RunConfig).items()
+             if is_dataclass(kind)}
+# The config keys: their fields, bar the backend, which the CLI's --backend
+# sets, and RunConfig's own.
+CONFIG_KEYS = {key: kind for keys in (*_SECTIONS.values(), _field_types(RunConfig))
+               for key, kind in keys.items() if key not in {"backend", *_SECTIONS}}
+
+
+def _configured(run: RunConfig, values: dict) -> RunConfig:
+    """run with the config values set, each in the dataclass that owns it;
+    ValueError when a dataclass rejects them, or lm_max_iter < 1."""
+    if values.get("lm_max_iter", 1) < 1:
+        # with no LM step every frame would report ok at the predicted pose
+        raise ValueError("lm_max_iter must be >= 1")
+    parts = {name: replace(getattr(run, name), **{k: values[k] for k in keys if k in values})
+             for name, keys in _SECTIONS.items()}
+    own = {f.name: values[f.name] for f in fields(run) if f.name in values}
+    return replace(run, **parts, **own)
+
 
 def parse_config(path=None, backend: str = "float") -> RunConfig:
-    """Key = value config file over the standard defaults; unknown keys fail."""
+    """Key = value config file over the standard defaults; unknown keys fail.
+
+    A repeated key takes its last line.  A rejected file names the line
+    after its longest prefix that is accepted, with that line's error; a
+    search_range above the configured width + height names its own line.
+    """
     values, lines = {}, {}
     if path is not None:
         for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -497,54 +527,25 @@ def parse_config(path=None, backend: str = "float") -> RunConfig:
             key = key.strip()
             if key not in CONFIG_KEYS:
                 raise ValueError(f"line {lineno}: unknown config key {key!r}")
+            values.pop(key, None)  # a repeated key moves to its last line
             try:
                 values[key] = CONFIG_KEYS[key](raw.strip())
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: bad value for {key}: {raw.strip()!r}") from exc
             lines[key] = lineno
-    if values.get("lm_max_iter", 1) < 1:
-        # with no LM step every frame would report ok at the predicted pose
-        raise ValueError(f"line {lines['lm_max_iter']}: lm_max_iter must be >= 1")
-    if values.get("coast_frames", 0) < 0:
-        raise ValueError(f"line {lines['coast_frames']}: coast_frames must be >= 0")
-
-    def given(*keys):
-        return {key: values[key] for key in keys if key in values}
-
-    camera = _replace_named(standard_camera(), given("fx", "fy", "cx", "cy", "width", "height"),
-                            lines)
+    base = RunConfig(standard_camera(), TrackerConfig(backend=backend))
+    items = list(values.items())  # in the order of their lines
+    error = None
+    for n in range(len(items), -1, -1):  # the whole file first; no values always pass
+        try:
+            run = _configured(base, dict(items[:n]))
+            break
+        except ValueError as exc:
+            error = exc
+    if error is not None:
+        raise ValueError(f"line {lines[items[n][0]]}: {error}") from error
     # Every offset past width + height lies off the image, yet the search would allocate it.
-    limit = camera.width + camera.height
+    limit = run.camera.width + run.camera.height
     if values.get("search_range", 0) > limit:
         raise ValueError(f"line {lines['search_range']}: search_range must be <= {limit} px")
-    tracker = _replace_named(TrackerConfig(backend=backend), given(
-        "sampling_step", "search_range", "gradient_threshold", "lm_lambda0", "lm_max_iter"), lines)
-    return RunConfig(camera, tracker, **given("coast_frames"))
-
-
-def _replace_named(base, values: dict, lines: dict):
-    """replace(base, **values), where a ValueError the dataclass raises
-    names the config line of the value at fault: the first, in file order,
-    that it rejects on its own, or else (a check across values, such as a
-    principal point outside a configured image) the last whose default
-    clears the error."""
-    try:
-        return replace(base, **values)
-    except ValueError as exc:
-        order = sorted(values, key=lines.__getitem__)
-        for key in order:
-            alone = _rejection(base, {key: values[key]})
-            if alone is not None:
-                raise ValueError(f"line {lines[key]}: {alone}") from exc
-        needed = [key for key in order
-                  if _rejection(base, {k: v for k, v in values.items() if k != key}) is None]
-        raise ValueError(f"line {lines[(needed or order)[-1]]}: {exc}") from exc
-
-
-def _rejection(base, values: dict) -> Optional[ValueError]:
-    """The ValueError replace(base, **values) raises, or None."""
-    try:
-        replace(base, **values)
-    except ValueError as exc:
-        return exc
-    return None
+    return run

@@ -9,6 +9,7 @@ import pytest
 
 from edgetrack.geometry import PoseSE3, WireframeModel, load_model, look_at_pose
 from edgetrack.harness import (
+    CONFIG_KEYS,
     GROUND_TRUTH_NAME,
     POSES_NAME,
     STATS_NAME,
@@ -821,6 +822,62 @@ def test_parse_config_bounds_search_range_by_its_own_image_size(tmp_path):
         parse_config(cfg)
 
 
+def test_config_keys_are_the_settings_fields():
+    # A field added to a settings dataclass becomes a config key here.
+    assert CONFIG_KEYS == {
+        "fx": float, "fy": float, "cx": float, "cy": float, "width": int, "height": int,
+        "sampling_step": float, "search_range": int, "gradient_threshold": float,
+        "lm_max_iter": int, "lm_lambda0": float, "coast_frames": int,
+    }
+
+
+@pytest.mark.parametrize("text, match", [
+    # A check across values on line 2 is the first fault, whatever follows.
+    ("cx = 300\nwidth = 200\nfx = nan", "line 2: principal point outside the image"),
+    # A check across values that a later line clears is no fault.
+    ("width = 100\ncx = 50\nfx = nan", "line 3: focal lengths"),
+    # Line order across the camera, the tracker and the run's own fields.
+    ("sampling_step = nan\nfx = nan", "line 1: sampling_step"),
+    ("fx = nan\nlm_max_iter = 0", "line 1: focal lengths"),
+    ("lm_max_iter = 0\ncoast_frames = -1", "line 1: lm_max_iter must be >= 1"),
+    ("gradient_threshold = 5\ncoast_frames = -1\nfx = nan", "line 2: coast_frames must be >= 0"),
+])
+def test_parse_config_names_the_line_after_the_longest_accepted_prefix(text, match, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + "\n")
+    with pytest.raises(ValueError, match=match):
+        parse_config(cfg)
+
+
+def test_parse_config_accepts_a_camera_in_any_line_order(tmp_path):
+    # Only the whole file is checked against the dataclasses: a principal
+    # point outside the default image is fine once the file resizes it.
+    cfg = tmp_path / "run.cfg"
+    for text in ("cx = 320\ncy = 240\nwidth = 640\nheight = 480\n",
+                 "width = 64\nheight = 48\ncx = 32\ncy = 24\n"):
+        cfg.write_text(text)
+        cam = parse_config(cfg).camera
+        assert (cam.cx, cam.cy) == (cam.width / 2, cam.height / 2)
+
+
+def test_parse_config_takes_a_repeated_key_at_its_last_line(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sampling_step = nan\nsampling_step = 8\n")
+    assert parse_config(cfg).tracker.sampling_step == 8.0
+    cfg.write_text("sampling_step = 8\nfx = 400\nsampling_step = nan\n")
+    with pytest.raises(ValueError, match="line 3: sampling_step"):
+        parse_config(cfg)
+    # width = 200 is replaced by line 3, so the principal point fits.
+    cfg.write_text("width = 200\ncx = 300\nwidth = 640\n")
+    assert parse_config(cfg).camera.width == 640
+
+
+def test_run_config_rejects_negative_coast_frames():
+    with pytest.raises(ValueError, match="coast_frames must be >= 0"):
+        RunConfig(standard_camera(), TrackerConfig(), coast_frames=-1)
+    assert RunConfig(standard_camera(), TrackerConfig(), coast_frames=0).coast_frames == 0
+
+
 # ---------------------------------------------------------------------------
 # CLI.
 
@@ -895,6 +952,34 @@ def test_cli_rejects_unusable_model_or_config(command, model_line, config, match
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and match in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["track", "bench"])
+def test_cli_reads_config_then_model_then_init(command, tmp_path, cube_model_path, capsys):
+    # track and bench report the first of their config, model and initial
+    # pose that fails, in that order; bench's pose defaults to the first
+    # row of the sequence's ground truth.
+    from edgetrack.cli import main
+
+    seq = tmp_path / "seq"
+    assert main(["synth", "--model", str(cube_model_path), "--frames", "1",
+                 "--out", str(seq), "--noise", "0"]) == 0
+    (seq / GROUND_TRUTH_NAME).write_text("frame,wx,wy,wz,tx,ty,tz\n")
+    bad_cfg, good_cfg = tmp_path / "bad.cfg", tmp_path / "good.cfg"
+    bad_cfg.write_text("fx = nan\n")
+    good_cfg.write_text("")
+    bad_model = tmp_path / "bad.model"
+    bad_model.write_text("v nan -30 -30\n" + cube_model_path.read_text())
+    out = tmp_path / "out"
+    extra = {"track": ["--init", str(seq / GROUND_TRUTH_NAME), "--out", str(out)],
+             "bench": []}[command]
+    for cfg, model, match in [(bad_cfg, bad_model, "focal"), (good_cfg, bad_model, "vertex"),
+                              (good_cfg, cube_model_path, "has no rows")]:
+        assert main([command, "--model", str(model), "--config", str(cfg),
+                     "--sequence", str(seq), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and match in err
     assert not out.exists()
 
 

@@ -662,6 +662,51 @@ def test_face_depth_spans_match_mask_on_random_models(seed, inside, share):
     assert got[0] == got[1]
 
 
+def guard_scene(vertices):
+    """A model of one triangle per three camera-space vertices, at the
+    identity pose."""
+    faces = np.arange(len(vertices)).reshape(-1, 3)
+    model = WireframeModel(vertices=np.array(vertices, dtype=float), faces=faces,
+                           edges=faces[:, :2])
+    return model, PoseSE3(omega=np.zeros(3), t=np.zeros(3))
+
+
+def test_span_walk_leaves_subnormal_rises_to_the_pixel_test(monkeypatch):
+    # Two vertices a subnormal distance apart in y, on row 0 of a camera
+    # that projects camera-space points at z = 1 unchanged.  On the edge
+    # between them the per-pair test's product dy * (x - x_r) underflows
+    # to 0 at pixel (9, 0), which passes with a zero edge function though
+    # it lies 0.3 px outside the exact edge; that edge's span bound would
+    # drop it.  Below _FLAT_DY an edge bounds no span, so the walk keeps it.
+    s = 5e-324
+    K = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=32, height=8)
+    model, pose = guard_scene([(9.3, 0.0, 1.0), (8.9, s, 1.0), (20.0, 0.0, 1.0)])
+    pixels = np.arange(K.width * K.height)
+    mask = face_depth_by("mask", model, pose, K, pixels, monkeypatch)
+    assert np.frombuffer(mask[1], dtype=np.int64)[9] == 0
+    assert face_depth_by("spans", model, pose, K, pixels, monkeypatch) == mask
+
+
+def test_span_walk_agrees_beyond_the_coordinate_cutoff(monkeypatch):
+    # Triangles with a vertex far off-axis just beyond the near plane, one
+    # in front of it and one clipped onto it, project to |u| of about
+    # 5e19 px, beyond _SPAN_COORD, so their rows keep the box's columns.
+    # No scene found makes that guard matter: the walk also agrees with
+    # the mask with _SPAN_COORD = inf, on these and on random triangles
+    # with coordinates up to 1e308.
+    model, pose = guard_scene([(0.0, -30.0, 250.0), (0.0, 30.0, 250.0),
+                               (1e17, 0.0, 1.0 + 2.0 ** -40), (-10.0, -30.0, 250.0),
+                               (-10.0, 30.0, 250.0), (-1e17, 5.0, 0.5)])
+    K = EXACT_CAMERA
+    cam = transform_np(model.vertices, pose.rotation(), pose.t)
+    u = project_cam(_triangles(model, cam)[0].reshape(-1, 3).T, K.to_backend(FloatBackend()))[0]
+    assert (np.abs(u.reshape(-1, 3)).max(axis=1) > 2.0 ** 60).all()  # every triangle's rows
+    pixels = np.arange(K.width * K.height)
+    mask = face_depth_by("mask", model, pose, K, pixels, monkeypatch)
+    assert set(np.frombuffer(mask[1], dtype=np.int64)) == {-1, 0, 1}
+    assert face_depth_by("spans", model, pose, K, pixels, monkeypatch) == mask
+
+
 def pairs_tested(enumeration, model, pose, K, pixels, monkeypatch):
     """The (triangle, pixel) pairs _face_depth tests when every query goes
     to one enumeration: "mask" or "spans"."""
