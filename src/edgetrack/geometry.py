@@ -11,9 +11,11 @@ the backend's words (``backend.words``).  Everywhere else a point set is
 one (k, N) backend array, coordinates along axis 0: `transform` takes a
 pose on words and world points as one (3, N) array, `project_cam` maps
 (k, N) camera points to (2, N) image points, and the segment clips
-(`clip_near`, `clip_box`) take and return such arrays.  The renderer (on
-float arrays) and the tracker share all three.  Bulk float paths use
-numpy directly.
+(`clip_near`, `clip_box`) take and return such arrays.  The renderer, on
+float arrays and the pose's float words (`pose_words`), and the tracker
+share all four, so the synthetic frames are drawn on that geometry too.
+`look_at_pose` and `PoseSE3.camera_center`, which form the ground truth
+and the error, keep numpy's matrix products.
 """
 
 from __future__ import annotations
@@ -307,12 +309,6 @@ def project_cam(c, K):
     v = fy y / z + cy, each formed in that order.
     """
     return K.focal * c[:2] / c[2] + K.center
-
-
-def transform_np(points: np.ndarray, R: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """World points to camera space, vectorized float path."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    return pts @ np.asarray(R, dtype=np.float64).T + np.asarray(t, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,8 @@ def standard_trajectory(frames: int = STANDARD_FRAMES) -> OrbitTrajectory:
 # Sequence generation.
 
 def _visible_runs(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics):
-    """Visible parts of each edge as 2D sub-segments: (N, 2) arrays of
-    their start and end points.
+    """Visible parts of each edge as 2D sub-segments: (2, N) arrays of
+    their start and end points (x, y).
 
     Walks the ID buffer along the edge trace it was rendered from and keeps
     maximal runs of steps the edge owns, so the drawn lines inherit the
@@ -140,9 +140,9 @@ def _visible_runs(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics):
     last = np.flatnonzero(owned & ~np.append(chained, False))
     e = tr.edge[first]
     pad = 0.5 / tr.steps[e]  # half a step
-    t0 = np.maximum(0.0, tr.s[first] - pad)[:, None]
-    t1 = np.minimum(1.0, tr.s[last] + pad)[:, None]
-    pa, pb = tr.uv[e, 0], tr.uv[e, 1]
+    t0 = np.maximum(0.0, tr.s[first] - pad)
+    t1 = np.minimum(1.0, tr.s[last] + pad)
+    pa, pb = np.take(tr.pa, e, axis=1), np.take(tr.pb, e, axis=1)
     return pa + t0 * (pb - pa), pa + t1 * (pb - pa)
 
 
@@ -151,12 +151,12 @@ _BAND = 2
 
 
 def _draw_runs(img: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Darken the anti-aliased band of every segment a[i]-b[i] at once.
+    """Darken the anti-aliased band of every segment a[:, i]-b[:, i] at once.
 
     Intensity ramps 0..255 over point-to-segment distance 0.5..1.5 px,
     giving a dark line an effective width of 2 px; overlapping segments
     keep the darkest shade.  img is a C-contiguous uint8 image, changed in
-    place; a and b are (N, 2) arrays of (x, y) end points.
+    place; a and b are (2, N) arrays of end points, (x, y) per column.
 
     Only pixels closer than 1.5 px to a segment change, so any candidate
     set that holds those gives the same image.  Along its major axis a
@@ -171,30 +171,30 @@ def _draw_runs(img: np.ndarray, a: np.ndarray, b: np.ndarray):
     """
     h, w = img.shape
     flat = img.reshape(-1)
-    size = np.array([w, h])
+    size = np.array([[w], [h]])
     d = b - a
     lo = np.clip(np.floor(np.minimum(a, b) - 2), 0, size).astype(np.int64)
     hi = np.clip(np.ceil(np.maximum(a, b) + 2), -1, size - 1).astype(np.int64)
-    steep = np.abs(d[:, 1]) > np.abs(d[:, 0])
+    steep = np.abs(d[1]) > np.abs(d[0])
     for major, sel in ((0, ~steep), (1, steep)):
         minor = 1 - major
-        count = np.maximum(0, hi[sel, major] - lo[sel, major] + 1)
+        count = np.maximum(0, hi[major, sel] - lo[major, sel] + 1)
         seg = np.flatnonzero(sel).repeat(count)
         if not len(seg):
             continue
-        m = np.arange(len(seg)) + np.repeat(lo[sel, major] - (np.cumsum(count) - count), count)
-        sa, sd = a[seg], d[seg]
-        t = (m - sa[:, major]) / np.where(sd[:, major] == 0.0, np.inf, sd[:, major])
-        c = sa[:, minor] + np.clip(t, 0.0, 1.0) * sd[:, minor]
+        m = np.arange(len(seg)) + np.repeat(lo[major, sel] - (np.cumsum(count) - count), count)
+        sa, sd = np.take(a, seg, axis=1), np.take(d, seg, axis=1)
+        t = (m - sa[major]) / np.where(sd[major] == 0.0, np.inf, sd[major])
+        c = sa[minor] + np.clip(t, 0.0, 1.0) * sd[minor]
         n = np.rint(c).astype(np.int64)[:, None] + np.arange(-_BAND, _BAND + 1)
-        np.clip(n, 0, size[minor] - 1, out=n)
+        np.clip(n, 0, (w, h)[minor] - 1, out=n)
         m = m[:, None]
         x, y = (m, n) if major == 0 else (n, m)
         # One segment's per-pixel arithmetic, operation for operation, with
         # its end points broadcast along the band.  A zero-length segment
         # divides by inf instead: tau = +-0 leaves the distance to its point.
         xs, ys = x.astype(float), y.astype(float)
-        ax, ay, dx, dy = (v[:, None] for v in (sa[:, 0], sa[:, 1], sd[:, 0], sd[:, 1]))
+        ax, ay, dx, dy = (v[:, None] for v in (*sa, *sd))
         dd = dx * dx + dy * dy
         dd[dd == 0.0] = np.inf
         tau = ((xs - ax) * dx + (ys - ay) * dy) / dd

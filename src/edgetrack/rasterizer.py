@@ -27,7 +27,9 @@ A pixel's ID depends only on its own trace steps and face depth, so
 tracker passes the 3x3 neighbourhoods of its control points
 (`read_pixels`), about a third of the traced pixels of a cube frame, and
 every other pixel stays background.  `render_depth_buffer` runs the same
-per-pixel face query over every pixel, for debug dumps.
+per-pixel face query over every pixel, for debug dumps.  Both take the
+camera points from `geometry.transform` as one (3, V) array, and every
+point set here keeps its coordinates along axis 0, as in `geometry`.
 
 The buffer holds integer edge IDs, BACKGROUND (-1) where no edge is drawn.
 The colour code an OpenGL ID render would write packs an ID into RGB with a
@@ -52,8 +54,9 @@ from .geometry import (
     WireframeModel,
     clip_box,
     clip_near,
+    pose_words,
     project_cam,
-    transform_np,
+    transform,
 )
 from .imaging import ColorImage, GrayImage, RGB888
 from .realmath import FloatBackend
@@ -127,16 +130,17 @@ class IdBuffer:
 class EdgeTrace:
     """The line-stepped edges of one view, all edges in one set of arrays.
 
-    Per edge: ``uv`` (E, 2, 2) holds the projections of the near-clipped
-    ends, ``inv_z`` (E, 2) their reciprocal camera-space depths and
-    ``steps`` (E,) the step count of the whole projected segment; edges with
-    no traced step hold NaN and 0.  Per traced step, grouped by edge in edge
-    order and ascending k: ``edge``, the pixel column ``x`` and row ``y``
-    (rounded with floor(. + 0.5)) and the parameter ``s = k / steps`` from
-    uv[e, 0] to uv[e, 1].
+    Per edge: ``pa`` and ``pb`` (2, E) hold the projections (u, v) of the
+    near-clipped ends, ``inv_z`` (2, E) their reciprocal depths (a's, then
+    b's) and ``steps`` (E,) the step count of the whole projected segment;
+    edges with no traced step hold NaN and 0.  Per traced step, grouped by
+    edge in edge order and ascending k: ``edge``, the pixel column ``x``
+    and row ``y`` (rounded with floor(. + 0.5)) and the parameter
+    ``s = k / steps`` from pa[:, e] to pb[:, e].
     """
 
-    uv: np.ndarray
+    pa: np.ndarray
+    pb: np.ndarray
     inv_z: np.ndarray
     steps: np.ndarray
     edge: np.ndarray
@@ -155,8 +159,8 @@ _FLOAT = FloatBackend()
 
 
 def _edge_pixels(a: np.ndarray, b: np.ndarray, K: CameraIntrinsics) -> EdgeTrace:
-    """Line-step camera-space segments a[i]-b[i], each clipped against the
-    near plane; a and b are (E, 3).
+    """Line-step camera-space segments a[:, i]-b[:, i], each clipped
+    against the near plane; a and b are (3, E).
 
     Each segment steps ``steps = max(1, ceil(max(|du|, |dv|)))`` times over
     its whole projection, but only the steps inside the margin box
@@ -166,8 +170,8 @@ def _edge_pixels(a: np.ndarray, b: np.ndarray, K: CameraIntrinsics) -> EdgeTrace
     behind the near plane or outside the box has no traced step.  Pixels
     are neither de-duplicated nor bounds-checked.
     """
-    n_edges = len(a)
-    live, a, b = clip_near(a.T, b.T, NEAR_PLANE_MM, _FLOAT)
+    n_edges = a.shape[1]
+    live, a, b = clip_near(a, b, NEAR_PLANE_MM, _FLOAT)
     Kf = K.to_backend(_FLOAT)
     pa, pb = project_cam(a, Kf), project_cam(b, Kf)
     d = pb - pa
@@ -186,13 +190,11 @@ def _edge_pixels(a: np.ndarray, b: np.ndarray, K: CameraIntrinsics) -> EdgeTrace
     # step-major, and every ufunc below would then run two elements at a time.
     x, y = np.floor(np.take(pa, at, axis=1) + s * np.take(d, at, axis=1) + 0.5).astype(np.int64)
 
-    uv = np.full((n_edges, 2, 2), np.nan)
-    uv[live] = np.stack([pa.T, pb.T], axis=1)
-    inv_z = np.full((n_edges, 2), np.nan)
-    inv_z[live] = 1.0 / np.stack([a[2], b[2]], axis=-1)
+    per_edge = np.full((3, 2, n_edges), np.nan)  # pa, pb and 1/z
+    per_edge[:, :, live] = pa, pb, 1.0 / np.stack([a[2], b[2]])
     all_steps = np.zeros(n_edges, dtype=np.int64)
     all_steps[live] = steps
-    return EdgeTrace(uv, inv_z, all_steps, edge, x, y, s)
+    return EdgeTrace(*per_edge, all_steps, edge, x, y, s)
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +220,9 @@ _MASK_GRID = 1 << 15
 _PAIR_CHUNK = 1 << 11
 
 # An edge whose rise |dy| is below this many pixels is nearly horizontal and
-# bounds no span; above it the bound's quotient stays far from overflow.
+# bounds no span; above it a subnormal row term moves the bound far less
+# than the margin.
 _FLAT_DY = 2.0 ** -20
-
-# A triangle with a projected coordinate beyond this many pixels bounds no
-# span; below it no product of the per-pair test comes near overflow.
-_SPAN_COORD = 2.0 ** 60
 
 # The relative margin of a span bound, twice the float error of the
 # per-pair edge test and of the bound itself (_face_depth).
@@ -231,35 +230,36 @@ _SPAN_EPS = 2.0 ** -49
 
 
 def _triangles(model: WireframeModel, cam: np.ndarray):
-    """Camera-space triangles (T, 3, 3) of the faces clipped against the
-    near plane and fan-triangulated, with each triangle's face index.
+    """Camera-space triangles (3, T, 3) of the faces clipped against the
+    near plane and fan-triangulated, coordinates along axis 0 and corners
+    along axis 2, with each triangle's face index; cam holds the model's
+    camera-space vertices, (3, V).
 
     The faces crossing the plane are clipped as their edges v0-v1, v1-v2,
     v2-v0 in one clip_near call, which is the Sutherland-Hodgman clip of
     each: every edge with an end in front gives its a end, moved onto the
     plane when behind, then its moved b end when b is behind.
     """
-    pts = cam[model.faces]
-    front = pts[:, :, 2] >= NEAR_PLANE_MM
+    pts = cam[:, model.faces]
+    front = pts[2] >= NEAR_PLANE_MM
     whole = front.all(axis=1)
-    tris, faces = pts[whole], np.flatnonzero(whole)
+    tris, faces = pts[:, whole], np.flatnonzero(whole)
     cross = np.flatnonzero(front.any(axis=1) & ~whole)
     if len(cross) == 0:
         return tris, faces
-    a = pts[cross].reshape(-1, 3)
-    b = pts[cross][:, [1, 2, 0]].reshape(-1, 3)
-    live, ca, cb = clip_near(a.T, b.T, NEAR_PLANE_MM, _FLOAT)
-    ends = np.stack([ca.T, cb.T], axis=1)
-    emit = np.stack([np.ones(len(live), dtype=bool), b[live, 2] < NEAR_PLANE_MM], axis=1)
-    poly = ends[emit]  # the clipped polygons' points, face by face in order
+    a = pts[:, cross]
+    b = a[:, :, [1, 2, 0]].reshape(3, -1)
+    live, ca, cb = clip_near(a.reshape(3, -1), b, NEAR_PLANE_MM, _FLOAT)
+    emit = np.stack([np.ones(len(live), dtype=bool), b[2, live] < NEAR_PLANE_MM], axis=1)
+    poly = np.stack([ca, cb], axis=2)[:, emit]  # the clipped polygons' points, face by face
     # A clipped triangle has 3 or 4 points: fan triangles (0, j, j + 1) of each.
     counts = np.bincount(np.repeat(live // 3, emit.sum(axis=1)), minlength=len(cross))
     fans = counts - 2
     fan = np.repeat(np.arange(len(cross)), fans)
     start = (np.cumsum(counts) - counts)[fan]
     j = start + np.arange(len(fan)) - np.repeat(np.cumsum(fans) - fans, fans) + 1
-    corners = poly[np.stack([start, j, j + 1], axis=1)]
-    return np.concatenate([tris, corners]), np.concatenate([faces, cross[fan]])
+    corners = poly[:, np.stack([start, j, j + 1], axis=1)]
+    return np.concatenate([tris, corners], axis=1), np.concatenate([faces, cross[fan]])
 
 
 # Edge k of a triangle, opposite vertex k, runs from vertex _REF[k] to
@@ -307,36 +307,40 @@ def _face_depth(model: WireframeModel, cam: np.ndarray, K: CameraIntrinsics, pix
     about 7u q + 4u |x_r| + 3u width of the float bound, 8u (q + |x_r| +
     width) with the rounding of the widened bound; each span bound widens
     by twice that, _SPAN_EPS = 2**-49 times the sum.  The bound holds only
-    while no product of the test can overflow, and while a quotient by dy
-    keeps any underflow far below the margin: a triangle with a coordinate
-    beyond _SPAN_COORD px and an edge with |dy| below _FLAT_DY px bound
-    nothing, and their rows keep the box's columns.  The span walk thus
-    drops only pairs that fail the per-pair test, which still filters
-    every pair, so both enumerations give the same bytes.
+    while a quotient by dy keeps any underflow far below the margin: an
+    edge with |dy| below _FLAT_DY px bounds nothing, and its rows keep the
+    box's columns.  Overflow drops no pair the per-pair test passes: a bound
+    made infinite by an overflowed row term dx * (y - y_r) drops a row only
+    where that term's sign fails the edge, and the per-pair test reads the
+    same term; np.fmax and np.fmin ignore a NaN bound; and where t, x_r or
+    x_r + t is infinite, so is the margin, which leaves the box's columns.
+    The span walk thus drops only pairs that fail the per-pair test, which
+    still filters every pair, so both enumerations give the same bytes.
+    Neither warns on overflow, NaN or division by zero.
     """
     tris, faces = _triangles(model, cam)
-    u, v = project_cam(tris.reshape(-1, 3).T, K.to_backend(_FLOAT)).reshape(2, -1, 3)
-    (x0, x1, x2), (y0, y1, y2) = u.T, v.T
-    area = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-    keep = area != 0.0
-    u, v, faces, area = u[keep].T, v[keep].T, faces[keep], area[keep]
-    dx, dy = u[_NEXT] - u[_REF], v[_NEXT] - v[_REF]
-    # The per-pair test's constants, a row each: dy, x_r and 1/z of each
-    # edge, then the sign of the area and the area.
-    coef = np.concatenate([dy, u[_REF], 1.0 / tris[keep, :, 2].T, [np.sign(area), area]])
-    box = (np.maximum(0.0, np.ceil(u.min(axis=0))),
-           np.minimum(K.width - 1.0, np.floor(u.max(axis=0))),
-           np.maximum(0.0, np.ceil(v.min(axis=0))),
-           np.minimum(K.height - 1.0, np.floor(v.max(axis=0))))
-    xs = (pixels % K.width).astype(np.float64)
-    if len(faces) * len(pixels) < _MASK_GRID:
-        ys = (pixels // K.width).astype(np.float64)
-        t, p = _box_mask_pairs(box, xs, ys)
-        pairs = [(t, p, np.take(dx, t, axis=1) * (ys[p] - np.take(v[_REF], t, axis=1)))]
-    else:
-        pairs = _span_pairs(box, dx, dy, u, v, coef[9], pixels, K.width)
-
-    hits = [_pair_hits(coef, xs, faces, t, p, terms) for t, p, terms in pairs]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u, v = project_cam(tris.reshape(3, -1), K.to_backend(_FLOAT)).reshape(2, -1, 3)
+        (x0, x1, x2), (y0, y1, y2) = u.T, v.T
+        area = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+        keep = area != 0.0
+        u, v, faces, area = u[keep].T, v[keep].T, faces[keep], area[keep]
+        dx, dy = u[_NEXT] - u[_REF], v[_NEXT] - v[_REF]
+        # The per-pair test's constants, a row each: dy, x_r and 1/z of each
+        # edge, then the sign of the area and the area.
+        coef = np.concatenate([dy, u[_REF], 1.0 / tris[2, keep].T, [np.sign(area), area]])
+        box = (np.maximum(0.0, np.ceil(u.min(axis=0))),
+               np.minimum(K.width - 1.0, np.floor(u.max(axis=0))),
+               np.maximum(0.0, np.ceil(v.min(axis=0))),
+               np.minimum(K.height - 1.0, np.floor(v.max(axis=0))))
+        xs = (pixels % K.width).astype(np.float64)
+        if len(faces) * len(pixels) < _MASK_GRID:
+            ys = (pixels // K.width).astype(np.float64)
+            t, p = _box_mask_pairs(box, xs, ys)
+            pairs = [(t, p, np.take(dx, t, axis=1) * (ys[p] - np.take(v[_REF], t, axis=1)))]
+        else:
+            pairs = _span_pairs(box, dx, dy, u, v, coef[9], pixels, K.width)
+        hits = [_pair_hits(coef, xs, faces, t, p, terms) for t, p, terms in pairs]
     if not hits:
         return np.full(len(pixels), np.inf), np.full(len(pixels), -1)
     return _nearest(*(np.concatenate(h) for h in zip(*hits)), len(pixels))
@@ -356,8 +360,7 @@ def _pair_hits(coef, xs: np.ndarray, faces: np.ndarray, t, p, terms):
     # Flipping a sign is exact, so the tests are too.
     inside = (e * c[9] >= 0.0).all(axis=0)
     w = np.multiply(e, c[6:9], out=c[6:9])
-    with np.errstate(divide="ignore"):
-        z = 1.0 / ((w[0] + w[1] + w[2]) / c[10])
+    z = 1.0 / ((w[0] + w[1] + w[2]) / c[10])
     inside &= z < np.inf
     return p[inside], z[inside], faces[t[inside]]
 
@@ -401,10 +404,8 @@ def _spans(box, dx, dy, u, v, sign, pixels: np.ndarray, width: int):
     x_r, y_r = u[_REF], v[_REF]
     side = dy * sign  # > 0: the edge bounds x from above; < 0: from below
     side[np.abs(dy) < _FLAT_DY] = 0.0
-    side[:, ~((np.abs(u) < _SPAN_COORD) & (np.abs(v) < _SPAN_COORD)).all(axis=0)] = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        margin = _SPAN_EPS * (np.abs(dx) * (v.max(axis=0) - v.min(axis=0)) / np.abs(dy)
-                              + np.abs(x_r) + width)
+    margin = _SPAN_EPS * (np.abs(dx) * (v.max(axis=0) - v.min(axis=0)) / np.abs(dy)
+                          + np.abs(x_r) + width)
     above, below = np.where(side > 0.0, margin, np.inf), np.where(side < 0.0, margin, np.inf)
 
     rows = _distinct(pixels // width)
@@ -413,14 +414,13 @@ def _spans(box, dx, dy, u, v, sign, pixels: np.ndarray, width: int):
     tri = np.repeat(np.arange(len(x_lo)), height)
     row = rows[r_lo[tri] + (np.arange(len(tri)) - np.repeat(np.cumsum(height) - height, height))]
     terms = np.repeat(dx, height, axis=1) * (row - np.repeat(y_r, height, axis=1))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        at = np.repeat(x_r, height, axis=1) + terms / np.repeat(dy, height, axis=1)
-        # A span bound that is not a number (an edge that bounds nothing) is
-        # dropped; a box bound that is not one drops the span, as in the mask.
-        lo = np.maximum(x_lo[tri], np.fmax.reduce(np.ceil(at - np.repeat(below, height, axis=1)),
-                                                  initial=-np.inf))
-        hi = np.minimum(x_hi[tri], np.fmin.reduce(np.floor(at + np.repeat(above, height, axis=1)),
-                                                  initial=np.inf))
+    at = np.repeat(x_r, height, axis=1) + terms / np.repeat(dy, height, axis=1)
+    # A span bound that is not a number (an edge that bounds nothing) is
+    # dropped; a box bound that is not one drops the span, as in the mask.
+    lo = np.maximum(x_lo[tri], np.fmax.reduce(np.ceil(at - np.repeat(below, height, axis=1)),
+                                              initial=-np.inf))
+    hi = np.minimum(x_hi[tri], np.fmin.reduce(np.floor(at + np.repeat(above, height, axis=1)),
+                                              initial=np.inf))
     start = np.searchsorted(pixels, row * width + lo)
     n = np.maximum(np.searchsorted(pixels, row * width + hi, side="right") - start, 0)
     return tri, start, n, terms
@@ -461,8 +461,8 @@ def render_id_buffer(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics,
     pixels are rendered, each to the ID the full render gives it, and every
     other pixel stays background.
     """
-    cam = transform_np(model.vertices, pose.rotation(), pose.t)
-    trace = _edge_pixels(cam[model.edges[:, 0]], cam[model.edges[:, 1]], K)
+    cam = _camera_points(model, pose)
+    trace = _edge_pixels(*(np.take(cam, ends, axis=1) for ends in model.edges.T), K)
     id_buf = IdBuffer(K.width, K.height, trace=trace)
     e, x, y, s = trace.edge, trace.x, trace.y, trace.s
     # Drop consecutive repeats within an edge, then pixels off the image or
@@ -485,10 +485,10 @@ def render_id_buffer(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics,
     # within the relative bias of the face depth.  The adjacency clause
     # covers steep faces whose pixel-center depth sits well in front of the
     # exact edge depth, where any fixed bias would misjudge.
-    # Gathers along the rows of the transposed tables give row-major (k, n)
-    # results; edge_faces[e] would give (n, k), which the comparison and
-    # any() then walk k elements at a time.
-    inv_za, inv_zb = np.take(trace.inv_z.T, e, axis=1)
+    # Gathers along the rows of (k, E) tables (inv_z, and edge_faces
+    # transposed) give row-major (k, n) results; edge_faces[e] would give
+    # (n, k), which the comparison and any() then walk k elements at a time.
+    inv_za, inv_zb = np.take(trace.inv_z, e, axis=1)
     z = 1.0 / (inv_za + s * (inv_zb - inv_za))
     passes = z <= np.take(depth, at) * (1.0 + DEPTH_BIAS)
     passes |= (np.take(model.edge_faces.T, e, axis=1) == np.take(owner, at)).any(axis=0)
@@ -501,9 +501,13 @@ def render_id_buffer(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics,
 def render_depth_buffer(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics) -> DepthBuffer:
     """Nearest face depth at every pixel, by the per-pixel face query of
     render_id_buffer; for debug dumps."""
-    cam = transform_np(model.vertices, pose.rotation(), pose.t)
-    depth, _ = _face_depth(model, cam, K, np.arange(K.width * K.height))
+    depth, _ = _face_depth(model, _camera_points(model, pose), K, np.arange(K.width * K.height))
     return DepthBuffer(K.width, K.height, depth.reshape(K.height, K.width))
+
+
+def _camera_points(model: WireframeModel, pose: PoseSE3) -> np.ndarray:
+    """The model's vertices in camera space, (3, V), by the tracker's transform."""
+    return transform(model.vertices.T, *pose_words(pose, _FLOAT), _FLOAT)[1]
 
 
 # ---------------------------------------------------------------------------

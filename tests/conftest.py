@@ -212,10 +212,9 @@ def pinhole(c, K):
 
 def project_np(points, R, t, K):
     """Float image points (N, 2) and depths (N,) of world points at the pose
-    (R, t): transform_np, then pinhole.  No depth check; callers test z."""
-    from edgetrack.geometry import transform_np
-
-    cam = transform_np(points, R, t)
+    (R, t): numpy's matrix product, then pinhole.  No depth check; callers
+    test z."""
+    cam = np.asarray(points, dtype=np.float64).reshape(-1, 3) @ np.asarray(R).T + np.asarray(t)
     with np.errstate(divide="ignore", invalid="ignore"):
         uv = np.stack(pinhole(cam.T, K), axis=1)
     return uv, cam[:, 2]

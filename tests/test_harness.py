@@ -119,39 +119,40 @@ def test_frame_follows_id_buffer(cube_model, qvga_camera):
 
 def full_trace(a, b, K):
     """rasterizer._edge_pixels stepping every step of each projected
-    segment, on the image or not: the reference for the cut trace."""
+    segment, on the image or not: the reference for the cut trace; a and b
+    are (3, E)."""
     from edgetrack.rasterizer import EdgeTrace
     from test_rasterizer import clip_segment_near
 
     from conftest import pinhole
 
-    uv, inv_z = np.full((len(a), 2, 2), np.nan), np.full((len(a), 2), np.nan)
-    steps = np.zeros(len(a), dtype=np.int64)
+    n = a.shape[1]
+    pa, pb, inv_z = (np.full((2, n), np.nan) for _ in range(3))
+    steps = np.zeros(n, dtype=np.int64)
     columns = [[np.zeros(0, dtype=np.int64)] * 3 + [np.zeros(0)]]  # edge, x, y, s
-    for i in range(len(a)):
-        ends = clip_segment_near(a[i], b[i])
+    for i in range(n):
+        ends = clip_segment_near(a[:, i], b[:, i])
         if ends is None:
             continue
-        uv[i] = pinhole(ends[0], K), pinhole(ends[1], K)
-        inv_z[i] = 1.0 / ends[0][2], 1.0 / ends[1][2]
-        (ua, va), (ub, vb) = uv[i]
+        pa[:, i], pb[:, i] = pinhole(ends[0], K), pinhole(ends[1], K)
+        inv_z[:, i] = 1.0 / ends[0][2], 1.0 / ends[1][2]
+        (ua, va), (ub, vb) = pa[:, i], pb[:, i]
         steps[i] = max(1, math.ceil(max(abs(ub - ua), abs(vb - va))))
         s = np.arange(steps[i] + 1) / steps[i]
         x = np.floor(ua + s * (ub - ua) + 0.5).astype(np.int64)
         y = np.floor(va + s * (vb - va) + 0.5).astype(np.int64)
         columns.append([np.full(len(s), i), x, y, s])
-    return EdgeTrace(uv, inv_z, steps, *(np.concatenate(c) for c in zip(*columns)))
+    return EdgeTrace(pa, pb, inv_z, steps, *(np.concatenate(c) for c in zip(*columns)))
 
 
 def test_trace_steps_only_near_the_image(cube_model, qvga_camera, monkeypatch):
     import edgetrack.rasterizer as rasterizer
-    from edgetrack.geometry import transform_np
-    from edgetrack.rasterizer import _edge_pixels
+    from edgetrack.rasterizer import _camera_points, _edge_pixels
 
     K = qvga_camera
     corridor, pose = corridor_scene()
-    cam = transform_np(corridor.vertices, pose.rotation(), pose.t)
-    a, b = cam[corridor.edges[:, 0]], cam[corridor.edges[:, 1]]
+    cam = _camera_points(corridor, pose)
+    a, b = cam[:, corridor.edges[:, 0]], cam[:, corridor.edges[:, 1]]
     full, cut = full_trace(a, b, K), _edge_pixels(a, b, K)
     assert len(full.s) > 40000 and len(cut.s) < 2000
     for i in range(len(corridor.edges)):
@@ -160,7 +161,8 @@ def test_trace_steps_only_near_the_image(cube_model, qvga_camera, monkeypatch):
             continue
         assert c.sum() <= max(K.width, K.height) + 8
         assert cut.steps[i] == full.steps[i]  # s and steps still refer to the whole segment
-        assert np.array_equal(cut.uv[i], full.uv[i]) and np.array_equal(cut.inv_z[i], full.inv_z[i])
+        assert np.array_equal(cut.pa[:, i], full.pa[:, i]) and np.array_equal(cut.pb[:, i], full.pb[:, i])
+        assert np.array_equal(cut.inv_z[:, i], full.inv_z[:, i])
         k = np.rint(cut.s[c] * cut.steps[i]).astype(int)
         assert np.array_equal(cut.s[c], full.s[f][k]) and np.array_equal(cut.x[c], full.x[f][k])
         assert np.array_equal(cut.y[c], full.y[f][k])
@@ -240,9 +242,10 @@ def draw_aa_segment(img, a, b):
 
 
 def assert_draw_matches_loop(a, b, shape):
-    a, b = np.asarray(a, dtype=float).reshape(-1, 2), np.asarray(b, dtype=float).reshape(-1, 2)
+    """_draw_runs against the per-run loop on the runs a[:, i]-b[:, i]."""
+    a, b = np.asarray(a, dtype=float).reshape(2, -1), np.asarray(b, dtype=float).reshape(2, -1)
     ref = np.full(shape, 255, dtype=np.uint8)
-    for pa, pb in zip(a, b):
+    for pa, pb in zip(a.T, b.T):
         draw_aa_segment(ref, pa, pb)
     img = np.full(shape, 255, dtype=np.uint8)
     _draw_runs(img, a, b)
@@ -268,10 +271,10 @@ def test_draw_runs_matches_per_run_loop_on_scenes(cube_model, icosphere_model, q
     drawn = 0
     for model, pose in scenes:
         a, b = _visible_runs(model, pose, K)
-        assert a.shape == b.shape == (len(a), 2)
+        assert a.shape == b.shape == (2, a.shape[1])
         ref = assert_draw_matches_loop(a, b, (K.height, K.width))
         assert np.array_equal(ref, render_frame_gray(model, pose, K).pixels)
-        drawn += len(a)
+        drawn += a.shape[1]
     assert drawn > 3000
 
 
@@ -305,7 +308,7 @@ def test_draw_runs_matches_per_run_loop_on_hand_made_runs():
         ((9.0, 10.0), (24.0, 12.0)),  # overlapping the 45 degree run
         ((9.0, 10.5), (24.0, 12.5)),  # overlapping its neighbour
     ]
-    a, b = (np.array(ends) for ends in zip(*runs))
+    a, b = (np.array(ends).T for ends in zip(*runs))
     assert_draw_matches_loop(a, b, (h, w))
     for pa, pb in runs:
         assert_draw_matches_loop(pa, pb, (h, w))
@@ -313,8 +316,8 @@ def test_draw_runs_matches_per_run_loop_on_hand_made_runs():
     rng = np.random.default_rng(5)
     a = rng.uniform((-8.0, -8.0), (w + 8.0, h + 8.0), size=(300, 2))
     b = a + rng.normal(scale=rng.choice([0.3, 3.0, 20.0], size=(300, 1)), size=(300, 2))
-    assert_draw_matches_loop(a, b, (h, w))
-    assert_draw_matches_loop(np.zeros((0, 2)), np.zeros((0, 2)), (h, w))
+    assert_draw_matches_loop(a.T, b.T, (h, w))
+    assert_draw_matches_loop(np.zeros((2, 0)), np.zeros((2, 0)), (h, w))
 
 
 def test_render_noise_matches_the_out_of_place_formula(cube_model, icosphere_model, qvga_camera):

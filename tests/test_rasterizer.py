@@ -1,6 +1,7 @@
 """Tests for the edge-ID codec, the software renderer, and visibility."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from edgetrack.geometry import (
     look_at_pose,
     pose_words,
     project_cam,
-    transform_np,
 )
 from edgetrack.imaging import ColorImage, GrayImage
 from edgetrack.rasterizer import (
@@ -31,6 +31,7 @@ from edgetrack.rasterizer import (
     is_point_visible,
     render_depth_buffer,
     render_id_buffer,
+    _camera_points,
     _face_depth,
     _triangles,
 )
@@ -250,24 +251,27 @@ def fill_triangle(depth, owner, face_index, pts, K):
 
 
 def reference_fill(model, cam, K):
-    """Every face clipped, fan-triangulated and z-filled over the image."""
+    """Every face clipped, fan-triangulated and z-filled over the image;
+    cam holds the camera-space vertices, (3, V)."""
     depth = np.full((K.height, K.width), np.inf)
     owner = np.full((K.height, K.width), -1, dtype=np.int32)
     for fi, f in enumerate(model.faces):
-        poly = clip_polygon_near([cam[f[0]], cam[f[1]], cam[f[2]]])
+        poly = clip_polygon_near([cam[:, f[0]], cam[:, f[1]], cam[:, f[2]]])
         for j in range(1, len(poly) - 1):
             fill_triangle(depth, owner, fi, [poly[0], poly[j], poly[j + 1]], K)
     return depth, owner
 
 
 def reference_render(model, pose, K):
-    """Edge IDs and depths from the full z-fill and a per-pixel edge loop."""
-    cam = transform_np(model.vertices, pose.rotation(), pose.t)
+    """Edge IDs and depths from the full z-fill and a per-pixel edge loop,
+    on the renderer's camera points: this checks rasterization, not the
+    transform."""
+    cam = _camera_points(model, pose)
     depth, owner = reference_fill(model, cam, K)
     ids = np.full((K.height, K.width), BACKGROUND)
     edge_depth = np.full((K.height, K.width), np.inf)
     for i, own_faces in enumerate(model.edge_faces):
-        seg = clip_segment_near(cam[model.edges[i][0]], cam[model.edges[i][1]])
+        seg = clip_segment_near(cam[:, model.edges[i][0]], cam[:, model.edges[i][1]])
         if seg is None:
             continue
         a, b = seg
@@ -338,19 +342,19 @@ def test_triangles_match_per_face_clip(cube_model, monkeypatch):
         scenes.append((model, look_at_pose(center, rng.normal(size=3), down=rng.normal(size=3))))
     crossing = 0
     for model, pose in scenes:
-        cam = transform_np(model.vertices, pose.rotation(), pose.t)
-        front = cam[model.faces][:, :, 2] >= NEAR_PLANE_MM
+        cam = _camera_points(model, pose)
+        front = cam[2, model.faces] >= NEAR_PLANE_MM
         crossing += np.count_nonzero(front.any(axis=1) & ~front.all(axis=1))
         want_tris, want_faces = [], []
         for fi, f in enumerate(model.faces):
-            poly = clip_polygon_near([cam[f[0]], cam[f[1]], cam[f[2]]])
+            poly = clip_polygon_near([cam[:, f[0]], cam[:, f[1]], cam[:, f[2]]])
             for j in range(1, len(poly) - 1):
                 want_tris.append([poly[0], poly[j], poly[j + 1]])
                 want_faces.append(fi)
         tris, faces = _triangles(model, cam)
         order = np.argsort(faces, kind="stable")  # whole faces come first
         assert np.array_equal(faces[order], want_faces)
-        assert np.array_equal(tris[order], np.array(want_tris).reshape(-1, 3, 3))
+        assert np.array_equal(tris[:, order], np.moveaxis(np.array(want_tris), 2, 0))
     assert crossing >= 40
 
     # With no face crossing the plane, as on every orbit pose, no clip runs.
@@ -360,9 +364,9 @@ def test_triangles_match_per_face_clip(cube_model, monkeypatch):
     monkeypatch.setattr(rasterizer, "clip_near", no_clip)
     for _ in range(5):
         pose = random_orbit_pose(rng)
-        cam = transform_np(cube_model.vertices, pose.rotation(), pose.t)
+        cam = _camera_points(cube_model, pose)
         tris, faces = _triangles(cube_model, cam)
-        assert np.array_equal(tris, cam[cube_model.faces]) and faces.tolist() == list(range(12))
+        assert np.array_equal(tris, cam[:, cube_model.faces]) and faces.tolist() == list(range(12))
 
 
 # A 32x24 camera for the coplanar-tie scenes.
@@ -392,7 +396,7 @@ def test_face_depth_owner_ties_go_to_lower_face():
     K = TIE_CAMERA
     for model, pose in coplanar_tie_scenes():
         vertices, faces = model.vertices, model.faces
-        cam = transform_np(model.vertices, pose.rotation(), pose.t)
+        cam = _camera_points(model, pose)
         depth, owner = reference_fill(model, cam, K)
         got_depth, got_owner = _face_depth(model, cam, K, np.arange(K.width * K.height))
         assert_same_bytes(got_depth, depth.ravel())
@@ -498,7 +502,7 @@ def test_face_depth_at_sparse_rows_matches_depth_buffer(cube_model, qvga_camera)
     rng = np.random.default_rng(60)
     n = K.width * K.height
     for model, pose in reference_scenes(cube_model, rng):
-        cam = transform_np(model.vertices, pose.rotation(), pose.t)
+        cam = _camera_points(model, pose)
         depth = render_depth_buffer(model, pose, K).depth.ravel()
         _, owner = _face_depth(model, cam, K, np.arange(n))
         rows = np.sort(rng.choice(K.height, 12, replace=False))
@@ -515,7 +519,7 @@ def face_depth_by(enumeration, model, pose, K, pixels, monkeypatch):
     """_face_depth's (depth, owner) bytes with every query sent to one
     enumeration: "mask" or "spans"."""
     monkeypatch.setattr(rasterizer, "_MASK_GRID", 1 << 62 if enumeration == "mask" else 0)
-    cam = transform_np(model.vertices, pose.rotation(), pose.t)
+    cam = _camera_points(model, pose)
     depth, owner = _face_depth(model, cam, K, pixels)
     return depth.tobytes(), owner.tobytes()
 
@@ -535,10 +539,10 @@ def exact_triangles(corners, depths):
     faces = np.arange(len(vertices)).reshape(-1, 3)
     model = WireframeModel(vertices=np.array(vertices), faces=faces,
                            edges=np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]]]))
-    cam = transform_np(model.vertices, np.eye(3), np.zeros(3))
-    u, v = project_cam(cam.T, K.to_backend(FloatBackend()))
+    pose = PoseSE3(omega=np.zeros(3), t=np.zeros(3))
+    u, v = project_cam(_camera_points(model, pose), K.to_backend(FloatBackend()))
     assert np.array_equal(u, np.ravel(corners)[0::2]) and np.array_equal(v, np.ravel(corners)[1::2])
-    return model, PoseSE3(omega=np.zeros(3), t=np.zeros(3))
+    return model, pose
 
 
 def sliver_scene():
@@ -614,7 +618,7 @@ def test_face_depth_enumerations_agree(cube_model, icosphere_model, qvga_camera,
         for camera, pixels in queries:
             assert (face_depth_by("mask", model, pose, camera, pixels, monkeypatch)
                     == face_depth_by("spans", model, pose, camera, pixels, monkeypatch))
-            cam = transform_np(model.vertices, pose.rotation(), pose.t)
+            cam = _camera_points(model, pose)
             sides.add(len(_triangles(model, cam)[1]) * len(pixels) < rule)
     assert sides == {True, False}
 
@@ -650,7 +654,7 @@ def test_face_depth_spans_match_mask_on_random_models(seed, inside, share):
         pose = random_orbit_pose(rng, (40.0, 300.0))
     K = EXACT_CAMERA
     pixels = np.flatnonzero(rng.random(K.width * K.height) < share)
-    cam = transform_np(model.vertices, pose.rotation(), pose.t)
+    cam = _camera_points(model, pose)
     got = []
     for grid in (1 << 62, 0):  # the mask, then the span walk
         rasterizer._MASK_GRID = grid
@@ -690,21 +694,39 @@ def test_span_walk_leaves_subnormal_rises_to_the_pixel_test(monkeypatch):
 def test_span_walk_agrees_beyond_the_coordinate_cutoff(monkeypatch):
     # Triangles with a vertex far off-axis just beyond the near plane, one
     # in front of it and one clipped onto it, project to |u| of about
-    # 5e19 px, beyond _SPAN_COORD, so their rows keep the box's columns.
-    # No scene found makes that guard matter: the walk also agrees with
-    # the mask with _SPAN_COORD = inf, on these and on random triangles
-    # with coordinates up to 1e308.
+    # 5e19 px, above 2**60.  Their span bounds come from those coordinates
+    # and drop no pixel the per-pair test passes: the walk agrees with the
+    # mask, as it does on random triangles with coordinates up to 1e308.
     model, pose = guard_scene([(0.0, -30.0, 250.0), (0.0, 30.0, 250.0),
                                (1e17, 0.0, 1.0 + 2.0 ** -40), (-10.0, -30.0, 250.0),
                                (-10.0, 30.0, 250.0), (-1e17, 5.0, 0.5)])
     K = EXACT_CAMERA
-    cam = transform_np(model.vertices, pose.rotation(), pose.t)
-    u = project_cam(_triangles(model, cam)[0].reshape(-1, 3).T, K.to_backend(FloatBackend()))[0]
+    cam = _camera_points(model, pose)
+    u = project_cam(_triangles(model, cam)[0].reshape(3, -1), K.to_backend(FloatBackend()))[0]
     assert (np.abs(u.reshape(-1, 3)).max(axis=1) > 2.0 ** 60).all()  # every triangle's rows
     pixels = np.arange(K.width * K.height)
     mask = face_depth_by("mask", model, pose, K, pixels, monkeypatch)
     assert set(np.frombuffer(mask[1], dtype=np.int64)) == {-1, 0, 1}
     assert face_depth_by("spans", model, pose, K, pixels, monkeypatch) == mask
+
+
+def test_face_depth_overflow_raises_no_warning_and_owns_no_pixel(qvga_camera, monkeypatch):
+    # A camera-space vertex at (1e300, 1e300, 1) through a 500-px focal
+    # length: the row terms, the span bounds and the edge functions
+    # overflow, on both enumerations and on a full QVGA depth render (a
+    # span walk).  No warning is raised, and the triangle owns no pixel:
+    # the edge function from the far vertex is inf - inf at every pixel.
+    model, pose = guard_scene([(-10.0, -10.0, 100.0), (10.0, -10.0, 100.0), (1e300, 1e300, 1.0)])
+    K = CameraIntrinsics(fx=500.0, fy=500.0, cx=32.0, cy=24.0, width=64, height=48)
+    pixels = np.arange(K.width * K.height)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for enumeration in ("mask", "spans"):
+            depth, owner = face_depth_by(enumeration, model, pose, K, pixels, monkeypatch)
+            assert not np.isfinite(np.frombuffer(depth)).any()
+            assert (np.frombuffer(owner, dtype=np.int64) == -1).all()
+        monkeypatch.undo()
+        assert not np.isfinite(render_depth_buffer(model, pose, qvga_camera).depth).any()
 
 
 def pairs_tested(enumeration, model, pose, K, pixels, monkeypatch):
