@@ -1,8 +1,9 @@
 """Synthetic sequences, end-to-end tracking runs, and their evaluation.
 
 The generator renders the model's visible edges as dark anti-aliased lines
-on a white background, every visible run of a frame in one array pass, adds
-sensor noise, and writes the ground-truth pose of every frame; the accuracy
+on a white background: it draws the runs that `rasterizer.visible_runs`
+finds in the frame's ID buffer, every run in one array pass, adds sensor
+noise, and writes the ground-truth pose of every frame; the accuracy
 oracle is that pose file, never the images.  The runner replays a
 sequence through track_frame with a bounded coasting policy; a frame's
 record (``FrameRecord``) is the FrameStats track_frame returns plus the
@@ -48,6 +49,7 @@ from .rasterizer import (
     id_buffer_to_image,
     render_depth_buffer,
     render_id_buffer,
+    visible_runs,
 )
 from .realmath import MathDomainError, MathOverflowError
 from .tracking import InsufficientMeasurementsError
@@ -63,7 +65,6 @@ STATS_COLUMNS = (
 )
 
 # Desk-scale defaults: every headline accuracy number refers to this setup.
-STANDARD_SIDE_MM = 60.0
 STANDARD_RADIUS_MM = 150.0
 STANDARD_RATE_RAD = math.radians(0.5)
 STANDARD_FRAMES = 60
@@ -119,32 +120,6 @@ def standard_trajectory(frames: int = STANDARD_FRAMES) -> OrbitTrajectory:
 
 # ---------------------------------------------------------------------------
 # Sequence generation.
-
-def _visible_runs(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics):
-    """Visible parts of each edge as 2D sub-segments: (2, N) arrays of
-    their start and end points (x, y).
-
-    Walks the ID buffer along the edge trace it was rendered from and keeps
-    maximal runs of steps the edge owns, so the drawn lines inherit the
-    rasterizer's hidden-line decisions.
-    """
-    id_buf = render_id_buffer(model, pose, K)
-    tr = id_buf.trace
-    inside = (tr.x >= 0) & (tr.x < K.width) & (tr.y >= 0) & (tr.y < K.height)
-    flat = np.where(inside, tr.y * K.width + tr.x, 0)  # off-image steps read pixel 0
-    owned = inside & (np.take(id_buf.ids.reshape(-1), flat) == tr.edge)
-    # A run starts at an owned step whose predecessor in the same edge is
-    # not owned, and ends at one whose successor is not.
-    chained = owned[1:] & owned[:-1] & (tr.edge[1:] == tr.edge[:-1])
-    first = np.flatnonzero(owned & ~np.append(False, chained))
-    last = np.flatnonzero(owned & ~np.append(chained, False))
-    e = tr.edge[first]
-    pad = 0.5 / tr.steps[e]  # half a step
-    t0 = np.maximum(0.0, tr.s[first] - pad)
-    t1 = np.minimum(1.0, tr.s[last] + pad)
-    pa, pb = np.take(tr.pa, e, axis=1), np.take(tr.pb, e, axis=1)
-    return pa + t0 * (pb - pa), pa + t1 * (pb - pa)
-
 
 # Candidate pixels on each side of a run, across its major axis.
 _BAND = 2
@@ -227,14 +202,15 @@ def render_frame_gray(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics,
                       occlusion_fraction: float = 0.0) -> GrayImage:
     """One synthetic frame: visible edges as dark AA lines plus noise.
 
-    All visible runs are drawn in one array pass (_draw_runs); Gaussian
-    noise of standard deviation sigma is added, rounded and clipped to
-    8 bits.  Raises ValueError unless sigma is finite and >= 0 and the
-    occlusion fraction is in [0, 1].
+    The visible runs of the frame's ID buffer (rasterizer.visible_runs)
+    are drawn in one array pass (_draw_runs); Gaussian noise of standard
+    deviation sigma is added, rounded and clipped to 8 bits.  Raises
+    ValueError unless sigma is finite and >= 0 and the occlusion fraction
+    is in [0, 1].
     """
     _check_synthesis(sigma, occlusion_fraction)
     img = np.full((K.height, K.width), 255, dtype=np.uint8)
-    _draw_runs(img, *_visible_runs(model, pose, K))
+    _draw_runs(img, *visible_runs(render_id_buffer(model, pose, K)))
     if occlusion_fraction > 0.0:
         occlude_strip(img, occlusion_fraction)
     if sigma > 0.0:
@@ -376,9 +352,9 @@ def run_tracking(sequence_dir, model: WireframeModel, K: CameraIntrinsics,
             bdir = Path(out_dir) / "buffers"
             bdir.mkdir(parents=True, exist_ok=True)
             id_buf = render_id_buffer(model, pose, K)
-            depth_buf = render_depth_buffer(model, pose, K)
+            depth = render_depth_buffer(model, pose, K)
             save_image(id_buffer_to_image(id_buf), bdir / f"frame_{idx:06d}_id.ppm")
-            save_image(depth_buffer_to_image(depth_buf), bdir / f"frame_{idx:06d}_depth.pgm")
+            save_image(depth_buffer_to_image(depth), bdir / f"frame_{idx:06d}_depth.pgm")
     if out_dir is not None:
         write_run_outputs(out_dir, records)
     return records

@@ -27,12 +27,16 @@ A pixel's ID depends only on its own trace steps and face depth, so
 tracker passes the 3x3 neighbourhoods of its control points
 (`read_pixels`), about a third of the traced pixels of a cube frame, and
 every other pixel stays background.  `render_depth_buffer` runs the same
-per-pixel face query over every pixel, for debug dumps.  Both take the
-camera points from `geometry.transform` as one (3, V) array, and every
-point set here keeps its coordinates along axis 0, as in `geometry`.
+per-pixel face query over every pixel, for debug dumps, and returns the
+(h, w) depth array.  Both take the camera points from `geometry.transform`
+as one (3, V) array, and every point set here keeps its coordinates along
+axis 0, as in `geometry`.
 
-The buffer holds integer edge IDs, BACKGROUND (-1) where no edge is drawn.
-The colour code an OpenGL ID render would write packs an ID into RGB with a
+The ID buffer holds integer edge IDs, BACKGROUND (-1) where no edge is
+drawn, beside the edge trace it was drawn from; only this module reads
+either.  `visible_runs` walks that trace over the buffer for the synthetic
+frames, so they draw exactly the runs the buffer leaves visible.  The
+colour code an OpenGL ID render would write packs an ID into RGB with a
 spacing of 8 between channel levels, black for background; it is applied
 only when a buffer becomes an image (`id_buffer_to_image`).
 
@@ -42,7 +46,7 @@ occlusion queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -88,19 +92,29 @@ def encode_id_array(ids) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Buffers.
+# Edge trace and ID buffer.
 
 @dataclass
-class DepthBuffer:
-    """Per-pixel camera-space z in mm; +inf where nothing was drawn."""
+class EdgeTrace:
+    """The line-stepped edges of one view, all edges in one set of arrays.
 
-    width: int
-    height: int
-    depth: np.ndarray = field(default=None)
+    Per edge: ``pa`` and ``pb`` (2, E) hold the projections (u, v) of the
+    near-clipped ends, ``inv_z`` (2, E) their reciprocal depths (a's, then
+    b's) and ``steps`` (E,) the step count of the whole projected segment;
+    edges with no traced step hold NaN and 0.  Per traced step, grouped by
+    edge in edge order and ascending k: ``edge``, the flat index
+    ``flat = y * width + x`` of the step's pixel (x and y rounded with
+    floor(. + 0.5)), -1 off the image, and the parameter ``s = k / steps``
+    from pa[:, e] to pb[:, e].
+    """
 
-    def __post_init__(self):
-        if self.depth is None:
-            self.depth = np.full((self.height, self.width), np.inf, dtype=np.float64)
+    pa: np.ndarray
+    pb: np.ndarray
+    inv_z: np.ndarray
+    steps: np.ndarray
+    edge: np.ndarray
+    flat: np.ndarray
+    s: np.ndarray
 
 
 @dataclass
@@ -113,40 +127,8 @@ class IdBuffer:
     render_id_buffer made it.
     """
 
-    width: int
-    height: int
-    ids: np.ndarray = field(default=None)
-    trace: Optional["EdgeTrace"] = None
-
-    def __post_init__(self):
-        if self.ids is None:
-            self.ids = np.full((self.height, self.width), BACKGROUND, dtype=np.int16)
-
-
-# ---------------------------------------------------------------------------
-# Edge trace.
-
-@dataclass
-class EdgeTrace:
-    """The line-stepped edges of one view, all edges in one set of arrays.
-
-    Per edge: ``pa`` and ``pb`` (2, E) hold the projections (u, v) of the
-    near-clipped ends, ``inv_z`` (2, E) their reciprocal depths (a's, then
-    b's) and ``steps`` (E,) the step count of the whole projected segment;
-    edges with no traced step hold NaN and 0.  Per traced step, grouped by
-    edge in edge order and ascending k: ``edge``, the pixel column ``x``
-    and row ``y`` (rounded with floor(. + 0.5)) and the parameter
-    ``s = k / steps`` from pa[:, e] to pb[:, e].
-    """
-
-    pa: np.ndarray
-    pb: np.ndarray
-    inv_z: np.ndarray
-    steps: np.ndarray
-    edge: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    s: np.ndarray
+    ids: np.ndarray
+    trace: Optional[EdgeTrace] = None
 
 
 # A traced point rounds onto the image when it lies in [-0.5, size - 0.5)
@@ -168,7 +150,7 @@ def _edge_pixels(a: np.ndarray, b: np.ndarray, K: CameraIntrinsics) -> EdgeTrace
     outside it at each cut end; the first traced step of an edge therefore
     never hides an on-image repeat of its predecessor.  A segment wholly
     behind the near plane or outside the box has no traced step.  Pixels
-    are neither de-duplicated nor bounds-checked.
+    are not de-duplicated; a step off the image has flat index -1.
     """
     n_edges = a.shape[1]
     live, a, b = clip_near(a, b, NEAR_PLANE_MM, _FLOAT)
@@ -189,12 +171,14 @@ def _edge_pixels(a: np.ndarray, b: np.ndarray, K: CameraIntrinsics) -> EdgeTrace
     # np.take keeps the (2, K) steps row-major; pa[:, at] would lay them out
     # step-major, and every ufunc below would then run two elements at a time.
     x, y = np.floor(np.take(pa, at, axis=1) + s * np.take(d, at, axis=1) + 0.5).astype(np.int64)
+    on_image = (x >= 0) & (x < K.width) & (y >= 0) & (y < K.height)
+    flat = np.where(on_image, y * K.width + x, -1)
 
     per_edge = np.full((3, 2, n_edges), np.nan)  # pa, pb and 1/z
     per_edge[:, :, live] = pa, pb, 1.0 / np.stack([a[2], b[2]])
     all_steps = np.zeros(n_edges, dtype=np.int64)
     all_steps[live] = steps
-    return EdgeTrace(*per_edge, all_steps, edge, x, y, s)
+    return EdgeTrace(*per_edge, all_steps, edge, flat, s)
 
 
 # ---------------------------------------------------------------------------
@@ -463,15 +447,12 @@ def render_id_buffer(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics,
     """
     cam = _camera_points(model, pose)
     trace = _edge_pixels(*(np.take(cam, ends, axis=1) for ends in model.edges.T), K)
-    id_buf = IdBuffer(K.width, K.height, trace=trace)
-    e, x, y, s = trace.edge, trace.x, trace.y, trace.s
-    # Drop consecutive repeats within an edge, then pixels off the image or
-    # not asked for.  The stepped pixels of an edge are monotone in x and y,
-    # so afterwards each appears once per edge.
-    keep = np.ones(len(s), dtype=bool)
-    keep[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1]) | (e[1:] != e[:-1])
-    keep &= (x >= 0) & (x < K.width) & (y >= 0) & (y < K.height)
-    flat = y * K.width + x
+    e, flat, s = trace.edge, trace.flat, trace.s
+    # Drop pixels off the image, then consecutive repeats within an edge,
+    # then pixels not asked for.  The stepped pixels of an edge are monotone
+    # in x and y, so afterwards each appears once per edge.
+    keep = flat >= 0
+    keep[1:] &= (flat[1:] != flat[:-1]) | (e[1:] != e[:-1])
     if pixels is not None:
         asked = np.append(pixels, -1)  # the sentinel matches no on-image pixel
         keep &= asked[np.searchsorted(pixels, flat)] == flat
@@ -494,20 +475,46 @@ def render_id_buffer(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics,
     passes |= (np.take(model.edge_faces.T, e, axis=1) == np.take(owner, at)).any(axis=0)
     # Among edges crossing one pixel the nearest wins, ties to the lower ID.
     _, edge = _nearest(at[passes], z[passes], e[passes], len(drawn_at))
-    id_buf.ids.reshape(-1)[drawn_at] = edge
-    return id_buf
+    ids = np.full((K.height, K.width), BACKGROUND, dtype=np.int16)
+    ids.reshape(-1)[drawn_at] = edge
+    return IdBuffer(ids, trace)
 
 
-def render_depth_buffer(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics) -> DepthBuffer:
+def render_depth_buffer(model: WireframeModel, pose: PoseSE3, K: CameraIntrinsics) -> np.ndarray:
     """Nearest face depth at every pixel, by the per-pixel face query of
-    render_id_buffer; for debug dumps."""
+    render_id_buffer, as an (h, w) array of camera-space z in mm, +inf
+    where no face is drawn; for debug dumps."""
     depth, _ = _face_depth(model, _camera_points(model, pose), K, np.arange(K.width * K.height))
-    return DepthBuffer(K.width, K.height, depth.reshape(K.height, K.width))
+    return depth.reshape(K.height, K.width)
 
 
 def _camera_points(model: WireframeModel, pose: PoseSE3) -> np.ndarray:
     """The model's vertices in camera space, (3, V), by the tracker's transform."""
     return transform(model.vertices.T, *pose_words(pose, _FLOAT), _FLOAT)[1]
+
+
+def visible_runs(id_buffer: IdBuffer):
+    """Visible parts of each edge of a full render_id_buffer render as 2D
+    sub-segments: (2, N) arrays of their start and end points (x, y).
+
+    Walks the buffer's IDs along the edge trace it was rendered from and
+    keeps maximal runs of steps the edge owns, so lines drawn from the runs
+    inherit the buffer's hidden-line decisions.
+    """
+    tr = id_buffer.trace
+    # An off-image step's flat index -1 reads the last pixel; flat >= 0 drops it.
+    owned = (tr.flat >= 0) & (np.take(id_buffer.ids.reshape(-1), tr.flat) == tr.edge)
+    # A run starts at an owned step whose predecessor in the same edge is
+    # not owned, and ends at one whose successor is not.
+    chained = owned[1:] & owned[:-1] & (tr.edge[1:] == tr.edge[:-1])
+    first = np.flatnonzero(owned & ~np.append(False, chained))
+    last = np.flatnonzero(owned & ~np.append(chained, False))
+    e = tr.edge[first]
+    pad = 0.5 / tr.steps[e]  # half a step
+    t0 = np.maximum(0.0, tr.s[first] - pad)
+    t1 = np.minimum(1.0, tr.s[last] + pad)
+    pa, pb = np.take(tr.pa, e, axis=1), np.take(tr.pb, e, axis=1)
+    return pa + t0 * (pb - pa), pa + t1 * (pb - pa)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +565,8 @@ def neighbourhoods_visible(flat: np.ndarray, edges, id_buffer: IdBuffer) -> np.n
 
 def is_point_visible(p, edge_index: int, id_buffer: IdBuffer) -> bool:
     """True when the ID buffer credits pixel round(p) (or a 3x3 neighbor) to edge_index."""
-    flat = neighbourhoods([[p[0]], [p[1]]], id_buffer.width, id_buffer.height)
+    height, width = id_buffer.ids.shape
+    flat = neighbourhoods([[p[0]], [p[1]]], width, height)
     return bool(neighbourhoods_visible(flat, [edge_index], id_buffer)[0])
 
 
@@ -568,15 +576,15 @@ def is_point_visible(p, edge_index: int, id_buffer: IdBuffer) -> bool:
 def id_buffer_to_image(id_buffer: IdBuffer) -> ColorImage:
     """The buffer's IDs in the colour code of encode_id_array, black for
     background."""
-    rgb = np.zeros((id_buffer.height, id_buffer.width, 3), dtype=np.uint8)
+    rgb = np.zeros((*id_buffer.ids.shape, 3), dtype=np.uint8)
     drawn = id_buffer.ids != BACKGROUND
     rgb[drawn] = encode_id_array(id_buffer.ids[drawn])
     return ColorImage(rgb, RGB888)
 
 
-def depth_buffer_to_image(depth_buffer: DepthBuffer) -> GrayImage:
-    """Nearest depth maps dark, farthest light; empty pixels white."""
-    d = depth_buffer.depth
+def depth_buffer_to_image(d: np.ndarray) -> GrayImage:
+    """An (h, w) depth array (render_depth_buffer) as an image: nearest
+    depth maps dark, farthest light; +inf pixels white."""
     finite = np.isfinite(d)
     out = np.full(d.shape, 255, dtype=np.uint8)
     if finite.any():

@@ -28,10 +28,9 @@ from edgetrack.harness import (
     standard_camera,
     standard_trajectory,
     _draw_runs,
-    _visible_runs,
 )
 from edgetrack.pose_estimation import LM_STOPS, TrackerConfig
-from edgetrack.rasterizer import BACKGROUND, render_id_buffer
+from edgetrack.rasterizer import BACKGROUND, render_id_buffer, visible_runs
 
 from conftest import (
     CUBE_EDGES,
@@ -129,7 +128,7 @@ def full_trace(a, b, K):
     n = a.shape[1]
     pa, pb, inv_z = (np.full((2, n), np.nan) for _ in range(3))
     steps = np.zeros(n, dtype=np.int64)
-    columns = [[np.zeros(0, dtype=np.int64)] * 3 + [np.zeros(0)]]  # edge, x, y, s
+    columns = [[np.zeros(0, dtype=np.int64)] * 2 + [np.zeros(0)]]  # edge, flat, s
     for i in range(n):
         ends = clip_segment_near(a[:, i], b[:, i])
         if ends is None:
@@ -141,7 +140,8 @@ def full_trace(a, b, K):
         s = np.arange(steps[i] + 1) / steps[i]
         x = np.floor(ua + s * (ub - ua) + 0.5).astype(np.int64)
         y = np.floor(va + s * (vb - va) + 0.5).astype(np.int64)
-        columns.append([np.full(len(s), i), x, y, s])
+        on = (x >= 0) & (x < K.width) & (y >= 0) & (y < K.height)
+        columns.append([np.full(len(s), i), np.where(on, y * K.width + x, -1), s])
     return EdgeTrace(pa, pb, inv_z, steps, *(np.concatenate(c) for c in zip(*columns)))
 
 
@@ -164,8 +164,8 @@ def test_trace_steps_only_near_the_image(cube_model, qvga_camera, monkeypatch):
         assert np.array_equal(cut.pa[:, i], full.pa[:, i]) and np.array_equal(cut.pb[:, i], full.pb[:, i])
         assert np.array_equal(cut.inv_z[:, i], full.inv_z[:, i])
         k = np.rint(cut.s[c] * cut.steps[i]).astype(int)
-        assert np.array_equal(cut.s[c], full.s[f][k]) and np.array_equal(cut.x[c], full.x[f][k])
-        assert np.array_equal(cut.y[c], full.y[f][k])
+        assert np.array_equal(cut.s[c], full.s[f][k])
+        assert np.array_equal(cut.flat[c], full.flat[f][k])
 
     rng = np.random.default_rng(71)
     traj = standard_trajectory()
@@ -270,7 +270,7 @@ def test_draw_runs_matches_per_run_loop_on_scenes(cube_model, icosphere_model, q
         scenes.append((random_convex_model(rng), random_orbit_pose(rng, (60.0, 160.0))))
     drawn = 0
     for model, pose in scenes:
-        a, b = _visible_runs(model, pose, K)
+        a, b = visible_runs(render_id_buffer(model, pose, K))
         assert a.shape == b.shape == (2, a.shape[1])
         ref = assert_draw_matches_loop(a, b, (K.height, K.width))
         assert np.array_equal(ref, render_frame_gray(model, pose, K).pixels)
@@ -586,7 +586,7 @@ def test_run_tracking_dumps_reference_buffers(tmp_path, cube_model, qvga_camera)
     # --dump-buffers writes, per frame, the ID and depth buffers at the
     # tracked pose: byte for byte those of the full z-fill reference.
     from edgetrack.imaging import save_image
-    from edgetrack.rasterizer import DepthBuffer, IdBuffer, depth_buffer_to_image, id_buffer_to_image
+    from edgetrack.rasterizer import IdBuffer, depth_buffer_to_image, id_buffer_to_image
     from test_rasterizer import reference_render
 
     K = qvga_camera
@@ -599,9 +599,8 @@ def test_run_tracking_dumps_reference_buffers(tmp_path, cube_model, qvga_camera)
     for r in records:
         ids, depth = reference_render(cube_model, r.pose, K)
         assert ids.max() >= 0 and np.isfinite(depth).any()
-        ref_ids = IdBuffer(K.width, K.height, ids)
-        save_image(id_buffer_to_image(ref_ids), tmp_path / "id.ppm")
-        save_image(depth_buffer_to_image(DepthBuffer(K.width, K.height, depth)), tmp_path / "depth.pgm")
+        save_image(id_buffer_to_image(IdBuffer(ids)), tmp_path / "id.ppm")
+        save_image(depth_buffer_to_image(depth), tmp_path / "depth.pgm")
         assert (buffers / f"frame_{r.frame:06d}_id.ppm").read_bytes() == (tmp_path / "id.ppm").read_bytes()
         assert (buffers / f"frame_{r.frame:06d}_depth.pgm").read_bytes() == (
             tmp_path / "depth.pgm").read_bytes()

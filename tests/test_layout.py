@@ -8,6 +8,9 @@ functions by name.  A definition that only tests call belongs in the tests.
 Fixed-point words stay inside realmath: no other module names a
 fixed-point type or reads the ``.raw`` words of an array.
 
+The ID buffer's pixels and edge trace stay inside rasterizer: no other
+module reads a buffer's ``.ids`` or ``.trace``.
+
 Every import of src/edgetrack is at module level, and the modules' imports
 of one another form no cycle, so no function defers an import to break one.
 """
@@ -100,6 +103,36 @@ def test_fixed_point_scan_sees_imports_names_and_raw_reads():
         "    return x.raw if isinstance(x, realmath.QFormat) else be.to_float(x)\n"
     )
     assert sorted(name for _, name in fixed_point_uses(tree)) == ["FixedArray", "QFormat", "raw"]
+
+
+BUFFER_FIELDS = {"ids", "trace"}
+
+
+def buffer_reads(tree) -> list:
+    """Where the tree reads the attribute ``.ids`` or ``.trace`` of anything
+    but the numpy module (``np.trace`` is numpy's): (line, name) pairs."""
+    return [(node.lineno, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in BUFFER_FIELDS
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))]
+
+
+def test_id_buffer_fields_stay_inside_rasterizer():
+    # The ID image's flat layout and the trace's steps are the renderer's:
+    # other modules hand a buffer to its functions (visible_runs,
+    # neighbourhoods_visible) instead of reading it.
+    found = [f"{path.name}:{line}:{name}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "rasterizer.py"
+             for line, name in buffer_reads(ast.parse(path.read_text()))]
+    assert not found, f"ID buffer fields read outside rasterizer: {found}"
+
+
+def test_buffer_scan_sees_ids_and_trace_reads_but_not_numpy():
+    tree = ast.parse(
+        "def f(buf, R):\n"
+        "    owned = buf.ids[buf.trace.flat]\n"
+        "    return np.trace(R) + numpy.trace(R), owned, buf.trace_len\n"
+    )
+    assert buffer_reads(tree) == [(2, "ids"), (2, "trace")]
 
 
 def function_imports(tree) -> list:

@@ -129,7 +129,7 @@ def test_single_triangle_all_edges_present(qvga_camera):
     id_buf = render_id_buffer(single_triangle_model(), face_on_pose(), qvga_camera)
     depth_buf = render_depth_buffer(single_triangle_model(), face_on_pose(), qvga_camera)
     assert present_ids(id_buf) == {0, 1, 2}
-    assert np.isfinite(depth_buf.depth).any()
+    assert np.isfinite(depth_buf).any()
 
 
 def test_model_behind_camera_empty(qvga_camera):
@@ -137,7 +137,7 @@ def test_model_behind_camera_empty(qvga_camera):
     id_buf = render_id_buffer(single_triangle_model(), pose, qvga_camera)
     depth_buf = render_depth_buffer(single_triangle_model(), pose, qvga_camera)
     assert not present_ids(id_buf)
-    assert not np.isfinite(depth_buf.depth).any()
+    assert not np.isfinite(depth_buf).any()
 
 
 def test_cube_face_on_front_edges_visible_rear_hidden(cube_model, qvga_camera):
@@ -148,7 +148,7 @@ def test_cube_face_on_front_edges_visible_rear_hidden(cube_model, qvga_camera):
     assert {0, 1, 2, 3} <= ids
     assert not ids & {4, 5, 6, 7}
     # Front face plane sits 170 mm from the camera at distance 200.
-    assert abs(float(np.min(depth_buf.depth[np.isfinite(depth_buf.depth)])) - 170.0) < 2.0
+    assert abs(float(np.min(depth_buf[np.isfinite(depth_buf)])) - 170.0) < 2.0
 
 
 def test_all_rendered_ids_valid(cube_model, qvga_camera):
@@ -167,7 +167,7 @@ def test_render_deterministic(cube_model, qvga_camera):
     a_id, b_id = (render_id_buffer(cube_model, pose, qvga_camera) for _ in range(2))
     a_depth, b_depth = (render_depth_buffer(cube_model, pose, qvga_camera) for _ in range(2))
     assert np.array_equal(a_id.ids, b_id.ids)
-    assert np.array_equal(a_depth.depth, b_depth.depth)
+    assert np.array_equal(a_depth, b_depth)
 
 
 def test_near_plane_crossing_edge_clipped(qvga_camera):
@@ -323,7 +323,7 @@ def test_render_matches_per_pixel_reference(cube_model, qvga_camera):
     for model, pose in reference_scenes(cube_model, np.random.default_rng(56)):
         ids, depth = reference_render(model, pose, qvga_camera)
         assert np.array_equal(render_id_buffer(model, pose, qvga_camera).ids, ids)
-        assert_same_bytes(render_depth_buffer(model, pose, qvga_camera).depth, depth)
+        assert_same_bytes(render_depth_buffer(model, pose, qvga_camera), depth)
 
 
 def test_triangles_match_per_face_clip(cube_model, monkeypatch):
@@ -411,12 +411,11 @@ def test_face_depth_owner_ties_go_to_lower_face():
 # ---------------------------------------------------------------------------
 # Rendering at chosen pixels: each against the full render read there.
 
-def traced_pixels(id_buf, K):
+def traced_pixels(id_buf):
     """Sorted distinct flat indices of the on-image pixels the buffer's
     trace steps on."""
-    tr = id_buf.trace
-    on = (tr.x >= 0) & (tr.x < K.width) & (tr.y >= 0) & (tr.y < K.height)
-    return np.unique(tr.y[on] * K.width + tr.x[on])
+    flat = id_buf.trace.flat
+    return np.unique(flat[flat >= 0])
 
 
 def tracker_read_pixels(model, pose, K):
@@ -467,7 +466,7 @@ def test_render_at_tracker_pixels_matches_full_render(cube_model, icosphere_mode
     for model, pose in subset_scenes(cube_model, icosphere_model, rng):
         pixels = tracker_read_pixels(model, pose, K)
         check_render_at(model, pose, K, pixels)
-        traced = traced_pixels(render_id_buffer(model, pose, K), K)
+        traced = traced_pixels(render_id_buffer(model, pose, K))
         if model is cube_model and len(traced):
             asked_share.append(np.isin(traced, pixels).mean())
         # Random pixel sets, traced or not, with gaps between their rows.
@@ -483,7 +482,7 @@ def test_render_at_no_traced_pixel_is_background(cube_model, qvga_camera):
     K = qvga_camera
     pose = random_orbit_pose(np.random.default_rng(59))
     full = render_id_buffer(cube_model, pose, K)
-    traced = traced_pixels(full, K)
+    traced = traced_pixels(full)
     assert len(traced) > 100
     untraced = np.setdiff1d(np.arange(K.width * K.height), traced)[::7]
     for pixels in (np.zeros(0, dtype=np.int64), untraced):
@@ -503,7 +502,7 @@ def test_face_depth_at_sparse_rows_matches_depth_buffer(cube_model, qvga_camera)
     n = K.width * K.height
     for model, pose in reference_scenes(cube_model, rng):
         cam = _camera_points(model, pose)
-        depth = render_depth_buffer(model, pose, K).depth.ravel()
+        depth = render_depth_buffer(model, pose, K).ravel()
         _, owner = _face_depth(model, cam, K, np.arange(n))
         rows = np.sort(rng.choice(K.height, 12, replace=False))
         in_rows = (np.arange(n) // K.width)[:, None] == rows
@@ -625,7 +624,7 @@ def test_face_depth_enumerations_agree(cube_model, icosphere_model, qvga_camera,
     traj = standard_trajectory()
     for k in range(traj.frames):
         pose = traj.pose(k)
-        pixels = traced_pixels(render_id_buffer(icosphere_model, pose, K), K)
+        pixels = traced_pixels(render_id_buffer(icosphere_model, pose, K))
         assert (face_depth_by("mask", icosphere_model, pose, K, pixels, monkeypatch)
                 == face_depth_by("spans", icosphere_model, pose, K, pixels, monkeypatch))
 
@@ -726,7 +725,7 @@ def test_face_depth_overflow_raises_no_warning_and_owns_no_pixel(qvga_camera, mo
             assert not np.isfinite(np.frombuffer(depth)).any()
             assert (np.frombuffer(owner, dtype=np.int64) == -1).all()
         monkeypatch.undo()
-        assert not np.isfinite(render_depth_buffer(model, pose, qvga_camera).depth).any()
+        assert not np.isfinite(render_depth_buffer(model, pose, qvga_camera)).any()
 
 
 def pairs_tested(enumeration, model, pose, K, pixels, monkeypatch):
@@ -765,7 +764,7 @@ def test_span_walk_tests_only_covered_pixels(icosphere_model, qvga_camera, monke
     box = spans = 0
     for k in frames:
         pose = traj.pose(k)
-        pixels = traced_pixels(render_id_buffer(icosphere_model, pose, qvga_camera), qvga_camera)
+        pixels = traced_pixels(render_id_buffer(icosphere_model, pose, qvga_camera))
         box += pairs_tested("mask", icosphere_model, pose, qvga_camera, pixels, monkeypatch)
         spans += pairs_tested("spans", icosphere_model, pose, qvga_camera, pixels, monkeypatch)
     assert 16_000 < box / len(frames) < 18_000
@@ -918,7 +917,7 @@ def test_id_buffer_dump(cube_model, qvga_camera):
 
 
 def test_id_buffer_image_codes_every_id():
-    buf = IdBuffer(4, 4)
+    buf = IdBuffer(np.full((4, 4), BACKGROUND, dtype=np.int16))
     buf.ids[2, 1] = 7
     buf.ids[3, 3] = MAX_EDGE_ID  # the buffer's integers hold every ID
     pixels = id_buffer_to_image(buf).pixels
@@ -930,13 +929,11 @@ def test_depth_buffer_dump(cube_model, qvga_camera):
     depth_buf = render_depth_buffer(cube_model, face_on_pose(), qvga_camera)
     img = depth_buffer_to_image(depth_buf)
     assert isinstance(img, GrayImage)
-    finite = np.isfinite(depth_buf.depth)
+    finite = np.isfinite(depth_buf)
     assert np.all(img.pixels[~finite] == 255)
     assert img.pixels[finite].min() == 0
 
 
 def test_depth_dump_empty_buffer():
-    from edgetrack.rasterizer import DepthBuffer
-
-    img = depth_buffer_to_image(DepthBuffer(8, 8))
+    img = depth_buffer_to_image(np.full((8, 8), np.inf))
     assert np.all(img.pixels == 255)

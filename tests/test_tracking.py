@@ -411,11 +411,12 @@ def ref_is_point_visible(p, edge_index, id_buffer):
     def round_px(v):
         return math.floor(v + 0.5) if v >= 0.0 else math.ceil(v - 0.5)
 
+    height, width = id_buffer.ids.shape
     x, y = round_px(float(p[0])), round_px(float(p[1]))
-    if not (0 <= x < id_buffer.width and 0 <= y < id_buffer.height):
+    if not (0 <= x < width and 0 <= y < height):
         return False
-    for ny in range(max(0, y - 1), min(id_buffer.height, y + 2)):
-        for nx in range(max(0, x - 1), min(id_buffer.width, x + 2)):
+    for ny in range(max(0, y - 1), min(height, y + 2)):
+        for nx in range(max(0, x - 1), min(width, x + 2)):
             if id_buffer.ids[ny, nx] == edge_index:
                 return True
     return False
@@ -674,7 +675,8 @@ def test_visibility_matches_scalar_reference(cube_model, qvga_camera):
 
     def points_visible(pts, edges, id_buffer):
         # The composition collect_measurements runs.
-        flat = neighbourhoods(pts.T, id_buffer.width, id_buffer.height)
+        height, width = id_buffer.ids.shape
+        flat = neighbourhoods(pts.T, width, height)
         return neighbourhoods_visible(flat, edges, id_buffer)
 
     rng = np.random.default_rng(402)
@@ -698,10 +700,10 @@ def test_visibility_matches_scalar_reference(cube_model, qvga_camera):
 
     # Random small buffers, points on the half-pixel grid: rounding ties of
     # both signs and every border neighbourhood.
-    from edgetrack.rasterizer import IdBuffer, id_buffer_to_image
+    from edgetrack.rasterizer import BACKGROUND, IdBuffer, id_buffer_to_image
 
     for _ in range(20):
-        buf = IdBuffer(7, 5)
+        buf = IdBuffer(np.full((5, 7), BACKGROUND, dtype=np.int16))
         ids = rng.integers(-1, 3, (5, 7))
         for (y, x), i in np.ndenumerate(ids):
             if i >= 0:

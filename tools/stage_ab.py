@@ -13,10 +13,13 @@ being measured.
 
 On the standard cube sequence (``benchmarks/models.cube_text``, sigma 2,
 ``--seed``, default 5) each backend's ``run_tracking`` passes alternate
-between the sides, and so does the side that goes first.  The synth stage
-does the same for ``render_frame_gray`` + ``save_image`` of every frame, on
-the cube and on the icosphere of the synth_ico workload.  The tool exits 1
-unless both sides give byte-identical poses and per-frame counters, and
+between the sides, and so does the side that goes first; after them each
+side runs once more, untimed, with ``dump_buffers=True``.  The synth stage
+alternates its passes the same way for ``render_frame_gray`` +
+``save_image`` of every frame, on the cube and on the icosphere of the
+synth_ico workload.  The tool exits 1
+unless both sides give byte-identical poses and per-frame counters,
+byte-identical ID and depth dumps (every file under ``buffers/``), and
 byte-identical frame files.  It prints, per backend, the medians over frames
 of each frame's fastest pass for t_total, t_visible, t_me and t_pose, and
 per synth model the median of each frame's fastest render-and-save time, in
@@ -84,10 +87,13 @@ class Side:
         self.models = {name: self.geometry.load_model(path) for name, path in model_files.items()}
         self.camera = self.h.standard_camera()
 
-    def track(self, seq: Path, backend: str, init):
+    def track(self, seq: Path, backend: str, init, dump_dir: Path = None):
+        """run_tracking on seq; given dump_dir, it writes its outputs and
+        buffer dumps there."""
         cfg = self.config(backend=backend)
         pose = self.geometry.PoseSE3(np.array(init.omega), np.array(init.t))
-        return self.h.run_tracking(seq, self.models["cube"], self.camera, cfg, pose)
+        return self.h.run_tracking(seq, self.models["cube"], self.camera, cfg, pose,
+                                   out_dir=dump_dir, dump_buffers=dump_dir is not None)
 
     def synth(self, model: str, traj, seed: int, out: Path) -> list:
         """Render and save every frame of traj as generate_sequence does;
@@ -108,6 +114,17 @@ def record_key(r) -> tuple:
     """A record's pose bytes and counters, which both sides must share."""
     pose = np.concatenate([np.asarray(r.pose.omega, np.float64), np.asarray(r.pose.t, np.float64)])
     return (pose.tobytes(), *(repr(getattr(r, c)) for c in COUNTERS))
+
+
+def first_difference(a: Path, b: Path) -> str:
+    """The name of the first file that the directories a and b do not
+    both hold with the same bytes; "" when there is none."""
+    names = sorted({p.name for p in a.iterdir()} | {p.name for p in b.iterdir()})
+    for name in names:
+        if not ((a / name).is_file() and (b / name).is_file()
+                and (a / name).read_bytes() == (b / name).read_bytes()):
+            return name
+    return ""
 
 
 def ms_median(per_pass: list) -> float:
@@ -170,6 +187,13 @@ def main(argv=None) -> int:
                     if keys != first:
                         identical = False
                         print(f"{backend}: the {s} side's poses or counters differ")
+            dumps = [work / f"dump_{backend}_{s}" for s in SIDES]
+            for s, dump in zip(SIDES, dumps):
+                sides[s].track(seq, backend, init, dump)
+            differ = first_difference(*(dump / "buffers" for dump in dumps))
+            if differ:
+                identical = False
+                print(f"{backend}: buffer dump {differ} differs between the sides")
             for stage in STAGES:
                 print(row(f"{backend} {stage}", *(ms_median(times[s][stage]) for s in SIDES)))
 
