@@ -43,18 +43,27 @@ class BehindCameraError(ValueError):
 # ---------------------------------------------------------------------------
 # Domain types.
 
-@dataclass
+def _own(obj, **arrays):
+    """Set the fields of the frozen dataclass obj to the arrays, which it
+    alone holds, made read-only."""
+    for name, array in arrays.items():
+        array.flags.writeable = False
+        object.__setattr__(obj, name, array)
+
+
+@dataclass(frozen=True)
 class WireframeModel:
-    """Triangulated solid with an explicit list of contour edges to track."""
+    """Triangulated solid with an explicit list of contour edges to track,
+    held in read-only copies of the arrays it is built from."""
 
     vertices: np.ndarray  # (N, 3) float64, mm
     faces: np.ndarray  # (M, 3) int32, vertex indices
     edges: np.ndarray  # (E, 2) int32, vertex indices; row order is the edge ID
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
-        self.faces = np.asarray(self.faces, dtype=np.int32).reshape(-1, 3)
-        self.edges = np.asarray(self.edges, dtype=np.int32).reshape(-1, 2)
+        _own(self, vertices=np.array(self.vertices, dtype=np.float64).reshape(-1, 3),
+             faces=np.array(self.faces, dtype=np.int32).reshape(-1, 3),
+             edges=np.array(self.edges, dtype=np.int32).reshape(-1, 2))
         if not np.isfinite(self.vertices).all():
             raise ModelFormatError("vertex coordinate is not finite")
         n = len(self.vertices)
@@ -146,9 +155,10 @@ class BackendIntrinsics:
     center: object
 
 
-@dataclass
+@dataclass(frozen=True)
 class PoseSE3:
-    """Camera-from-world pose: exp-map rotation vector plus translation (mm)."""
+    """Camera-from-world pose: exp-map rotation vector plus translation (mm),
+    as read-only arrays of its own."""
 
     omega: np.ndarray
     t: np.ndarray
@@ -158,8 +168,7 @@ class PoseSE3:
         t = np.asarray(self.t, dtype=np.float64).reshape(3)
         if not (np.isfinite(omega).all() and np.isfinite(t).all()):
             raise ValueError(f"pose is not finite: omega={omega.tolist()}, t={t.tolist()}")
-        self.omega = _canonical_omega(omega)
-        self.t = t.copy()
+        _own(self, omega=_canonical_omega(omega), t=t.copy())
 
     def rotation(self) -> np.ndarray:
         return exp_map_np(self.omega)
@@ -167,9 +176,6 @@ class PoseSE3:
     def camera_center(self) -> np.ndarray:
         """Camera position in world coordinates: -R^T t."""
         return -self.rotation().T @ self.t
-
-    def copy(self) -> "PoseSE3":
-        return PoseSE3(self.omega.copy(), self.t.copy())
 
 
 def _canonical_omega(omega: np.ndarray) -> np.ndarray:

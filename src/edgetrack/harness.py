@@ -78,7 +78,7 @@ def standard_camera() -> CameraIntrinsics:
 # ---------------------------------------------------------------------------
 # Trajectories.
 
-@dataclass
+@dataclass(frozen=True)
 class OrbitTrajectory:
     """Camera circling the world origin at fixed radius and elevation.
 
@@ -327,7 +327,7 @@ def run_tracking(sequence_dir, model: WireframeModel, K: CameraIntrinsics,
     ID/depth buffers per frame).
     """
     records = []
-    pose = init_pose.copy()
+    pose = init_pose
     coasted = 0
     for idx, path in enumerate(_sequence_frames(sequence_dir)):
         t_start = time.perf_counter()
@@ -346,7 +346,7 @@ def run_tracking(sequence_dir, model: WireframeModel, K: CameraIntrinsics,
             status = "coast" if coasted <= coast_frames else "lost"
             stats = _NO_STATS
         t_total = time.perf_counter() - t_start
-        records.append(FrameRecord(**vars(stats), frame=idx, pose=pose.copy(), status=status,
+        records.append(FrameRecord(**vars(stats), frame=idx, pose=pose, status=status,
                                    t_total=t_total, t_gray=t_gray))
         if dump_buffers and out_dir is not None:
             bdir = Path(out_dir) / "buffers"
@@ -444,7 +444,7 @@ def profile(records) -> ProfileReport:
 # ---------------------------------------------------------------------------
 # Config files.
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """A run's settings; the config keys are the fields of its settings
     dataclasses and its own (CONFIG_KEYS)."""

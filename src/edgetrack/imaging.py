@@ -21,12 +21,12 @@ class ImageFormatError(ValueError):
     """An image file or pixel buffer does not match the expected format."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class GrayImage:
     pixels: np.ndarray  # (height, width) uint8
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.uint8)
+        object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=np.uint8))
         if self.pixels.ndim != 2 or 0 in self.pixels.shape:
             raise ImageFormatError("gray image must be a non-empty 2-D array")
 
@@ -39,18 +39,18 @@ class GrayImage:
         return self.pixels.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColorImage:
     pixels: np.ndarray  # RGB888: (h, w, 3) uint8; RGB565: (h, w) uint16
     format: str = RGB888
 
     def __post_init__(self):
         if self.format == RGB888:
-            self.pixels = np.asarray(self.pixels, dtype=np.uint8)
+            object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=np.uint8))
             if self.pixels.ndim != 3 or self.pixels.shape[2] != 3:
                 raise ImageFormatError("RGB888 image must be (h, w, 3)")
         elif self.format == RGB565:
-            self.pixels = np.asarray(self.pixels, dtype=np.uint16)
+            object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=np.uint16))
             if self.pixels.ndim != 2:
                 raise ImageFormatError("RGB565 image must be (h, w) packed uint16")
         else:

@@ -27,11 +27,10 @@ the settings, ``words.constant`` the words of loop constants such as LM's
 tolerances, and the camera and the model keep their own conversions
 (``CameraIntrinsics.to_backend``, ``WireframeModel.used_vertices``).
 
-Arrays, word operations and backends carry their ``QFormat``, one of the
-module constants Q40_23 and Q47_16, and compare formats by identity.
-``FixedPoint`` is the fixed-point scalar: no tracker path builds one, the
-tests build its per-format subclasses and compare arrays and words against
-them, operation by operation.
+Arrays, word operations and backends carry their ``QFormat``, Q40_23 or
+Q47_16.  ``FixedPoint`` is the fixed-point scalar: no tracker path builds
+one, the tests build its per-format subclasses and compare arrays and words
+against them, operation by operation.
 
 Rounding rules, fixed so runs are bit-reproducible:
 
@@ -45,7 +44,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from enum import Enum
 from functools import cache, partialmethod
 from math import isqrt
 from typing import Callable, ClassVar, NamedTuple
@@ -61,30 +60,23 @@ class MathDomainError(ValueError):
     """An operation was called outside its mathematical domain."""
 
 
-@dataclass(frozen=True)
-class QFormat:
-    """Bit layout of a 64-bit signed fixed-point word (sign bit excluded)."""
+class QFormat(Enum):
+    """Bit layout of a 64-bit signed fixed-point word (sign bit excluded):
+    the two supported formats, by (integer bits, fraction bits)."""
 
-    integer_bits: int
-    fraction_bits: int
+    Q40_23 = (40, 23)
+    Q47_16 = (47, 16)
 
-    def __post_init__(self):
-        if 1 + self.integer_bits + self.fraction_bits != 64:
-            raise ValueError(
-                f"Q{self.integer_bits}.{self.fraction_bits}: sign + integer "
-                "+ fraction bits must total 64"
-            )
-
-    @property
-    def resolution(self) -> float:
-        return 2.0 ** -self.fraction_bits
+    def __init__(self, integer_bits: int, fraction_bits: int):
+        self.integer_bits = integer_bits
+        self.fraction_bits = fraction_bits
+        self.resolution = 2.0 ** -fraction_bits
 
     def __str__(self) -> str:
         return f"Q{self.integer_bits}.{self.fraction_bits}"
 
 
-Q40_23 = QFormat(integer_bits=40, fraction_bits=23)
-Q47_16 = QFormat(integer_bits=47, fraction_bits=16)
+Q40_23, Q47_16 = QFormat
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +404,7 @@ def _trunc_div_array(a, b):
 class FixedArray:
     """Array of fixed-point numbers with the per-element semantics of FixedPoint.
 
-    ``raw`` is an int64 ndarray of raw words in the QFormat ``format``, one
-    of the module constants Q40_23 and Q47_16, compared by identity.
+    ``raw`` is an int64 ndarray of raw words in the QFormat ``format``.
     Every operation gives, element by element, the raw word the FixedPoint
     operation gives, and raises MathOverflowError exactly when one of those
     would.  It computes in int64 only where the operands' magnitudes prove
@@ -844,12 +835,9 @@ class FixedBackend:
     is_fixed = True
 
     def __init__(self, fmt: QFormat):
-        """A backend for one of the formats Q40_23 and Q47_16; ValueError for
-        any other.  Its arrays carry the module constant itself, so that
-        arrays compare their formats by identity."""
-        if fmt not in (Q40_23, Q47_16):
-            raise ValueError(f"unsupported fixed-point format {fmt}")
-        self.format = fmt = Q40_23 if fmt == Q40_23 else Q47_16
+        """A backend for the format fmt, a QFormat or its value; ValueError
+        for anything else."""
+        self.format = fmt = QFormat(fmt)
         self.name = f"q{fmt.integer_bits}_{fmt.fraction_bits}"
         self.words = _fixed_word_ops(fmt)
         self._constants = {}
@@ -868,8 +856,7 @@ class FixedBackend:
         largest magnitude of its words."""
         values = np.asarray(values)
         words = list(map(self.words.from_float, values.ravel().tolist()))
-        return FixedArray(np.array(words, dtype=np.int64).reshape(values.shape), self.format,
-                          max(map(abs, words), default=0))
+        return self.words.array(words).reshape(values.shape)
 
     @staticmethod
     def to_float(values: FixedArray) -> np.ndarray:

@@ -229,34 +229,35 @@ def decode_ids(rgb):
     return np.where((r == 0) & (g == 0) & (b == 0), -1, ids)
 
 
-def visibility_oracle(model, pose, p3d, tol: float = 1e-6) -> bool:
-    """Ray-cast visibility of a world point on a model edge.
+def visibility_oracle(model, pose, p3d, tol: float = 1e-6):
+    """Ray-cast visibility of world points on model edges: a bool for one
+    point, a (P,) bool array for (P, 3) points.
 
     Visible iff the open segment from the camera center to the point crosses
     no model face strictly nearer than the point (relative tolerance excludes
-    the faces the edge itself lies on).  Shares no code with the rasterizer.
+    the faces the edge itself lies on).  Every (point, face) pair gets the
+    same Moller-Trumbore test.  Shares no code with the rasterizer.
     """
     center = pose.camera_center()
     target = np.asarray(p3d, dtype=np.float64)
-    direction = target - center
-    dist = float(np.linalg.norm(direction))
-    if dist == 0.0:
-        return False
-    direction = direction / dist
+    direction = target.reshape(-1, 3) - center  # (P, 3)
+    dist = np.linalg.norm(direction, axis=1)[:, None]  # (P, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direction = direction / dist
 
     v0 = model.vertices[model.faces[:, 0]]
     e1 = model.vertices[model.faces[:, 1]] - v0
     e2 = model.vertices[model.faces[:, 2]] - v0
-    # Moller-Trumbore, vectorized across faces.
-    pvec = np.cross(direction, e2)
-    det = np.einsum("ij,ij->i", e1, pvec)
+    # Moller-Trumbore, vectorized across points (rows) and faces (columns).
+    pvec = np.cross(direction[:, None], e2)  # (P, F, 3)
+    det = np.einsum("fj,pfj->pf", e1, pvec)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_det = np.where(np.abs(det) > 1e-12, 1.0 / det, 0.0)
         tvec = center - v0
-        u = np.einsum("ij,ij->i", tvec, pvec) * inv_det
+        u = np.einsum("fj,pfj->pf", tvec, pvec) * inv_det
         qvec = np.cross(tvec, e1)
-        v = np.einsum("ij,j->i", qvec, direction) * inv_det
-        s = np.einsum("ij,ij->i", e2, qvec) * inv_det
+        v = np.einsum("fj,pj->pf", qvec, direction) * inv_det
+        s = np.einsum("fj,fj->f", e2, qvec) * inv_det
     hit = (
         (np.abs(det) > 1e-12)
         & (u >= -1e-9)
@@ -265,7 +266,8 @@ def visibility_oracle(model, pose, p3d, tol: float = 1e-6) -> bool:
         & (s > dist * tol)
         & (s < dist * (1.0 - tol))
     )
-    return not bool(hit.any())
+    visible = (dist[:, 0] > 0.0) & ~hit.any(axis=1)
+    return bool(visible[0]) if target.ndim == 1 else visible
 
 
 def residual_jacobian(X, R, t, K, n, backend):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,10 @@ from edgetrack.harness import (
     standard_trajectory,
     _draw_runs,
 )
+from edgetrack.imaging import ColorImage, GrayImage
 from edgetrack.pose_estimation import LM_STOPS, TrackerConfig
 from edgetrack.rasterizer import BACKGROUND, render_id_buffer, visible_runs
+from edgetrack.realmath import get_backend
 
 from conftest import (
     CUBE_EDGES,
@@ -537,6 +540,48 @@ def test_model_with_a_non_finite_vertex_is_a_typed_error(bad, tmp_path, cube_mod
         render_frame_gray(model(), traj.pose(0), qvga_camera, sigma=2.0)
     with pytest.raises(ModelFormatError):
         generate_sequence(model(), qvga_camera, traj, sigma=2.0, out_dir=tmp_path / "t", seed=5)
+
+
+def test_model_keeps_its_checked_arrays_when_the_callers_change(cube_model):
+    # A model built in code copies the arrays it is given: NaN written into
+    # the caller's vertices afterwards, and a zero-length edge into the
+    # caller's edges, change neither the model's checked arrays nor its
+    # Q40.23 vertices, which still match a fresh conversion of its own.
+    q40 = get_backend("q40_23")
+    vertices = np.array(CUBE_VERTICES, dtype=np.float64) * 30.0
+    edges = np.array(CUBE_EDGES, dtype=np.int32) - 1
+    model = WireframeModel(vertices=vertices, faces=np.array(CUBE_FACES) - 1, edges=edges)
+    converted = model.used_vertices(q40).raw.tolist()
+    vertices[6, 1] = float("nan")
+    edges[0] = edges[0, 0]
+    assert model.vertices.tolist() == cube_model.vertices.tolist()
+    assert model.edges.tolist() == cube_model.edges.tolist()
+    assert model.used_vertices(q40).raw.tolist() == converted
+    assert converted == q40.array(model.vertices[model.edge_ends[0]].T).raw.tolist()
+
+
+def test_pose_and_model_arrays_are_read_only(cube_model):
+    pose = standard_trajectory(1).pose(0)
+    arrays = (pose.omega, pose.t, cube_model.vertices, cube_model.faces, cube_model.edges)
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[-1] = array[0]
+    assert np.isfinite(pose.t).all()
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: WireframeModel(np.eye(3), [[0, 1, 2]], [[0, 1]]), "vertices"),
+    (lambda: PoseSE3(np.zeros(3), [0.0, 0.0, 150.0]), "t"),
+    (lambda: standard_trajectory(2), "frames"),
+    (lambda: RunConfig(standard_camera(), TrackerConfig()), "coast_frames"),
+    (lambda: GrayImage(np.zeros((2, 2))), "pixels"),
+    (lambda: ColorImage(np.zeros((2, 2, 3))), "format"),
+], ids=["WireframeModel", "PoseSE3", "OrbitTrajectory", "RunConfig", "GrayImage", "ColorImage"])
+def test_checked_values_reject_field_assignment(make, field):
+    # A value's fields keep what its __post_init__ checked.
+    value = make()
+    with pytest.raises(FrozenInstanceError):
+        setattr(value, field, getattr(value, field))
 
 
 @pytest.mark.parametrize("backend", ["float", "q40_23", "q47_16"])

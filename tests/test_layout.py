@@ -11,6 +11,9 @@ fixed-point type or reads the ``.raw`` words of an array.
 The ID buffer's pixels and edge trace stay inside rasterizer: no other
 module reads a buffer's ``.ids`` or ``.trace``.
 
+A dataclass that checks its fields in ``__post_init__`` is frozen, so no
+assignment can undo the check.
+
 Every import of src/edgetrack is at module level, and the modules' imports
 of one another form no cycle, so no function defers an import to break one.
 """
@@ -133,6 +136,60 @@ def test_buffer_scan_sees_ids_and_trace_reads_but_not_numpy():
         "    return np.trace(R) + numpy.trace(R), owned, buf.trace_len\n"
     )
     assert buffer_reads(tree) == [(2, "ids"), (2, "trace")]
+
+
+def is_frozen_dataclass(decorator) -> bool:
+    """Whether a decorator is ``dataclass(frozen=True)``, also spelled
+    ``dataclasses.dataclass(...)``."""
+    return (isinstance(decorator, ast.Call)
+            and any(k.arg == "frozen" and getattr(k.value, "value", False) is True
+                    for k in decorator.keywords))
+
+
+def is_dataclass_decorator(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (isinstance(target, ast.Name) and target.id == "dataclass"
+            or isinstance(target, ast.Attribute) and target.attr == "dataclass")
+
+
+def unfrozen_checked_dataclasses(tree) -> list:
+    """(line, class) of every dataclass that defines __post_init__ but is
+    not frozen."""
+    return [(cls.lineno, cls.name) for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            and any(is_dataclass_decorator(d) for d in cls.decorator_list)
+            and any(isinstance(f, ast.FunctionDef) and f.name == "__post_init__" for f in cls.body)
+            and not any(is_frozen_dataclass(d) for d in cls.decorator_list)]
+
+
+def test_checked_dataclasses_are_frozen():
+    found = [f"{path.name}:{line}:{name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, name in unfrozen_checked_dataclasses(ast.parse(path.read_text()))]
+    assert not found, f"dataclasses that check their fields but are not frozen: {found}"
+
+
+def test_frozen_scan_sees_unfrozen_checked_dataclasses():
+    tree = ast.parse(
+        "@dataclass\n"
+        "class A:\n"
+        "    def __post_init__(self): pass\n"
+        "@dataclasses.dataclass(eq=False, frozen=False)\n"
+        "class B:\n"
+        "    def __post_init__(self): pass\n"
+        "@dataclass(frozen=True)\n"
+        "class C:\n"
+        "    def __post_init__(self): pass\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class D:\n"
+        "    def __post_init__(self): pass\n"
+        "@dataclass\n"
+        "class E:\n"
+        "    x: int\n"
+        "class F:\n"
+        "    def __post_init__(self): pass\n"
+    )
+    assert unfrozen_checked_dataclasses(tree) == [(2, "A"), (5, "B")]
 
 
 def function_imports(tree) -> list:

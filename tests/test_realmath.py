@@ -30,8 +30,10 @@ FIXED_CLASSES = [FixedQ40_23, FixedQ47_16]
 def test_qformat_bit_budget():
     assert Q40_23.integer_bits + Q40_23.fraction_bits == 63
     assert Q47_16.integer_bits + Q47_16.fraction_bits == 63
+    assert list(QFormat) == [Q40_23, Q47_16]
+    assert QFormat((40, 23)) is Q40_23
     with pytest.raises(ValueError):
-        QFormat(integer_bits=40, fraction_bits=16)
+        QFormat((40, 16))
 
 
 def test_qformat_resolution():
@@ -42,12 +44,10 @@ def test_qformat_resolution():
 
 def test_fixed_type_rejects_other_formats():
     with pytest.raises(ValueError):
-        fixed_type(QFormat(integer_bits=31, fraction_bits=32))
+        fixed_type((31, 32))
     with pytest.raises(ValueError):
-        FixedBackend(QFormat(integer_bits=31, fraction_bits=32))
-    # An equal format object gives arrays carrying the module constant, so
-    # format checks by identity accept them.
-    be = FixedBackend(QFormat(integer_bits=40, fraction_bits=23))
+        FixedBackend((31, 32))
+    be = FixedBackend(Q40_23)
     assert be.format is Q40_23 and be.array([1.0]).format is Q40_23
     assert (be.array([1.0]) + get_backend("q40_23").array([2.0])).raw.tolist() == [3 << 23]
 

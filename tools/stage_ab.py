@@ -23,7 +23,9 @@ byte-identical ID and depth dumps (every file under ``buffers/``), and
 byte-identical frame files.  It prints, per backend, the medians over frames
 of each frame's fastest pass for t_total, t_visible, t_me and t_pose, and
 per synth model the median of each frame's fastest render-and-save time, in
-ms, parent then change.
+ms, parent then change.  After a fixed-point backend's stage rows, a
+``<backend> scans`` row gives the scans of FixedArray words
+(``realmath._max_abs`` calls) per frame of the untimed pass, an exact count.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +85,7 @@ class Side:
 
     def __init__(self, package, model_files: dict):
         self.h = package.harness
+        self.realmath = package.realmath
         self.geometry = package.geometry
         self.config = package.TrackerConfig  # the top-level name, wherever the class lives
         self.models = {name: self.geometry.load_model(path) for name, path in model_files.items()}
@@ -108,6 +112,23 @@ class Side:
             h.save_image(frame, out / h.frame_filename(k))
             times.append(time.perf_counter() - t0)
         return times
+
+
+@contextmanager
+def counting_scans(realmath):
+    """Counts the calls of realmath._max_abs, the one scan of a FixedArray's
+    words, while active; yields a list holding the count."""
+    scan, count = realmath._max_abs, [0]
+
+    def counted(raw):
+        count[0] += 1
+        return scan(raw)
+
+    realmath._max_abs = counted
+    try:
+        yield count
+    finally:
+        realmath._max_abs = scan
 
 
 def record_key(r) -> tuple:
@@ -188,14 +209,19 @@ def main(argv=None) -> int:
                         identical = False
                         print(f"{backend}: the {s} side's poses or counters differ")
             dumps = [work / f"dump_{backend}_{s}" for s in SIDES]
+            scans = {}
             for s, dump in zip(SIDES, dumps):
-                sides[s].track(seq, backend, init, dump)
+                with counting_scans(sides[s].realmath) as count:
+                    sides[s].track(seq, backend, init, dump)
+                scans[s] = count[0] / traj.frames
             differ = first_difference(*(dump / "buffers" for dump in dumps))
             if differ:
                 identical = False
                 print(f"{backend}: buffer dump {differ} differs between the sides")
             for stage in STAGES:
                 print(row(f"{backend} {stage}", *(ms_median(times[s][stage]) for s in SIDES)))
+            if backend != "float":
+                print(row(f"{backend} scans", *(scans[s] for s in SIDES)))
 
         for model in args.synth:
             times = {s: [] for s in SIDES}
